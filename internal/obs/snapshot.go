@@ -50,7 +50,7 @@ func (s *Snapshot) Counter(name string) int64 {
 // Merge folds other into s: counters and histograms add, gauges add too
 // (for occupancy-style gauges the cross-shard sum is the meaningful
 // total). Metrics present only in other are appended. Merge is how
-// per-shard registries aggregate in parallelFor-driven studies.
+// per-shard registries aggregate in studies run on the sim worker pool.
 func (s *Snapshot) Merge(other Snapshot) {
 	idx := make(map[string]int, len(s.Values))
 	for i := range s.Values {

@@ -11,7 +11,7 @@ import (
 // registry is goroutine-local while running (see the obs package
 // ownership model); the immutable snapshots in engine.Result are what
 // crosses the goroutine boundary, so this is safe to call after any
-// parallelFor-driven study. Results without metrics are skipped; ok
+// RunUnits-driven study. Results without metrics are skipped; ok
 // reports whether any shard contributed.
 func AggregateMetrics(results ...engine.Result) (agg obs.Snapshot, ok bool) {
 	for _, r := range results {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"bulkpreload/internal/engine"
@@ -24,11 +25,12 @@ func shardProfiles(n int) []workload.Profile {
 func TestAggregateMetrics(t *testing.T) {
 	cfgs := Table3()
 	profiles := shardProfiles(3)
-	results := make([]engine.Result, len(profiles))
-	params := quickParams()
-	if err := parallelFor(len(profiles), func(i int) {
-		results[i] = engine.Run(workload.New(profiles[i]), cfgs[ConfigBTB2], params, ConfigBTB2)
-	}); err != nil {
+	units := make([]Unit, len(profiles))
+	for i, p := range profiles {
+		units[i] = ProfileUnit(p, cfgs[ConfigBTB2], quickParams(), ConfigBTB2)
+	}
+	results, err := RunUnits(context.Background(), 0, units)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -98,15 +100,17 @@ func TestAggregateMetrics(t *testing.T) {
 func TestComparisonMetrics(t *testing.T) {
 	cfgs := Table3()
 	profiles := shardProfiles(2)
-	params := quickParams()
-	cs := make([]Comparison, len(profiles))
-	if err := parallelFor(len(profiles), func(i int) {
-		cs[i] = Comparison{
-			Trace: profiles[i].Name,
-			BTB2:  engine.Run(workload.New(profiles[i]), cfgs[ConfigBTB2], params, ConfigBTB2),
-		}
-	}); err != nil {
+	units := make([]Unit, len(profiles))
+	for i, p := range profiles {
+		units[i] = ProfileUnit(p, cfgs[ConfigBTB2], quickParams(), ConfigBTB2)
+	}
+	res, err := RunUnits(context.Background(), 0, units)
+	if err != nil {
 		t.Fatal(err)
+	}
+	cs := make([]Comparison, len(profiles))
+	for i := range profiles {
+		cs[i] = Comparison{Trace: profiles[i].Name, BTB2: res[i]}
 	}
 	var want int64
 	for _, c := range cs {

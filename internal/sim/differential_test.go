@@ -8,6 +8,7 @@ import (
 
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/engine"
+	"bulkpreload/internal/fault"
 	"bulkpreload/internal/workload"
 )
 
@@ -65,6 +66,51 @@ func TestDifferentialGate(t *testing.T) {
 					if mismatches > 20 {
 						t.Fatal("too many mismatches; truncating report")
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestDifferentialGateUnderFaults holds the gate with soft-error
+// injection armed: faults land per entry read, so the batched path must
+// reproduce the oracle's strikes, recoveries and fault counters
+// (Result.Fault) bit for bit under both protection models.
+func TestDifferentialGateUnderFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential gate in -short mode")
+	}
+	params := engine.DefaultParams()
+	params.WarmupInstructions = 5_000
+	params.SnapshotInterval = 7_500
+	var units []Unit
+	for _, p := range workload.Table4Profiles(30_000)[:4] {
+		for _, prot := range []fault.Protection{fault.Unprotected, fault.Parity} {
+			pp := params
+			pp.Fault = fault.ZEC12Rates(uint64(p.Seed), 1000, prot)
+			u := ProfileUnit(p, core.DefaultConfig(), pp, ConfigBTB2)
+			u.Label += "/" + prot.String()
+			units = append(units, u)
+		}
+	}
+	serial, err := RunUnitsSerial(units)
+	if err != nil {
+		t.Fatalf("serial oracle failed: %v", err)
+	}
+	for i := range units {
+		if serial[i].Fault.Injected == 0 {
+			t.Fatalf("%s: no faults injected; the gate would prove nothing", units[i].Label)
+		}
+	}
+	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			parallel, err := RunUnits(context.Background(), workers, units)
+			if err != nil {
+				t.Fatalf("parallel pipeline failed: %v", err)
+			}
+			for i := range units {
+				for _, d := range DiffResults(units[i].Label, serial[i], parallel[i]) {
+					t.Error(d)
 				}
 			}
 		})

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"context"
+	"fmt"
+
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/engine"
 	"bulkpreload/internal/fault"
+	"bulkpreload/internal/trace"
 	"bulkpreload/internal/workload"
 )
 
@@ -48,29 +52,58 @@ func FaultStudy(profile workload.Profile, params engine.Params, rates []float64)
 // layout: the fault model is defined over each entry's logical payload
 // bits, not its physical words, so identical seeds must corrupt both
 // layouts identically and the study's points must match exactly.
+//
+// The profile's trace is recorded once and every run (the fault-free
+// reference first, then each rate x protection point) replays that
+// read-only slice as one RunUnits unit on a GOMAXPROCS-wide pool, so
+// the study holds about 32 B x profile.Instructions of trace in memory.
+// A panicking run is isolated like any other unit: a failed fault-free
+// run no longer takes down the caller, it leaves every DeltaCPIPct at
+// 0, and its error is returned.
 func FaultStudyConfig(profile workload.Profile, cfg core.Config, params engine.Params, rates []float64) ([]FaultPoint, error) {
-	clean := engine.Run(workload.New(profile), cfg, params, ConfigBTB2)
-	cleanCPI := clean.CPI()
+	src := workload.New(profile)
+	name := src.Name()
+	ins := trace.Collect(src)
+	unit := func(label string, p engine.Params) Unit {
+		return Unit{
+			Label:      name + "/" + label,
+			NewSource:  func() trace.Source { return trace.NewSliceSource(name, ins) },
+			Config:     cfg,
+			Params:     p,
+			ConfigName: ConfigBTB2,
+		}
+	}
 
 	prots := []fault.Protection{fault.Unprotected, fault.Parity}
-	out := make([]FaultPoint, len(rates)*len(prots))
-	err := parallelFor(len(out), func(i int) {
-		rate := rates[i/len(prots)]
-		prot := prots[i%len(prots)]
-		p := params
-		p.Fault = fault.ZEC12Rates(uint64(profile.Seed), rate, prot)
-		res := engine.Run(workload.New(profile), cfg, p, ConfigBTB2)
+	units := make([]Unit, 0, 1+len(rates)*len(prots))
+	units = append(units, unit("fault-free", params))
+	for _, rate := range rates {
+		for _, prot := range prots {
+			p := params
+			p.Fault = fault.ZEC12Rates(uint64(profile.Seed), rate, prot)
+			units = append(units, unit(fmt.Sprintf("%g/%s", rate, prot), p))
+		}
+	}
+	res, err := RunUnits(context.Background(), 0, units)
+
+	cleanCPI := res[0].CPI()
+	out := make([]FaultPoint, len(units)-1)
+	for i := range out {
+		r := res[1+i]
+		if r.Instructions == 0 {
+			continue // a failed run stays zero-valued; err reports it
+		}
 		pt := FaultPoint{
-			RatePerM:   rate,
-			Protection: prot,
-			CPI:        res.CPI(),
-			BadRate:    100 * res.Outcomes.BadRate(),
-			Stats:      res.Fault,
+			RatePerM:   rates[i/len(prots)],
+			Protection: prots[i%len(prots)],
+			CPI:        r.CPI(),
+			BadRate:    100 * r.Outcomes.BadRate(),
+			Stats:      r.Fault,
 		}
 		if cleanCPI != 0 {
-			pt.DeltaCPIPct = 100 * (res.CPI() - cleanCPI) / cleanCPI
+			pt.DeltaCPIPct = 100 * (pt.CPI - cleanCPI) / cleanCPI
 		}
 		out[i] = pt
-	})
+	}
 	return out, err
 }

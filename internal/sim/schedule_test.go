@@ -3,8 +3,10 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bulkpreload/internal/core"
@@ -48,28 +50,54 @@ func TestRunUnitsMatchesSerialOrder(t *testing.T) {
 	}
 }
 
+// TestRunUnitsCoversAllUnits: every unit's source is built exactly once
+// and every unit's result lands, whatever the unit count.
+func TestRunUnitsCoversAllUnits(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 17, 64} {
+		units := schedTestUnits(n)
+		hit := make([]atomic.Int32, n)
+		for i := range units {
+			build := units[i].NewSource
+			units[i].NewSource = func() trace.Source { hit[i].Add(1); return build() }
+		}
+		res, err := RunUnits(context.Background(), 0, units)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i := range hit {
+			if h := hit[i].Load(); h != 1 || res[i].Instructions == 0 {
+				t.Fatalf("n=%d unit %d: source built %d times, %d instructions", n, i, h, res[i].Instructions)
+			}
+		}
+	}
+}
+
 // TestRunUnitsPanicIsolation proves a panicking unit costs only its own
-// slot: its Result stays zero, the error names it, every other unit
-// completes.
+// slot: its Result stays zero, the joined error names every failed
+// unit, every other unit completes.
 func TestRunUnitsPanicIsolation(t *testing.T) {
 	units := schedTestUnits(6)
-	units[2].Label = "poison"
-	units[2].NewSource = func() trace.Source { panic("synthetic shard failure") }
+	poisoned := map[int]bool{2: true, 4: true}
+	for i := range poisoned {
+		units[i].Label = fmt.Sprintf("poison%d", i)
+		units[i].NewSource = func() trace.Source { panic("synthetic shard failure") }
+	}
 	for _, workers := range []int{1, 3} {
 		res, err := RunUnits(context.Background(), workers, units)
 		if err == nil {
-			t.Fatalf("workers=%d: poisoned unit reported no error", workers)
+			t.Fatalf("workers=%d: poisoned units reported no error", workers)
 		}
-		if !strings.Contains(err.Error(), "unit 2 (poison) panicked") ||
-			!strings.Contains(err.Error(), "synthetic shard failure") {
-			t.Fatalf("workers=%d: error does not identify the failing unit: %v", workers, err)
+		for i := range poisoned {
+			if !strings.Contains(err.Error(), fmt.Sprintf("unit %d (poison%d) panicked", i, i)) {
+				t.Fatalf("workers=%d: error does not identify failing unit %d: %v", workers, i, err)
+			}
 		}
-		if res[2].Instructions != 0 {
-			t.Fatalf("workers=%d: poisoned slot carries a result", workers)
+		if !strings.Contains(err.Error(), "synthetic shard failure") {
+			t.Fatalf("workers=%d: error lost the panic value: %v", workers, err)
 		}
 		for i := range units {
-			if i != 2 && res[i].Instructions == 0 {
-				t.Fatalf("workers=%d: healthy unit %d lost its result", workers, i)
+			if got := res[i].Instructions != 0; got == poisoned[i] {
+				t.Fatalf("workers=%d: unit %d (poisoned=%v) has result=%v", workers, i, poisoned[i], got)
 			}
 		}
 	}

@@ -212,17 +212,3 @@ func TestFigure2Small(t *testing.T) {
 		}
 	}
 }
-
-func TestParallelForCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 17, 64} {
-		hit := make([]int32, n)
-		if err := parallelFor(n, func(i int) { hit[i]++ }); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for i, h := range hit {
-			if h != 1 {
-				t.Fatalf("n=%d index %d visited %d times", n, i, h)
-			}
-		}
-	}
-}
