@@ -109,7 +109,8 @@ func (w *Walker) Classify(call *ast.CallExpr) (op Op, key string, ok bool) {
 // KeyFor derives the stable lock key of a mutex-valued expression:
 // struct fields as "pkg.Owner.field", package-level vars as "pkg.name",
 // locals as "pkg.name@line" (stable across re-typechecks), embedded
-// sync.Mutex receivers as "pkg.Owner.Mutex".
+// sync.Mutex receivers as "pkg.Owner.Mutex", or as the owning
+// variable's key plus ".Mutex" when the owner is an unnamed struct.
 func (w *Walker) KeyFor(recv ast.Expr) string {
 	recv = ast.Unparen(recv)
 	t := w.Info.TypeOf(recv)
@@ -119,8 +120,14 @@ func (w *Walker) KeyFor(recv ast.Expr) string {
 		if pkg, name := namedOf(t); name != "" {
 			return pkg + "." + name + ".Mutex"
 		}
-		return w.anonKey(recv)
+		return w.varKey(recv) + ".Mutex"
 	}
+	return w.varKey(recv)
+}
+
+// varKey keys the variable or field recv names, falling back to the
+// expression's line when it names neither.
+func (w *Walker) varKey(recv ast.Expr) string {
 	switch r := recv.(type) {
 	case *ast.SelectorExpr:
 		v, isVar := w.Info.Uses[r.Sel].(*types.Var)

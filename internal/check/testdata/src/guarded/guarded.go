@@ -91,3 +91,49 @@ type badbox struct {
 	mu sync.Mutex
 	n  int //zbp:guardedby lock // want `//zbp:guardedby names "lock", which is not a sync mutex field of badbox`
 }
+
+// counter embeds its mutex in an unnamed struct: Lock and Unlock are
+// promoted, and the lock is keyed by the variable, so the deferred
+// unlock on the next line releases the same lock.
+var counter struct {
+	sync.Mutex
+	n int
+}
+
+func bumpCounter() {
+	counter.Lock()
+	defer counter.Unlock()
+	counter.n++
+}
+
+func leakyCounter(fast bool) {
+	counter.Lock()
+	if fast {
+		return // want `leakyCounter can exit with guarded\.counter\.Mutex still held \(locked at line \d+\); unlock on every path or defer the unlock`
+	}
+	counter.Unlock()
+}
+
+func localCounter() int {
+	var c struct {
+		sync.Mutex
+		n int
+	}
+	c.Lock()
+	defer c.Unlock()
+	c.n++
+	return c.n
+}
+
+type holder struct {
+	st struct {
+		sync.Mutex
+		n int
+	}
+}
+
+func (h *holder) bump() {
+	h.st.Lock()
+	defer h.st.Unlock()
+	h.st.n++
+}

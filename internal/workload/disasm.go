@@ -14,16 +14,17 @@ import (
 // patterns). It makes the synthetic workloads inspectable the way a
 // real trace's binary would be.
 func (s *Source) Disassemble(w io.Writer, maxFns int) error {
-	if maxFns <= 0 || maxFns > len(s.prog.fns) {
-		maxFns = len(s.prog.fns)
+	prog := s.prog
+	if maxFns <= 0 || maxFns > len(prog.fns) {
+		maxFns = len(prog.fns)
 	}
-	for fi := 0; fi < maxFns; fi++ {
-		f := &s.prog.fns[fi]
-		if _, err := fmt.Fprintf(w, "fn%d: ; entry %#x, %d ops\n", fi, uint64(f.entry), len(f.ops)); err != nil {
+	for fi, f := range prog.fns[:maxFns] {
+		entry := prog.ops[f.first].addr
+		if _, err := fmt.Fprintf(w, "fn%d: ; entry %#x, %d ops\n", fi, uint64(entry), f.end-f.first); err != nil {
 			return err
 		}
-		for oi := range f.ops {
-			if err := disasmOp(w, s.prog, fi, oi); err != nil {
+		for i := f.first; i < f.end; i++ {
+			if err := disasmOp(w, prog, &prog.ops[i]); err != nil {
 				return err
 			}
 		}
@@ -35,10 +36,8 @@ func (s *Source) Disassemble(w io.Writer, maxFns int) error {
 }
 
 // disasmOp renders one instruction site.
-func disasmOp(w io.Writer, prog *program, fi, oi int) error {
-	f := &prog.fns[fi]
-	o := &f.ops[oi]
-	target := func(idx int) zaddr.Addr { return f.ops[idx].addr }
+func disasmOp(w io.Writer, prog *program, o *op) error {
+	target := func(idx int32) zaddr.Addr { return prog.ops[idx].addr }
 	var text string
 	switch o.kind {
 	case trace.NotBranch:
@@ -46,25 +45,25 @@ func disasmOp(w io.Writer, prog *program, fi, oi int) error {
 	case trace.CondDirect:
 		switch {
 		case o.tripCount > 0:
-			text = fmt.Sprintf("brct  %#x        ; loop, %d trips", uint64(target(o.targetIdx)), o.tripCount)
+			text = fmt.Sprintf("brct  %#x        ; loop, %d trips", uint64(target(o.target)), o.tripCount)
 		case o.patPeriod > 0:
-			text = fmt.Sprintf("brc   %#x        ; periodic, NT every %d", uint64(target(o.targetIdx)), o.patPeriod)
+			text = fmt.Sprintf("brc   %#x        ; periodic, NT every %d", uint64(target(o.target)), o.patPeriod)
 		case o.takenBias == 0:
-			text = fmt.Sprintf("brc   %#x        ; never taken", uint64(target(o.targetIdx)))
+			text = fmt.Sprintf("brc   %#x        ; never taken", uint64(target(o.target)))
 		default:
-			text = fmt.Sprintf("brc   %#x        ; p(taken)=%.2f", uint64(target(o.targetIdx)), o.takenBias)
+			text = fmt.Sprintf("brc   %#x        ; p(taken)=%.2f", uint64(target(o.target)), o.takenBias)
 		}
 	case trace.UncondDirect:
-		text = fmt.Sprintf("j     %#x", uint64(target(o.targetIdx)))
+		text = fmt.Sprintf("j     %#x", uint64(target(o.target)))
 	case trace.Call:
-		text = fmt.Sprintf("brasl fn%d          ; %#x", o.calleeFn, uint64(prog.fns[o.calleeFn].entry))
+		text = fmt.Sprintf("brasl fn%d          ; %#x", o.callee, uint64(target(prog.fns[o.callee].first)))
 	case trace.Return:
 		text = "br    %r14          ; return"
 	case trace.IndirectOther:
 		text = fmt.Sprintf("br    %%r1           ; %d targets, first %#x",
-			len(o.indirectTargets), uint64(target(o.indirectTargets[0])))
+			o.indCount, uint64(target(prog.targets[o.indFirst])))
 	case trace.PreloadHint:
-		text = fmt.Sprintf("bpp   %#x        ; preload hint", uint64(target(o.targetIdx)))
+		text = fmt.Sprintf("bpp   %#x        ; preload hint", uint64(target(o.target)))
 	default:
 		text = fmt.Sprintf("?kind=%d", o.kind)
 	}

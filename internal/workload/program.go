@@ -19,38 +19,47 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/zaddr"
 )
 
-// op is one static instruction site.
+// op is one static instruction site. It holds no pointers, so the
+// garbage collector never scans a compiled program's op array.
 type op struct {
-	addr   zaddr.Addr
-	length uint8
-	kind   trace.Kind
+	addr zaddr.Addr
 	// Conditional-direct fields.
-	takenBias   float64 // probability taken; 0 = never taken
-	staticTaken bool    // opcode-derived static guess
-	targetIdx   int     // jump target: instruction index within the function
+	takenBias float64 // probability taken; 0 = never taken
+	// target is the jump or preload-hint target: an index into
+	// program.ops.
+	target int32
+	// callee is a call's target function: an index into program.fns.
+	callee int32
+	// indFirst and indCount address an indirect branch's target indices
+	// in program.targets.
+	indFirst int32
+	// slot is the Source counter a loop backedge or periodic conditional
+	// keeps its execution count in.
+	slot        int32
+	length      uint8
+	kind        trace.Kind
+	staticTaken bool // opcode-derived static guess
+	indCount    uint8
 	// tripCount > 0 marks a loop backedge taken exactly tripCount-1
 	// times per loop entry (predictable iterations, mispredicted exit —
 	// classic loop-branch behaviour).
-	tripCount int
+	tripCount uint8
 	// patPeriod > 0 marks a periodic conditional: not-taken every
 	// patPeriod-th execution, taken otherwise. Mostly learnable by the
 	// direction predictors, unlike pure noise.
-	patPeriod int
-	// Call target.
-	calleeFn int
-	// Indirect target set (absolute addresses filled after layout).
-	indirectTargets []int // instruction indices within the function
+	patPeriod uint8
 }
 
-// fn is one function: a contiguous run of instruction sites.
+// fn is one function: the contiguous run ops[first:end] of its
+// program's instruction sites.
 type fn struct {
-	ops   []op
-	entry zaddr.Addr
+	first, end int32
 }
 
 // Profile parameterizes one synthetic workload.
@@ -91,13 +100,15 @@ func (p Profile) Validate() error {
 	if p.UniqueBranches < 16 {
 		return fmt.Errorf("workload %s: UniqueBranches %d too small", p.Name, p.UniqueBranches)
 	}
-	if p.TakenFraction <= 0 || p.TakenFraction > 1 {
+	// Negated range tests also reject NaN, which compares false with
+	// everything.
+	if !(p.TakenFraction > 0 && p.TakenFraction <= 1) {
 		return fmt.Errorf("workload %s: TakenFraction %v out of (0,1]", p.Name, p.TakenFraction)
 	}
 	if p.Instructions <= 0 {
 		return fmt.Errorf("workload %s: Instructions must be positive", p.Name)
 	}
-	if p.HotFraction < 0 || p.HotFraction >= 1 {
+	if !(p.HotFraction >= 0 && p.HotFraction < 1) {
 		return fmt.Errorf("workload %s: HotFraction %v out of [0,1)", p.Name, p.HotFraction)
 	}
 	if p.WindowFunctions <= 0 || p.CallsPerTransaction <= 0 {
@@ -106,16 +117,80 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// program is the immutable compiled form shared by all passes.
+// program is the immutable compiled form shared by every Source of its
+// profile. All functions' ops live in one backing array.
 type program struct {
 	profile Profile
+	ops     []op
 	fns     []fn
-	hotFns  []int // indices of the hot set
+	// targets holds every indirect branch's target indices into ops.
+	targets []int32
+	// slots counts the loop backedges and periodic conditionals, the
+	// sites a Source keeps a counter for.
+	slots  int
+	hotFns []int // indices of the hot set
+}
+
+// programCache holds one compiled program per profile for as long as a
+// Source over it is reachable: the studies run many units of each
+// profile, and compiling is the costly part of starting one.
+type programCache struct {
+	mu sync.Mutex
+	//zbp:guardedby mu
+	byProfile map[Profile]*sharedProgram
+}
+
+var programs = programCache{byProfile: make(map[Profile]*sharedProgram)}
+
+// sharedProgram is a compiled program and the count of live Sources
+// over it.
+type sharedProgram struct {
+	prog  *program
+	users int
+}
+
+// acquireProgram returns the compiled program for p, compiling it if no
+// live Source shares it, and counts the caller as a user.
+func acquireProgram(p Profile) *program {
+	programs.mu.Lock()
+	defer programs.mu.Unlock()
+	e := programs.byProfile[p]
+	if e == nil {
+		e = &sharedProgram{prog: buildProgram(p)}
+		programs.byProfile[p] = e
+	}
+	e.users++
+	return e.prog
+}
+
+// release is the Source finalizer: it drops the source's use of its
+// program and forgets the program once no Source uses it.
+func (s *Source) release() {
+	programs.mu.Lock()
+	defer programs.mu.Unlock()
+	p := s.prog.profile
+	e := programs.byProfile[p]
+	if e.users--; e.users == 0 {
+		delete(programs.byProfile, p)
+	}
 }
 
 // average branch sites per generated function; functions then span
 // roughly 1-2 KB so a 4 KB bulk-transfer block recovers 2-4 functions.
 const branchesPerFn = 14
+
+// opsPerFnEstimate sizes a program's op array up front: slightly above
+// the mean op count of a generated function without preload hints (about
+// 74.5 on the Table 4 profiles), so programs fill it without regrowing.
+const opsPerFnEstimate = 77
+
+// indirectTargetsPerFnEstimate sizes a program's indirect target array
+// the same way (about 3.5 per function).
+const indirectTargetsPerFnEstimate = 4
+
+// hintSlots is the number of preload-hint slots at each function entry
+// of a hinted program.
+const hintSlots = 3
 
 // buildProgram compiles a profile into a static program.
 func buildProgram(p Profile) *program {
@@ -124,14 +199,23 @@ func buildProgram(p Profile) *program {
 	if nFns < 4 {
 		nFns = 4
 	}
-	prog := &program{profile: p, fns: make([]fn, nFns)}
+	opsPerFn := opsPerFnEstimate
+	if p.PreloadHints {
+		opsPerFn += hintSlots
+	}
+	prog := &program{
+		profile: p,
+		ops:     make([]op, 0, nFns*opsPerFn),
+		fns:     make([]fn, 0, nFns),
+		targets: make([]int32, 0, nFns*indirectTargetsPerFnEstimate),
+	}
 
 	// Lay functions out contiguously from a base address, with small
 	// inter-function gaps, so several functions share each 4 KB block.
 	addr := zaddr.Addr(0x100000)
-	for i := range prog.fns {
-		prog.fns[i] = buildFn(r, p, addr, i, nFns)
-		last := prog.fns[i].ops[len(prog.fns[i].ops)-1]
+	for i := 0; i < nFns; i++ {
+		prog.buildFn(r, addr, i, nFns)
+		last := prog.ops[len(prog.ops)-1]
 		addr = last.addr + zaddr.Addr(last.length)
 		// Halfword-aligned gap of 0-14 bytes between functions.
 		addr += zaddr.Addr(r.Intn(8) * 2)
@@ -147,15 +231,21 @@ func buildProgram(p Profile) *program {
 	return prog
 }
 
-// buildFn synthesizes one function at base address.
-func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
+// buildFn synthesizes function self at base address and appends it to
+// the program.
+func (prog *program) buildFn(r *rand.Rand, base zaddr.Addr, self, nFns int) {
+	p := prog.profile
+	first := len(prog.ops)
 	nBranches := branchesPerFn - 3 + r.Intn(7) // 11..17
-	var ops []op
 	addr := base
 	emit := func(o op) {
 		o.addr = addr
 		addr += zaddr.Addr(o.length)
-		ops = append(ops, o)
+		if o.tripCount > 0 || o.patPeriod > 0 {
+			o.slot = int32(prog.slots)
+			prog.slots++
+		}
+		prog.ops = append(prog.ops, o)
 	}
 	instLen := func() uint8 { return []uint8{2, 4, 4, 4, 6}[r.Intn(5)] }
 
@@ -164,10 +254,9 @@ func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
 	// instructions). Emitting them first keeps the rng stream identical
 	// with and without hints, so hinted and unhinted programs share the
 	// same topology.
-	const hintSlots = 3
 	if p.PreloadHints {
 		for i := 0; i < hintSlots; i++ {
-			emit(op{length: 4, kind: trace.PreloadHint, targetIdx: -1})
+			emit(op{length: 4, kind: trace.PreloadHint, target: -1})
 		}
 	}
 
@@ -183,7 +272,7 @@ func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
 			// conditional so the roll does not fall through into the
 			// call band (which would concentrate calls at entry points).
 			emit(op{length: 4, kind: trace.CondDirect,
-				takenBias: 0.5, staticTaken: true, targetIdx: -1})
+				takenBias: 0.5, staticTaken: true, target: -1})
 			continue
 		}
 		switch {
@@ -194,6 +283,7 @@ func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
 			// nor other backedges (nested loops multiply iteration counts
 			// exponentially), so the body floor sits after the last
 			// structural op.
+			ops := prog.ops[first:]
 			floor := 0
 			for i := len(ops) - 1; i >= 0; i-- {
 				if ops[i].kind == trace.Call || (ops[i].kind == trace.CondDirect && ops[i].tripCount > 0) {
@@ -204,14 +294,14 @@ func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
 			if floor >= len(ops)-2 {
 				// No room for a loop body: plain conditional instead.
 				emit(op{length: 4, kind: trace.CondDirect,
-					takenBias: 0.5, staticTaken: true, targetIdx: -1})
+					takenBias: 0.5, staticTaken: true, target: -1})
 				break
 			}
 			tgt := floor + r.Intn(len(ops)-2-floor)
 			emit(op{
 				length: 4, kind: trace.CondDirect,
-				staticTaken: true, targetIdx: tgt,
-				tripCount: 2 + r.Intn(3), // 2..4 iterations per entry
+				staticTaken: true, target: int32(first + tgt),
+				tripCount: uint8(2 + r.Intn(3)), // 2..4 iterations per entry
 			})
 		case roll < 0.16:
 			// Call to another function. The call graph is a DAG: callees
@@ -224,7 +314,7 @@ func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
 			// far.
 			if self >= nFns-2 {
 				emit(op{length: 4, kind: trace.CondDirect,
-					takenBias: 0.5, staticTaken: true, targetIdx: -1})
+					takenBias: 0.5, staticTaken: true, target: -1})
 				break
 			}
 			span := nFns - 1 - self
@@ -232,15 +322,15 @@ func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
 			if r.Float64() < 0.7 && reach > 24 {
 				reach = 24
 			}
-			emit(op{length: 4, kind: trace.Call, calleeFn: self + 1 + r.Intn(reach)})
+			emit(op{length: 4, kind: trace.Call, callee: int32(self + 1 + r.Intn(reach))})
 		case roll < 0.25:
 			// Indirect branch with 2-4 forward targets (resolved after
-			// all ops exist; store placeholder indices).
+			// all ops exist).
 			emit(op{length: 4, kind: trace.IndirectOther,
-				indirectTargets: []int{-2 - r.Intn(3)}}) // marker; fixed below
+				indCount: uint8(2 + r.Intn(3))})
 		case roll < 0.29:
 			// Unconditional forward jump.
-			emit(op{length: 4, kind: trace.UncondDirect, targetIdx: -1}) // fixed below
+			emit(op{length: 4, kind: trace.UncondDirect, target: -1}) // fixed below
 		default:
 			// Conditional forward branch; a (1-TakenFraction) share of
 			// sites is never taken. Ever-taken sites get a bimodal bias
@@ -264,8 +354,8 @@ func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
 				static = bias > 0.5
 			}
 			emit(op{length: 4, kind: trace.CondDirect,
-				takenBias: bias, staticTaken: static, targetIdx: -1,
-				patPeriod: period}) // target fixed below
+				takenBias: bias, staticTaken: static, target: -1,
+				patPeriod: uint8(period)}) // target fixed below
 		}
 	}
 	// Trailing run and the return.
@@ -273,6 +363,7 @@ func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
 		emit(op{length: instLen(), kind: trace.NotBranch})
 	}
 	emit(op{length: 2, kind: trace.Return})
+	ops := prog.ops[first:]
 
 	// Point the preload-hint slots at statically-targetable taken
 	// branches: calls, unconditional jumps, loop backedges and
@@ -292,14 +383,14 @@ func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
 				suitable = ops[i].tripCount > 0 || ops[i].takenBias > 0.5
 			}
 			if suitable {
-				ops[hint].targetIdx = i
+				ops[hint].target = int32(first + i)
 				hint++
 			}
 		}
 		// Unused slots degrade to ordinary instructions.
 		for ; hint < hintSlots; hint++ {
 			ops[hint].kind = trace.NotBranch
-			ops[hint].targetIdx = 0
+			ops[hint].target = 0
 		}
 	}
 
@@ -308,7 +399,7 @@ func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
 		o := &ops[i]
 		switch o.kind {
 		case trace.CondDirect, trace.UncondDirect:
-			if o.targetIdx == -1 {
+			if o.target == -1 {
 				// Forward skip of 1..9 ops, clamped inside the function,
 				// so taken branches regularly skip later call sites and
 				// the dynamic call rate stays below one per execution.
@@ -316,22 +407,18 @@ func buildFn(r *rand.Rand, p Profile, base zaddr.Addr, self, nFns int) fn {
 				if tgt >= len(ops) {
 					tgt = len(ops) - 1
 				}
-				o.targetIdx = tgt
+				o.target = int32(first + tgt)
 			}
 		case trace.IndirectOther:
-			if len(o.indirectTargets) == 1 && o.indirectTargets[0] < 0 {
-				n := -o.indirectTargets[0]
-				tgts := make([]int, n)
-				for j := range tgts {
-					tgt := i + 1 + r.Intn(8)
-					if tgt >= len(ops) {
-						tgt = len(ops) - 1
-					}
-					tgts[j] = tgt
+			o.indFirst = int32(len(prog.targets))
+			for j := 0; j < int(o.indCount); j++ {
+				tgt := i + 1 + r.Intn(8)
+				if tgt >= len(ops) {
+					tgt = len(ops) - 1
 				}
-				o.indirectTargets = tgts
+				prog.targets = append(prog.targets, int32(first+tgt))
 			}
 		}
 	}
-	return fn{ops: ops, entry: base}
+	prog.fns = append(prog.fns, fn{first: int32(first), end: int32(len(prog.ops))})
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"runtime"
 
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/zaddr"
@@ -20,10 +21,6 @@ const maxCallDepth = 16
 // clusters.
 const dispatchQuantum = 1200
 
-type frame struct {
-	fn, op int
-}
-
 // Source is the deterministic interpreter that walks a compiled program
 // and implements trace.Source. Two passes separated by Reset yield
 // identical streams.
@@ -32,17 +29,14 @@ type Source struct {
 
 	r         *rand.Rand
 	emitted   int
-	stack     []frame
-	curFn     int
-	curOp     int
+	stack     []int32 // return op indices
+	pc        int32   // index of the next op in prog.ops
 	window    int
 	txnLeft   int
 	sinceDisp int // instructions since the last dispatcher visit
-	// loops tracks in-flight loop iteration counts, keyed by
-	// fn<<32|opIdx.
-	loops map[int64]int
-	// pats tracks periodic-branch execution counts, same key scheme.
-	pats map[int64]int
+	// counts holds, per counter slot, a loop backedge's in-flight
+	// iteration count or a periodic conditional's execution count.
+	counts []int
 	// lastInvoked is the previous dispatcher choice, re-invoked in
 	// bursts (transaction workloads hammer the same service paths
 	// repeatedly before moving on).
@@ -58,13 +52,27 @@ type Source struct {
 // recentCap bounds the recency ring.
 const recentCap = 192
 
-// New compiles a profile and returns its trace source; invalid profiles
-// panic (profiles are code).
+// New returns a trace source for a profile; invalid profiles panic
+// (profiles are code). Sources of equal profiles share one compiled
+// program, built by the first of them.
 func New(p Profile) *Source {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Source{prog: buildProgram(p)}
+	s := newSource(acquireProgram(p))
+	runtime.SetFinalizer(s, (*Source).release)
+	return s
+}
+
+// newSource returns a Source over prog, ready for its first pass.
+func newSource(prog *program) *Source {
+	s := &Source{
+		prog:   prog,
+		r:      rand.New(rand.NewSource(prog.profile.Seed + 1)),
+		stack:  make([]int32, 0, maxCallDepth),
+		counts: make([]int, prog.slots),
+		recent: make([]int, 0, recentCap),
+	}
 	s.Reset()
 	return s
 }
@@ -82,11 +90,9 @@ func (s *Source) Functions() int { return len(s.prog.fns) }
 // compiled program (the upper bound on unique executed branches).
 func (s *Source) StaticBranchSites() int {
 	n := 0
-	for i := range s.prog.fns {
-		for j := range s.prog.fns[i].ops {
-			if s.prog.fns[i].ops[j].kind.IsBranch() {
-				n++
-			}
+	for i := range s.prog.ops {
+		if s.prog.ops[i].kind.IsBranch() {
+			n++
 		}
 	}
 	return n
@@ -94,19 +100,17 @@ func (s *Source) StaticBranchSites() int {
 
 // Reset implements trace.Source.
 func (s *Source) Reset() {
-	s.r = rand.New(rand.NewSource(s.prog.profile.Seed + 1))
+	s.r.Seed(s.prog.profile.Seed + 1)
 	s.emitted = 0
 	s.stack = s.stack[:0]
 	s.window = 0
 	s.txnLeft = 0
 	s.sinceDisp = 0
-	s.loops = make(map[int64]int)
-	s.pats = make(map[int64]int)
+	clear(s.counts)
 	s.haveLast = false
 	s.recent = s.recent[:0]
 	s.recentPos = 0
-	s.curFn = s.nextInvocation()
-	s.curOp = 0
+	s.pc = s.prog.fns[s.nextInvocation()].first
 }
 
 // nextInvocation picks the next top-level function: hot set with
@@ -152,6 +156,8 @@ func (s *Source) nextInvocation() int {
 }
 
 // Next implements trace.Source.
+//
+//zbp:hotpath
 func (s *Source) Next() (trace.Inst, bool) {
 	if s.emitted >= s.prog.profile.Instructions {
 		return trace.Inst{}, false
@@ -159,69 +165,68 @@ func (s *Source) Next() (trace.Inst, bool) {
 	s.emitted++
 	s.sinceDisp++
 
-	f := &s.prog.fns[s.curFn]
-	o := &f.ops[s.curOp]
+	ops := s.prog.ops
+	o := &ops[s.pc]
 	in := trace.Inst{
 		Addr:   o.addr,
 		Length: o.length,
 		Kind:   o.kind,
 	}
 
+	// Every function ends in a Return and every branch target lies
+	// inside its function, so pc never leaves the function it walks.
 	switch o.kind {
 	case trace.NotBranch:
-		s.curOp++
+		s.pc++
 
 	case trace.CondDirect:
 		var taken bool
 		if o.patPeriod > 0 {
-			key := int64(s.curFn)<<32 | int64(s.curOp)
-			c := s.pats[key]
-			s.pats[key] = c + 1
-			taken = c%o.patPeriod != o.patPeriod-1
+			c := s.counts[o.slot]
+			s.counts[o.slot] = c + 1
+			taken = c%int(o.patPeriod) != int(o.patPeriod)-1
 		} else if o.tripCount > 0 {
 			// Loop backedge: taken tripCount-1 times per loop entry.
-			key := int64(s.curFn)<<32 | int64(s.curOp)
-			c := s.loops[key] + 1
-			if c < o.tripCount {
-				s.loops[key] = c
+			c := s.counts[o.slot] + 1
+			if c < int(o.tripCount) {
+				s.counts[o.slot] = c
 				taken = true
 			} else {
-				delete(s.loops, key)
+				s.counts[o.slot] = 0
 				taken = false
 			}
 		} else {
 			taken = s.r.Float64() < o.takenBias
 		}
 		in.Taken = taken
-		in.Target = f.ops[o.targetIdx].addr
+		in.Target = ops[o.target].addr
 		in.StaticTaken = o.staticTaken
 		if taken {
-			s.curOp = o.targetIdx
+			s.pc = o.target
 		} else {
-			s.curOp++
+			s.pc++
 		}
 
 	case trace.UncondDirect:
 		in.Taken = true
-		in.Target = f.ops[o.targetIdx].addr
+		in.Target = ops[o.target].addr
 		in.StaticTaken = true
-		s.curOp = o.targetIdx
+		s.pc = o.target
 
 	case trace.Call:
 		in.Taken = true
 		in.StaticTaken = true
-		callee := o.calleeFn
-		in.Target = s.prog.fns[callee].entry
+		entry := s.prog.fns[o.callee].first
+		in.Target = ops[entry].addr
 		if len(s.stack) < maxCallDepth {
-			s.stack = append(s.stack, frame{fn: s.curFn, op: s.curOp + 1})
+			s.stack = append(s.stack, s.pc+1)
 		} else {
 			// Depth cap: redirect the innermost return to just after this
 			// call site, so the stack keeps draining and every function
 			// still completes (a bounded-stack approximation).
-			s.stack[len(s.stack)-1] = frame{fn: s.curFn, op: s.curOp + 1}
+			s.stack[len(s.stack)-1] = s.pc + 1
 		}
-		s.curFn = callee
-		s.curOp = 0
+		s.pc = entry
 
 	case trace.Return:
 		in.Taken = true
@@ -231,49 +236,42 @@ func (s *Source) Next() (trace.Inst, bool) {
 			s.stack = s.stack[:0]
 		}
 		if n := len(s.stack); n > 0 {
-			fr := s.stack[n-1]
+			s.pc = s.stack[n-1]
 			s.stack = s.stack[:n-1]
-			s.curFn, s.curOp = fr.fn, fr.op
 		} else {
 			// Top-level return: the transaction dispatcher invokes the
 			// next function.
 			s.sinceDisp = 0
-			s.curFn = s.nextInvocation()
-			s.curOp = 0
+			s.pc = s.prog.fns[s.nextInvocation()].first
 		}
-		in.Target = s.prog.fns[s.curFn].ops[s.curOp].addr
+		in.Target = ops[s.pc].addr
 
 	case trace.PreloadHint:
 		// Software branch preload: name the branch op and its static
 		// target. Calls preload their callee's entry; direct branches
 		// preload their jump target.
-		br := &f.ops[o.targetIdx]
+		br := &ops[o.target]
 		in.HintBranch = br.addr
 		switch br.kind {
 		case trace.Call:
-			in.Target = s.prog.fns[br.calleeFn].entry
+			in.Target = ops[s.prog.fns[br.callee].first].addr
 		default:
-			in.Target = f.ops[br.targetIdx].addr
+			in.Target = ops[br.target].addr
 		}
-		s.curOp++
+		s.pc++
 
 	case trace.IndirectOther:
 		in.Taken = true
 		in.StaticTaken = true
 		// Indirect branches favour a dominant target (85%), like real
 		// dispatch sites; the remainder exercises the CTB.
-		tgt := o.indirectTargets[0]
-		if s.r.Float64() >= 0.85 && len(o.indirectTargets) > 1 {
-			tgt = o.indirectTargets[1+s.r.Intn(len(o.indirectTargets)-1)]
+		tgts := s.prog.targets[o.indFirst : o.indFirst+int32(o.indCount)]
+		tgt := tgts[0]
+		if s.r.Float64() >= 0.85 && len(tgts) > 1 {
+			tgt = tgts[1+s.r.Intn(len(tgts)-1)]
 		}
-		in.Target = f.ops[tgt].addr
-		s.curOp = tgt
-	}
-
-	// Guard: a function's op list always ends in Return, so curOp stays
-	// in range; defensively wrap anyway.
-	if s.curOp >= len(s.prog.fns[s.curFn].ops) {
-		s.curOp = len(s.prog.fns[s.curFn].ops) - 1
+		in.Target = ops[tgt].addr
+		s.pc = tgt
 	}
 	return in, true
 }
@@ -284,10 +282,8 @@ var _ trace.Source = (*Source)(nil)
 // (diagnostics for steering/transfer analyses).
 func (s *Source) blockSpan() int {
 	blocks := map[uint64]bool{}
-	for i := range s.prog.fns {
-		for j := range s.prog.fns[i].ops {
-			blocks[zaddr.Block(s.prog.fns[i].ops[j].addr)] = true
-		}
+	for i := range s.prog.ops {
+		blocks[zaddr.Block(s.prog.ops[i].addr)] = true
 	}
 	return len(blocks)
 }

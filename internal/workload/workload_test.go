@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -29,6 +30,12 @@ func TestProfileValidate(t *testing.T) {
 		func(p *Profile) { p.UniqueBranches = 5 },
 		func(p *Profile) { p.TakenFraction = 0 },
 		func(p *Profile) { p.TakenFraction = 1.5 },
+		func(p *Profile) { p.TakenFraction = math.NaN() },
+		func(p *Profile) { p.TakenFraction = math.Inf(1) },
+		func(p *Profile) { p.TakenFraction = math.Inf(-1) },
+		func(p *Profile) { p.HotFraction = math.NaN() },
+		func(p *Profile) { p.HotFraction = math.Inf(1) },
+		func(p *Profile) { p.HotFraction = math.Inf(-1) },
 		func(p *Profile) { p.Instructions = 0 },
 		func(p *Profile) { p.HotFraction = 1.0 },
 		func(p *Profile) { p.WindowFunctions = 0 },
