@@ -83,8 +83,11 @@ type Job struct {
 	// service; journaled via snapshots so post-crash status is honest.
 	ResumedFrom int64 `json:"resumedFrom,omitempty"`
 
-	// Recovered counts crash recoveries that re-queued this job.
+	// Recovered counts crash recoveries that re-queued this job, Retries
+	// failed attempts sent back to pending, Released graceful drains.
 	Recovered int `json:"recovered,omitempty"`
+	Retries   int `json:"retries,omitempty"`
+	Released  int `json:"released,omitempty"`
 
 	Result json.RawMessage `json:"result,omitempty"`
 
@@ -107,8 +110,8 @@ type Options struct {
 	// jobs). <= 0 selects 64.
 	MaxDepth int
 
-	// MaxAttempts dead-letters a job after this many failed attempts.
-	// <= 0 selects 3.
+	// MaxAttempts dead-letters a job after this many attempts that did
+	// not end in a Release. <= 0 selects 3.
 	MaxAttempts int
 
 	// Retry shapes the backoff between attempts; zero fields take the
@@ -287,8 +290,8 @@ func (q *Queue) wake() {
 func (q *Queue) Enqueue(tenant string, payload json.RawMessage) (Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.pendingLocked() >= q.opts.MaxDepth {
-		return Job{}, fmt.Errorf("%w: %d pending (max %d)", ErrQueueFull, q.pendingLocked(), q.opts.MaxDepth)
+	if n := q.st.total().Pending; n >= q.opts.MaxDepth {
+		return Job{}, fmt.Errorf("%w: %d pending (max %d)", ErrQueueFull, n, q.opts.MaxDepth)
 	}
 	seq := q.st.nextSeq
 	id := fmt.Sprintf("j-%06d", seq)
@@ -301,19 +304,6 @@ func (q *Queue) Enqueue(tenant string, payload json.RawMessage) (Job, error) {
 	}
 	q.wake()
 	return *q.st.jobs[id], nil
-}
-
-// pendingLocked counts jobs waiting for a worker.
-//
-//zbp:caller-holds mu
-func (q *Queue) pendingLocked() int {
-	n := 0
-	for _, id := range q.st.order {
-		if q.st.jobs[id].State == StatePending {
-			n++
-		}
-	}
-	return n
 }
 
 // Next blocks until a pending job is eligible (lowest Seq first,
@@ -431,11 +421,11 @@ func (q *Queue) Done(id string, result json.RawMessage) error {
 	return nil
 }
 
-// Fail records a failed attempt. The job dead-letters once MaxAttempts
-// is reached; otherwise it returns to pending with a capped
-// exponential backoff (deterministic jitter keyed by job ID and
-// attempt). Returns whether the job is now dead and, if not, the retry
-// delay applied.
+// Fail records a failed attempt. The job dead-letters once its attempts,
+// less those a Release ended, reach MaxAttempts; otherwise it returns to
+// pending with a capped exponential backoff (deterministic jitter keyed
+// by job ID and attempt). Returns whether the job is now dead and, if
+// not, the retry delay applied.
 //
 //zbp:durable
 func (q *Queue) Fail(id string, cause string) (dead bool, delay time.Duration, err error) {
@@ -445,7 +435,7 @@ func (q *Queue) Fail(id string, cause string) (dead bool, delay time.Duration, e
 	if !ok {
 		return false, 0, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
-	if j.Attempt >= q.opts.MaxAttempts {
+	if j.Attempt-j.Released >= q.opts.MaxAttempts {
 		rec := &record{Op: opDead, ID: id, Error: cause}
 		if err := q.append(rec); err != nil {
 			return false, 0, err
@@ -473,10 +463,10 @@ func (q *Queue) Fail(id string, cause string) (dead bool, delay time.Duration, e
 	return false, delay, nil
 }
 
-// Release returns a running job to pending without counting an attempt
-// — the graceful-shutdown path: the job did not fail, its worker is
-// going away. Any checkpoint taken during the drain stays, so the next
-// run resumes.
+// Release returns a running job to pending without burning an attempt
+// (Fail discounts released attempts) — the graceful-shutdown path: the
+// job did not fail, its worker is going away. Any checkpoint taken
+// during the drain stays, so the next run resumes.
 //
 //zbp:durable
 func (q *Queue) Release(id string) error {
@@ -539,20 +529,46 @@ type Depth struct {
 func (q *Queue) Depth() Depth {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var d Depth
-	for _, id := range q.st.order {
-		switch q.st.jobs[id].State {
-		case StatePending:
-			d.Pending++
-		case StateRunning:
-			d.Running++
-		case StateDone:
-			d.Done++
-		case StateDead:
-			d.Dead++
-		}
+	return q.st.total().Depth
+}
+
+// Counts tallies a set of jobs: occupancy by state plus the per-job
+// lifecycle counters summed. Jobs are never deleted and those counters
+// only grow, so every field outside Pending and Running is monotone.
+type Counts struct {
+	Depth
+	Admitted, Retried, Released, Recovered int
+}
+
+// with returns c with job j folded in.
+func (c Counts) with(j *Job) Counts {
+	c.Admitted++
+	switch j.State {
+	case StatePending:
+		c.Pending++
+	case StateRunning:
+		c.Running++
+	case StateDone:
+		c.Done++
+	case StateDead:
+		c.Dead++
 	}
-	return d
+	c.Retried += j.Retries
+	c.Released += j.Released
+	c.Recovered += j.Recovered
+	return c
+}
+
+// TenantCounts tallies jobs by key(tenant), under one lock hold: the
+// map is a single consistent cut of the journal state.
+func (q *Queue) TenantCounts(key func(tenant string) string) map[string]Counts {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := make(map[string]Counts)
+	for _, j := range q.st.jobs {
+		out[key(j.Tenant)] = out[key(j.Tenant)].with(j)
+	}
+	return out
 }
 
 // MaxDepth returns the configured pending-backlog bound.

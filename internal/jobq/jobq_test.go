@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -147,22 +148,27 @@ func TestFailRetriesWithBackoffThenDeadLetters(t *testing.T) {
 	}
 }
 
+// TestReleaseReturnsJobWithoutAttemptPenalty: released attempts do not
+// count toward MaxAttempts, so two graceful drains followed by one real
+// failure leave the job retrying, not dead-lettered.
 func TestReleaseReturnsJobWithoutAttemptPenalty(t *testing.T) {
-	q := openTestQueue(t, t.TempDir(), Options{})
+	q := openTestQueue(t, t.TempDir(), Options{MaxAttempts: 3})
 	j, _ := q.Enqueue("t", nil)
-	if _, err := q.Next(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Release(j.ID); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := q.Next(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Release(j.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, err := q.Next(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Release does not burn an attempt, but the restart is journaled.
-	if got.Attempt != 2 {
-		t.Fatalf("attempt after release = %d", got.Attempt)
+	// Release does not burn an attempt, but every restart is journaled.
+	if got.Attempt != 3 || got.Released != 2 {
+		t.Fatalf("after two releases: attempt=%d released=%d, want 3 and 2", got.Attempt, got.Released)
 	}
 	dead, _, err := q.Fail(j.ID, "x")
 	if err != nil {
@@ -171,6 +177,116 @@ func TestReleaseReturnsJobWithoutAttemptPenalty(t *testing.T) {
 	if dead {
 		t.Fatal("dead after a single real failure despite MaxAttempts=3")
 	}
+}
+
+// TestTenantCountsMatchTally drives a scripted lifecycle across two
+// tenants and holds TenantCounts (and Depth) to a tally the script keeps
+// itself, after every step, across a clean Close/Open, which must change
+// nothing, and across an unclean crash, which may only requeue the
+// running job and bump its Recovered.
+func TestTenantCountsMatchTally(t *testing.T) {
+	dir := t.TempDir()
+	clock := newFakeClock()
+	opts := Options{MaxAttempts: 2, Retry: Backoff{Base: time.Second, Cap: time.Second, Factor: 2}, Now: clock.now}
+	q, _, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Counts{}
+	tenantOf := map[string]string{}
+	bump := func(id string, f func(c *Counts)) {
+		c := want[tenantOf[id]]
+		f(&c)
+		want[tenantOf[id]] = c
+	}
+	check := func(step string) {
+		t.Helper()
+		got := q.TenantCounts(func(tenant string) string { return tenant })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: TenantCounts\n got %+v\nwant %+v", step, got, want)
+		}
+		var sum Depth
+		for _, c := range want {
+			sum.Pending += c.Pending
+			sum.Running += c.Running
+			sum.Done += c.Done
+			sum.Dead += c.Dead
+		}
+		if d := q.Depth(); d != sum {
+			t.Fatalf("%s: Depth %+v, want %+v", step, d, sum)
+		}
+	}
+	enqueue := func(tenant string) string {
+		t.Helper()
+		j, err := q.Enqueue(tenant, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenantOf[j.ID] = tenant
+		bump(j.ID, func(c *Counts) { c.Admitted++; c.Pending++ })
+		check("enqueue " + j.ID)
+		return j.ID
+	}
+	start := func(id string) {
+		t.Helper()
+		j, err := q.Next(context.Background())
+		if err != nil || j.ID != id {
+			t.Fatalf("Next = %s, %v; want %s", j.ID, err, id)
+		}
+		bump(id, func(c *Counts) { c.Pending--; c.Running++ })
+		check("start " + id)
+	}
+	fail := func(id string, wantDead bool) {
+		t.Helper()
+		dead, _, err := q.Fail(id, "boom")
+		if err != nil || dead != wantDead {
+			t.Fatalf("Fail(%s) dead=%v err=%v, want dead=%v", id, dead, err, wantDead)
+		}
+		if dead {
+			bump(id, func(c *Counts) { c.Running--; c.Dead++ })
+		} else {
+			bump(id, func(c *Counts) { c.Running--; c.Pending++; c.Retried++ })
+		}
+		check("fail " + id)
+		clock.advance(2 * time.Second) // past the retry backoff
+	}
+
+	a1, a2, g1 := enqueue("acme"), enqueue("acme"), enqueue("globex")
+	start(a1)
+	if err := q.Done(a1, json.RawMessage(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	bump(a1, func(c *Counts) { c.Running--; c.Done++ })
+	check("done " + a1)
+	start(a2)
+	fail(a2, false)
+	start(a2)
+	if err := q.Release(a2); err != nil {
+		t.Fatal(err)
+	}
+	bump(a2, func(c *Counts) { c.Running--; c.Pending++; c.Released++ })
+	check("release " + a2)
+	start(a2)
+	fail(a2, true) // attempt 3, one released: the second real failure
+	start(g1)
+	fail(g1, false)
+
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if q, _, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	check("clean reopen")
+
+	start(g1)
+	// Crash: abandon q without Close, like kill -9.
+	if q, _, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	bump(g1, func(c *Counts) { c.Running--; c.Pending++; c.Recovered++ })
+	check("crash reopen")
 }
 
 // TestRestartPersistsEverything: a clean close and reopen reconstructs

@@ -249,6 +249,7 @@ func (st *state) apply(rec *record) error {
 		j.State = StatePending
 		j.Attempt = rec.Attempt
 		j.Error = rec.Error
+		j.Retries++
 	case opDead:
 		j, err := st.lookup(rec)
 		if err != nil {
@@ -262,10 +263,19 @@ func (st *state) apply(rec *record) error {
 			return err
 		}
 		j.State = StatePending
+		j.Released++
 	default:
 		return fmt.Errorf("unknown op %q", rec.Op)
 	}
 	return nil
+}
+
+// total tallies every job.
+func (st *state) total() (c Counts) {
+	for _, j := range st.jobs {
+		c = c.with(j)
+	}
+	return c
 }
 
 func (st *state) lookup(rec *record) (*Job, error) {

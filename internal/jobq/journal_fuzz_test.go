@@ -28,6 +28,13 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	q.MarkCheckpoint(j.ID, 512)
 	q.Done(j.ID, json.RawMessage(`{"cpi":1.0}`))
+	// A second job retried once and released once, so the seed carries
+	// the records that bump Retries and Released.
+	k, _ := q.Enqueue("fuzz", json.RawMessage(`{"trace":"zos-trade6"}`))
+	q.Next(context.Background())
+	q.Fail(k.ID, "transient")
+	q.Next(context.Background())
+	q.Release(k.ID)
 	q.Close()
 	seed, err := os.ReadFile(filepath.Join(dir, JournalName))
 	if err != nil {
@@ -70,6 +77,14 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 			if len(st2.jobs) != len(st.jobs) {
 				t.Fatalf("compaction changed job count: %d -> %d", len(st.jobs), len(st2.jobs))
+			}
+			// Snapshots persist every job's state and lifecycle counters.
+			for id, j := range st.jobs {
+				j2 := st2.jobs[id]
+				if j2 == nil || j2.State != j.State || j2.Attempt != j.Attempt || j2.Tenant != j.Tenant ||
+					j2.Retries != j.Retries || j2.Released != j.Released || j2.Recovered != j.Recovered {
+					t.Fatalf("compaction changed job %q:\n%+v\n-> %+v", id, j, j2)
+				}
 			}
 			return
 		}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -224,4 +225,36 @@ func TestJournalGrowthIsAppendOnly(t *testing.T) {
 	step("start", func() error { _, err := q.Next(context.Background()); return err })
 	step("checkpoint", func() error { return q.MarkCheckpoint(id, 10) })
 	step("done", func() error { return q.Done(id, json.RawMessage(`{}`)) })
+}
+
+// TestReplayJournalWithoutCounters: a journal written before jobs
+// carried Retries and Released still replays; its snapshots load with
+// those counters at zero and later records bump them.
+func TestReplayJournalWithoutCounters(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString(journalMagic)
+	for _, payload := range []string{
+		`{"op":"job","job":{"id":"j-000001","tenant":"a","seq":1,"state":"dead","attempt":3,"error":"x"}}`,
+		`{"op":"job","job":{"id":"j-000002","tenant":"a","seq":2,"state":"pending","attempt":1,"recovered":1}}`,
+		`{"op":"start","id":"j-000002","attempt":2}`,
+		`{"op":"fail","id":"j-000002","attempt":2,"error":"y"}`,
+		`{"op":"start","id":"j-000002","attempt":3}`,
+		`{"op":"release","id":"j-000002"}`,
+	} {
+		var hdr [frameSize]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE([]byte(payload)))
+		buf.Write(hdr[:])
+		buf.WriteString(payload)
+	}
+	st, _, err := replayJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := st.jobs["j-000001"]; j.Retries != 0 || j.Released != 0 || j.State != StateDead {
+		t.Fatalf("old dead snapshot replayed as %+v", j)
+	}
+	if j := st.jobs["j-000002"]; j.Retries != 1 || j.Released != 1 || j.Recovered != 1 || j.Attempt != 3 {
+		t.Fatalf("old pending snapshot plus records replayed as %+v", j)
+	}
 }

@@ -120,7 +120,6 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
 	}
-	s.m.jobAdmitted(tenant)
 	writeJSON(w, http.StatusAccepted, job)
 }
 

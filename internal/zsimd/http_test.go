@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -32,6 +33,44 @@ func decodeInto(t *testing.T, resp *http.Response, v any) {
 	}
 }
 
+func getJob(t *testing.T, url, id string) jobq.Job {
+	t.Helper()
+	r, err := http.Get(url + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var j jobq.Job
+	decodeInto(t, r, &j)
+	return j
+}
+
+// scrape fetches /metrics and returns every sample by series name.
+func scrape(t *testing.T, url string) map[string]int64 {
+	t.Helper()
+	r, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64)
+	for _, line := range strings.Split(string(text), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[f[0]] = v
+	}
+	return out
+}
+
 // TestHTTPSubmitPollScrape walks the primary client path: submit a
 // job, poll its status to completion, and scrape the metrics surface.
 func TestHTTPSubmitPollScrape(t *testing.T) {
@@ -52,12 +91,7 @@ func TestHTTPSubmitPollScrape(t *testing.T) {
 	}
 
 	waitFor(t, 30*time.Second, "job done via HTTP", func() bool {
-		r, err := http.Get(ts.URL + "/v1/jobs/" + job.ID)
-		if err != nil {
-			return false
-		}
-		var j jobq.Job
-		decodeInto(t, r, &j)
+		j := getJob(t, ts.URL, job.ID)
 		return j.State == jobq.StateDone && len(j.Result) > 0
 	})
 
@@ -94,6 +128,92 @@ func TestHTTPSubmitPollScrape(t *testing.T) {
 		t.Fatalf("healthz = %d, want 200", r.StatusCode)
 	}
 	r.Body.Close()
+
+	// Latency is recorded after the Done commit, so only Shutdown, which
+	// waits for the worker, orders it before the read.
+	shutdownNow(t, s)
+	if m := scrape(t, ts.URL); m["svc_job_latency_ms_count"] != m["svc_jobs_done_total"] {
+		t.Fatalf("after shutdown: latency count %d, done %d; want equal",
+			m["svc_job_latency_ms_count"], m["svc_jobs_done_total"])
+	}
+}
+
+// TestScrapeNeverTrailsPoll: a job a poll has seen done or dead is
+// already counted by the scrape that follows, with no wait in between,
+// and within one scrape the dead counter equals the dead-letter gauge:
+// every lifecycle series is read from the same journal cut.
+func TestScrapeNeverTrailsPoll(t *testing.T) {
+	s := newTestService(t, Config{Workers: 2, MaxAttempts: 1, CheckpointInterval: -1})
+	defer shutdownNow(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var ids []string
+	for i := 0; i < 8; i++ {
+		if i%4 == 3 {
+			// No workload: fails its only attempt and dead-letters.
+			j, err := s.Queue().Enqueue("acme", json.RawMessage(`{"config":"btb2"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, j.ID)
+			continue
+		}
+		resp := postJob(t, ts.URL, "acme", testSpec(50_000))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d status = %d, want 202", i, resp.StatusCode)
+		}
+		var j jobq.Job
+		decodeInto(t, resp, &j)
+		ids = append(ids, j.ID)
+	}
+	s.Start()
+
+	seenDone, seenDead := int64(0), int64(0)
+	for _, id := range ids {
+		var j jobq.Job
+		waitFor(t, 30*time.Second, "job "+id+" finished", func() bool {
+			j = getJob(t, ts.URL, id)
+			return j.State == jobq.StateDone || j.State == jobq.StateDead
+		})
+		if j.State == jobq.StateDone {
+			seenDone++
+		} else {
+			seenDead++
+		}
+		m := scrape(t, ts.URL)
+		if m["svc_jobs_done_total"] < seenDone || m["svc_jobs_dead_total"] < seenDead {
+			t.Fatalf("after polling %s: scrape done=%d dead=%d, polls saw %d done, %d dead",
+				id, m["svc_jobs_done_total"], m["svc_jobs_dead_total"], seenDone, seenDead)
+		}
+		if m["svc_jobs_dead_total"] != m["svc_queue_dead"] {
+			t.Fatalf("one scrape: svc_jobs_dead_total %d, svc_queue_dead %d",
+				m["svc_jobs_dead_total"], m["svc_queue_dead"])
+		}
+	}
+	if seenDone != 6 || seenDead != 2 {
+		t.Fatalf("polls saw %d done, %d dead; want 6 and 2", seenDone, seenDead)
+	}
+}
+
+// TestHTTPTenantsThatSanitizeAlike: "a-b" and "a_b" map to one metric
+// series set, summed over both; neither submission is refused.
+func TestHTTPTenantsThatSanitizeAlike(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer shutdownNow(t, s)
+
+	for _, tenant := range []string{"a-b", "a_b"} {
+		resp := postJob(t, ts.URL, tenant, testSpec(100_000))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("tenant %q submit = %d, want 202", tenant, resp.StatusCode)
+		}
+	}
+	if v := scrape(t, ts.URL)["svc_tenant_a_b_admitted_total"]; v != 2 {
+		t.Fatalf("svc_tenant_a_b_admitted_total = %d, want 2", v)
+	}
 }
 
 // TestHTTPBackpressure: with no workers draining the queue, the

@@ -10,105 +10,125 @@ import (
 )
 
 // metrics is the service-level observability surface, published through
-// the same obs registry/Live machinery the engine uses. The obs layer
-// is deliberately goroutine-local (see internal/obs), so here — where
-// HTTP handlers and workers all report — every mutation and every
-// Snapshot goes through one mutex. Service metrics are scrape-rate, not
-// hot-path: the lock costs nothing that matters.
+// the same obs registry/Live machinery the engine uses. Job-lifecycle
+// series are not counted here: each scrape reads them from the queue's
+// journal state in one call, so a scrape never contradicts a job poll;
+// only what the journal does not hold is event-recorded. The obs layer
+// is goroutine-local (see internal/obs), so every mutation and every
+// Snapshot goes through one mutex; service metrics are scrape-rate, not
+// hot-path.
 type metrics struct {
 	mu  sync.Mutex
 	reg *obs.Registry
+	q   *jobq.Queue
 	// seq numbers registry snapshots.
 	//
 	//zbp:guardedby mu
 	seq int64
 
-	admitted      obs.Counter
 	rejectedFull  obs.Counter
 	rejectedRate  obs.Counter
 	rejectedDrain obs.Counter
 
-	done       obs.Counter
-	retried    obs.Counter
-	dead       obs.Counter
-	released   obs.Counter
-	recovered  obs.Counter
 	resumes    obs.Counter
 	checkpoint obs.Counter
 	damage     obs.Counter
 
-	inflight     obs.Gauge
 	instructions obs.Counter
 	latency      obs.Histogram // job wall latency, milliseconds
 
-	// tenants lazily materializes one counter set per tenant.
+	// cut is the journal state the scrape in progress serves, keyed by
+	// sanitized tenant name (raw tenants that sanitize alike summed).
 	//
 	//zbp:guardedby mu
-	tenants map[string]*tenantMetrics
+	cut map[string]jobq.Counts
+
+	// rejected holds each sanitized tenant's admission-reject counter;
+	// a key is present once the tenant's series are registered.
+	//
+	//zbp:guardedby mu
+	rejected map[string]*obs.Counter
 }
 
-// tenantMetrics is one tenant's lazily-created counter set.
-type tenantMetrics struct {
-	admitted obs.Counter
-	rejected obs.Counter // admission rejects, any reason
-	done     obs.Counter
-	retried  obs.Counter
-	dead     obs.Counter
+// lifecycle lists the series derived from journal state, each served
+// service-wide as svc_jobs_<name>_total and per tenant as
+// svc_tenant_<tenant>_<name>_total.
+var lifecycle = []struct {
+	name, unit, help string
+	read             func(jobq.Counts) int
+}{
+	{"admitted", "jobs", "jobs accepted into the queue", func(c jobq.Counts) int { return c.Admitted }},
+	{"done", "jobs", "jobs completed successfully", func(c jobq.Counts) int { return c.Done }},
+	{"retried", "attempts", "failed attempts sent back with backoff", func(c jobq.Counts) int { return c.Retried }},
+	{"dead", "jobs", "jobs dead-lettered after max attempts", func(c jobq.Counts) int { return c.Dead }},
+	{"released", "jobs", "in-flight jobs checkpointed and released by drain", func(c jobq.Counts) int { return c.Released }},
+	{"recovered", "jobs", "crash recoveries that requeued a running job", func(c jobq.Counts) int { return c.Recovered }},
 }
 
-func newMetrics(q *jobq.Queue) *metrics {
-	m := &metrics{reg: obs.NewRegistry(), tenants: make(map[string]*tenantMetrics)}
+func newMetrics(q *jobq.Queue, damaged bool) *metrics {
+	m := &metrics{reg: obs.NewRegistry(), q: q, rejected: make(map[string]*obs.Counter)}
 	r := m.reg
-	r.Counter("svc_jobs_admitted_total", "jobs", "jobs accepted into the queue", &m.admitted)
+	for _, s := range lifecycle {
+		r.CounterFunc("svc_jobs_"+s.name+"_total", s.unit, s.help, func() int64 { return m.value("", s.read) })
+	}
 	r.Counter("svc_admission_rejected_full_total", "jobs", "submissions shed: pending backlog at bound", &m.rejectedFull)
 	r.Counter("svc_admission_rejected_rate_total", "jobs", "submissions shed: tenant token bucket empty", &m.rejectedRate)
 	r.Counter("svc_admission_rejected_draining_total", "jobs", "submissions refused during shutdown drain", &m.rejectedDrain)
-	r.Counter("svc_jobs_done_total", "jobs", "jobs completed successfully", &m.done)
-	r.Counter("svc_jobs_retried_total", "attempts", "failed attempts sent back with backoff", &m.retried)
-	r.Counter("svc_jobs_dead_total", "jobs", "jobs dead-lettered after max attempts", &m.dead)
-	r.Counter("svc_jobs_released_total", "jobs", "in-flight jobs checkpointed and released by drain", &m.released)
-	r.Counter("svc_jobs_recovered_total", "jobs", "jobs requeued by crash recovery at startup", &m.recovered)
 	r.Counter("svc_resumes_total", "jobs", "attempts that resumed from a durable checkpoint", &m.resumes)
 	r.Counter("svc_checkpoints_total", "events", "durable job checkpoints written", &m.checkpoint)
 	r.Counter("svc_journal_damage_total", "events", "startups that salvaged a damaged journal", &m.damage)
-	r.Gauge("svc_jobs_inflight", "jobs", "jobs currently executing on workers", &m.inflight)
 	r.Counter("svc_instructions_total", "instructions", "instructions simulated across completed jobs", &m.instructions)
 	m.latency.SetBounds(10, 50, 100, 500, 1_000, 5_000, 30_000, 120_000)
 	r.Histogram("svc_job_latency_ms", "milliseconds", "completed-job wall latency", &m.latency)
-	r.GaugeFunc("svc_queue_pending", "jobs", "jobs waiting for a worker", func() int64 {
-		return int64(q.Depth().Pending)
-	})
-	r.GaugeFunc("svc_queue_running", "jobs", "jobs marked running in the journal", func() int64 {
-		return int64(q.Depth().Running)
-	})
-	r.GaugeFunc("svc_queue_dead", "jobs", "dead-lettered jobs held for inspection", func() int64 {
-		return int64(q.Depth().Dead)
-	})
+	r.GaugeFunc("svc_queue_pending", "jobs", "jobs waiting for a worker",
+		func() int64 { return m.value("", func(c jobq.Counts) int { return c.Pending }) })
+	r.GaugeFunc("svc_queue_running", "jobs", "jobs marked running in the journal",
+		func() int64 { return m.value("", func(c jobq.Counts) int { return c.Running }) })
+	r.GaugeFunc("svc_queue_dead", "jobs", "dead-lettered jobs held for inspection",
+		func() int64 { return m.value("", func(c jobq.Counts) int { return c.Dead }) })
+	if damaged {
+		m.damage.Inc()
+	}
 	return m
 }
 
-// tenant returns (creating on first use) the tenant's counter set.
+// value reads one series from the scrape's cut: one sanitized tenant,
+// or summed over all of them for "". The registry's computed series
+// call it from inside snapshot, which holds mu.
 //
 //zbp:caller-holds mu
-func (m *metrics) tenant(name string) *tenantMetrics {
-	t, ok := m.tenants[name]
-	if !ok {
-		t = &tenantMetrics{}
-		m.tenants[name] = t
-		p := "svc_tenant_" + sanitizeTenant(name) + "_"
-		m.reg.Counter(p+"admitted_total", "jobs", "jobs admitted for tenant "+name, &t.admitted)
-		m.reg.Counter(p+"rejected_total", "jobs", "submissions shed for tenant "+name, &t.rejected)
-		m.reg.Counter(p+"done_total", "jobs", "jobs completed for tenant "+name, &t.done)
-		m.reg.Counter(p+"retried_total", "attempts", "attempts retried for tenant "+name, &t.retried)
-		m.reg.Counter(p+"dead_total", "jobs", "jobs dead-lettered for tenant "+name, &t.dead)
+func (m *metrics) value(tenant string, read func(jobq.Counts) int) int64 {
+	if tenant != "" {
+		return int64(read(m.cut[tenant]))
 	}
-	return t
+	n := 0
+	for _, c := range m.cut {
+		n += read(c)
+	}
+	return int64(n)
+}
+
+// tenant returns the sanitized tenant's reject counter, registering the
+// tenant's series on first use.
+//
+//zbp:caller-holds mu
+func (m *metrics) tenant(name string) *obs.Counter {
+	c, ok := m.rejected[name]
+	if !ok {
+		c = &obs.Counter{}
+		m.rejected[name] = c
+		p := "svc_tenant_" + name + "_"
+		m.reg.Counter(p+"rejected_total", "jobs", "submissions shed for tenant "+name, c)
+		for _, s := range lifecycle {
+			m.reg.CounterFunc(p+s.name+"_total", s.unit, s.help+" for tenant "+name, func() int64 { return m.value(name, s.read) })
+		}
+	}
+	return c
 }
 
 // sanitizeTenant maps an arbitrary tenant string into the metric-name
-// alphabet; distinct tenants that sanitize alike share a counter set
-// suffixed by nothing cleverer than their sanitized form (acceptable:
-// tenant names are operator-chosen).
+// alphabet; distinct tenants that sanitize alike share one series set,
+// summed over them (acceptable: tenant names are operator-chosen).
 func sanitizeTenant(name string) string {
 	var b strings.Builder
 	for _, r := range name {
@@ -125,13 +145,6 @@ func sanitizeTenant(name string) string {
 		return "anon"
 	}
 	return b.String()
-}
-
-func (m *metrics) jobAdmitted(tenant string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.admitted.Inc()
-	m.tenant(tenant).admitted.Inc()
 }
 
 // reject reasons for jobRejected.
@@ -152,45 +165,17 @@ func (m *metrics) jobRejected(tenant, reason string) {
 	case rejectDraining:
 		m.rejectedDrain.Inc()
 	}
-	m.tenant(tenant).rejected.Inc()
+	m.tenant(sanitizeTenant(tenant)).Inc()
 }
 
-func (m *metrics) jobDone(tenant string, instructions, latencyMillis int64) {
+// jobDone records what a completed job leaves outside the journal. It
+// runs after the Done commit, so these series can trail
+// svc_jobs_done_total by up to the number of jobs in flight.
+func (m *metrics) jobDone(instructions, latencyMillis int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.done.Inc()
 	m.instructions.Add(instructions)
 	m.latency.Observe(latencyMillis)
-	m.tenant(tenant).done.Inc()
-}
-
-func (m *metrics) jobRetried(tenant string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retried.Inc()
-	m.tenant(tenant).retried.Inc()
-}
-
-func (m *metrics) jobDead(tenant string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dead.Inc()
-	m.tenant(tenant).dead.Inc()
-}
-
-func (m *metrics) jobReleased() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.released.Inc()
-}
-
-func (m *metrics) jobsRecovered(n int, damaged bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recovered.Add(int64(n))
-	if damaged {
-		m.damage.Inc()
-	}
 }
 
 func (m *metrics) checkpointWritten() {
@@ -205,18 +190,18 @@ func (m *metrics) resumed() {
 	m.resumes.Inc()
 }
 
-func (m *metrics) inflightDelta(d int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.inflight.Add(d)
-}
-
-// snapshot captures the registry under the lock (GaugeFunc closures
-// read the queue, which takes its own lock — ordering is always
-// metrics.mu then queue.mu, matching every other call site).
+// snapshot reads the queue's per-tenant counts once, the consistent cut
+// every lifecycle series in this scrape serves, registers the series of
+// tenants not seen before (including ones replayed from the journal),
+// and captures the registry. Lock order: metrics.mu, then queue.mu
+// inside TenantCounts, as on every other path.
 func (m *metrics) snapshot() obs.Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.cut = m.q.TenantCounts(sanitizeTenant)
+	for name := range m.cut {
+		m.tenant(name)
+	}
 	m.seq++
 	return m.reg.Snapshot(m.seq)
 }

@@ -163,11 +163,10 @@ func New(cfg Config) (*Service, error) {
 		q:       q,
 		rec:     rec,
 		limiter: jobq.NewTenantLimiter(cfg.TenantRate, cfg.TenantBurst, cfg.Now),
-		m:       newMetrics(q),
+		m:       newMetrics(q, rec.Damage != nil),
 	}
 	s.dequeueCtx, s.cancelDequeue = context.WithCancel(context.Background())
 	s.jobCtx, s.cancelJobs = context.WithCancelCause(context.Background())
-	s.m.jobsRecovered(len(rec.Requeued), rec.Damage != nil)
 	return s, nil
 }
 
@@ -209,9 +208,7 @@ func (s *Service) worker(id int) {
 		if err != nil {
 			return
 		}
-		s.m.inflightDelta(+1)
 		s.runJob(job, rec, ws.ID())
-		s.m.inflightDelta(-1)
 	}
 }
 
@@ -229,6 +226,8 @@ func (s *Service) runJob(job jobq.Job, rec *span.Recorder, parent span.ID) {
 		js.EndArgs(res.Instructions, int64(job.Attempt))
 	}
 
+	// The queue transition is the only record of the outcome. A failed
+	// commit leaves the job running, and the next Open requeues it.
 	switch {
 	case runErr == nil:
 		payload, err := json.Marshal(res)
@@ -236,24 +235,14 @@ func (s *Service) runJob(job jobq.Job, rec *span.Recorder, parent span.ID) {
 			payload = []byte(fmt.Sprintf(`{"marshalError":%q}`, err.Error()))
 		}
 		if err := s.q.Done(job.ID, payload); err == nil {
-			s.m.jobDone(job.Tenant, res.Instructions, wallElapsedMillis(start))
+			s.m.jobDone(res.Instructions, wallElapsedMillis(start))
 		}
 	case errors.Is(runErr, engine.ErrRunCanceled) && errors.Is(context.Cause(s.jobCtx), errDraining):
 		// Shutdown drain: the engine already checkpointed the stop
 		// boundary through the sink; hand the job back untouched.
-		if err := s.q.Release(job.ID); err == nil {
-			s.m.jobReleased()
-		}
+		_ = s.q.Release(job.ID)
 	default:
-		dead, _, err := s.q.Fail(job.ID, runErr.Error())
-		if err != nil {
-			return
-		}
-		if dead {
-			s.m.jobDead(job.Tenant)
-		} else {
-			s.m.jobRetried(job.Tenant)
-		}
+		_, _, _ = s.q.Fail(job.ID, runErr.Error())
 	}
 }
 
