@@ -200,87 +200,77 @@ func TestEmitParallelBenchJSON(t *testing.T) {
 		decode.Metric(perfstat.MetricDecodeRPS), decode.Metric(perfstat.MetricDecodeAlloc))
 }
 
-// TestPerfstatMirrorsBenchmarks pins the contract the trajectory rests
-// on: the perfstat capacity-sweep scenario must measure exactly the
-// unit set BenchmarkCapacitySweep* measures, label for label —
-// otherwise committed entries and `go test -bench` stop describing the
-// same workload.
-// Per-structure storage-layout benchmarks: the same warm-table
+// Per-structure predictor-table benchmarks: the same warm-table
 // lookup/insert loops the perfstat packed_tables scenario times (same
 // geometries — BTB1, default-size PHT/CTB — same stride, same warm
-// fill), as `go test -bench` sub-benchmarks so the packed-vs-struct
-// before/after is reproducible outside the trajectory file.
+// fill), as `go test -bench` sub-benchmarks so the trajectory's table
+// rates are reproducible outside the trajectory file.
 
 func benchBTBEntry(i int) btb.Entry {
 	a := zaddr.Addr(0x10_0000 + i*40)
 	return btb.Entry{Addr: a, Target: a + 64, Dir: 2, UsePHT: i%3 == 0, Length: uint8(i % 12)}
 }
 
-// BenchmarkPredictorTableLayouts measures every predictor structure's
-// hot paths under both storage layouts.
-func BenchmarkPredictorTableLayouts(b *testing.B) {
-	for _, l := range []struct {
-		name         string
-		structLayout bool
-	}{{"packed", false}, {"struct", true}} {
-		structLayout := l.structLayout
-		b.Run("btb-lookup/"+l.name, func(b *testing.B) {
-			cfg := btb.BTB1Config
-			cfg.StructLayout = structLayout
-			t := btb.New(cfg)
-			for i := 0; i < cfg.Capacity(); i++ {
-				t.Insert(benchBTBEntry(i))
-			}
-			var hits []btb.Hit
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				hits = t.LookupLine(zaddr.Addr(0x10_0000+(i%4096)*32), hits[:0])
-			}
-		})
-		b.Run("btb-insert/"+l.name, func(b *testing.B) {
-			cfg := btb.BTB1Config
-			cfg.StructLayout = structLayout
-			t := btb.New(cfg)
-			for i := 0; i < cfg.Capacity(); i++ {
-				t.Insert(benchBTBEntry(i)) // warm, so the timed inserts evict
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t.Insert(benchBTBEntry(i))
-			}
-		})
-		b.Run("pht-lookup/"+l.name, func(b *testing.B) {
-			t := pht.NewLayout(pht.DefaultEntries, structLayout)
-			var h history.History
-			for i := 0; i < 64; i++ {
-				h.RecordPrediction(zaddr.Addr(0x2000+i*6), i%2 == 0)
-			}
-			for i := 0; i < 4096; i++ {
-				t.Update(&h, zaddr.Addr(0x4000+i*12), i%2 == 0)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t.Lookup(&h, zaddr.Addr(0x4000+(i%4096)*12))
-			}
-		})
-		b.Run("ctb-lookup/"+l.name, func(b *testing.B) {
-			t := ctb.NewLayout(ctb.DefaultEntries, structLayout)
-			var h history.History
-			for i := 0; i < 64; i++ {
-				h.RecordPrediction(zaddr.Addr(0x2000+i*6), true)
-			}
-			for i := 0; i < 4096; i++ {
-				a := zaddr.Addr(0x4000 + i*12)
-				t.Update(&h, a, a+64)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t.Lookup(&h, zaddr.Addr(0x4000+(i%4096)*12))
-			}
-		})
-	}
+// BenchmarkPredictorTables measures every predictor structure's hot
+// paths.
+func BenchmarkPredictorTables(b *testing.B) {
+	b.Run("btb-lookup", func(b *testing.B) {
+		t := btb.New(btb.BTB1Config)
+		for i := 0; i < btb.BTB1Config.Capacity(); i++ {
+			t.Insert(benchBTBEntry(i))
+		}
+		var hits []btb.Hit
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hits = t.LookupLine(zaddr.Addr(0x10_0000+(i%4096)*32), hits[:0])
+		}
+	})
+	b.Run("btb-insert", func(b *testing.B) {
+		t := btb.New(btb.BTB1Config)
+		for i := 0; i < btb.BTB1Config.Capacity(); i++ {
+			t.Insert(benchBTBEntry(i)) // warm, so the timed inserts evict
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.Insert(benchBTBEntry(i))
+		}
+	})
+	b.Run("pht-lookup", func(b *testing.B) {
+		t := pht.New(pht.DefaultEntries)
+		var h history.History
+		for i := 0; i < 64; i++ {
+			h.RecordPrediction(zaddr.Addr(0x2000+i*6), i%2 == 0)
+		}
+		for i := 0; i < 4096; i++ {
+			t.Update(&h, zaddr.Addr(0x4000+i*12), i%2 == 0)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.Lookup(&h, zaddr.Addr(0x4000+(i%4096)*12))
+		}
+	})
+	b.Run("ctb-lookup", func(b *testing.B) {
+		t := ctb.New(ctb.DefaultEntries)
+		var h history.History
+		for i := 0; i < 64; i++ {
+			h.RecordPrediction(zaddr.Addr(0x2000+i*6), true)
+		}
+		for i := 0; i < 4096; i++ {
+			a := zaddr.Addr(0x4000 + i*12)
+			t.Update(&h, a, a+64)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.Lookup(&h, zaddr.Addr(0x4000+(i%4096)*12))
+		}
+	})
 }
 
+// TestPerfstatMirrorsBenchmarks pins the contract the trajectory rests
+// on: the perfstat capacity-sweep scenario must measure exactly the
+// unit set BenchmarkCapacitySweep* measures, label for label —
+// otherwise committed entries and `go test -bench` stop describing the
+// same workload.
 func TestPerfstatMirrorsBenchmarks(t *testing.T) {
 	want := capacitySweepUnits()
 	got := perfstat.SweepUnitLabels()

@@ -126,42 +126,6 @@ func diffgate(insts int) {
 	}
 	fmt.Printf("  %d units (13 traces x 3 configs) bit-identical across both paths in %.1fs\n",
 		len(units), time.Since(start).Seconds())
-
-	// Second leg: the storage-layout gate. The packed
-	// structure-of-arrays tables (the shipping default) against the
-	// retained array-of-structs serial oracle, every Table 4 trace
-	// under three seeds, including a mid-run ZBPC checkpoint
-	// round-tripped through its gob encoding with each layout resuming
-	// from the checkpoint the other layout wrote.
-	fmt.Println("Layout gate: packed structure-of-arrays vs struct-layout serial oracle")
-	lparams := engine.DefaultParams()
-	lparams.WarmupInstructions = 5_000
-	lparams.SnapshotInterval = int64(insts) / 4
-	var lunits []sim.Unit
-	for _, p := range workload.Table4Profiles(insts) {
-		for s, seed := range []int64{p.Seed, p.Seed + 101, p.Seed + 9973} {
-			pp := p
-			pp.Seed = seed
-			pp.Name = fmt.Sprintf("%s/seed%d", p.Name, s)
-			lunits = append(lunits, sim.ProfileUnit(pp, core.DefaultConfig(), lparams, sim.ConfigBTB2))
-		}
-	}
-	start = time.Now()
-	mismatches, err = sim.VerifyLayoutDifferential(context.Background(), workers, lunits, int64(insts)/2)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: diffgate: layout gate: %v\n", err)
-		os.Exit(1)
-	}
-	if len(mismatches) > 0 {
-		for _, m := range mismatches {
-			fmt.Fprintln(os.Stderr, " ", m)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: diffgate: layout gate: %d mismatches across %d units\n",
-			len(mismatches), len(lunits))
-		os.Exit(1)
-	}
-	fmt.Printf("  %d units (13 traces x 3 seeds) bit-identical across layouts, checkpoints included, in %.1fs\n",
-		len(lunits), time.Since(start).Seconds())
 }
 
 // perfstatStudy runs the benchmark-trajectory scenarios once at the

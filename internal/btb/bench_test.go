@@ -36,59 +36,3 @@ func BenchmarkFind(b *testing.B) {
 		t.Find(zaddr.Addr(0x100000 + (i%24576)*40))
 	}
 }
-
-// benchLayouts runs f once per storage layout: the packed
-// structure-of-arrays default and the retained struct-layout oracle.
-func benchLayouts(b *testing.B, base Config, f func(b *testing.B, cfg Config)) {
-	for _, l := range []struct {
-		name         string
-		structLayout bool
-	}{{"packed", false}, {"struct", true}} {
-		cfg := base
-		cfg.StructLayout = l.structLayout
-		b.Run(l.name, func(b *testing.B) { f(b, cfg) })
-	}
-}
-
-// BenchmarkLookupLineLayout compares the line-probe hot path across
-// storage layouts on a warm BTB1-geometry table.
-func BenchmarkLookupLineLayout(b *testing.B) {
-	benchLayouts(b, BTB1Config, func(b *testing.B, cfg Config) {
-		t := New(cfg)
-		for i := 0; i < 4096; i++ {
-			t.Insert(entry(zaddr.Addr(0x100000 + i*40)))
-		}
-		var hits []Hit
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			hits = t.LookupLine(zaddr.Addr(0x100000+(i%4096)*32), hits[:0])
-		}
-	})
-}
-
-// BenchmarkInsertEvictLayout compares the insert/evict path across
-// storage layouts (the table stays full, so every insert evicts).
-func BenchmarkInsertEvictLayout(b *testing.B) {
-	benchLayouts(b, BTB1Config, func(b *testing.B, cfg Config) {
-		t := New(cfg)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t.Insert(entry(zaddr.Addr(0x100000 + i*40)))
-		}
-	})
-}
-
-// BenchmarkFindLayout compares the single-entry probe across storage
-// layouts on the 24k-entry BTB2 geometry.
-func BenchmarkFindLayout(b *testing.B) {
-	benchLayouts(b, BTB2Config, func(b *testing.B, cfg Config) {
-		t := New(cfg)
-		for i := 0; i < 24576; i++ {
-			t.Insert(entry(zaddr.Addr(0x100000 + i*40)))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t.Find(zaddr.Addr(0x100000 + (i%24576)*40))
-		}
-	})
-}

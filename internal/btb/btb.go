@@ -13,19 +13,17 @@
 // gives 64, 56 gives 128. Tags may be truncated (TagBits) to model the
 // aliasing of partial-tag hardware designs; TagBits = 0 means full tags.
 //
-// # Storage layouts
+// # Storage
 //
-// The default storage is a structure-of-arrays of bit-packed uint64
-// lanes (see packed.go): one tag word per slot carrying
-// valid|offset|tag, one raw target word, a 16-bit metadata field
-// (dir|usePHT|useCTB|length) packed four to a word, and one LRU word
-// per row holding the whole recency order as 4-bit ranks — a row scan
-// is a handful of masked word compares and an LRU update is a shift,
-// the way hardware and constant-driven simulators store this state.
-// The original array-of-structs layout survives in oracle.go behind
-// Config.StructLayout; the two are observationally equivalent, which
-// the layout differential gate and the property/fuzz battery in this
-// package prove (docs/PERFORMANCE.md documents the word formats).
+// A table is a structure-of-arrays of bit-packed uint64 lanes (see
+// packed.go): one tag word per slot carrying valid|offset|tag, one raw
+// target word, a 16-bit metadata field (dir|usePHT|useCTB|length)
+// packed four to a word, and one LRU word per row holding the whole
+// recency order as 4-bit ranks — a row scan is a handful of masked
+// word compares and an LRU update is a shift, the way hardware and
+// constant-driven simulators store this state. The tests judge it
+// against an array-of-structs reference model (model_test.go);
+// docs/PERFORMANCE.md documents the word formats.
 package btb
 
 import (
@@ -74,12 +72,6 @@ type Config struct {
 	// that are compared on lookup. 0 compares all bits above the index
 	// (exact, alias-free tagging).
 	TagBits uint
-	// StructLayout selects the retained array-of-structs storage backend
-	// instead of the default bit-packed structure-of-arrays lanes. The
-	// layouts are observationally equivalent (the layout differential
-	// gate proves it); the struct layout survives as the serial oracle
-	// the packed one is judged against.
-	StructLayout bool
 }
 
 // Validate checks that the geometry is self-consistent: the index range
@@ -159,8 +151,8 @@ type metrics struct {
 type Table struct {
 	cfg Config
 
-	// Packed structure-of-arrays lanes (the default layout; all nil when
-	// ref is set). See packed.go for the word formats.
+	// Packed structure-of-arrays lanes. See packed.go for the word
+	// formats.
 	tags    []uint64 // per slot: valid | in-line offset | tag
 	targets []uint64 // per slot: raw target address
 	meta    []uint64 // four 16-bit dir/usePHT/useCTB/length fields per word
@@ -174,10 +166,6 @@ type Table struct {
 	entryMask uint64 // valid + compared tag bits + offset
 	lineMask  uint64 // valid + compared tag bits
 	initLRU   uint64 // reset recency order: way k at rank k
-
-	// ref, when non-nil, is the retained array-of-structs storage and
-	// the packed lanes are unused (Config.StructLayout).
-	ref *structStore
 
 	// inj, when non-nil, strikes soft errors on valid-entry reads; nil
 	// (the default) is the zero-cost disabled state. See fault.go.
@@ -209,10 +197,6 @@ func New(cfg Config) *Table {
 	t.entryMask = t.lineMask | ((uint64(1)<<t.offBits)-1)<<1
 	for w := 0; w < cfg.Ways; w++ {
 		t.initLRU |= uint64(w) << (4 * uint(w))
-	}
-	if cfg.StructLayout {
-		t.ref = newStructStore(cfg)
-		return t
 	}
 	n := cfg.Rows * cfg.Ways
 	t.tags = make([]uint64, n)
@@ -272,9 +256,6 @@ type Hit struct {
 //
 //zbp:hotpath
 func (t *Table) LookupLine(line zaddr.Addr, out []Hit) []Hit {
-	if t.ref != nil {
-		return t.refLookupLine(line, out)
-	}
 	t.met.lookups.Inc()
 	row := t.RowFor(line)
 	base := row * t.cfg.Ways
@@ -312,12 +293,6 @@ func (t *Table) LookupLine(line zaddr.Addr, out []Hit) []Hit {
 //
 //zbp:hotpath
 func (t *Table) Find(a zaddr.Addr) (Entry, bool) {
-	if t.ref != nil {
-		if e := t.refFind(a); e != nil {
-			return *e, true
-		}
-		return Entry{}, false
-	}
 	row := t.RowFor(a)
 	if w := t.findWay(row, a); w >= 0 {
 		var e Entry
@@ -348,9 +323,6 @@ func (t *Table) findWay(row int, a zaddr.Addr) int {
 
 // Contains reports whether branch a has an entry.
 func (t *Table) Contains(a zaddr.Addr) bool {
-	if t.ref != nil {
-		return t.refFind(a) != nil
-	}
 	return t.findWay(t.RowFor(a), a) >= 0
 }
 
@@ -359,9 +331,6 @@ func (t *Table) Contains(a zaddr.Addr) bool {
 //
 //zbp:hotpath
 func (t *Table) Update(e Entry) bool {
-	if t.ref != nil {
-		return t.refUpdate(e)
-	}
 	row := t.RowFor(e.Addr)
 	w := t.findWay(row, e.Addr)
 	if w < 0 {
@@ -394,9 +363,6 @@ func (t *Table) InsertAtLRU(e Entry) (victim Entry, evicted bool) {
 
 //zbp:hotpath
 func (t *Table) insert(e Entry, atLRU bool) (victim Entry, evicted bool) {
-	if t.ref != nil {
-		return t.refInsert(e, atLRU)
-	}
 	row := t.RowFor(e.Addr)
 	base := row * t.cfg.Ways
 	key := t.packKey(e.Addr)
@@ -443,9 +409,6 @@ func (t *Table) insert(e Entry, atLRU bool) (victim Entry, evicted bool) {
 //
 //zbp:hotpath
 func (t *Table) Touch(a zaddr.Addr) bool {
-	if t.ref != nil {
-		return t.refTouch(a)
-	}
 	row := t.RowFor(a)
 	if w := t.matchWay(row, a); w >= 0 {
 		t.promoteWay(row, w)
@@ -460,9 +423,6 @@ func (t *Table) Touch(a zaddr.Addr) bool {
 //
 //zbp:hotpath
 func (t *Table) Demote(a zaddr.Addr) bool {
-	if t.ref != nil {
-		return t.refDemote(a)
-	}
 	row := t.RowFor(a)
 	if w := t.matchWay(row, a); w >= 0 {
 		t.demoteWay(row, w)
@@ -476,9 +436,6 @@ func (t *Table) Demote(a zaddr.Addr) bool {
 //
 //zbp:hotpath
 func (t *Table) Invalidate(a zaddr.Addr) bool {
-	if t.ref != nil {
-		return t.refInvalidate(a)
-	}
 	row := t.RowFor(a)
 	if w := t.matchWay(row, a); w >= 0 {
 		t.clearSlot(row*t.cfg.Ways + w)
@@ -506,17 +463,11 @@ func (t *Table) matchWay(row int, a zaddr.Addr) int {
 
 // MRUWay returns the most recently used way of the row containing a.
 func (t *Table) MRUWay(a zaddr.Addr) int {
-	if t.ref != nil {
-		return t.refMRUWay(a)
-	}
 	return int(t.lru[t.RowFor(a)] & 0xF)
 }
 
 // LRUEntry returns a copy of the LRU entry of the row containing a.
 func (t *Table) LRUEntry(a zaddr.Addr) Entry {
-	if t.ref != nil {
-		return t.refLRUEntry(a)
-	}
 	row := t.RowFor(a)
 	way := int(t.lru[row] >> (4 * uint(t.cfg.Ways-1)) & 0xF)
 	var e Entry
@@ -527,9 +478,6 @@ func (t *Table) LRUEntry(a zaddr.Addr) Entry {
 // Entries returns the branch addresses of all valid entries, in storage
 // order. Intended for invariant checks and diagnostics.
 func (t *Table) Entries() []zaddr.Addr {
-	if t.ref != nil {
-		return t.refEntries()
-	}
 	out := make([]zaddr.Addr, 0, t.CountValid())
 	var e Entry
 	for i := range t.tags {
@@ -543,9 +491,6 @@ func (t *Table) Entries() []zaddr.Addr {
 
 // CountValid returns the number of valid entries in the whole table.
 func (t *Table) CountValid() int {
-	if t.ref != nil {
-		return t.refCountValid()
-	}
 	n := 0
 	for i := range t.tags {
 		if t.tags[i]&1 != 0 {
@@ -557,19 +502,11 @@ func (t *Table) CountValid() int {
 
 // Reset invalidates every entry and restores initial LRU order.
 func (t *Table) Reset() {
-	if t.ref != nil {
-		t.ref.reset(t.cfg)
-	} else {
-		for i := range t.tags {
-			t.tags[i] = 0
-			t.targets[i] = 0
-		}
-		for i := range t.meta {
-			t.meta[i] = 0
-		}
-		for row := range t.lru {
-			t.lru[row] = t.initLRU
-		}
+	clear(t.tags)
+	clear(t.targets)
+	clear(t.meta)
+	for row := range t.lru {
+		t.lru[row] = t.initLRU
 	}
 	t.met = metrics{}
 }
@@ -577,26 +514,31 @@ func (t *Table) Reset() {
 // checkLRUInvariant verifies that each row's recency order is a
 // permutation of its ways. Exposed for tests via export_test.go.
 func (t *Table) checkLRUInvariant() error {
-	if t.ref != nil {
-		return t.ref.checkLRUInvariant(t.cfg)
-	}
 	for row := 0; row < t.cfg.Rows; row++ {
-		word := t.lru[row]
-		var seen uint64
-		for k := 0; k < t.cfg.Ways; k++ {
-			w := word >> (4 * uint(k)) & 0xF
-			if int(w) >= t.cfg.Ways {
-				return fmt.Errorf("btb %s row %d: rank %d holds invalid way %d", t.cfg.Name, row, k, w)
-			}
-			if seen&(1<<w) != 0 {
-				return fmt.Errorf("btb %s row %d: way %d appears twice in LRU order", t.cfg.Name, row, w)
-			}
-			seen |= 1 << w
+		if err := t.lruWordErr(t.lru[row]); err != nil {
+			return fmt.Errorf("btb %s row %d: %w", t.cfg.Name, row, err)
 		}
-		if t.cfg.Ways < MaxWays && word>>(4*uint(t.cfg.Ways)) != 0 {
-			return fmt.Errorf("btb %s row %d: LRU word %#x has bits above rank %d",
-				t.cfg.Name, row, word, t.cfg.Ways-1)
+	}
+	return nil
+}
+
+// lruWordErr reports why word is not a row's recency order: every rank
+// must hold a distinct way below Ways, and no bits may sit above the
+// last rank.
+func (t *Table) lruWordErr(word uint64) error {
+	var seen uint64
+	for k := 0; k < t.cfg.Ways; k++ {
+		w := word >> (4 * uint(k)) & 0xF
+		if int(w) >= t.cfg.Ways {
+			return fmt.Errorf("rank %d holds invalid way %d", k, w)
 		}
+		if seen&(1<<w) != 0 {
+			return fmt.Errorf("way %d appears twice in LRU order", w)
+		}
+		seen |= 1 << w
+	}
+	if t.cfg.Ways < MaxWays && word>>(4*uint(t.cfg.Ways)) != 0 {
+		return fmt.Errorf("LRU word %#x has bits above rank %d", word, t.cfg.Ways-1)
 	}
 	return nil
 }

@@ -1,9 +1,6 @@
 package btb
 
-import (
-	"bulkpreload/internal/fault"
-	"bulkpreload/internal/zaddr"
-)
+import "bulkpreload/internal/fault"
 
 // SetInjector attaches (or, with nil, detaches) a fault injector. With an
 // injector attached, every read of a valid entry on the lookup paths
@@ -23,14 +20,11 @@ func (t *Table) Injector() *fault.Injector { return t.inj }
 // cannot collide inside one row) and would break the hierarchy's
 // structural invariants.
 //
-// The domain is defined over the logical payload, not a layout's
-// physical words, so identical injector seeds corrupt identically in
-// both storage layouts: bit b maps to a target-lane bit in the packed
-// layout and to Entry.Target in the struct layout, and so on. The
-// validBit case clears the whole entry in both layouts (all-zero is the
-// canonical invalid state; leaving residue in the dead slot would be
-// unobservable to predictions but would make the layouts' State
-// snapshots diverge).
+// The domain is defined over the logical Entry payload, not the
+// physical lane words: bit b of the domain is Entry.Target bit b, the
+// next two bits are Entry.Dir, and so on. The validBit case clears
+// every lane of the slot (all-zero is the canonical invalid state, so
+// no residue of the lost entry survives into State snapshots).
 //
 // Dependent packages restate this layout against the exported fact
 // (//zbp:layout btb.payload ...), so the bit positions below cannot
@@ -51,7 +45,7 @@ const (
 // fault, if the current read is the one it lands on. Parity protection
 // detects the upset and recovers by invalidation (the way becomes LRU,
 // and semi-exclusivity lets first-level entries refetch from BTB2);
-// unprotected arrays keep serving the flipped entry. Packed layout.
+// unprotected arrays keep serving the flipped entry.
 //
 //zbp:hotpath
 func (t *Table) faultCheck(row, w int) {
@@ -70,8 +64,8 @@ func (t *Table) faultCheck(row, w int) {
 	t.inj.NoteSilent()
 }
 
-// corruptSlot flips one uniformly chosen payload bit of packed slot i —
-// the word-level twin of corruptEntry.
+// corruptSlot flips one uniformly chosen payload bit of slot i, at the
+// lane bit that stores it.
 //
 //zbp:hotpath
 func (t *Table) corruptSlot(i int, bits uint64) {
@@ -89,45 +83,5 @@ func (t *Table) corruptSlot(i int, bits uint64) {
 		t.xorMetaField(i, 1<<(metaLenShift+(b-lengthBit0)))
 	default:
 		t.clearSlot(i) // tag/valid upset: entry is lost
-	}
-}
-
-// refFaultCheck is faultCheck for the struct layout.
-//
-//zbp:hotpath
-func (t *Table) refFaultCheck(row, w int) {
-	bits, ok := t.inj.Strike()
-	if !ok {
-		return
-	}
-	e := &t.ref.slots[row*t.cfg.Ways+w]
-	if t.inj.Parity() {
-		*e = Entry{}
-		t.refDemoteWay(row, w)
-		t.inj.NoteRecovered()
-		return
-	}
-	corruptEntry(e, bits)
-	t.inj.NoteSilent()
-}
-
-// corruptEntry flips one uniformly chosen payload bit of e.
-//
-//zbp:hotpath
-func corruptEntry(e *Entry, bits uint64) {
-	b := bits % payloadWidth
-	switch {
-	case b < dirBit0:
-		e.Target = zaddr.FlipBit(e.Target, uint(b))
-	case b < usePHTBit:
-		e.Dir ^= 1 << (b - dirBit0) // stays within the 2-bit counter range
-	case b == usePHTBit:
-		e.UsePHT = !e.UsePHT
-	case b == useCTBBit:
-		e.UseCTB = !e.UseCTB
-	case b < validBit:
-		e.Length ^= 1 << (b - lengthBit0)
-	default:
-		*e = Entry{} // tag/valid upset: entry is lost (match packed clearSlot)
 	}
 }

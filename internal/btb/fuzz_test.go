@@ -1,8 +1,11 @@
 package btb
 
 import (
+	"encoding/binary"
+	"reflect"
 	"testing"
 
+	"bulkpreload/internal/bht"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -95,6 +98,89 @@ func FuzzPackedRow(f *testing.F) {
 					t.Fatalf("slot %d changed across restore: %+v vs %+v", i, st.Slots[i], st2.Slots[i])
 				}
 			}
+		}
+	})
+}
+
+// FuzzRestoreState splats fuzzer-chosen State slots and recency order
+// into a small table. RestoreState must never panic; a rejected state
+// must leave the table untouched; an accepted one must read back from
+// State equal to the input, with invalid slots zeroed. With repair set,
+// each valid entry is moved to the row it indexes, its direction is
+// clamped to the 2-bit counter, and each row's order is shuffled into a
+// permutation, so the state must be accepted.
+func FuzzRestoreState(f *testing.F) {
+	const slotBytes = 18 // addr(8) target(8) flags(1) length(1)
+	f.Add([]byte{}, false)
+	f.Add([]byte{}, true)
+	f.Add(make([]byte, 12*slotBytes+12), false)
+	full := make([]byte, 12*slotBytes+12)
+	for i := range full {
+		full[i] = byte(i*37 + 11)
+	}
+	f.Add(full, true)
+	f.Add(full, false)
+	f.Fuzz(func(t *testing.T, data []byte, repair bool) {
+		cfg := Config{Name: "fuzz", Rows: 4, Ways: 3, IndexHi: 57, IndexLo: 58, TagBits: 3}
+		n := cfg.Rows * cfg.Ways
+		buf := make([]byte, n*slotBytes+n)
+		copy(buf, data)
+		st := State{Slots: make([]Entry, n), Order: buf[n*slotBytes:]}
+		for i := range st.Slots {
+			b := buf[i*slotBytes:]
+			e := Entry{
+				Valid:  b[16]&1 != 0,
+				Addr:   zaddr.Addr(binary.LittleEndian.Uint64(b)),
+				Target: zaddr.Addr(binary.LittleEndian.Uint64(b[8:])),
+				UsePHT: b[16]&2 != 0,
+				UseCTB: b[16]&4 != 0,
+				Dir:    bht.Bimodal(b[16] >> 3),
+				Length: b[17],
+			}
+			if repair {
+				e.Addr = zaddr.SetBits(e.Addr, cfg.IndexHi, cfg.IndexLo, uint64(i/cfg.Ways))
+				e.Dir &= 3
+			}
+			st.Slots[i] = e
+		}
+		if repair {
+			for row := 0; row < cfg.Rows; row++ {
+				ord := st.Order[row*cfg.Ways : (row+1)*cfg.Ways]
+				perm := make([]uint8, cfg.Ways)
+				for k := range perm {
+					perm[k] = uint8(k)
+				}
+				for k := range perm {
+					j := k + int(ord[k])%(len(perm)-k)
+					perm[k], perm[j] = perm[j], perm[k]
+				}
+				copy(ord, perm)
+			}
+		}
+
+		tbl := New(cfg)
+		tbl.Insert(Entry{Addr: 0x2000, Target: 0x3000, Dir: 2, Length: 4})
+		before := tbl.State()
+		if err := tbl.RestoreState(st); err != nil {
+			if repair {
+				t.Fatalf("RestoreState rejected a repaired state: %v", err)
+			}
+			if !reflect.DeepEqual(tbl.State(), before) {
+				t.Fatalf("rejected RestoreState (%v) modified the table", err)
+			}
+			return
+		}
+		want := State{Slots: make([]Entry, n), Order: st.Order}
+		for i, e := range st.Slots {
+			if e.Valid {
+				want.Slots[i] = e
+			}
+		}
+		if got := tbl.State(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("accepted state reads back differently:\n got %+v\nwant %+v", got, want)
+		}
+		if err := tbl.CheckLRUInvariant(); err != nil {
+			t.Fatalf("accepted state breaks the LRU invariant: %v", err)
 		}
 	})
 }

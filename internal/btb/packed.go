@@ -19,7 +19,7 @@ import (
 // The full tag is stored even under TagBits truncation so the branch
 // address reconstructs exactly; truncation applies at compare time via
 // lineMask/entryMask, which keep only the low TagBits bits of the tag
-// field — precisely the bits the struct layout's tagOf compared. An
+// field: the TagBits address bits immediately above the index. An
 // invalid slot is all-zero in every lane, and every probe key carries
 // valid=1, so invalid slots can never match a masked compare.
 //
@@ -196,7 +196,7 @@ func (t *Table) promoteWay(row, w int) {
 func (t *Table) demoteWay(row, w int) {
 	word := t.lru[row]
 	pos := rankOf(word, w, t.cfg.Ways)
-	keep := word & (1<<(4*pos) - 1)             // ranks below pos
+	keep := word & (1<<(4*pos) - 1)               // ranks below pos
 	moved := word >> (4 * (pos + 1)) << (4 * pos) // ranks pos+1.. -> pos..
 	t.lru[row] = keep | moved | uint64(w)<<(4*uint(t.cfg.Ways-1))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bulkpreload/internal/bht"
@@ -22,9 +23,11 @@ var packedGeometries = []Config{
 // TestPackedRoundTripExtremes drives every Entry field at its extremes
 // through the packed layout — install, Find, State, RestoreState — and
 // demands exact reconstruction, across all three row widths and both
-// tag policies (full and truncated).
+// tag policies (full and truncated). A direction above the 2-bit
+// counter's range installs as its low two bits and must not smear into
+// the neighboring flag and length fields.
 func TestPackedRoundTripExtremes(t *testing.T) {
-	dirs := []bht.Bimodal{bht.StrongNT, bht.WeakNT, bht.WeakT, bht.StrongT}
+	dirs := []bht.Bimodal{bht.StrongNT, bht.WeakNT, bht.WeakT, bht.StrongT, 4, 0xFF}
 	addrs := []zaddr.Addr{
 		0,                  // all-zero address
 		^zaddr.Addr(0) - 1, // every tag/offset bit set (2-byte aligned)
@@ -55,6 +58,7 @@ func TestPackedRoundTripExtremes(t *testing.T) {
 							}
 							want := e
 							want.Valid = true
+							want.Dir &= 3
 							got, ok := tbl.Find(a)
 							if !ok || got != want {
 								t.Fatalf("%s: Find(%#x) = %+v, %v; want %+v", cfg.Name, uint64(a), got, ok, want)
@@ -77,19 +81,15 @@ func TestPackedRoundTripExtremes(t *testing.T) {
 	}
 }
 
-// layoutPair is a packed table and its struct-layout twin, fed identical
+// modelPair is a packed table and its reference model, fed identical
 // operations.
-type layoutPair struct {
+type modelPair struct {
 	packed *Table
-	ref    *Table
+	ref    *refTable
 }
 
-func newLayoutPair(cfg Config) layoutPair {
-	p := cfg
-	p.StructLayout = false
-	r := cfg
-	r.StructLayout = true
-	return layoutPair{packed: New(p), ref: New(r)}
+func newModelPair(cfg Config) modelPair {
+	return modelPair{packed: New(cfg), ref: newRefTable(cfg)}
 }
 
 // randomEntry draws entries from a small address pool so rows collide,
@@ -114,9 +114,10 @@ func randomEntry(rng *rand.Rand, cfg Config) Entry {
 
 // TestStructVsPackedModel drives long randomized Insert / InsertAtLRU /
 // Update / LookupLine / Find / Touch / Demote / Invalidate / accessor
-// sequences against both layouts and demands identical results at every
-// step: identical hits, identical eviction victims, identical recency
-// observations, and finally identical Stats and byte-identical State.
+// sequences against the packed table and the reference model and
+// demands identical results at every step: identical hits, identical
+// eviction victims, identical recency observations, and finally
+// identical Stats and byte-identical State.
 func TestStructVsPackedModel(t *testing.T) {
 	for _, geo := range packedGeometries {
 		for _, tagBits := range []uint{0, 3} {
@@ -124,7 +125,7 @@ func TestStructVsPackedModel(t *testing.T) {
 			cfg.TagBits = tagBits
 			t.Run(fmt.Sprintf("%s/tag%d", geo.Name, tagBits), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(0x9E3779B9 + tagBits + uint(len(geo.Name)))))
-				pair := newLayoutPair(cfg)
+				pair := newModelPair(cfg)
 				var hitsP, hitsR []Hit
 				for op := 0; op < 20000; op++ {
 					e := randomEntry(rng, cfg)
@@ -133,7 +134,7 @@ func TestStructVsPackedModel(t *testing.T) {
 						vP, evP := pair.packed.Insert(e)
 						vR, evR := pair.ref.Insert(e)
 						if vP != vR || evP != evR {
-							t.Fatalf("op %d: Insert(%+v) diverged: packed (%+v,%v) vs struct (%+v,%v)",
+							t.Fatalf("op %d: Insert(%+v) diverged: packed (%+v,%v) vs model (%+v,%v)",
 								op, e, vP, evP, vR, evR)
 						}
 					case 3:
@@ -150,7 +151,7 @@ func TestStructVsPackedModel(t *testing.T) {
 						hitsP = pair.packed.LookupLine(e.Addr, hitsP[:0])
 						hitsR = pair.ref.LookupLine(e.Addr, hitsR[:0])
 						if !reflect.DeepEqual(hitsP, hitsR) {
-							t.Fatalf("op %d: LookupLine(%#x) diverged:\npacked %+v\nstruct %+v",
+							t.Fatalf("op %d: LookupLine(%#x) diverged:\npacked %+v\nmodel  %+v",
 								op, uint64(e.Addr), hitsP, hitsR)
 						}
 					case 6:
@@ -184,32 +185,30 @@ func TestStructVsPackedModel(t *testing.T) {
 						}
 					}
 				}
-				if sP, sR := pair.packed.Stats(), pair.ref.Stats(); sP != sR {
-					t.Fatalf("Stats diverged: packed %+v vs struct %+v", sP, sR)
+				if sP, sR := pair.packed.Stats(), pair.ref.stats; sP != sR {
+					t.Fatalf("Stats diverged: packed %+v vs model %+v", sP, sR)
 				}
-				if cP, cR := pair.packed.CountValid(), pair.ref.CountValid(); cP != cR {
+				if cP, cR := pair.packed.CountValid(), len(pair.ref.Entries()); cP != cR {
 					t.Fatalf("CountValid diverged: %d vs %d", cP, cR)
 				}
-				stP, stR := pair.packed.State(), pair.ref.State()
-				if !reflect.DeepEqual(stP, stR) {
-					t.Fatal("State diverged between layouts")
+				stR := pair.ref.State()
+				if !reflect.DeepEqual(pair.packed.State(), stR) {
+					t.Fatal("State diverged from the model")
 				}
 				if err := pair.packed.CheckLRUInvariant(); err != nil {
 					t.Fatalf("packed LRU invariant: %v", err)
 				}
 				if !reflect.DeepEqual(pair.packed.Entries(), pair.ref.Entries()) {
-					t.Fatal("Entries diverged between layouts")
+					t.Fatal("Entries diverged from the model")
 				}
-				// Cross-layout checkpoint restore: packed state into the
-				// struct table and vice versa must both take cleanly.
-				if err := pair.ref.RestoreState(stP); err != nil {
-					t.Fatalf("restoring packed state into struct layout: %v", err)
+				// The model's state must restore into a fresh packed
+				// table and read back unchanged.
+				fresh := New(cfg)
+				if err := fresh.RestoreState(stR); err != nil {
+					t.Fatalf("restoring model state: %v", err)
 				}
-				if err := pair.packed.RestoreState(stR); err != nil {
-					t.Fatalf("restoring struct state into packed layout: %v", err)
-				}
-				if !reflect.DeepEqual(pair.packed.State(), pair.ref.State()) {
-					t.Fatal("State diverged after cross-layout restore")
+				if !reflect.DeepEqual(fresh.State(), stR) {
+					t.Fatal("State changed across restore of the model state")
 				}
 			})
 		}
@@ -230,8 +229,57 @@ func TestPackedRestoreRejectsMisplacedEntry(t *testing.T) {
 	if err := tbl.RestoreState(st); err == nil {
 		t.Fatal("RestoreState accepted a misplaced entry")
 	}
-	ref := New(Config{Name: "mis", Rows: 16, Ways: 2, IndexHi: 55, IndexLo: 58, StructLayout: true})
-	if err := ref.RestoreState(st); err == nil {
-		t.Fatal("struct-layout RestoreState accepted a misplaced entry")
+}
+
+// TestRestoreStateRejectsOutOfRange: a checkpoint is unchecksummed gob
+// from disk, so RestoreState must reject any field the packed lanes
+// cannot hold instead of truncating it into a different entry, must
+// leave a rejected table untouched, and must name the table once.
+func TestRestoreStateRejectsOutOfRange(t *testing.T) {
+	cfg := Config{Name: "RST", Rows: 16, Ways: 2, IndexHi: 55, IndexLo: 58}
+	addr := zaddr.SetBits(0x40, cfg.IndexHi, cfg.IndexLo, 3) // row 3
+	for _, tc := range []struct {
+		name   string
+		mutate func(*State)
+		ok     bool
+	}{
+		{"dir 3 is the widest counter", func(s *State) { s.Slots[6].Dir = 3 }, true},
+		{"dir 4", func(s *State) { s.Slots[6].Dir = 4 }, false},
+		{"dir 255", func(s *State) { s.Slots[6].Dir = 255 }, false},
+		{"invalid slot garbage is dropped", func(s *State) { s.Slots[6] = Entry{Addr: 0x1234, Dir: 9, Length: 7} }, true},
+		{"rank holds way 2 of 2", func(s *State) { s.Order[6] = 2 }, false},
+		{"rank holds way 16", func(s *State) { s.Order[6] = 16 }, false},
+		{"way twice in a row", func(s *State) { s.Order[7] = s.Order[6] }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := New(cfg)
+			tbl.Insert(Entry{Addr: addr + 2, Target: 0x99, Dir: 1, Length: 4})
+			before := tbl.State()
+			st := tbl.State()
+			st.Slots[6] = Entry{Valid: true, Addr: addr, Target: 0x77, Dir: 2, Length: 6}
+			tc.mutate(&st)
+			err := tbl.RestoreState(st)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("RestoreState: %v", err)
+				}
+				if !st.Slots[6].Valid {
+					st.Slots[6] = Entry{}
+				}
+				if got := tbl.State(); !reflect.DeepEqual(got, st) {
+					t.Fatalf("restored state reads back as %+v, want %+v", got.Slots[6], st.Slots[6])
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("RestoreState accepted an out-of-range field")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "restored state is corrupt") || strings.Count(msg, cfg.Name) != 1 {
+				t.Errorf("error %q: want one mention of %s and \"restored state is corrupt\"", msg, cfg.Name)
+			}
+			if !reflect.DeepEqual(tbl.State(), before) {
+				t.Error("a rejected restore modified the table")
+			}
+		})
 	}
 }

@@ -6,11 +6,6 @@ import "fmt"
 // every slot plus the per-row recency order. Activity counters and the
 // fault injector schedule are not part of it — a restored table resumes
 // with fresh counters, the way a checkpoint-resumed run should.
-//
-// The format is layout-independent: both storage backends serialize to
-// the same Entry slices, so ZBPC checkpoints written under either
-// layout restore into either layout (the layout differential gate
-// round-trips checkpoints across layouts to prove it).
 type State struct {
 	Slots []Entry
 	Order []uint8
@@ -18,12 +13,6 @@ type State struct {
 
 // State returns a deep copy of the table's architectural state.
 func (t *Table) State() State {
-	if t.ref != nil {
-		return State{
-			Slots: append([]Entry(nil), t.ref.slots...),
-			Order: append([]uint8(nil), t.ref.order...),
-		}
-	}
 	s := State{
 		Slots: make([]Entry, len(t.tags)),
 		Order: make([]uint8, len(t.tags)),
@@ -41,74 +30,72 @@ func (t *Table) State() State {
 }
 
 // RestoreState overwrites the table's contents with s, which must come
-// from a table of identical geometry.
+// from a table of identical geometry. Invalid slots restore empty. A
+// state the packed lanes cannot hold exactly — a valid entry outside
+// the row its address indexes, a direction wider than the 2-bit
+// counter, or a row order that is not a permutation of its ways — is
+// rejected as corrupt, and a rejected state leaves the table untouched.
 func (t *Table) RestoreState(s State) error {
 	n := t.cfg.Rows * t.cfg.Ways
 	if len(s.Slots) != n || len(s.Order) != n {
 		return fmt.Errorf("btb %s: state geometry mismatch: %d slots/%d order, table has %d/%d",
 			t.cfg.Name, len(s.Slots), len(s.Order), n, n)
 	}
-	if t.ref != nil {
-		copy(t.ref.slots, s.Slots)
-		copy(t.ref.order, s.Order)
-	} else {
-		// Placement must hold before packing: the packed tag word drops
-		// the index bits (the row position carries them), so a misplaced
-		// entry would silently re-address itself instead of failing the
-		// post-restore check the struct layout relies on.
-		for i := range s.Slots {
-			if e := &s.Slots[i]; e.Valid && t.RowFor(e.Addr) != i/t.cfg.Ways {
-				return fmt.Errorf("btb %s: restored state is corrupt: entry %#x stored in row %d but indexes row %d",
-					t.cfg.Name, uint64(e.Addr), i/t.cfg.Ways, t.RowFor(e.Addr))
-			}
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("btb %s: restored state is corrupt: "+format, append([]any{t.cfg.Name}, args...)...)
+	}
+	// The packed tag word drops the index bits (the row position carries
+	// them) and the meta field keeps two direction bits, so both must be
+	// checked before packing rather than silently re-addressing or
+	// truncating the entry.
+	for i := range s.Slots {
+		e := &s.Slots[i]
+		if !e.Valid {
+			continue
 		}
-		for i := range s.Slots {
-			if s.Slots[i].Valid {
-				t.writeSlot(i, s.Slots[i])
-			} else {
-				t.clearSlot(i)
-			}
+		if row := i / t.cfg.Ways; t.RowFor(e.Addr) != row {
+			return corrupt("entry %#x stored in row %d but indexes row %d", uint64(e.Addr), row, t.RowFor(e.Addr))
 		}
-		for row := 0; row < t.cfg.Rows; row++ {
-			var word uint64
-			for k := 0; k < t.cfg.Ways; k++ {
-				w := s.Order[row*t.cfg.Ways+k]
-				if int(w) >= t.cfg.Ways {
-					// The struct layout's invariant check rejects these
-					// too; checked here because the 4-bit rank nibble
-					// would otherwise truncate the evidence.
-					return fmt.Errorf("btb %s: restored state is corrupt: btb %s row %d: rank %d holds invalid way %d",
-						t.cfg.Name, t.cfg.Name, row, k, w)
-				}
-				word |= uint64(w) << (4 * uint(k))
-			}
-			t.lru[row] = word
+		if e.Dir > 3 {
+			return corrupt("entry %#x holds direction %d, wider than the 2-bit counter", uint64(e.Addr), e.Dir)
 		}
 	}
-	if err := t.checkLRUInvariant(); err != nil {
-		return fmt.Errorf("btb %s: restored state is corrupt: %w", t.cfg.Name, err)
+	lru := make([]uint64, t.cfg.Rows)
+	for row := range lru {
+		for k, w := range s.Order[row*t.cfg.Ways : (row+1)*t.cfg.Ways] {
+			if int(w) >= t.cfg.Ways {
+				// Checked before packing: the 4-bit rank nibble would
+				// otherwise truncate the evidence.
+				return corrupt("row %d: rank %d holds invalid way %d", row, k, w)
+			}
+			lru[row] |= uint64(w) << (4 * uint(k))
+		}
+		if err := t.lruWordErr(lru[row]); err != nil {
+			return corrupt("row %d: %v", row, err)
+		}
 	}
-	if err := t.CheckPlacement(); err != nil {
-		return fmt.Errorf("btb %s: restored state is corrupt: %w", t.cfg.Name, err)
+	for i := range s.Slots {
+		if s.Slots[i].Valid {
+			t.writeSlot(i, s.Slots[i])
+		} else {
+			t.clearSlot(i)
+		}
 	}
+	copy(t.lru, lru)
 	return nil
 }
 
 // CheckPlacement verifies that every valid entry is stored in the row
 // its address indexes to — the structural invariant a hardware array
 // cannot violate (the index selects the row) and that fault injection
-// must therefore never break. The packed layout satisfies it by
+// must therefore never break. The packed lanes satisfy it by
 // construction (the row position is part of the stored address), so
-// the walk doubles as a decode self-check there.
+// the walk doubles as a decode self-check.
 func (t *Table) CheckPlacement() error {
 	var e Entry
 	for row := 0; row < t.cfg.Rows; row++ {
 		for w := 0; w < t.cfg.Ways; w++ {
-			if t.ref != nil {
-				e = t.ref.slots[row*t.cfg.Ways+w]
-			} else {
-				t.unpackEntry(row, w, &e)
-			}
+			t.unpackEntry(row, w, &e)
 			if e.Valid && t.RowFor(e.Addr) != row {
 				return fmt.Errorf("btb %s: entry %#x stored in row %d but indexes row %d",
 					t.cfg.Name, uint64(e.Addr), row, t.RowFor(e.Addr))

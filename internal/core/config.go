@@ -154,14 +154,6 @@ type Config struct {
 	// injection costs one nil pointer check per array read.
 	Fault fault.Config
 
-	// StructLayout builds every predictor array (BTB1/BTBP/BTB2, PHT,
-	// CTB) on the retained array-of-structs storage backend instead of
-	// the default bit-packed structure-of-arrays lanes. The layouts are
-	// observationally equivalent — sim.VerifyLayoutDifferential proves
-	// it per run — so this is a verification knob, not a behavior knob:
-	// the layout differential gate runs the serial oracle with it set.
-	StructLayout bool
-
 	// MultiBlockTransfer enables the Section 6 future-work extension:
 	// when a bulk transfer surfaces branches whose targets leave the
 	// block, the most-referenced target block is chased with one

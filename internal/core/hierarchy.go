@@ -121,23 +121,17 @@ func New(cfg Config) *Hierarchy {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	// The hierarchy-level StructLayout knob cascades into every array's
-	// storage backend; a per-table btb.Config override is honored too.
-	b1, bp, b2 := cfg.BTB1, cfg.BTBP, cfg.BTB2
-	if cfg.StructLayout {
-		b1.StructLayout, bp.StructLayout, b2.StructLayout = true, true, true
-	}
 	h := &Hierarchy{
 		cfg:  cfg,
-		btb1: btb.New(b1),
-		btbp: btb.New(bp),
+		btb1: btb.New(cfg.BTB1),
+		btbp: btb.New(cfg.BTBP),
 	}
 	h.met.setBounds()
 	if cfg.PHTEntries > 0 {
-		h.pht = pht.NewLayout(cfg.PHTEntries, cfg.StructLayout)
+		h.pht = pht.New(cfg.PHTEntries)
 	}
 	if cfg.CTBEntries > 0 {
-		h.ctb = ctb.NewLayout(cfg.CTBEntries, cfg.StructLayout)
+		h.ctb = ctb.New(cfg.CTBEntries)
 	}
 	if cfg.FITEntries > 0 {
 		h.fit = fit.New(cfg.FITEntries)
@@ -146,7 +140,7 @@ func New(cfg Config) *Hierarchy {
 		h.sbht = bht.NewSurpriseBHT(cfg.SurpriseBHTEntries)
 	}
 	if cfg.BTB2Enabled {
-		h.btb2 = btb.New(b2)
+		h.btb2 = btb.New(cfg.BTB2)
 		var ord tracker.Orderer
 		if cfg.UseSteering {
 			h.steer = steering.New(cfg.SteeringEntries, cfg.SteeringWays)

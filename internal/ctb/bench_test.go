@@ -7,10 +7,10 @@ import (
 	"bulkpreload/internal/zaddr"
 )
 
-// benchTable builds a warmed table in the requested layout with a
-// recorded history the lookups index through.
-func benchTable(structLayout bool) (*Table, *history.History) {
-	t := NewLayout(DefaultEntries, structLayout)
+// benchTable builds a warmed table with a recorded history the
+// lookups index through.
+func benchTable() (*Table, *history.History) {
+	t := New(DefaultEntries)
 	var h history.History
 	for i := 0; i < 64; i++ {
 		h.RecordPrediction(zaddr.Addr(0x2000+i*6), true)
@@ -22,37 +22,21 @@ func benchTable(structLayout bool) (*Table, *history.History) {
 	return t, &h
 }
 
-// BenchmarkLookupLayout compares the CTB lookup hot path across the
-// packed bit-field layout and the struct-layout oracle.
-func BenchmarkLookupLayout(b *testing.B) {
-	for _, l := range []struct {
-		name         string
-		structLayout bool
-	}{{"packed", false}, {"struct", true}} {
-		b.Run(l.name, func(b *testing.B) {
-			t, h := benchTable(l.structLayout)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t.Lookup(h, zaddr.Addr(0x4000+(i%4096)*12))
-			}
-		})
+// BenchmarkLookup times the CTB lookup hot path on a warm table.
+func BenchmarkLookup(b *testing.B) {
+	t, h := benchTable()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Lookup(h, zaddr.Addr(0x4000+(i%4096)*12))
 	}
 }
 
-// BenchmarkUpdateLayout compares the CTB install/update path across
-// layouts.
-func BenchmarkUpdateLayout(b *testing.B) {
-	for _, l := range []struct {
-		name         string
-		structLayout bool
-	}{{"packed", false}, {"struct", true}} {
-		b.Run(l.name, func(b *testing.B) {
-			t, h := benchTable(l.structLayout)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a := zaddr.Addr(0x4000 + (i%4096)*12)
-				t.Update(h, a, a+64)
-			}
-		})
+// BenchmarkUpdate times the CTB install/update path on a warm table.
+func BenchmarkUpdate(b *testing.B) {
+	t, h := benchTable()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := zaddr.Addr(0x4000 + (i%4096)*12)
+		t.Update(h, a, a+64)
 	}
 }

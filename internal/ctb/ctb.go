@@ -4,10 +4,10 @@
 // targets for branches the BTB marks UseCTB (branches exhibiting multiple
 // targets, such as returns and virtual dispatch).
 //
-// The default storage is two packed lanes: a raw uint64 target word per
-// entry plus an 11-bit valid|tag field stored 16 bits wide, four per
-// uint64 word. The original entry-struct slice survives behind the
-// structLayout flag of NewLayout as the equivalence oracle.
+// The table is two packed lanes: a raw uint64 target word per entry
+// plus an 11-bit valid|tag field stored 16 bits wide, four per uint64
+// word. The tests judge it against an entry-struct reference model
+// (layout_test.go).
 package ctb
 
 import (
@@ -38,12 +38,6 @@ const (
 	fieldBits     = 16
 )
 
-type entry struct {
-	valid  bool
-	tag    uint16
-	target zaddr.Addr
-}
-
 // Stats is a point-in-time view of the CTB counters; the canonical
 // storage is the obs metrics (see RegisterMetrics).
 type Stats struct {
@@ -63,10 +57,9 @@ type metrics struct {
 
 // Table is the changing target buffer.
 type Table struct {
-	n       int      // entry count
-	tags    []uint64 // packed valid|tag fields, four entries per word
-	targets []uint64 // raw target addresses, one word per entry
-	ref     []entry  // struct-layout storage; nil when packed
+	n       int             // entry count
+	tags    []uint64        // packed valid|tag fields, four entries per word
+	targets []uint64        // raw target addresses, one word per entry
 	inj     *fault.Injector // soft-error injection on Lookup; nil = off
 	met     metrics
 }
@@ -77,19 +70,10 @@ func (t *Table) SetInjector(j *fault.Injector) { t.inj = j }
 // Injector returns the attached injector (nil when faults are off).
 func (t *Table) Injector() *fault.Injector { return t.inj }
 
-// New builds a CTB with the given entry count (power of two), using the
-// packed layout.
-func New(entries int) *Table { return NewLayout(entries, false) }
-
-// NewLayout builds a CTB choosing the storage backend: packed lanes
-// (the default) or the retained entry-struct oracle layout. The two are
-// observationally equivalent; see the layout equivalence tests.
-func NewLayout(entries int, structLayout bool) *Table {
+// New builds a CTB with the given entry count (power of two).
+func New(entries int) *Table {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("ctb: entries must be a positive power of two")
-	}
-	if structLayout {
-		return &Table{n: entries, ref: make([]entry, entries)}
 	}
 	return &Table{
 		n:       entries,
@@ -152,14 +136,6 @@ func (t *Table) RegisterMetrics(r *obs.Registry, prefix string) {
 // CountValid returns the number of valid entries.
 func (t *Table) CountValid() int {
 	n := 0
-	if t.ref != nil {
-		for i := range t.ref {
-			if t.ref[i].valid {
-				n++
-			}
-		}
-		return n
-	}
 	for i := 0; i < t.n; i++ {
 		if t.field(i)&(1<<fieldValidBit) != 0 {
 			n++
@@ -181,17 +157,6 @@ func tagOf(a zaddr.Addr) uint16 {
 func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (target zaddr.Addr, ok bool) {
 	t.met.lookups.Inc()
 	i := h.CTBIndex(addr, t.n)
-	if t.ref != nil {
-		e := &t.ref[i]
-		if t.inj != nil && e.valid {
-			t.refFaultCheck(e)
-		}
-		if !e.valid || e.tag != tagOf(addr) {
-			return 0, false
-		}
-		t.met.hits.Inc()
-		return e.target, true
-	}
 	f := t.field(i)
 	if t.inj != nil && f&(1<<fieldValidBit) != 0 {
 		t.faultCheck(i)
@@ -206,11 +171,9 @@ func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (target zaddr.Addr, 
 
 // faultCheck strikes the entry being read, if this read is the one the
 // injector's schedule lands on. The flip domain is the stored payload:
-// the 64-bit target and 10 tag bits — identical positions in both
-// layouts, so identical seeds corrupt identically. Parity recovers by
+// the 64-bit target and then the 10 tag bits. Parity recovers by
 // invalidation; unprotected flips persist (a flipped target silently
-// misdirects every multi-target branch that hits this entry). Packed
-// layout.
+// misdirects every multi-target branch that hits this entry).
 //
 //zbp:hotpath
 func (t *Table) faultCheck(i int) {
@@ -232,27 +195,6 @@ func (t *Table) faultCheck(i int) {
 	t.inj.NoteSilent()
 }
 
-// refFaultCheck is faultCheck for the struct layout.
-//
-//zbp:hotpath
-func (t *Table) refFaultCheck(e *entry) {
-	bits, ok := t.inj.Strike()
-	if !ok {
-		return
-	}
-	if t.inj.Parity() {
-		*e = entry{}
-		t.inj.NoteRecovered()
-		return
-	}
-	if b := bits % (64 + tagBits); b < 64 {
-		e.target = zaddr.FlipBit(e.target, uint(b))
-	} else {
-		e.tag ^= 1 << (b - 64)
-	}
-	t.inj.NoteSilent()
-}
-
 // Update trains the entry for the branch at addr with a resolved target.
 //
 //zbp:hotpath
@@ -260,17 +202,6 @@ func (t *Table) refFaultCheck(e *entry) {
 func (t *Table) Update(h *history.History, addr, target zaddr.Addr) {
 	i := h.CTBIndex(addr, t.n)
 	tag := tagOf(addr)
-	if t.ref != nil {
-		e := &t.ref[i]
-		if e.valid && e.tag == tag {
-			e.target = target
-			t.met.updates.Inc()
-			return
-		}
-		*e = entry{valid: true, tag: tag, target: target}
-		t.met.installs.Inc()
-		return
-	}
 	f := t.field(i)
 	if f&(1<<fieldValidBit) != 0 && uint16(f>>fieldTagShift)&((1<<tagBits)-1) == tag {
 		t.targets[i] = uint64(target)
@@ -284,18 +215,8 @@ func (t *Table) Update(h *history.History, addr, target zaddr.Addr) {
 
 // Reset invalidates every entry.
 func (t *Table) Reset() {
-	if t.ref != nil {
-		for i := range t.ref {
-			t.ref[i] = entry{}
-		}
-	} else {
-		for i := range t.tags {
-			t.tags[i] = 0
-		}
-		for i := range t.targets {
-			t.targets[i] = 0
-		}
-	}
+	clear(t.tags)
+	clear(t.targets)
 	t.met = metrics{}
 }
 
@@ -307,7 +228,6 @@ type EntryState struct {
 }
 
 // State is a serializable copy of the table's architectural contents.
-// The format is layout-independent (see btb.State).
 type State struct{ Entries []EntryState }
 
 // State returns a deep copy of the table's architectural state.
@@ -315,16 +235,10 @@ type State struct{ Entries []EntryState }
 //zbp:layout field unpack
 func (t *Table) State() State {
 	s := State{Entries: make([]EntryState, t.n)}
-	if t.ref != nil {
-		for i, e := range t.ref {
-			s.Entries[i] = EntryState{Valid: e.valid, Tag: e.tag, Target: e.target}
-		}
-		return s
-	}
 	for i := 0; i < t.n; i++ {
 		f := t.field(i)
 		if f&(1<<fieldValidBit) == 0 {
-			continue // zero EntryState, like a cleared struct entry
+			continue // invalid entries serialize as the zero EntryState
 		}
 		s.Entries[i] = EntryState{
 			Valid:  true,
@@ -336,15 +250,22 @@ func (t *Table) State() State {
 }
 
 // RestoreState overwrites the table's contents with s, which must come
-// from a table of identical size.
+// from a table of identical size. Invalid entries restore empty. A valid
+// entry whose tag is wider than its packed field is rejected as corrupt
+// rather than truncated into a different entry, and a rejected state
+// leaves the table untouched.
 func (t *Table) RestoreState(s State) error {
 	if len(s.Entries) != t.n {
 		return fmt.Errorf("ctb: state has %d entries, table has %d", len(s.Entries), t.n)
 	}
 	for i, e := range s.Entries {
-		if t.ref != nil {
-			t.ref[i] = entry{valid: e.Valid, tag: e.Tag, target: e.Target}
-		} else if e.Valid {
+		if e.Valid && e.Tag >= 1<<tagBits {
+			return fmt.Errorf("ctb: restored state is corrupt: entry %d holds tag %#x (field holds %d bits)",
+				i, e.Tag, tagBits)
+		}
+	}
+	for i, e := range s.Entries {
+		if e.Valid {
 			t.setField(i, packField(e.Tag))
 			t.targets[i] = uint64(e.Target)
 		} else {

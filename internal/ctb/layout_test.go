@@ -10,16 +10,59 @@ import (
 	"bulkpreload/internal/zaddr"
 )
 
+// refCTB is the entry-struct reference model the packed Table is judged
+// against: one EntryState per slot, with the soft-error strike applied
+// to the Target and Tag fields. It exists only in tests.
+type refCTB struct {
+	slots []EntryState
+	inj   *fault.Injector
+	stats Stats
+}
+
+func (m *refCTB) Lookup(h *history.History, addr zaddr.Addr) (zaddr.Addr, bool) {
+	m.stats.Lookups++
+	e := &m.slots[h.CTBIndex(addr, len(m.slots))]
+	if m.inj != nil && e.Valid {
+		if bits, hit := m.inj.Strike(); hit && m.inj.Parity() {
+			*e = EntryState{}
+			m.inj.NoteRecovered()
+		} else if hit {
+			if b := bits % (64 + tagBits); b < 64 {
+				e.Target = zaddr.FlipBit(e.Target, uint(b))
+			} else {
+				e.Tag ^= 1 << (b - 64)
+			}
+			m.inj.NoteSilent()
+		}
+	}
+	if !e.Valid || e.Tag != tagOf(addr) {
+		return 0, false
+	}
+	m.stats.Hits++
+	return e.Target, true
+}
+
+func (m *refCTB) Update(h *history.History, addr, target zaddr.Addr) {
+	e := &m.slots[h.CTBIndex(addr, len(m.slots))]
+	if e.Valid && e.Tag == tagOf(addr) {
+		e.Target = target
+		m.stats.Updates++
+		return
+	}
+	*e = EntryState{Valid: true, Tag: tagOf(addr), Target: target}
+	m.stats.Installs++
+}
+
 // TestStructVsPackedModel drives identical randomized Lookup/Update
-// sequences — with identically seeded fault injectors striking both
-// tables — against the packed and struct layouts and demands identical
-// results, Stats, and State at every step.
+// sequences — with identically seeded fault injectors striking both —
+// against the packed table and the reference model and demands
+// identical results, Stats, and State at every step.
 func TestStructVsPackedModel(t *testing.T) {
 	for _, prot := range []fault.Protection{fault.Unprotected, fault.Parity} {
-		packed := NewLayout(256, false)
-		ref := NewLayout(256, true)
+		packed := New(256)
+		ref := &refCTB{slots: make([]EntryState, 256)}
 		packed.SetInjector(fault.NewInjector("ctb", 2000, prot, 0xC0FFEE, false))
-		ref.SetInjector(fault.NewInjector("ctb", 2000, prot, 0xC0FFEE, false))
+		ref.inj = fault.NewInjector("ctb", 2000, prot, 0xC0FFEE, false)
 		rng := rand.New(rand.NewSource(2001))
 		var h history.History
 		for op := 0; op < 30000; op++ {
@@ -40,25 +83,68 @@ func TestStructVsPackedModel(t *testing.T) {
 				ref.Update(&h, addr, target)
 			}
 		}
-		if sP, sR := packed.Stats(), ref.Stats(); sP != sR {
+		if sP, sR := packed.Stats(), ref.stats; sP != sR {
 			t.Fatalf("prot %v: Stats diverged: %+v vs %+v", prot, sP, sR)
 		}
-		if fP, fR := packed.Injector().Stats(), ref.Injector().Stats(); fP != fR {
+		if fP, fR := packed.Injector().Stats(), ref.inj.Stats(); fP != fR {
 			t.Fatalf("prot %v: fault stats diverged: %+v vs %+v", prot, fP, fR)
 		}
-		stP, stR := packed.State(), ref.State()
-		if !reflect.DeepEqual(stP, stR) {
-			t.Fatalf("prot %v: State diverged between layouts", prot)
+		stR := State{Entries: ref.slots}
+		if !reflect.DeepEqual(packed.State(), stR) {
+			t.Fatalf("prot %v: State diverged from the model", prot)
 		}
-		// Cross-layout restore must round-trip bit-identically.
-		if err := packed.RestoreState(stR); err != nil {
-			t.Fatalf("prot %v: restore struct state into packed: %v", prot, err)
+		// The model's state must restore into a fresh table unchanged.
+		fresh := New(256)
+		if err := fresh.RestoreState(stR); err != nil {
+			t.Fatalf("prot %v: restore model state: %v", prot, err)
 		}
-		if err := ref.RestoreState(stP); err != nil {
-			t.Fatalf("prot %v: restore packed state into struct: %v", prot, err)
+		if !reflect.DeepEqual(fresh.State(), stR) {
+			t.Fatalf("prot %v: State changed across restore of the model state", prot)
 		}
-		if !reflect.DeepEqual(packed.State(), ref.State()) {
-			t.Fatalf("prot %v: State diverged after cross-layout restore", prot)
-		}
+	}
+}
+
+// TestRestoreStateRejectsOutOfRange: a checkpoint is unchecksummed gob
+// from disk, so a valid entry whose tag overflows its packed field must
+// be rejected, not truncated into a different entry, and the rejected
+// restore must leave the table untouched.
+func TestRestoreStateRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		e    EntryState
+		ok   bool
+	}{
+		{"widest tag", EntryState{Valid: true, Tag: 1<<tagBits - 1, Target: ^zaddr.Addr(0)}, true},
+		{"invalid garbage is dropped", EntryState{Tag: 0xFFFF, Target: 0x1234}, true},
+		{"tag 1<<10", EntryState{Valid: true, Tag: 1 << tagBits, Target: 0x40}, false},
+		{"tag 0xFFFF", EntryState{Valid: true, Tag: 0xFFFF, Target: 0x40}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := New(16)
+			var h history.History
+			tbl.Update(&h, 0x4000, 0x5000)
+			before := tbl.State()
+			st := tbl.State()
+			st.Entries[9] = tc.e
+			err := tbl.RestoreState(st)
+			if !tc.ok {
+				if err == nil {
+					t.Fatal("RestoreState accepted an out-of-range field")
+				}
+				if !reflect.DeepEqual(tbl.State(), before) {
+					t.Error("a rejected restore modified the table")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("RestoreState: %v", err)
+			}
+			if !tc.e.Valid {
+				st.Entries[9] = EntryState{}
+			}
+			if !reflect.DeepEqual(tbl.State(), st) {
+				t.Fatalf("entry 9 reads back as %+v, want %+v", tbl.State().Entries[9], st.Entries[9])
+			}
+		})
 	}
 }

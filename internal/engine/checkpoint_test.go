@@ -134,6 +134,58 @@ func TestResumeCompletesRun(t *testing.T) {
 	}
 }
 
+// TestResumeIsDeterministic pins checkpoint/resume reproducibility bit
+// for bit: two independent runs must capture deeply equal checkpoints,
+// and one checkpoint round-tripped through its ZBPC wire format must
+// resume twice to identical results, interval snapshots and the final
+// metrics snapshot included.
+func TestResumeIsDeterministic(t *testing.T) {
+	prof := checkpointProfile()
+	params := DefaultParams()
+	params.WarmupInstructions = 2_000
+	params.SnapshotInterval = 20_000
+	capture := func() (*Checkpoint, Result) {
+		p := params
+		p.CheckpointInterval = 60_000
+		var ck *Checkpoint
+		p.CheckpointSink = func(c *Checkpoint) { ck = c }
+		full := Run(workload.New(prof), core.DefaultConfig(), p, "det")
+		if ck == nil {
+			t.Fatal("no checkpoint taken")
+		}
+		return ck, full
+	}
+	ck, full := capture()
+	if again, _ := capture(); !reflect.DeepEqual(ck, again) {
+		t.Fatal("two independent runs captured different checkpoints")
+	}
+	var buf bytes.Buffer
+	if err := ck.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wire, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func() Result {
+		r, err := New(core.DefaultConfig(), params).Resume(workload.New(prof), wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r1, r2 := resume(), resume()
+	if r1.Instructions != full.Instructions {
+		t.Fatalf("resumed run counted %d instructions, uninterrupted run %d", r1.Instructions, full.Instructions)
+	}
+	if len(r1.Snapshots) == 0 || r1.Metrics == nil {
+		t.Fatal("resumed run recorded no snapshots; the comparison would prove little")
+	}
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatalf("two resumes of one checkpoint diverged:\n%+v\n%+v", r1, r2)
+	}
+}
+
 func TestResumeRejectsWrongTrace(t *testing.T) {
 	prof := checkpointProfile()
 	var ck *Checkpoint

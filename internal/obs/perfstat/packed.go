@@ -1,7 +1,6 @@
 package perfstat
 
 import (
-	"math/rand"
 	"time"
 
 	"bulkpreload/internal/btb"
@@ -12,15 +11,9 @@ import (
 )
 
 // The packed_tables scenario: per-structure microbenchmarks of the
-// predictor tables' two storage layouts. Each table runs the same
-// lookup (and for the BTB, insert/evict) loop once on the packed
-// structure-of-arrays layout — the shipping default — and once on the
-// retained array-of-structs oracle, so every trajectory entry records
-// the packed layout's speedup alongside the absolute rates the CI gate
-// pins. A short randomized equivalence sweep runs both layouts side by
-// side and counts divergences into the zero-gated layout_mismatches
-// metric: a fast entry can never come from a layout that changed
-// results.
+// predictor tables' packed structure-of-arrays storage. Each table runs
+// a lookup (and for the BTB, insert/evict) loop over a warm table, so
+// every trajectory entry records the absolute rates the CI gate pins.
 
 // packedBenchEntry synthesizes the i-th benchmark branch: addresses
 // stride 40 bytes so rows fill unevenly and inserts evict, mirroring
@@ -30,13 +23,10 @@ func packedBenchEntry(i int) btb.Entry {
 	return btb.Entry{Addr: a, Target: a + 64, Dir: 2, UsePHT: i%3 == 0, Length: uint8(i % 12)}
 }
 
-// newPackedBenchBTB builds a fully warmed BTB1-geometry table in the
-// requested layout.
-func newPackedBenchBTB(structLayout bool) *btb.Table {
-	cfg := btb.BTB1Config
-	cfg.StructLayout = structLayout
-	t := btb.New(cfg)
-	for i := 0; i < cfg.Capacity(); i++ {
+// newPackedBenchBTB builds a fully warmed BTB1-geometry table.
+func newPackedBenchBTB() *btb.Table {
+	t := btb.New(btb.BTB1Config)
+	for i := 0; i < btb.BTB1Config.Capacity(); i++ {
 		t.Insert(packedBenchEntry(i))
 	}
 	return t
@@ -51,142 +41,45 @@ func opsPerSec(ops int, f func(i int)) float64 {
 	return float64(ops) / time.Since(start).Seconds()
 }
 
-// runPackedTables measures every per-structure layout microbenchmark
-// plus the equivalence sweep. ops is the timed iteration count per
-// measurement.
+// runPackedTables measures every per-structure microbenchmark. ops is
+// the timed iteration count per measurement.
 func runPackedTables(ops int) (ScenarioResult, error) {
-	metrics := make(map[string]float64, 9)
-	var records int64
+	metrics := make(map[string]float64, 4)
 
-	// BTB lookup and insert, both layouts.
-	for _, l := range []struct {
-		structLayout   bool
-		lookup, insert string
-	}{
-		{false, MetricBTBPackedLookup, MetricBTBPackedInsert},
-		{true, MetricBTBStructLookup, MetricBTBStructInsert},
-	} {
-		warm := newPackedBenchBTB(l.structLayout)
-		var hits []btb.Hit
-		metrics[l.lookup] = opsPerSec(ops, func(i int) {
-			hits = warm.LookupLine(zaddr.Addr(0x10_0000+(i%4096)*32), hits[:0])
-		})
-		fresh := newPackedBenchBTB(l.structLayout) // warm, so inserts evict
-		metrics[l.insert] = opsPerSec(ops, func(i int) {
-			fresh.Insert(packedBenchEntry(i))
-		})
-		records += int64(2 * ops)
-	}
+	// BTB lookup and insert.
+	warm := newPackedBenchBTB()
+	var hits []btb.Hit
+	metrics[MetricBTBPackedLookup] = opsPerSec(ops, func(i int) {
+		hits = warm.LookupLine(zaddr.Addr(0x10_0000+(i%4096)*32), hits[:0])
+	})
+	fresh := newPackedBenchBTB() // warm, so inserts evict
+	metrics[MetricBTBPackedInsert] = opsPerSec(ops, func(i int) {
+		fresh.Insert(packedBenchEntry(i))
+	})
 
-	// PHT and CTB lookups, both layouts, over a warmed table and a
-	// recorded global history.
+	// PHT and CTB lookups over a warmed table and a recorded global
+	// history.
 	var h history.History
 	for i := 0; i < 64; i++ {
 		h.RecordPrediction(zaddr.Addr(0x2000+i*6), i%2 == 0)
 	}
-	for _, l := range []struct {
-		structLayout bool
-		pht, ctb     string
-	}{
-		{false, MetricPHTPackedLookup, MetricCTBPackedLookup},
-		{true, MetricPHTStructLookup, MetricCTBStructLookup},
-	} {
-		pt := pht.NewLayout(pht.DefaultEntries, l.structLayout)
-		ct := ctb.NewLayout(ctb.DefaultEntries, l.structLayout)
-		for i := 0; i < 4096; i++ {
-			a := zaddr.Addr(0x4000 + i*12)
-			pt.Update(&h, a, i%2 == 0)
-			ct.Update(&h, a, a+zaddr.Addr(i))
-		}
-		metrics[l.pht] = opsPerSec(ops, func(i int) {
-			pt.Lookup(&h, zaddr.Addr(0x4000+(i%4096)*12))
-		})
-		metrics[l.ctb] = opsPerSec(ops, func(i int) {
-			ct.Lookup(&h, zaddr.Addr(0x4000+(i%4096)*12))
-		})
-		records += int64(2 * ops)
+	pt := pht.New(pht.DefaultEntries)
+	ct := ctb.New(ctb.DefaultEntries)
+	for i := 0; i < 4096; i++ {
+		a := zaddr.Addr(0x4000 + i*12)
+		pt.Update(&h, a, i%2 == 0)
+		ct.Update(&h, a, a+zaddr.Addr(i))
 	}
-
-	metrics[MetricLayoutMismatch] = float64(layoutEquivalenceSweep())
+	metrics[MetricPHTPackedLookup] = opsPerSec(ops, func(i int) {
+		pt.Lookup(&h, zaddr.Addr(0x4000+(i%4096)*12))
+	})
+	metrics[MetricCTBPackedLookup] = opsPerSec(ops, func(i int) {
+		ct.Lookup(&h, zaddr.Addr(0x4000+(i%4096)*12))
+	})
 
 	return ScenarioResult{
 		Name:    ScenarioPackedTables,
-		Records: records,
+		Records: int64(4 * ops),
 		Metrics: metrics,
 	}, nil
-}
-
-// layoutEquivalenceSweep runs a short randomized op sequence against a
-// packed/struct table pair for each structure and returns the number of
-// diverging observations — the full battery lives in the layout
-// differential gate and the per-package model tests; this is the
-// trajectory's tripwire.
-func layoutEquivalenceSweep() int {
-	mismatches := 0
-	rng := rand.New(rand.NewSource(0x5EED))
-
-	cfg := btb.BTB1Config
-	sCfg := cfg
-	sCfg.StructLayout = true
-	bp, bs := btb.New(cfg), btb.New(sCfg)
-	var hp, hs []btb.Hit
-	for op := 0; op < 20_000; op++ {
-		a := zaddr.Addr((0x10_0000 + rng.Intn(1<<16)) &^ 1)
-		switch rng.Intn(3) {
-		case 0:
-			e := btb.Entry{Addr: a, Target: a + 64, Dir: 1, Length: uint8(rng.Intn(16))}
-			vP, evP := bp.Insert(e)
-			vS, evS := bs.Insert(e)
-			if vP != vS || evP != evS {
-				mismatches++
-			}
-		case 1:
-			hp = bp.LookupLine(a, hp[:0])
-			hs = bs.LookupLine(a, hs[:0])
-			if len(hp) != len(hs) {
-				mismatches++
-				continue
-			}
-			for i := range hp {
-				if hp[i] != hs[i] {
-					mismatches++
-				}
-			}
-		case 2:
-			eP, okP := bp.Find(a)
-			eS, okS := bs.Find(a)
-			if eP != eS || okP != okS {
-				mismatches++
-			}
-		}
-	}
-
-	var h history.History
-	pp, ps := pht.NewLayout(1024, false), pht.NewLayout(1024, true)
-	cp, cs := ctb.NewLayout(1024, false), ctb.NewLayout(1024, true)
-	for op := 0; op < 10_000; op++ {
-		a := zaddr.Addr(rng.Intn(1<<14) &^ 1)
-		switch rng.Intn(3) {
-		case 0:
-			h.RecordPrediction(a, rng.Intn(2) == 0)
-		case 1:
-			taken := rng.Intn(2) == 0
-			pp.Update(&h, a, taken)
-			ps.Update(&h, a, taken)
-			cp.Update(&h, a, a+32)
-			cs.Update(&h, a, a+32)
-		case 2:
-			tP, okP := pp.Lookup(&h, a)
-			tS, okS := ps.Lookup(&h, a)
-			if tP != tS || okP != okS {
-				mismatches++
-			}
-			gP, cokP := cp.Lookup(&h, a)
-			gS, cokS := cs.Lookup(&h, a)
-			if gP != gS || cokP != cokS {
-				mismatches++
-			}
-		}
-	}
-	return mismatches
 }

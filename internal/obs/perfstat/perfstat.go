@@ -40,24 +40,15 @@ const (
 	MetricDecodeAlloc = "decode_allocs_per_batch"
 	MetricMismatches  = "differential_mismatches"
 
-	// packed_tables scenario: per-structure lookup/insert rates for the
-	// packed structure-of-arrays layout and the retained struct-layout
-	// oracle, plus a layout equivalence cross-check.
+	// packed_tables scenario: per-structure lookup/insert rates of the
+	// packed predictor tables.
 	MetricBTBPackedLookup = "btb_packed_lookup_ops_per_sec"
-	MetricBTBStructLookup = "btb_struct_lookup_ops_per_sec"
 	MetricBTBPackedInsert = "btb_packed_insert_ops_per_sec"
-	MetricBTBStructInsert = "btb_struct_insert_ops_per_sec"
 	MetricPHTPackedLookup = "pht_packed_lookup_ops_per_sec"
-	MetricPHTStructLookup = "pht_struct_lookup_ops_per_sec"
 	MetricCTBPackedLookup = "ctb_packed_lookup_ops_per_sec"
-	MetricCTBStructLookup = "ctb_struct_lookup_ops_per_sec"
-	MetricLayoutMismatch  = "layout_mismatches"
 )
 
 // throughputMetrics are gated lower-is-worse against the baseline.
-// Only the packed (shipping-layout) table rates are gated: the struct
-// oracle's rates are recorded for the before/after record but a slower
-// oracle is not a regression.
 var throughputMetrics = []string{
 	MetricSerialRPS, MetricParallelRPS, MetricSpeedup, MetricDecodeRPS,
 	MetricBTBPackedLookup, MetricBTBPackedInsert,
@@ -66,7 +57,7 @@ var throughputMetrics = []string{
 
 // zeroMetrics must be exactly zero in every run, baseline or not: a
 // nonzero value means the pipeline is wrong, not slow.
-var zeroMetrics = []string{MetricDecodeAlloc, MetricMismatches, MetricLayoutMismatch}
+var zeroMetrics = []string{MetricDecodeAlloc, MetricMismatches}
 
 // ScenarioResult is one named scenario's measurements within an entry.
 type ScenarioResult struct {

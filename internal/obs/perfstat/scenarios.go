@@ -45,9 +45,8 @@ func Scenarios() []ScenarioInfo {
 				"throughput plus steady-state allocations per batch"},
 		{ScenarioPackedTables,
 			"per-structure predictor-table microbenchmarks: BTB lookup/insert " +
-				"and PHT/CTB lookup rates for the packed structure-of-arrays " +
-				"layout vs the struct-layout oracle, with a randomized " +
-				"layout-equivalence tripwire"},
+				"and PHT/CTB lookup rates of the packed structure-of-arrays " +
+				"tables, over warm tables"},
 	}
 }
 

@@ -21,10 +21,10 @@ func BenchmarkLookupUpdate(b *testing.B) {
 	}
 }
 
-// benchLayoutTable builds a warmed table in the requested layout with a
-// recorded history the lookups index through.
-func benchLayoutTable(structLayout bool) (*Table, *history.History) {
-	t := NewLayout(DefaultEntries, structLayout)
+// benchTable builds a warmed table with a recorded history the
+// lookups index through.
+func benchTable() (*Table, *history.History) {
+	t := New(DefaultEntries)
 	var h history.History
 	for i := 0; i < 64; i++ {
 		h.RecordPrediction(zaddr.Addr(0x2000+i*6), i%2 == 0)
@@ -35,36 +35,20 @@ func benchLayoutTable(structLayout bool) (*Table, *history.History) {
 	return t, &h
 }
 
-// BenchmarkLookupLayout compares the PHT lookup hot path across the
-// packed bit-field layout and the struct-layout oracle.
-func BenchmarkLookupLayout(b *testing.B) {
-	for _, l := range []struct {
-		name         string
-		structLayout bool
-	}{{"packed", false}, {"struct", true}} {
-		b.Run(l.name, func(b *testing.B) {
-			t, h := benchLayoutTable(l.structLayout)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t.Lookup(h, zaddr.Addr(0x4000+(i%4096)*12))
-			}
-		})
+// BenchmarkLookup times the PHT lookup hot path on a warm table.
+func BenchmarkLookup(b *testing.B) {
+	t, h := benchTable()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Lookup(h, zaddr.Addr(0x4000+(i%4096)*12))
 	}
 }
 
-// BenchmarkUpdateLayout compares the PHT install/update path across
-// layouts.
-func BenchmarkUpdateLayout(b *testing.B) {
-	for _, l := range []struct {
-		name         string
-		structLayout bool
-	}{{"packed", false}, {"struct", true}} {
-		b.Run(l.name, func(b *testing.B) {
-			t, h := benchLayoutTable(l.structLayout)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t.Update(h, zaddr.Addr(0x4000+(i%4096)*12), i%2 == 0)
-			}
-		})
+// BenchmarkUpdate times the PHT install/update path on a warm table.
+func BenchmarkUpdate(b *testing.B) {
+	t, h := benchTable()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Update(h, zaddr.Addr(0x4000+(i%4096)*12), i%2 == 0)
 	}
 }

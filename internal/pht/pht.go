@@ -6,10 +6,9 @@
 // UsePHT (branches exhibiting multiple directions) — the same family as
 // the tagged ppm-like predictors of Michaud.
 //
-// The default storage packs each entry into a 13-bit field
-// (valid | 10-bit tag | 2-bit direction) stored 16 bits wide, four per
-// uint64 word; the original entry-struct slice survives behind the
-// structLayout flag of NewLayout as the equivalence oracle.
+// The table packs each entry into a 13-bit field (valid | 10-bit tag |
+// 2-bit direction) stored 16 bits wide, four per uint64 word. The tests
+// judge it against an entry-struct reference model (layout_test.go).
 package pht
 
 import (
@@ -42,13 +41,6 @@ const (
 	fieldBits     = 16
 )
 
-// entry is one tagged direction record (struct-layout storage).
-type entry struct {
-	valid bool
-	tag   uint16
-	dir   bht.Bimodal
-}
-
 // Stats is a point-in-time view of the PHT counters; the canonical
 // storage is the obs metrics (see RegisterMetrics).
 type Stats struct {
@@ -68,9 +60,8 @@ type metrics struct {
 
 // Table is the pattern history table.
 type Table struct {
-	n     int      // entry count
-	words []uint64 // packed fields, four entries per word (default layout)
-	ref   []entry  // struct-layout storage; nil when packed
+	n     int             // entry count
+	words []uint64        // packed fields, four entries per word
 	inj   *fault.Injector // soft-error injection on Lookup; nil = off
 	met   metrics
 }
@@ -81,19 +72,10 @@ func (t *Table) SetInjector(j *fault.Injector) { t.inj = j }
 // Injector returns the attached injector (nil when faults are off).
 func (t *Table) Injector() *fault.Injector { return t.inj }
 
-// New builds a PHT with the given entry count (power of two), using the
-// packed layout.
-func New(entries int) *Table { return NewLayout(entries, false) }
-
-// NewLayout builds a PHT choosing the storage backend: packed 16-bit
-// fields (the default) or the retained entry-struct oracle layout. The
-// two are observationally equivalent; see the layout equivalence tests.
-func NewLayout(entries int, structLayout bool) *Table {
+// New builds a PHT with the given entry count (power of two).
+func New(entries int) *Table {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("pht: entries must be a positive power of two")
-	}
-	if structLayout {
-		return &Table{n: entries, ref: make([]entry, entries)}
 	}
 	return &Table{n: entries, words: make([]uint64, (entries+3)/4)}
 }
@@ -154,14 +136,6 @@ func (t *Table) RegisterMetrics(r *obs.Registry, prefix string) {
 // CountValid returns the number of valid entries.
 func (t *Table) CountValid() int {
 	n := 0
-	if t.ref != nil {
-		for i := range t.ref {
-			if t.ref[i].valid {
-				n++
-			}
-		}
-		return n
-	}
 	for i := 0; i < t.n; i++ {
 		if t.field(i)&(1<<fieldValidBit) != 0 {
 			n++
@@ -184,17 +158,6 @@ func tagOf(a zaddr.Addr) uint16 {
 func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (taken bool, ok bool) {
 	t.met.lookups.Inc()
 	i := h.PHTIndex(addr, t.n)
-	if t.ref != nil {
-		e := &t.ref[i]
-		if t.inj != nil && e.valid {
-			t.refFaultCheck(e)
-		}
-		if !e.valid || e.tag != tagOf(addr) {
-			return false, false
-		}
-		t.met.hits.Inc()
-		return e.dir.Taken(), true
-	}
 	f := t.field(i)
 	if t.inj != nil && f&(1<<fieldValidBit) != 0 {
 		t.faultCheck(i)
@@ -209,10 +172,9 @@ func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (taken bool, ok bool
 
 // faultCheck strikes the entry being read, if this read is the one the
 // injector's schedule lands on. The flip domain is the stored payload:
-// 10 tag bits and the 2-bit direction counter — identical positions in
-// both layouts, so identical seeds corrupt identically. Parity recovers
-// by invalidation; unprotected flips persist (a flipped tag silently
-// redirects the entry to an aliasing branch). Packed layout.
+// 10 tag bits and then the 2-bit direction counter. Parity recovers by
+// invalidation; unprotected flips persist (a flipped tag silently
+// redirects the entry to an aliasing branch).
 //
 //zbp:hotpath
 func (t *Table) faultCheck(i int) {
@@ -233,27 +195,6 @@ func (t *Table) faultCheck(i int) {
 	t.inj.NoteSilent()
 }
 
-// refFaultCheck is faultCheck for the struct layout.
-//
-//zbp:hotpath
-func (t *Table) refFaultCheck(e *entry) {
-	bits, ok := t.inj.Strike()
-	if !ok {
-		return
-	}
-	if t.inj.Parity() {
-		*e = entry{}
-		t.inj.NoteRecovered()
-		return
-	}
-	if b := bits % (tagBits + 2); b < tagBits {
-		e.tag ^= 1 << b
-	} else {
-		e.dir ^= 1 << (b - tagBits)
-	}
-	t.inj.NoteSilent()
-}
-
 // Update trains the entry for the branch at addr with a resolved
 // direction. On tag mismatch the entry is stolen (retagged and
 // re-initialized) — small tagged predictors reallocate on miss.
@@ -263,17 +204,6 @@ func (t *Table) refFaultCheck(e *entry) {
 func (t *Table) Update(h *history.History, addr zaddr.Addr, taken bool) {
 	i := h.PHTIndex(addr, t.n)
 	tag := tagOf(addr)
-	if t.ref != nil {
-		e := &t.ref[i]
-		if e.valid && e.tag == tag {
-			e.dir = e.dir.Update(taken)
-			t.met.updates.Inc()
-			return
-		}
-		*e = entry{valid: true, tag: tag, dir: bht.Init(taken)}
-		t.met.installs.Inc()
-		return
-	}
 	f := t.field(i)
 	if f&(1<<fieldValidBit) != 0 && uint16(f>>fieldTagShift)&((1<<tagBits)-1) == tag {
 		dir := bht.Bimodal(f >> fieldDirShift & 3).Update(taken)
@@ -287,15 +217,7 @@ func (t *Table) Update(h *history.History, addr zaddr.Addr, taken bool) {
 
 // Reset invalidates every entry.
 func (t *Table) Reset() {
-	if t.ref != nil {
-		for i := range t.ref {
-			t.ref[i] = entry{}
-		}
-	} else {
-		for i := range t.words {
-			t.words[i] = 0
-		}
-	}
+	clear(t.words)
 	t.met = metrics{}
 }
 
@@ -307,7 +229,6 @@ type EntryState struct {
 }
 
 // State is a serializable copy of the table's architectural contents.
-// The format is layout-independent (see btb.State).
 type State struct{ Entries []EntryState }
 
 // State returns a deep copy of the table's architectural state.
@@ -315,16 +236,10 @@ type State struct{ Entries []EntryState }
 //zbp:layout field unpack
 func (t *Table) State() State {
 	s := State{Entries: make([]EntryState, t.n)}
-	if t.ref != nil {
-		for i, e := range t.ref {
-			s.Entries[i] = EntryState{Valid: e.valid, Tag: e.tag, Dir: e.dir}
-		}
-		return s
-	}
 	for i := 0; i < t.n; i++ {
 		f := t.field(i)
 		if f&(1<<fieldValidBit) == 0 {
-			continue // zero EntryState, like a cleared struct entry
+			continue // invalid entries serialize as the zero EntryState
 		}
 		s.Entries[i] = EntryState{
 			Valid: true,
@@ -336,15 +251,22 @@ func (t *Table) State() State {
 }
 
 // RestoreState overwrites the table's contents with s, which must come
-// from a table of identical size.
+// from a table of identical size. Invalid entries restore empty. A valid
+// entry whose tag or direction is wider than its packed field is
+// rejected as corrupt rather than truncated into a different entry, and
+// a rejected state leaves the table untouched.
 func (t *Table) RestoreState(s State) error {
 	if len(s.Entries) != t.n {
 		return fmt.Errorf("pht: state has %d entries, table has %d", len(s.Entries), t.n)
 	}
 	for i, e := range s.Entries {
-		if t.ref != nil {
-			t.ref[i] = entry{valid: e.Valid, tag: e.Tag, dir: e.Dir}
-		} else if e.Valid {
+		if e.Valid && (e.Tag >= 1<<tagBits || e.Dir > 3) {
+			return fmt.Errorf("pht: restored state is corrupt: entry %d holds tag %#x, direction %d (fields hold %d and 2 bits)",
+				i, e.Tag, e.Dir, tagBits)
+		}
+	}
+	for i, e := range s.Entries {
+		if e.Valid {
 			t.setField(i, packField(e.Tag, e.Dir))
 		} else {
 			t.setField(i, 0)

@@ -43,15 +43,6 @@ type FaultPoint struct {
 //
 // Points are ordered rate-major (unprotected then parity within a rate);
 // failed shards stay zero-valued and surface in the returned error.
-func FaultStudy(profile workload.Profile, params engine.Params, rates []float64) ([]FaultPoint, error) {
-	return FaultStudyConfig(profile, core.DefaultConfig(), params, rates)
-}
-
-// FaultStudyConfig is FaultStudy under an explicit hierarchy
-// configuration. The layout differential suite runs it once per storage
-// layout: the fault model is defined over each entry's logical payload
-// bits, not its physical words, so identical seeds must corrupt both
-// layouts identically and the study's points must match exactly.
 //
 // The profile's trace is recorded once and every run (the fault-free
 // reference first, then each rate x protection point) replays that
@@ -60,7 +51,8 @@ func FaultStudy(profile workload.Profile, params engine.Params, rates []float64)
 // A panicking run is isolated like any other unit: a failed fault-free
 // run no longer takes down the caller, it leaves every DeltaCPIPct at
 // 0, and its error is returned.
-func FaultStudyConfig(profile workload.Profile, cfg core.Config, params engine.Params, rates []float64) ([]FaultPoint, error) {
+func FaultStudy(profile workload.Profile, params engine.Params, rates []float64) ([]FaultPoint, error) {
+	cfg := core.DefaultConfig()
 	src := workload.New(profile)
 	name := src.Name()
 	ins := trace.Collect(src)
