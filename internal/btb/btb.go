@@ -131,7 +131,7 @@ var (
 // canonical storage is the obs metrics (see RegisterMetrics); Stats
 // remains the convenient comparable value for tests and reports.
 type Stats struct {
-	Lookups  int64 // LookupLine calls
+	Lookups  int64 // congruence-class reads
 	LineHits int64 // lookups that found at least one matching entry
 	Installs int64 // new entries written
 	Updates  int64 // in-place updates of existing entries
@@ -159,13 +159,15 @@ type Table struct {
 	lru     []uint64 // per row: recency order, 4-bit way per rank (rank 0 = MRU)
 
 	// Precomputed packed-geometry constants (see packed.go).
-	offBits   uint   // in-line offset width: 63 - IndexLo
-	tagShift  uint   // tag field's shift within the tag word: 1 + offBits
-	hiBits    uint   // address bits above the index: IndexHi
-	lineBytes uint64 // LineBytes() as uint64
-	entryMask uint64 // valid + compared tag bits + offset
-	lineMask  uint64 // valid + compared tag bits
-	initLRU   uint64 // reset recency order: way k at rank k
+	offBits   uint        // in-line offset width: 63 - IndexLo
+	tagShift  uint        // tag field's shift within the tag word: 1 + offBits
+	hiBits    uint        // address bits above the index: IndexHi
+	tagIn     uint        // shift bringing address bits 0..IndexHi-1 to bit 0: 64 - hiBits
+	index     zaddr.Field // address bits IndexHi..IndexLo: the row
+	lineBytes uint64      // LineBytes() as uint64
+	entryMask uint64      // valid + compared tag bits + offset
+	lineMask  uint64      // valid + compared tag bits
+	initLRU   uint64      // reset recency order: way k at rank k
 
 	// inj, when non-nil, strikes soft errors on valid-entry reads; nil
 	// (the default) is the zero-cost disabled state. See fault.go.
@@ -183,6 +185,8 @@ func New(cfg Config) *Table {
 		cfg:       cfg,
 		offBits:   63 - cfg.IndexLo,
 		hiBits:    cfg.IndexHi,
+		tagIn:     64 - cfg.IndexHi,
+		index:     zaddr.NewField(cfg.IndexHi, cfg.IndexLo),
 		lineBytes: uint64(cfg.LineBytes()),
 	}
 	t.tagShift = 1 + t.offBits
@@ -226,7 +230,7 @@ func (t *Table) Stats() Stats {
 // RegisterMetrics enumerates the table's counters (plus a computed
 // occupancy gauge) into r under the given prefix, e.g. "btb1_".
 func (t *Table) RegisterMetrics(r *obs.Registry, prefix string) {
-	r.Counter(prefix+"lookups_total", "searches", "LookupLine congruence-class reads", &t.met.lookups)
+	r.Counter(prefix+"lookups_total", "searches", "congruence-class reads", &t.met.lookups)
 	r.Counter(prefix+"line_hits_total", "searches", "lookups finding at least one matching entry", &t.met.lineHits)
 	r.Counter(prefix+"installs_total", "entries", "new entries written", &t.met.installs)
 	r.Counter(prefix+"updates_total", "entries", "in-place updates of existing entries", &t.met.updates)
@@ -235,11 +239,13 @@ func (t *Table) RegisterMetrics(r *obs.Registry, prefix string) {
 		func() int64 { return int64(t.CountValid()) })
 }
 
-// RowFor returns the congruence class the address maps to.
+// RowFor returns the congruence class the address maps to: address
+// bits IndexHi..IndexLo, read through the field New validated once
+// (zaddr.Bits would re-validate the range on every call).
 //
 //zbp:hotpath
 func (t *Table) RowFor(a zaddr.Addr) int {
-	return int(zaddr.Bits(a, t.cfg.IndexHi, t.cfg.IndexLo))
+	return int(t.index.Of(a))
 }
 
 // Hit describes one matching entry found by LookupLine.
@@ -287,6 +293,152 @@ func (t *Table) LookupLine(line zaddr.Addr, out []Hit) []Hit {
 		t.met.lineHits.Inc()
 	}
 	return out
+}
+
+// CountFrom returns how many valid entries in the row of a match a's
+// line and sit at or after a's offset within its 32-byte row — the
+// question one search cycle asks of a congruence class. It reads only
+// the tag lane and has LookupLine's side effects: one lookup, one line
+// hit if any entry matches the line (at any offset), and one fault
+// strike per valid entry in way order. The offset compared is
+// (k>>1)&(RowBytes-1), which equals zaddr.RowOffset of the entry's
+// decoded address because every line is a whole number of rows.
+//
+//zbp:hotpath
+func (t *Table) CountFrom(a zaddr.Addr) int {
+	t.met.lookups.Inc()
+	row := t.RowFor(a)
+	if t.inj != nil {
+		return t.countStruck(row, a)
+	}
+	key := t.packKey(a)
+	off := uint64(zaddr.RowOffset(a))
+	n, found := 0, false
+	// The key carries valid=1 and lineMask keeps the valid bit, so an
+	// invalid slot never matches.
+	for _, k := range t.tags[row*t.cfg.Ways : (row+1)*t.cfg.Ways] {
+		if (k^key)&t.lineMask == 0 {
+			found = true
+			if k>>1&(zaddr.RowBytes-1) >= off {
+				n++
+			}
+		}
+	}
+	if found {
+		t.met.lineHits.Inc()
+	}
+	return n
+}
+
+// countStruck is CountFrom with an injector attached: each valid slot
+// is struck before its compare, as LookupLine strikes it.
+//
+//zbp:hotpath
+func (t *Table) countStruck(row int, a zaddr.Addr) int {
+	base := row * t.cfg.Ways
+	key := t.packKey(a)
+	off := uint64(zaddr.RowOffset(a))
+	n, found := 0, false
+	for w := 0; w < t.cfg.Ways; w++ {
+		if t.tags[base+w]&1 == 0 {
+			continue
+		}
+		t.faultCheck(row, w)
+		k := t.tags[base+w]
+		if k&1 != 0 && (k^key)&t.lineMask == 0 {
+			found = true
+			if k>>1&(zaddr.RowBytes-1) >= off {
+				n++
+			}
+		}
+	}
+	if found {
+		t.met.lineHits.Inc()
+	}
+	return n
+}
+
+// Probe is the first-level predict read of branch a: it returns a copy
+// of a's entry, whether that entry sat in its row's MRU way, and
+// whether it was found, and makes a found entry MRU. It counts one
+// lookup and one line hit per found entry, and none on a miss. mru
+// holds when the first way whose tag word equals a's exactly (full
+// tag, not the TagBits-truncated compare) is the MRU way.
+//
+// With an injector attached, Probe strikes the reads the model has
+// always charged a BTB1 prediction, in order: the way scan up to the
+// match, then a full-row read for the MRU check (docs/MODEL.md). The
+// recency update follows the strikes.
+//
+//zbp:hotpath
+func (t *Table) Probe(a zaddr.Addr) (e Entry, mru, ok bool) {
+	row := t.RowFor(a)
+	if t.inj != nil {
+		return t.probeStruck(row, a)
+	}
+	base := row * t.cfg.Ways
+	tags := t.tags[base : base+t.cfg.Ways]
+	key := t.packKey(a)
+	w := 0
+	for w < len(tags) && (tags[w]^key)&t.entryMask != 0 {
+		w++
+	}
+	if w == len(tags) {
+		return Entry{}, false, false
+	}
+	t.met.lookups.Inc()
+	t.met.lineHits.Inc()
+	// No way before w can equal key exactly: it would have matched the
+	// masked compare first.
+	mruWay := int(t.lru[row] & 0xF)
+	for x := w; x < len(tags); x++ {
+		if tags[x] == key {
+			mru = x == mruWay
+			break
+		}
+	}
+	t.unpackEntry(row, w, &e)
+	t.promoteWay(row, w)
+	return e, mru, true
+}
+
+// probeStruck is Probe with an injector attached: findWay's partial
+// scan, then the full-row MRU read, then the recency update of
+// whatever the strikes left matching.
+//
+//zbp:hotpath
+func (t *Table) probeStruck(row int, a zaddr.Addr) (e Entry, mru, ok bool) {
+	w := t.findWay(row, a)
+	if w < 0 {
+		return Entry{}, false, false
+	}
+	t.unpackEntry(row, w, &e)
+	t.met.lookups.Inc()
+	base := row * t.cfg.Ways
+	key := t.packKey(a)
+	mruWay := int(t.lru[row] & 0xF)
+	exact, found := -1, false
+	for x := 0; x < t.cfg.Ways; x++ {
+		if t.tags[base+x]&1 == 0 {
+			continue
+		}
+		t.faultCheck(row, x)
+		k := t.tags[base+x]
+		if k&1 == 0 || (k^key)&t.lineMask != 0 {
+			continue
+		}
+		found = true
+		if exact < 0 && k == key {
+			exact = x
+		}
+	}
+	if found {
+		t.met.lineHits.Inc()
+	}
+	if w = t.matchWay(row, a); w >= 0 {
+		t.promoteWay(row, w)
+	}
+	return e, exact >= 0 && exact == mruWay, true
 }
 
 // Find returns a copy of the entry recognized as branch a, if present.

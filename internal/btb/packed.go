@@ -58,9 +58,9 @@ const (
 //zbp:hotpath
 //zbp:layout tagword pack
 func (t *Table) packKey(a zaddr.Addr) uint64 {
-	k := 1 | zaddr.OffsetWithin(a, t.lineBytes)<<1
+	k := 1 | uint64(a)&(t.lineBytes-1)<<1
 	if t.hiBits > 0 {
-		k |= zaddr.Bits(a, 0, t.cfg.IndexHi-1) << t.tagShift
+		k |= uint64(a) >> t.tagIn << t.tagShift
 	}
 	return k
 }

@@ -105,3 +105,64 @@ func BenchmarkSurpriseInstallNoDetail(b *testing.B) {
 		now += 100
 	}
 }
+
+// transferSteadyState returns a hierarchy whose BTB2 holds branches
+// spread over one 4 KB block (none left in the first level), plus the
+// branches, after warming every scratch buffer of the transfer path.
+func transferSteadyState(cfg Config) (*Hierarchy, []zaddr.Addr, uint64) {
+	h := New(cfg)
+	const base = zaddr.Addr(0x40000)
+	var branches []zaddr.Addr
+	now := uint64(0)
+	for k := 0; k < 8; k++ {
+		a := base + zaddr.Addr(k*0x120+8)
+		branches = append(branches, a)
+		installBranch(h, takenBranch(a, a+0x40), now)
+		now += 100
+	}
+	for i := 0; i < 4; i++ {
+		now = transferRound(h, branches, now)
+	}
+	return h, branches, now
+}
+
+// transferRound clears the branches from the first level, reports a
+// BTB1 miss plus an I-cache miss on their block (a full search), and
+// advances cycle by cycle until every row read has drained and
+// installed its hits into the BTBP. It returns the next free cycle.
+func transferRound(h *Hierarchy, branches []zaddr.Addr, now uint64) uint64 {
+	for _, a := range branches {
+		h.btbp.Invalidate(a)
+		h.btb1.Invalidate(a)
+	}
+	h.ReportICacheMiss(branches[0], now)
+	h.ReportBTB1Miss(branches[0], now)
+	end := now + uint64(h.cfg.Tracker.StartDelay+h.cfg.Tracker.PipeDepth+zaddr.RowsPerBlock)
+	for ; now <= end; now++ {
+		h.Advance(now)
+	}
+	return now
+}
+
+func TestTransferPathNoAllocs(t *testing.T) {
+	steered := testConfig()
+	steered.UseSteering = true
+	sequential := testConfig()
+	sequential.UseSteering = false
+	for name, cfg := range map[string]Config{"steered": steered, "sequential": sequential} {
+		t.Run(name, func(t *testing.T) {
+			h, branches, now := transferSteadyState(cfg)
+			hits := h.Stats().TransferredHits
+			allocs := testing.AllocsPerRun(50, func() {
+				now = transferRound(h, branches, now)
+			})
+			if allocs != 0 {
+				t.Errorf("BTB2 transfer path allocates %.1f objects per full search, want 0", allocs)
+			}
+			// AllocsPerRun adds one warm-up call to its 50 runs.
+			if got, want := h.Stats().TransferredHits-hits, int64(51*len(branches)); got != want {
+				t.Errorf("%d transferred hits over 51 searches, want %d: the path under test did not run", got, want)
+			}
+		})
+	}
+}

@@ -95,7 +95,7 @@ func TestSequentialOrderFallback(t *testing.T) {
 		t.Error("sequential orderer produced no reads")
 	}
 	// The sequentialOrder helper itself returns a valid permutation.
-	order := sequentialOrder{}.Order(0x40000 + 5*zaddr.SectorBytes)
+	order := new(sequentialOrder).Order(0x40000 + 5*zaddr.SectorBytes)
 	if len(order) != zaddr.SectorsPerBlock || order[0] != 5 {
 		t.Errorf("sequential order wrong: %v", order[:3])
 	}

@@ -103,7 +103,7 @@ type Hierarchy struct {
 	chasedPos int
 	crossRefs map[uint64]int
 
-	hitBuf []btb.Hit // scratch for lookups
+	hitBuf []btb.Hit // scratch for BTB2 transfer reads
 	met    hierMetrics
 	tracer Tracer // optional event sink (see events.go)
 
@@ -146,7 +146,7 @@ func New(cfg Config) *Hierarchy {
 			h.steer = steering.New(cfg.SteeringEntries, cfg.SteeringWays)
 			ord = h.steer
 		} else {
-			ord = sequentialOrder{}
+			ord = new(sequentialOrder)
 		}
 		// The tracker's search granularity follows the BTB2's row
 		// coverage (32 bytes shipping; 64/128 in the future-work study).
@@ -166,16 +166,19 @@ func New(cfg Config) *Hierarchy {
 }
 
 // sequentialOrder is the Orderer used when steering is disabled:
-// sequential from the entry sector.
-type sequentialOrder struct{}
+// sequential from the entry sector. Order returns buf, overwritten by
+// the next call.
+type sequentialOrder struct {
+	buf [zaddr.SectorsPerBlock]int
+}
 
-func (sequentialOrder) Order(entry zaddr.Addr) []int {
+//zbp:hotpath
+func (o *sequentialOrder) Order(entry zaddr.Addr) []int {
 	start := zaddr.Sector(entry)
-	out := make([]int, zaddr.SectorsPerBlock)
-	for i := range out {
-		out[i] = (start + i) % zaddr.SectorsPerBlock
+	for i := range o.buf {
+		o.buf[i] = (start + i) % zaddr.SectorsPerBlock
 	}
-	return out
+	return o.buf[:]
 }
 
 // Config returns the hierarchy's configuration.
@@ -227,26 +230,48 @@ func (h *Hierarchy) History() *history.History { return &h.hist }
 
 // Advance applies all state transitions due by cycle now: surprise
 // installs whose write latency has elapsed, and BTB2 bulk-transfer row
-// reads whose data has arrived at the BTBP.
+// reads whose data has arrived at the BTBP. With nothing due it is a
+// few compares: the search and predict paths call it every cycle.
 //
 //zbp:hotpath
 func (h *Hierarchy) Advance(now uint64) {
-	// Drain due installs by compacting in place rather than re-slicing
-	// from the front: [1:] slicing walks the backing array forward and
-	// forces append to reallocate periodically, which would put
-	// steady-state allocations on the install path.
-	if n := 0; len(h.pendingSurprise) > 0 && h.pendingSurprise[0].at <= now {
-		for n < len(h.pendingSurprise) && h.pendingSurprise[n].at <= now {
-			h.installBTBP(h.pendingSurprise[n].entry, now)
-			n++
-		}
-		m := copy(h.pendingSurprise, h.pendingSurprise[n:])
-		h.pendingSurprise = h.pendingSurprise[:m]
+	if len(h.pendingSurprise) > 0 && h.pendingSurprise[0].at <= now {
+		h.installDue(now)
 	}
 	if h.trk == nil {
 		return
 	}
-	for _, rd := range h.trk.Drain(now) {
+	if reads := h.trk.Drain(now); len(reads) > 0 {
+		h.transfer(reads, now)
+	}
+	if len(h.crossRefs) > 0 {
+		h.maybeChase(now)
+	}
+}
+
+// installDue makes the surprise installs due by now visible. It
+// compacts the queue in place rather than re-slicing from the front:
+// [1:] slicing walks the backing array forward and forces append to
+// reallocate periodically, which would put steady-state allocations on
+// the install path.
+//
+//zbp:hotpath
+func (h *Hierarchy) installDue(now uint64) {
+	n := 0
+	for n < len(h.pendingSurprise) && h.pendingSurprise[n].at <= now {
+		h.installBTBP(h.pendingSurprise[n].entry, now)
+		n++
+	}
+	m := copy(h.pendingSurprise, h.pendingSurprise[n:])
+	h.pendingSurprise = h.pendingSurprise[:m]
+}
+
+// transfer performs the drained BTB2 row reads: each row's hits are
+// bulk-written into the BTBP and their BTB2 copies handled per policy.
+//
+//zbp:hotpath
+func (h *Hierarchy) transfer(reads []tracker.Read, now uint64) {
+	for _, rd := range reads {
 		h.met.counters.transferReads.Inc()
 		h.hitBuf = h.btb2.LookupLine(rd.Line, h.hitBuf[:0])
 		h.met.transferBurst.Observe(int64(len(h.hitBuf)))
@@ -275,7 +300,6 @@ func (h *Hierarchy) Advance(now uint64) {
 			}
 		}
 	}
-	h.maybeChase(now)
 }
 
 // maybeChase launches at most one secondary full search for the block
@@ -285,9 +309,6 @@ func (h *Hierarchy) Advance(now uint64) {
 //
 //zbp:hotpath
 func (h *Hierarchy) maybeChase(now uint64) {
-	if !h.cfg.MultiBlockTransfer || len(h.crossRefs) == 0 {
-		return
-	}
 	// Leave headroom for demand-triggered searches.
 	if h.trk.ActiveSearches(now) >= h.cfg.Tracker.Count-1 {
 		return
@@ -367,21 +388,15 @@ func (h *Hierarchy) PendingSurpriseFor(a zaddr.Addr) bool {
 
 // SearchLine reports whether the first level holds any entry for the
 // 32-byte line containing a at or after a's offset — one search of the
-// parallel BTB1+BTBP read. nt2 reports whether the row could supply two
-// predictions at once (>= 2 matching entries), which earns the paired
-// not-taken rate of Table 1.
-func (h *Hierarchy) SearchLine(a zaddr.Addr, now uint64) (found, nt2 bool) {
+// parallel BTB1+BTBP read. Both rows are read (BTB1 first) even when
+// the BTB1 alone answers, as the hardware reads them in parallel.
+//
+//zbp:hotpath
+func (h *Hierarchy) SearchLine(a zaddr.Addr, now uint64) bool {
 	h.Advance(now)
-	n := 0
-	off := zaddr.RowOffset(a)
-	h.hitBuf = h.btb1.LookupLine(a, h.hitBuf[:0])
-	h.hitBuf = h.btbp.LookupLine(a, h.hitBuf)
-	for _, hit := range h.hitBuf {
-		if zaddr.RowOffset(hit.Entry.Addr) >= off {
-			n++
-		}
-	}
-	return n > 0, n >= 2
+	n := h.btb1.CountFrom(a)
+	n += h.btbp.CountFrom(a)
+	return n > 0
 }
 
 // Predict performs the first-level lookup for the branch at a. On a BTBP
@@ -397,11 +412,10 @@ func (h *Hierarchy) Predict(a zaddr.Addr, now uint64) (Prediction, bool) {
 		level Level
 		mru   bool
 	)
-	if e1, ok := h.btb1.Find(a); ok {
+	if e1, mru1, ok := h.btb1.Probe(a); ok {
 		e = e1
 		level = LevelBTB1
-		mru = h.hitBufMRU(a)
-		h.btb1.Touch(a)
+		mru = mru1
 		h.met.counters.btb1Hits.Inc()
 	} else if ep, ok := h.btbp.Find(a); ok {
 		e = ep
@@ -437,20 +451,6 @@ func (h *Hierarchy) Predict(a zaddr.Addr, now uint64) (Prediction, bool) {
 	h.met.counters.predictions.Inc()
 	h.emit(now, EvPredict, p.Branch, p.Target)
 	return p, true
-}
-
-// hitBufMRU reports whether branch a currently sits in the MRU way of its
-// BTB1 row.
-//
-//zbp:hotpath
-func (h *Hierarchy) hitBufMRU(a zaddr.Addr) bool {
-	h.hitBuf = h.btb1.LookupLine(a, h.hitBuf[:0])
-	for _, hit := range h.hitBuf {
-		if hit.Entry.Addr == a {
-			return hit.MRU
-		}
-	}
-	return false
 }
 
 // promote moves a BTBP entry into the BTB1 ("content is moved into the

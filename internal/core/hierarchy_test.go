@@ -329,18 +329,31 @@ func TestSearchLine(t *testing.T) {
 	b := zaddr.Addr(0x2010) // same 32-byte line
 	installBranch(h, takenBranch(a, 0x9000), 0)
 	installBranch(h, takenBranch(b, 0x9000), 0)
-	found, nt2 := h.SearchLine(0x2000, 1000)
-	if !found || !nt2 {
-		t.Errorf("SearchLine(0x2000) = %v,%v want true,true", found, nt2)
+	// a moves to the BTB1, b stays in the BTBP: the search must see both.
+	if _, ok := h.Predict(a, 100); !ok {
+		t.Fatal("installed branch missed")
 	}
-	// Offset filter: searching after both branches finds nothing.
-	found, _ = h.SearchLine(0x2018, 1000)
-	if found {
+	if in1, inP, _ := h.Contains(a); !in1 || inP {
+		t.Fatalf("a not promoted to the BTB1 (BTB1 %v, BTBP %v)", in1, inP)
+	}
+	l1, lp := h.BTB1Stats().Lookups, h.BTBPStats().Lookups
+	if !h.SearchLine(0x2000, 1000) {
+		t.Error("SearchLine(0x2000) missed both branches")
+	}
+	// Offset filter, inclusive: b sits at offset 0x10 of the BTBP row.
+	if !h.SearchLine(0x2010, 1000) {
+		t.Error("SearchLine(0x2010) missed the BTBP branch at its own offset")
+	}
+	if h.SearchLine(0x2011, 1000) {
 		t.Error("SearchLine ignored the offset filter")
 	}
 	// Line with nothing.
-	if found, _ := h.SearchLine(0x9000, 1000); found {
+	if h.SearchLine(0x9000, 1000) {
 		t.Error("empty line reported found")
+	}
+	// Every search reads one row of each table, hit or not.
+	if d1, dp := h.BTB1Stats().Lookups-l1, h.BTBPStats().Lookups-lp; d1 != 4 || dp != 4 {
+		t.Errorf("4 searches charged %d BTB1 and %d BTBP row reads, want 4 each", d1, dp)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/predictor"
@@ -78,7 +77,7 @@ type Checkpoint struct {
 
 // Checkpoint captures the engine's current restartable state.
 func (e *Engine) Checkpoint() *Checkpoint {
-	ck := &Checkpoint{
+	return &Checkpoint{
 		Trace:            e.res.Trace,
 		Config:           e.res.Config,
 		Instructions:     e.res.Instructions,
@@ -106,15 +105,9 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		LastNTValid:      e.lastNTValid,
 		SnapSeq:          e.snapSeq,
 		NextSnap:         e.nextSnap,
+		Seen:             e.seen.sorted(),
 		Core:             e.hier.State(),
 	}
-	ck.Seen = make([]uint64, 0, len(e.seen))
-	//zbp:allow determinism keys are sorted immediately after collection
-	for a := range e.seen {
-		ck.Seen = append(ck.Seen, uint64(a))
-	}
-	sort.Slice(ck.Seen, func(i, j int) bool { return ck.Seen[i] < ck.Seen[j] })
-	return ck
 }
 
 // restore overwrites the (freshly reset) engine state with ck.
@@ -150,7 +143,7 @@ func (e *Engine) restore(ck *Checkpoint) error {
 	e.snapSeq = ck.SnapSeq
 	e.nextSnap = ck.NextSnap
 	for _, a := range ck.Seen {
-		e.seen[zaddr.Addr(a)] = true
+		e.seen.add(zaddr.Addr(a))
 	}
 	if e.params.CheckpointInterval > 0 {
 		e.nextCkpt = ck.Instructions + e.params.CheckpointInterval

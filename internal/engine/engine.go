@@ -117,7 +117,7 @@ type Engine struct {
 	lastNTRow       zaddr.Addr // row of the last not-taken prediction
 	lastNTValid     bool
 
-	seen map[zaddr.Addr]bool // ever-executed branches (compulsory class)
+	seen addrSet // ever-executed branches (compulsory class)
 
 	res Result
 
@@ -184,7 +184,7 @@ func (e *Engine) reset() {
 	e.prefetchFill = make(map[zaddr.Addr]predictor.Ticks)
 	e.havePrevTaken = false
 	e.lastNTValid = false
-	e.seen = make(map[zaddr.Addr]bool, 1<<16)
+	e.seen.reset()
 	e.res = Result{}
 	e.warmTaken = false
 	e.warmCycles = 0
@@ -452,7 +452,7 @@ func (e *Engine) advanceSearch(addr zaddr.Addr) {
 // reports whether the row was empty (lookahead may continue).
 func (e *Engine) searchRow() bool {
 	probe := e.searchLine + zaddr.Addr(e.searchOffset)
-	found, _ := e.hier.SearchLine(probe, e.now())
+	found := e.hier.SearchLine(probe, e.now())
 	if !found {
 		// Empty rows cost the sequential search rate. A row with content
 		// is *not* charged here: the Table 1 prediction cost charged when
@@ -480,8 +480,7 @@ func (e *Engine) searchRow() bool {
 // branch handles a committed branch instruction.
 func (e *Engine) branch(in trace.Inst) {
 	now := e.now()
-	firstSeen := !e.seen[in.Addr]
-	e.seen[in.Addr] = true
+	firstSeen := e.seen.add(in.Addr)
 
 	p, hit := e.hier.Predict(in.Addr, now)
 
@@ -668,7 +667,7 @@ func (e *Engine) wrongPath(in trace.Inst, p *core.Prediction) {
 	e.missDet.Restart()
 	for i := 0; i < rows; i++ {
 		probe := line + zaddr.Addr(offset)
-		found, _ := e.hier.SearchLine(probe, now)
+		found := e.hier.SearchLine(probe, now)
 		if e.hcfg.MissMode.Speculative() {
 			if anchor, miss := e.missDet.ObserveSearch(probe, found); miss {
 				// A wrong-path speculative miss: pollutes the trackers.

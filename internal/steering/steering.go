@@ -65,6 +65,10 @@ type Table struct {
 	order []uint8 // recency per set (rank 0 = MRU)
 	met   metrics
 
+	// sectorOrder backs Order's result, so a search launch allocates
+	// nothing.
+	sectorOrder [zaddr.SectorsPerBlock]int
+
 	// Live tracking (Section 3.7: maintained "as a function of
 	// instruction checkpoint" until another block is entered).
 	curValid  bool
@@ -254,7 +258,8 @@ func (t *Table) snapshotFor(block uint64) ([zaddr.QuartilesPerBlock]quartileInfo
 
 // Order computes the sector transfer order for a BTB2 bulk search of the
 // block containing entryAddr, entered at entryAddr. The returned slice is
-// a permutation of the 32 sector indices. On a table hit the paper's
+// a permutation of the 32 sector indices, owned by the table and
+// overwritten by the next Order call. On a table hit the paper's
 // priority applies:
 //
 //  1. active sectors of the demand quartile,
@@ -266,15 +271,17 @@ func (t *Table) snapshotFor(block uint64) ([zaddr.QuartilesPerBlock]quartileInfo
 // quartile (wrapping around the block). Within every class, sectors are
 // visited starting from the entry sector's position and wrapping, so the
 // code about to execute is transferred soonest.
+//
+//zbp:hotpath
 func (t *Table) Order(entryAddr zaddr.Addr) []int {
 	t.met.lookups.Inc()
 	block := zaddr.Block(entryAddr)
 	demand := zaddr.Quartile(entryAddr)
 	entrySector := zaddr.Sector(entryAddr)
+	out := t.sectorOrder[:0]
 	q, ok := t.snapshotFor(block)
 	if !ok {
 		// Sequential from the demand quartile's entry point.
-		out := make([]int, 0, zaddr.SectorsPerBlock)
 		for i := 0; i < zaddr.SectorsPerBlock; i++ {
 			out = append(out, (entrySector+i)%zaddr.SectorsPerBlock)
 		}
@@ -282,36 +289,27 @@ func (t *Table) Order(entryAddr zaddr.Addr) []int {
 	}
 	t.met.hits.Inc()
 
-	active := func(s int) bool {
+	// class[s] is sector s's priority class 0..5: inactive sectors come
+	// three classes after active ones; within each half, the demand
+	// quartile first, then quartiles it referenced, then the rest.
+	var class [zaddr.SectorsPerBlock]int
+	for s := range class {
 		qi := zaddr.SectorQuartile(s)
-		return q[qi].sectors&(1<<uint(s%zaddr.SectorsPerQuartile)) != 0
-	}
-	inDemand := func(s int) bool { return zaddr.SectorQuartile(s) == demand }
-	referenced := func(s int) bool {
-		return q[demand].refs&(1<<uint(zaddr.SectorQuartile(s))) != 0 && !inDemand(s)
-	}
-
-	// classOf maps a sector to its priority class 0..5.
-	classOf := func(s int) int {
-		base := 0
-		if !active(s) {
-			base = 3
+		if q[qi].sectors&(1<<uint(s%zaddr.SectorsPerQuartile)) == 0 {
+			class[s] = 3
 		}
 		switch {
-		case inDemand(s):
-			return base
-		case referenced(s):
-			return base + 1
+		case qi == demand:
+		case q[demand].refs&(1<<uint(qi)) != 0:
+			class[s]++
 		default:
-			return base + 2
+			class[s] += 2
 		}
 	}
-
-	out := make([]int, 0, zaddr.SectorsPerBlock)
-	for class := 0; class < 6; class++ {
+	for c := 0; c < 6; c++ {
 		for i := 0; i < zaddr.SectorsPerBlock; i++ {
 			s := (entrySector + i) % zaddr.SectorsPerBlock
-			if classOf(s) == class {
+			if class[s] == c {
 				out = append(out, s)
 			}
 		}

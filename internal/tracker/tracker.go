@@ -26,7 +26,8 @@ import (
 
 // Orderer supplies the sector transfer order for a block entered at a
 // given address. *steering.Table satisfies it; tests substitute fixed
-// orders.
+// orders. The returned slice may be the orderer's scratch, valid until
+// its next Order call.
 type Orderer interface {
 	Order(entryAddr zaddr.Addr) []int
 }
@@ -136,7 +137,18 @@ type Trackers struct {
 	// portFree is the next cycle at which the search port can accept a
 	// row read.
 	portFree uint64
-	met      metrics
+	// due is a lower bound on the first cycle at which Drain or reap can
+	// change anything: it never exceeds the queue head's Ready or any
+	// active slot's lastReady. Drain recomputes it exactly and schedule
+	// lowers it; below it, Drain is a no-op. It must never overshoot: a
+	// partial search whose I-cache bit is set upgrades at the cycle reap
+	// reaches it, so a late reap would launch the upgrade late.
+	due uint64
+	// drained backs Drain's result; rows backs the row list of a search
+	// launch. Both are reused, so the transfer path allocates nothing.
+	drained []Read
+	rows    []int
+	met     metrics
 }
 
 // metrics is the tracker array's registry-backed counter set.
@@ -159,7 +171,12 @@ func New(cfg Config, ord Orderer) *Trackers {
 	if ord == nil {
 		panic("tracker: nil Orderer")
 	}
-	return &Trackers{cfg: cfg, ord: ord, slots: make([]slot, cfg.Count)}
+	return &Trackers{
+		cfg:   cfg,
+		ord:   ord,
+		slots: make([]slot, cfg.Count),
+		rows:  make([]int, 0, cfg.RowsPerBlock()),
+	}
 }
 
 // Config returns the tracker configuration.
@@ -326,6 +343,8 @@ func (t *Trackers) OnICacheMiss(addr zaddr.Addr, now uint64) {
 
 // launchPartial schedules the partial search around the miss address
 // (PartialRows BTB2 rows, 128 bytes in the shipping geometry).
+//
+//zbp:hotpath
 func (t *Trackers) launchPartial(i int, now uint64) {
 	s := &t.slots[i]
 	s.st = partialActive
@@ -333,14 +352,16 @@ func (t *Trackers) launchPartial(i int, now uint64) {
 	rb := t.cfg.rowBytes()
 	sectorBase := zaddr.Align(s.missAddr, zaddr.SectorBytes)
 	startRow := int(zaddr.BlockOffset(sectorBase)) / rb
-	rows := make([]int, 0, t.cfg.PartialRows)
+	t.rows = t.rows[:0]
 	for r := 0; r < t.cfg.PartialRows && startRow+r < t.cfg.RowsPerBlock(); r++ {
-		rows = append(rows, startRow+r)
+		t.rows = append(t.rows, startRow+r)
 	}
-	t.schedule(i, rows, now)
+	t.schedule(i, t.rows, now)
 }
 
 // launchFull schedules a full-block search ordered by the steering table.
+//
+//zbp:hotpath
 func (t *Trackers) launchFull(i int, now uint64) {
 	s := &t.slots[i]
 	s.st = fullActive
@@ -350,6 +371,8 @@ func (t *Trackers) launchFull(i int, now uint64) {
 
 // upgrade extends a partial search to the full block, skipping rows the
 // partial pass already covered.
+//
+//zbp:hotpath
 func (t *Trackers) upgrade(i int, now uint64) {
 	s := &t.slots[i]
 	s.st = fullActive
@@ -361,30 +384,36 @@ func (t *Trackers) upgrade(i int, now uint64) {
 // fullRowOrder expands the steering sector order into row indices,
 // anchored at the tracker's miss address. Wider BTB2 rows cover several
 // 128-byte sectors each; duplicate rows are filtered by the schedule
-// bitmap.
+// bitmap. The result is t.rows, valid until the next launch.
+//
+//zbp:hotpath
 func (t *Trackers) fullRowOrder(s *slot) []int {
 	rb := t.cfg.rowBytes()
 	sectors := t.ord.Order(s.missAddr)
-	rows := make([]int, 0, t.cfg.RowsPerBlock())
+	t.rows = t.rows[:0]
 	if rb <= zaddr.SectorBytes {
 		perSector := zaddr.SectorBytes / rb
 		for _, sec := range sectors {
 			for r := 0; r < perSector; r++ {
-				rows = append(rows, sec*perSector+r)
+				t.rows = append(t.rows, sec*perSector+r)
 			}
 		}
-		return rows
+		return t.rows
 	}
 	// Row wider than a sector: one row per covered sector, first
 	// occurrence wins (the bitmap drops repeats).
 	for _, sec := range sectors {
-		rows = append(rows, sec*zaddr.SectorBytes/rb)
+		t.rows = append(t.rows, sec*zaddr.SectorBytes/rb)
 	}
-	return rows
+	return t.rows
 }
 
 // schedule pushes row reads through the single search port. Rows already
-// scheduled for this tracker are skipped (upgrade path).
+// scheduled for this tracker are skipped (upgrade path). It lowers due
+// to the first read's Ready and to the slot's lastReady, so Drain
+// cannot skip the new reads or the slot's reap.
+//
+//zbp:hotpath
 func (t *Trackers) schedule(i int, rows []int, now uint64) {
 	s := &t.slots[i]
 	start := now + uint64(t.cfg.StartDelay)
@@ -411,25 +440,49 @@ func (t *Trackers) schedule(i int, rows []int, now uint64) {
 		cycle++
 	}
 	t.portFree = cycle
+	t.due = min(t.due, start+uint64(t.cfg.PipeDepth), s.lastReady)
 }
 
 // Drain returns (and removes) all scheduled reads whose Ready cycle is at
-// or before now, in Ready order. The caller performs the BTB2 lookups and
-// BTBP installs for each.
+// or before now, in Ready order, and frees the trackers whose searches
+// have completed. The caller performs the BTB2 lookups and BTBP
+// installs for each read. The result is the tracker's buffer, valid
+// until the next Drain. Before the due cycle nothing can be ready, and
+// Drain returns nil without scanning.
+//
+//zbp:hotpath
 func (t *Trackers) Drain(now uint64) []Read {
+	if now < t.due {
+		return nil
+	}
+	return t.drain(now)
+}
+
+// drain is Drain at or past the due cycle: it removes the ready reads,
+// reaps, and recomputes due from the queue head and the active slots.
+//
+//zbp:hotpath
+func (t *Trackers) drain(now uint64) []Read {
 	n := 0
 	for n < len(t.queue) && t.queue[n].Ready <= now {
 		n++
 	}
-	if n == 0 {
-		t.reap(now)
-		return nil
-	}
-	out := make([]Read, n)
-	copy(out, t.queue[:n])
+	t.drained = append(t.drained[:0], t.queue[:n]...)
 	t.queue = t.queue[:copy(t.queue, t.queue[n:])]
 	t.reap(now)
-	return out
+	t.due = ^uint64(0)
+	if len(t.queue) > 0 {
+		t.due = t.queue[0].Ready
+	}
+	for i := range t.slots {
+		if s := &t.slots[i]; s.st == partialActive || s.st == fullActive {
+			t.due = min(t.due, s.lastReady)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	return t.drained
 }
 
 // PendingReads returns the number of scheduled but undrained row reads.
@@ -442,5 +495,6 @@ func (t *Trackers) Reset() {
 	}
 	t.queue = t.queue[:0]
 	t.portFree = 0
+	t.due = 0
 	t.met = metrics{}
 }

@@ -46,6 +46,26 @@ func Bits(a Addr, hi, lo uint) uint64 {
 	return (uint64(a) >> shift) & ((1 << width) - 1)
 }
 
+// Field is a big-endian bit range validated once, so extracting it is
+// a single shift and mask. Hot paths that read the same range on every
+// call (a table's index) hold a Field instead of calling Bits.
+type Field struct {
+	shift uint
+	mask  uint64
+}
+
+// NewField returns the bit range hi..lo; it panics on a range Bits would
+// reject.
+func NewField(hi, lo uint) Field {
+	if hi > lo || lo > 63 {
+		panic(fmt.Sprintf("zaddr: invalid bit range %d:%d (want big-endian hi <= lo <= 63)", hi, lo))
+	}
+	return Field{shift: 63 - lo, mask: ^uint64(0) >> (63 - (lo - hi))}
+}
+
+// Of returns the field's bits of a; it equals Bits(a, hi, lo).
+func (f Field) Of(a Addr) uint64 { return uint64(a) >> f.shift & f.mask }
+
 // SetBits returns a with big-endian bit range hi..lo replaced by v's low
 // bits. It is the inverse of Bits and is used by trace generators to
 // compose addresses field-by-field.

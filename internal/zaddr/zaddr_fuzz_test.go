@@ -30,6 +30,9 @@ func FuzzBitsSetBitsRoundTrip(f *testing.F) {
 			return
 		}
 		width := lo - hi + 1
+		if got, want := NewField(hi, lo).Of(Addr(a)), Bits(Addr(a), hi, lo); got != want {
+			t.Fatalf("NewField(%d, %d).Of(%#x) = %#x, Bits says %#x", hi, lo, a, got, want)
+		}
 		if got := SetBits(Addr(a), hi, lo, Bits(Addr(a), hi, lo)); got != Addr(a) {
 			t.Fatalf("SetBits(a, %d, %d, Bits(a, %d, %d)) = %#x, want %#x", hi, lo, hi, lo, uint64(got), a)
 		}

@@ -182,3 +182,29 @@ func TestPaperIndexWidths(t *testing.T) {
 		t.Errorf("row offset space = %d, want %d", got, RowBytes)
 	}
 }
+
+// TestFieldMatchesBits checks the precomputed Field against Bits over
+// every valid range, and that NewField rejects what Bits rejects.
+func TestFieldMatchesBits(t *testing.T) {
+	addrs := []Addr{0, 1, ^Addr(0), 0x8000_0000_0000_0000, 0x0123_4567_89AB_CDEF, 0xFEDC_BA98_7654_3210}
+	for hi := uint(0); hi < 64; hi++ {
+		for lo := hi; lo < 64; lo++ {
+			f := NewField(hi, lo)
+			for _, a := range addrs {
+				if got, want := f.Of(a), Bits(a, hi, lo); got != want {
+					t.Fatalf("NewField(%d, %d).Of(%#x) = %#x, want %#x", hi, lo, uint64(a), got, want)
+				}
+			}
+		}
+	}
+	for _, r := range [][2]uint{{5, 4}, {0, 64}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewField(%d, %d) accepted an invalid range", r[0], r[1])
+				}
+			}()
+			NewField(r[0], r[1])
+		}()
+	}
+}
