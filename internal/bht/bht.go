@@ -141,7 +141,9 @@ func (s *SurpriseBHT) Guess(a zaddr.Addr, staticTaken bool) bool {
 	s.met.guesses.Inc()
 	i := s.index(a)
 	if s.inj != nil && s.touched[i] {
-		s.faultCheck(i)
+		if _, ok := s.inj.Strike(); ok {
+			s.strikeSlot(i)
+		}
 	}
 	if s.touched[i] {
 		s.met.trainedGuesses.Inc()
@@ -150,17 +152,13 @@ func (s *SurpriseBHT) Guess(a zaddr.Addr, staticTaken bool) bool {
 	return staticTaken
 }
 
-// faultCheck strikes trained slot i, if this read is the one the
-// injector's schedule lands on. The only stored payload is the one
-// direction bit, so an unprotected fault flips it; parity recovery
-// clears the slot back to untrained (the static guess takes over until
-// the branch retrains it).
+// strikeSlot lands a fault the injector struck on trained slot i. The
+// only stored payload is the one direction bit, so an unprotected fault
+// flips it; parity recovery clears the slot back to untrained (the
+// static guess takes over until the branch retrains it).
 //
 //zbp:hotpath
-func (s *SurpriseBHT) faultCheck(i uint64) {
-	if _, ok := s.inj.Strike(); !ok {
-		return
-	}
+func (s *SurpriseBHT) strikeSlot(i uint64) {
 	if s.inj.Parity() {
 		s.bits[i] = false
 		s.touched[i] = false

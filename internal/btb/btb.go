@@ -267,14 +267,18 @@ func (t *Table) LookupLine(line zaddr.Addr, out []Hit) []Hit {
 	base := row * t.cfg.Ways
 	key := t.packKey(line)
 	mruWay := int(t.lru[row] & 0xF)
-	found := false
+	struck := !t.quiet(t.cfg.Ways)
+	found, valid := false, uint64(0)
 	for w := 0; w < t.cfg.Ways; w++ {
 		k := t.tags[base+w]
 		if k&1 == 0 {
 			continue
 		}
-		if t.inj != nil {
-			t.faultCheck(row, w)
+		valid++
+		if struck {
+			if bits, ok := t.inj.Strike(); ok {
+				t.strikeSlot(row, w, bits)
+			}
 			k = t.tags[base+w]
 			if k&1 == 0 {
 				continue // parity recovery (or tag upset) dropped it
@@ -288,6 +292,9 @@ func (t *Table) LookupLine(line zaddr.Addr, out []Hit) []Hit {
 			out = append(out, h)
 			found = true
 		}
+	}
+	if !struck {
+		t.inj.Pass(valid)
 	}
 	if found {
 		t.met.lineHits.Inc()
@@ -308,15 +315,16 @@ func (t *Table) LookupLine(line zaddr.Addr, out []Hit) []Hit {
 func (t *Table) CountFrom(a zaddr.Addr) int {
 	t.met.lookups.Inc()
 	row := t.RowFor(a)
-	if t.inj != nil {
+	if !t.quiet(t.cfg.Ways) {
 		return t.countStruck(row, a)
 	}
 	key := t.packKey(a)
 	off := uint64(zaddr.RowOffset(a))
-	n, found := 0, false
+	n, found, valid := 0, false, uint64(0)
 	// The key carries valid=1 and lineMask keeps the valid bit, so an
 	// invalid slot never matches.
 	for _, k := range t.tags[row*t.cfg.Ways : (row+1)*t.cfg.Ways] {
+		valid += k & 1
 		if (k^key)&t.lineMask == 0 {
 			found = true
 			if k>>1&(zaddr.RowBytes-1) >= off {
@@ -324,14 +332,15 @@ func (t *Table) CountFrom(a zaddr.Addr) int {
 			}
 		}
 	}
+	t.inj.Pass(valid)
 	if found {
 		t.met.lineHits.Inc()
 	}
 	return n
 }
 
-// countStruck is CountFrom with an injector attached: each valid slot
-// is struck before its compare, as LookupLine strikes it.
+// countStruck is CountFrom with a strike due within the row: each valid
+// slot is struck before its compare, as LookupLine strikes it.
 //
 //zbp:hotpath
 func (t *Table) countStruck(row int, a zaddr.Addr) int {
@@ -343,7 +352,9 @@ func (t *Table) countStruck(row int, a zaddr.Addr) int {
 		if t.tags[base+w]&1 == 0 {
 			continue
 		}
-		t.faultCheck(row, w)
+		if bits, ok := t.inj.Strike(); ok {
+			t.strikeSlot(row, w, bits)
+		}
 		k := t.tags[base+w]
 		if k&1 != 0 && (k^key)&t.lineMask == 0 {
 			found = true
@@ -368,42 +379,39 @@ func (t *Table) countStruck(row int, a zaddr.Addr) int {
 // With an injector attached, Probe strikes the reads the model has
 // always charged a BTB1 prediction, in order: the way scan up to the
 // match, then a full-row read for the MRU check (docs/MODEL.md). The
-// recency update follows the strikes.
+// recency update follows the strikes. That is at most 2*Ways reads.
 //
 //zbp:hotpath
 func (t *Table) Probe(a zaddr.Addr) (e Entry, mru, ok bool) {
 	row := t.RowFor(a)
-	if t.inj != nil {
+	if !t.quiet(2 * t.cfg.Ways) {
 		return t.probeStruck(row, a)
 	}
-	base := row * t.cfg.Ways
-	tags := t.tags[base : base+t.cfg.Ways]
-	key := t.packKey(a)
-	w := 0
-	for w < len(tags) && (tags[w]^key)&t.entryMask != 0 {
-		w++
-	}
-	if w == len(tags) {
+	w, valid := t.matchWay(row, a)
+	if w < 0 {
+		t.inj.Pass(valid)
 		return Entry{}, false, false
 	}
 	t.met.lookups.Inc()
 	t.met.lineHits.Inc()
-	// No way before w can equal key exactly: it would have matched the
-	// masked compare first.
-	mruWay := int(t.lru[row] & 0xF)
-	for x := w; x < len(tags); x++ {
-		if tags[x] == key {
-			mru = x == mruWay
-			break
+	// The MRU check reads the whole row.
+	key := t.packKey(a)
+	exact := -1
+	for x, k := range t.tags[row*t.cfg.Ways : (row+1)*t.cfg.Ways] {
+		valid += k & 1
+		if exact < 0 && k == key {
+			exact = x
 		}
 	}
+	t.inj.Pass(valid)
+	mru = exact == int(t.lru[row]&0xF)
 	t.unpackEntry(row, w, &e)
 	t.promoteWay(row, w)
 	return e, mru, true
 }
 
-// probeStruck is Probe with an injector attached: findWay's partial
-// scan, then the full-row MRU read, then the recency update of
+// probeStruck is Probe with a strike due within its reads: findWay's
+// partial scan, then the full-row MRU read, then the recency update of
 // whatever the strikes left matching.
 //
 //zbp:hotpath
@@ -422,7 +430,9 @@ func (t *Table) probeStruck(row int, a zaddr.Addr) (e Entry, mru, ok bool) {
 		if t.tags[base+x]&1 == 0 {
 			continue
 		}
-		t.faultCheck(row, x)
+		if bits, ok := t.inj.Strike(); ok {
+			t.strikeSlot(row, x, bits)
+		}
 		k := t.tags[base+x]
 		if k&1 == 0 || (k^key)&t.lineMask != 0 {
 			continue
@@ -435,7 +445,7 @@ func (t *Table) probeStruck(row int, a zaddr.Addr) (e Entry, mru, ok bool) {
 	if found {
 		t.met.lineHits.Inc()
 	}
-	if w = t.matchWay(row, a); w >= 0 {
+	if w, _ = t.matchWay(row, a); w >= 0 {
 		t.promoteWay(row, w)
 	}
 	return e, exact >= 0 && exact == mruWay, true
@@ -456,15 +466,23 @@ func (t *Table) Find(a zaddr.Addr) (Entry, bool) {
 
 // findWay scans row for the entry recognized as branch a (striking
 // scheduled faults on the valid entries it reads, like the hardware
-// read it models) and returns its way, or -1.
+// read it models) and returns its way, or -1. It reads at most Ways
+// valid entries.
 //
 //zbp:hotpath
 func (t *Table) findWay(row int, a zaddr.Addr) int {
+	if t.quiet(t.cfg.Ways) {
+		w, valid := t.matchWay(row, a)
+		t.inj.Pass(valid)
+		return w
+	}
 	base := row * t.cfg.Ways
 	key := t.packKey(a)
 	for w := 0; w < t.cfg.Ways; w++ {
-		if t.inj != nil && t.tags[base+w]&1 != 0 {
-			t.faultCheck(row, w)
+		if t.tags[base+w]&1 != 0 {
+			if bits, ok := t.inj.Strike(); ok {
+				t.strikeSlot(row, w, bits)
+			}
 		}
 		if (t.tags[base+w]^key)&t.entryMask == 0 {
 			return w
@@ -562,7 +580,7 @@ func (t *Table) insert(e Entry, atLRU bool) (victim Entry, evicted bool) {
 //zbp:hotpath
 func (t *Table) Touch(a zaddr.Addr) bool {
 	row := t.RowFor(a)
-	if w := t.matchWay(row, a); w >= 0 {
+	if w, _ := t.matchWay(row, a); w >= 0 {
 		t.promoteWay(row, w)
 		return true
 	}
@@ -576,7 +594,7 @@ func (t *Table) Touch(a zaddr.Addr) bool {
 //zbp:hotpath
 func (t *Table) Demote(a zaddr.Addr) bool {
 	row := t.RowFor(a)
-	if w := t.matchWay(row, a); w >= 0 {
+	if w, _ := t.matchWay(row, a); w >= 0 {
 		t.demoteWay(row, w)
 		return true
 	}
@@ -589,7 +607,7 @@ func (t *Table) Demote(a zaddr.Addr) bool {
 //zbp:hotpath
 func (t *Table) Invalidate(a zaddr.Addr) bool {
 	row := t.RowFor(a)
-	if w := t.matchWay(row, a); w >= 0 {
+	if w, _ := t.matchWay(row, a); w >= 0 {
 		t.clearSlot(row*t.cfg.Ways + w)
 		t.demoteWay(row, w)
 		return true
@@ -598,19 +616,24 @@ func (t *Table) Invalidate(a zaddr.Addr) bool {
 }
 
 // matchWay scans row for the entry recognized as branch a without
-// striking faults (the write paths Touch/Demote/Invalidate/insert are
-// not array reads in the fault model) and returns its way, or -1.
+// striking faults and returns its way, or -1, with the number of valid
+// slots the scan read: those up to and including the match, or the
+// whole row on a miss. findWay and Probe pass that count to the
+// injector; the write paths Touch/Demote/Invalidate are not array
+// reads in the fault model and ignore it.
 //
 //zbp:hotpath
-func (t *Table) matchWay(row int, a zaddr.Addr) int {
+func (t *Table) matchWay(row int, a zaddr.Addr) (int, uint64) {
 	base := row * t.cfg.Ways
 	key := t.packKey(a)
-	for w := 0; w < t.cfg.Ways; w++ {
-		if (t.tags[base+w]^key)&t.entryMask == 0 {
-			return w
+	valid := uint64(0)
+	for w, k := range t.tags[base : base+t.cfg.Ways] {
+		valid += k & 1
+		if (k^key)&t.entryMask == 0 {
+			return w, valid
 		}
 	}
-	return -1
+	return -1, valid
 }
 
 // MRUWay returns the most recently used way of the row containing a.

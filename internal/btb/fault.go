@@ -4,9 +4,20 @@ import "bulkpreload/internal/fault"
 
 // SetInjector attaches (or, with nil, detaches) a fault injector. With an
 // injector attached, every read of a valid entry on the lookup paths
-// (LookupLine, Find/Contains/Update) may be struck by a soft error per
-// the injector's arrival schedule.
+// (LookupLine, CountFrom, Probe, Find/Contains/Update) may be struck by
+// a soft error per the injector's arrival schedule.
 func (t *Table) SetInjector(j *fault.Injector) { t.inj = j }
+
+// quiet reports whether the attached injector's quiet window covers a
+// row read that touches at most n valid entries. Such a read runs the
+// unarmed scan and passes the valid entries it read to the injector in
+// one step, which fault.Injector.Pass makes exactly equivalent to
+// striking each of them in turn; any other read takes the struck path,
+// which calls Strike per valid entry. With no injector nothing
+// strikes, so every read is quiet.
+//
+//zbp:hotpath
+func (t *Table) quiet(n int) bool { return t.inj.Quiet() >= uint64(n) }
 
 // Injector returns the attached injector (nil when faults are off).
 func (t *Table) Injector() *fault.Injector { return t.inj }
@@ -41,18 +52,15 @@ const (
 	payloadWidth = validBit + 1   // 72
 )
 
-// faultCheck strikes way w of row with the injector's next scheduled
-// fault, if the current read is the one it lands on. Parity protection
-// detects the upset and recovers by invalidation (the way becomes LRU,
-// and semi-exclusivity lets first-level entries refetch from BTB2);
-// unprotected arrays keep serving the flipped entry.
+// strikeSlot lands a fault the injector struck on way w of row, using
+// the strike's random bits. The struck row reads call the inlined
+// fault.Injector.Strike per valid slot and come here only on a strike. Parity protection detects the upset and
+// recovers by invalidation (the way becomes LRU, and semi-exclusivity
+// lets first-level entries refetch from BTB2); unprotected arrays keep
+// serving the flipped entry.
 //
 //zbp:hotpath
-func (t *Table) faultCheck(row, w int) {
-	bits, ok := t.inj.Strike()
-	if !ok {
-		return
-	}
+func (t *Table) strikeSlot(row, w int, bits uint64) {
 	i := row*t.cfg.Ways + w
 	if t.inj.Parity() {
 		t.clearSlot(i)

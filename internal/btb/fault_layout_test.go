@@ -98,6 +98,9 @@ func TestFaultStructVsPackedModel(t *testing.T) {
 		if pS, rS := packed.Injector().Stats(), ref.inj.Stats(); pS != rS {
 			t.Fatalf("prot %v: fault stats diverged: %+v vs %+v", prot, pS, rS)
 		}
+		if pR, rR := packed.Injector().Reads(), ref.inj.Reads(); pR != rR {
+			t.Fatalf("prot %v: injector reads diverged: %d vs %d", prot, pR, rR)
+		}
 		if pS, rS := packed.Stats(), ref.stats; pS != rS {
 			t.Fatalf("prot %v: table stats diverged: %+v vs %+v", prot, pS, rS)
 		}

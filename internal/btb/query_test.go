@@ -197,6 +197,11 @@ func TestQueriesMatchReplacedSequences(t *testing.T) {
 		p    fault.Protection
 	}{
 		{0, fault.Unprotected},
+		// About one strike per 50 reads: most row reads fall inside the
+		// injector's quiet window and pass their reads in one step, the
+		// rest take the struck path, so one replay crosses both.
+		{2e4, fault.Unprotected},
+		{2e4, fault.Parity},
 		{1e5, fault.Unprotected},
 		{1e5, fault.Parity},
 		{1e6, fault.Unprotected}, // a strike armed on every read
@@ -261,7 +266,7 @@ func FuzzLineQuery(f *testing.F) {
 			ops = ops[:5*256]
 		}
 		cfg := queryGeometries[int(geom)%len(queryGeometries)]
-		perM, p := []float64{0, 1e6, 1e6, 3e5}[mode%4], fault.Protection(mode/4%2)
+		perM, p := []float64{0, 1e6, 1e6, 3e5, 2e4}[mode%5], fault.Protection(mode/5%2)
 		q := newQueryPair(cfg, perM, p, uint64(mode))
 		runQueryOps(t, q, cfg, ops)
 		q.checkState(t)

@@ -159,8 +159,10 @@ func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (target zaddr.Addr, 
 	i := h.CTBIndex(addr, t.n)
 	f := t.field(i)
 	if t.inj != nil && f&(1<<fieldValidBit) != 0 {
-		t.faultCheck(i)
-		f = t.field(i)
+		if bits, ok := t.inj.Strike(); ok {
+			t.strikeEntry(i, bits)
+			f = t.field(i)
+		}
 	}
 	if f&(1<<fieldValidBit) == 0 || uint16(f>>fieldTagShift)&((1<<tagBits)-1) != tagOf(addr) {
 		return 0, false
@@ -169,18 +171,14 @@ func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (target zaddr.Addr, 
 	return zaddr.Addr(t.targets[i]), true
 }
 
-// faultCheck strikes the entry being read, if this read is the one the
-// injector's schedule lands on. The flip domain is the stored payload:
-// the 64-bit target and then the 10 tag bits. Parity recovers by
-// invalidation; unprotected flips persist (a flipped target silently
-// misdirects every multi-target branch that hits this entry).
+// strikeEntry lands a fault the injector struck on the entry being
+// read, using the strike's random bits. The flip domain is the stored
+// payload: the 64-bit target and then the 10 tag bits. Parity recovers
+// by invalidation; unprotected flips persist (a flipped target
+// silently misdirects every multi-target branch that hits this entry).
 //
 //zbp:hotpath
-func (t *Table) faultCheck(i int) {
-	bits, ok := t.inj.Strike()
-	if !ok {
-		return
-	}
+func (t *Table) strikeEntry(i int, bits uint64) {
 	if t.inj.Parity() {
 		t.setField(i, 0)
 		t.targets[i] = 0

@@ -23,6 +23,15 @@
 //
 // The disabled path is free: structures hold a nil *Injector and skip
 // every hook with one pointer comparison, allocating nothing.
+//
+// The armed path costs only its strikes. The next strike's ordinal is
+// drawn when the previous one lands, so an injector knows its quiet
+// window (Quiet): the coming reads certain not to strike. A missed
+// Strike only counts the read, so Pass(n) for n within the window is
+// exactly n missed Strikes. A structure whose read touches no more
+// valid entries than the window holds reads without striking and
+// passes the count in one step; only reads a strike can reach pay for
+// Strike per entry. Strike's own miss path is small enough to inline.
 package fault
 
 import (
@@ -258,24 +267,59 @@ func (j *Injector) advance() {
 
 // Strike observes one read of a valid entry and reports whether a fault
 // strikes it. On a strike it returns random bits the structure uses to
-// pick which stored bit flips. Nil receivers never strike.
+// pick which stored bit flips. Nil receivers never strike. The miss path
+// is small enough to inline into a structure's read; the strike itself
+// is out of line.
 //
 //zbp:hotpath
 func (j *Injector) Strike() (bits uint64, ok bool) {
-	if j == nil {
-		return 0, false
+	if j != nil {
+		if j.reads++; j.reads >= j.next {
+			return j.strike(), true
+		}
 	}
-	j.reads++
-	if j.reads < j.next {
-		return 0, false
-	}
-	bits = j.rand()
+	return 0, false
+}
+
+// strike lands the scheduled fault on the current read and schedules
+// the next one.
+//
+//zbp:hotpath
+func (j *Injector) strike() uint64 {
+	bits := j.rand()
 	j.met.injected.Inc()
 	if j.record {
 		j.sites = append(j.sites, Site{Read: j.reads, Bits: bits})
 	}
 	j.advance()
-	return bits, true
+	return bits
+}
+
+// Quiet returns the quiet window: how many of the coming reads are
+// certain not to strike. The next strike is already scheduled (next >
+// reads always holds), so the window is the reads before it. A nil
+// injector never strikes; its window is unbounded.
+//
+//zbp:hotpath
+func (j *Injector) Quiet() uint64 {
+	if j == nil {
+		return math.MaxUint64
+	}
+	return j.next - j.reads - 1
+}
+
+// Pass observes n reads of valid entries at once. For n at most Quiet()
+// it is exactly n Strike calls that miss: a missed Strike only counts
+// the read and draws no random number. A structure whose read touches
+// at most Quiet() valid entries may therefore skip the per-entry Strike
+// and Pass the count afterwards. Larger n is a caller bug (it would
+// skip a scheduled strike).
+//
+//zbp:hotpath
+func (j *Injector) Pass(n uint64) {
+	if j != nil {
+		j.reads += n
+	}
 }
 
 // Parity reports whether the injector models a parity-protected array.

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -206,4 +207,92 @@ func TestDeriveSeedIndependence(t *testing.T) {
 			t.Errorf("%s: config seed ignored", name)
 		}
 	}
+}
+
+// passRates are the arrival rates the quiet-window replays run at: a
+// strike due on every read (the window is always empty), dense and mid
+// rates that cross many strikes in a short replay, and a sparse one
+// whose windows run to thousands of reads.
+var passRates = []float64{1e6, 3e5, 2e4, 1e3}
+
+// replayPass drives two identically seeded injectors, with site
+// recording on, through ops. Each op strikes both once, or observes a
+// run of reads: next in one Pass of at most the quiet window, its twin
+// in as many Strike calls, none of which may strike. Reads, Stats,
+// the scheduled strike's ordinal and the latest site must agree after
+// every op (sites only append), and the whole site logs at the end.
+func replayPass(t *testing.T, perM float64, p Protection, seed uint64, ops []byte) (strikes, passed int) {
+	t.Helper()
+	next := NewInjector("x", perM, p, seed, true)
+	twin := NewInjector("x", perM, p, seed, true)
+	for i, op := range ops {
+		switch op & 3 {
+		case 0, 1:
+			nb, nok := next.Strike()
+			tb, tok := twin.Strike()
+			if nb != tb || nok != tok {
+				t.Fatalf("op %d: Strike = %#x,%v, twin %#x,%v", i, nb, nok, tb, tok)
+			}
+			if nok {
+				strikes++
+			}
+		default:
+			n := next.Quiet() // op&3 == 3: the whole window
+			if op&3 == 2 {
+				n = min(n, uint64(op>>2))
+			}
+			next.Pass(n)
+			for k := uint64(0); k < n; k++ {
+				if _, ok := twin.Strike(); ok {
+					t.Fatalf("op %d: read %d of a %d-read quiet window struck", i, k+1, n)
+				}
+			}
+			passed += int(n)
+		}
+		ns, ts := next.Sites(), twin.Sites()
+		if next.Reads() != twin.Reads() || next.next != twin.next || next.Stats() != twin.Stats() ||
+			len(ns) != len(ts) || len(ns) > 0 && ns[len(ns)-1] != ts[len(ts)-1] {
+			t.Fatalf("op %d: reads %d next %d %+v, twin reads %d next %d %+v",
+				i, next.Reads(), next.next, next.Stats(), twin.Reads(), twin.next, twin.Stats())
+		}
+	}
+	if !reflect.DeepEqual(next.Sites(), twin.Sites()) {
+		t.Fatal("strike sites diverged")
+	}
+	return strikes, passed
+}
+
+// TestPassWithinQuietWindowIsExact pins the quiet-window contract the
+// table reads rely on: observing n <= Quiet() reads in one Pass leaves
+// an injector exactly where n missed Strike calls leave it.
+func TestPassWithinQuietWindowIsExact(t *testing.T) {
+	for _, perM := range passRates {
+		for _, p := range []Protection{Unprotected, Parity} {
+			r := rand.New(rand.NewSource(int64(perM) + int64(p)))
+			ops := make([]byte, 20_000)
+			r.Read(ops)
+			strikes, passed := replayPass(t, perM, p, uint64(r.Int63()), ops)
+			if strikes == 0 || (perM < 1e6 && passed == 0) {
+				t.Errorf("%g/M %v: replay struck %d times and passed %d reads", perM, p, strikes, passed)
+			}
+		}
+	}
+	var j *Injector
+	j.Pass(3) // nil-safe like every other method
+	if j.Quiet() != math.MaxUint64 || j.Reads() != 0 {
+		t.Error("nil injector's quiet window is bounded")
+	}
+}
+
+// FuzzInjectorPass drives the same comparison from fuzzer-chosen
+// operations, rate, protection and seed.
+func FuzzInjectorPass(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 2, 6, 3, 1, 3}, uint8(2), uint64(1))
+	f.Add([]byte{3, 3, 3, 0, 0, 255, 254, 1}, uint8(5), uint64(99))
+	f.Fuzz(func(t *testing.T, ops []byte, mode uint8, seed uint64) {
+		if len(ops) > 4096 {
+			ops = ops[:4096]
+		}
+		replayPass(t, passRates[int(mode)%len(passRates)], Protection(mode/4%2), seed, ops)
+	})
 }

@@ -160,8 +160,10 @@ func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (taken bool, ok bool
 	i := h.PHTIndex(addr, t.n)
 	f := t.field(i)
 	if t.inj != nil && f&(1<<fieldValidBit) != 0 {
-		t.faultCheck(i)
-		f = t.field(i)
+		if bits, ok := t.inj.Strike(); ok {
+			t.strikeEntry(i, bits)
+			f = t.field(i)
+		}
 	}
 	if f&(1<<fieldValidBit) == 0 || uint16(f>>fieldTagShift)&((1<<tagBits)-1) != tagOf(addr) {
 		return false, false
@@ -170,18 +172,14 @@ func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (taken bool, ok bool
 	return bht.Bimodal(f >> fieldDirShift & 3).Taken(), true
 }
 
-// faultCheck strikes the entry being read, if this read is the one the
-// injector's schedule lands on. The flip domain is the stored payload:
-// 10 tag bits and then the 2-bit direction counter. Parity recovers by
-// invalidation; unprotected flips persist (a flipped tag silently
-// redirects the entry to an aliasing branch).
+// strikeEntry lands a fault the injector struck on the entry being
+// read, using the strike's random bits. The flip domain is the stored
+// payload: 10 tag bits and then the 2-bit direction counter. Parity
+// recovers by invalidation; unprotected flips persist (a flipped tag
+// silently redirects the entry to an aliasing branch).
 //
 //zbp:hotpath
-func (t *Table) faultCheck(i int) {
-	bits, ok := t.inj.Strike()
-	if !ok {
-		return
-	}
+func (t *Table) strikeEntry(i int, bits uint64) {
 	if t.inj.Parity() {
 		t.setField(i, 0)
 		t.inj.NoteRecovered()

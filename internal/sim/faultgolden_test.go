@@ -69,6 +69,12 @@ func faultGoldenRuns() []faultGoldenRecord {
 	return recs
 }
 
+// TestFaultStudyGolden pins armed runs across commits: a strike that
+// moves by one read changes CPI, outcomes or fault counters. It shares
+// -update-golden with TestGoldenRegression, so refresh golden.json with
+// -run TestGoldenRegression. Regenerate this file only on its own
+// (-run TestFaultStudyGolden -update-golden), in its own commit, for a
+// change that is meant to move strikes.
 func TestFaultStudyGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden run in -short mode")

@@ -42,7 +42,7 @@ func TestGoldenParallelPath(t *testing.T) {
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "golden.json"))
 	if err != nil {
-		t.Fatalf("missing golden file (run `go test ./internal/sim -run TestGolden -update-golden`): %v", err)
+		t.Fatalf("missing golden file (run `go test ./internal/sim -run TestGoldenRegression -update-golden`): %v", err)
 	}
 
 	res, rerr := RunUnits(context.Background(), 0, goldenUnits())

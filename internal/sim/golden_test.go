@@ -12,7 +12,7 @@ import (
 	"bulkpreload/internal/workload"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json from current behaviour")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files of the tests selected by -run from current behaviour")
 
 // goldenRecord pins the externally-visible numbers of one deterministic
 // run. Any unintentional behaviour change in the predictor, workload
@@ -78,7 +78,7 @@ func TestGoldenRegression(t *testing.T) {
 
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run `go test ./internal/sim -run TestGolden -update-golden`): %v", err)
+		t.Fatalf("missing golden file (run `go test ./internal/sim -run TestGoldenRegression -update-golden`): %v", err)
 	}
 	var want []goldenRecord
 	if err := json.Unmarshal(data, &want); err != nil {
@@ -90,7 +90,7 @@ func TestGoldenRegression(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("golden mismatch for %s:\n  got  %+v\n  want %+v\n"+
-				"If this change is intentional, refresh with -update-golden.",
+				"If this change is intentional, refresh with `go test ./internal/sim -run TestGoldenRegression -update-golden`.",
 				got[i].Config, got[i], want[i])
 		}
 	}

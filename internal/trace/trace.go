@@ -214,10 +214,17 @@ func (s *SliceSource) Reset() { s.pos = 0 }
 func (s *SliceSource) Len() int { return len(s.ins) }
 
 // Collect drains src into a slice (resetting it first) and returns the
-// instructions. Intended for tests and for writing trace files.
+// instructions. Intended for tests, for writing trace files and for
+// studies that replay one recorded trace many times. A source that
+// reports its length (a Len() int method, as SliceSource and the
+// synthetic workload source have) gets a slice of exactly that size,
+// grown only if the source yields more.
 func Collect(src Source) []Inst {
 	src.Reset()
 	var out []Inst
+	if l, ok := src.(interface{ Len() int }); ok {
+		out = make([]Inst, 0, l.Len())
+	}
 	//zbp:bounded terminates when src.Next reports end-of-trace
 	for {
 		in, ok := src.Next()

@@ -131,9 +131,11 @@ type Trackers struct {
 	cfg   Config
 	ord   Orderer
 	slots []slot
-	// queue holds scheduled reads in Ready order (the single search port
-	// guarantees monotone Ready assignment).
+	// queue[head:] holds the scheduled reads in Ready order (the single
+	// search port guarantees monotone Ready assignment). queue[:head] is
+	// what earlier Drains returned; drain reclaims it.
 	queue []Read
+	head  int
 	// portFree is the next cycle at which the search port can accept a
 	// row read.
 	portFree uint64
@@ -144,11 +146,10 @@ type Trackers struct {
 	// partial search whose I-cache bit is set upgrades at the cycle reap
 	// reaches it, so a late reap would launch the upgrade late.
 	due uint64
-	// drained backs Drain's result; rows backs the row list of a search
-	// launch. Both are reused, so the transfer path allocates nothing.
-	drained []Read
-	rows    []int
-	met     metrics
+	// rows backs the row list of a search launch. It and queue are
+	// reused, so the transfer path allocates nothing.
+	rows []int
+	met  metrics
 }
 
 // metrics is the tracker array's registry-backed counter set.
@@ -446,9 +447,10 @@ func (t *Trackers) schedule(i int, rows []int, now uint64) {
 // Drain returns (and removes) all scheduled reads whose Ready cycle is at
 // or before now, in Ready order, and frees the trackers whose searches
 // have completed. The caller performs the BTB2 lookups and BTBP
-// installs for each read. The result is the tracker's buffer, valid
-// until the next Drain. Before the due cycle nothing can be ready, and
-// Drain returns nil without scanning.
+// installs for each read. The result is a window of the tracker's
+// queue, valid until the next Drain (reads scheduled meanwhile do not
+// disturb it). Before the due cycle nothing can be ready, and Drain
+// returns nil without scanning.
 //
 //zbp:hotpath
 func (t *Trackers) Drain(now uint64) []Read {
@@ -463,30 +465,37 @@ func (t *Trackers) Drain(now uint64) []Read {
 //
 //zbp:hotpath
 func (t *Trackers) drain(now uint64) []Read {
-	n := 0
+	// The previous result is dead now. Reclaim its prefix once it is at
+	// least as long as the pending reads, so each read moves at most
+	// once on average.
+	if t.head >= len(t.queue)-t.head {
+		t.queue = t.queue[:copy(t.queue, t.queue[t.head:])]
+		t.head = 0
+	}
+	n := t.head
 	for n < len(t.queue) && t.queue[n].Ready <= now {
 		n++
 	}
-	t.drained = append(t.drained[:0], t.queue[:n]...)
-	t.queue = t.queue[:copy(t.queue, t.queue[n:])]
+	drained := t.queue[t.head:n]
+	t.head = n
 	t.reap(now)
 	t.due = ^uint64(0)
-	if len(t.queue) > 0 {
-		t.due = t.queue[0].Ready
+	if t.head < len(t.queue) {
+		t.due = t.queue[t.head].Ready
 	}
 	for i := range t.slots {
 		if s := &t.slots[i]; s.st == partialActive || s.st == fullActive {
 			t.due = min(t.due, s.lastReady)
 		}
 	}
-	if n == 0 {
+	if len(drained) == 0 {
 		return nil
 	}
-	return t.drained
+	return drained
 }
 
 // PendingReads returns the number of scheduled but undrained row reads.
-func (t *Trackers) PendingReads() int { return len(t.queue) }
+func (t *Trackers) PendingReads() int { return len(t.queue) - t.head }
 
 // Reset clears all trackers and the port state.
 func (t *Trackers) Reset() {
@@ -494,6 +503,7 @@ func (t *Trackers) Reset() {
 		t.slots[i] = slot{}
 	}
 	t.queue = t.queue[:0]
+	t.head = 0
 	t.portFree = 0
 	t.due = 0
 	t.met = metrics{}

@@ -80,6 +80,9 @@ func newSource(prog *program) *Source {
 // Name implements trace.Source.
 func (s *Source) Name() string { return s.prog.profile.Name }
 
+// Len returns the number of instructions a pass yields.
+func (s *Source) Len() int { return s.prog.profile.Instructions }
+
 // Profile returns the generating profile.
 func (s *Source) Profile() Profile { return s.prog.profile }
 
