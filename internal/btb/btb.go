@@ -173,6 +173,8 @@ type Table struct {
 	// (the default) is the zero-cost disabled state. See fault.go.
 	inj *fault.Injector
 	met metrics
+
+	lineBuf [MaxWays]Slot // LookupLine's copy of the row it decodes
 }
 
 // New builds an empty table; it panics if cfg is invalid (geometry is a
@@ -257,49 +259,80 @@ type Hit struct {
 
 // LookupLine returns all valid entries in the row of line whose tags
 // match the line, in way order. This models the parallel read of a full
-// congruence class performed each search cycle. The result shares no
-// storage with the table.
+// congruence class performed each search cycle. It is a decode of
+// ReadLine's copy of the row, with ReadLine's side effects; the MRU
+// flag reflects the row's recency order before the read's strikes.
+// The result shares no storage with the table.
 //
 //zbp:hotpath
 func (t *Table) LookupLine(line zaddr.Addr, out []Hit) []Hit {
-	t.met.lookups.Inc()
-	row := t.RowFor(line)
-	base := row * t.cfg.Ways
-	key := t.packKey(line)
-	mruWay := int(t.lru[row] & 0xF)
-	struck := !t.quiet(t.cfg.Ways)
-	found, valid := false, uint64(0)
-	for w := 0; w < t.cfg.Ways; w++ {
-		k := t.tags[base+w]
-		if k&1 == 0 {
-			continue
-		}
-		valid++
-		if struck {
-			if bits, ok := t.inj.Strike(); ok {
-				t.strikeSlot(row, w, bits)
-			}
-			k = t.tags[base+w]
-			if k&1 == 0 {
-				continue // parity recovery (or tag upset) dropped it
-			}
-		}
-		if (k^key)&t.lineMask == 0 {
-			var h Hit
-			h.Way = w
-			h.MRU = w == mruWay
-			t.unpackEntry(row, w, &h.Entry)
-			out = append(out, h)
-			found = true
-		}
-	}
-	if !struck {
-		t.inj.Pass(valid)
-	}
-	if found {
-		t.met.lineHits.Inc()
+	mruWay := int(t.lru[t.RowFor(line)] & 0xF)
+	for _, s := range t.lineBuf[:t.ReadLine(line, &t.lineBuf)] {
+		out = append(out, Hit{Way: s.Way, MRU: s.Way == mruWay, Entry: s.Entry()})
 	}
 	return out
+}
+
+// ReadLine is the raw read of line's congruence class that a BTB2 bulk
+// transfer performs: it copies every valid slot whose tag matches the
+// line into out, in way order, as lane words that decode nothing, and
+// returns how many it copied. The copy is a snapshot: later writes to
+// the table do not change it. It counts one lookup, and one line hit
+// if any slot matched; with an injector attached, each valid slot is
+// struck before its compare (or the row's valid slots are passed in
+// one step when no strike is due within them).
+//
+//zbp:hotpath
+func (t *Table) ReadLine(line zaddr.Addr, out *[MaxWays]Slot) int {
+	t.met.lookups.Inc()
+	row := t.RowFor(line)
+	if !t.quiet(t.cfg.Ways) {
+		return t.readStruck(row, line, out)
+	}
+	base := row * t.cfg.Ways
+	key := t.packKey(line)
+	n, valid := 0, uint64(0)
+	for w, k := range t.tags[base : base+t.cfg.Ways] {
+		valid += k & 1
+		if (k^key)&t.lineMask == 0 {
+			a, _ := t.slotAddr(row, k)
+			out[n] = Slot{Addr: a, Target: t.targets[base+w], Meta: t.metaField(base + w), Way: w}
+			n++
+		}
+	}
+	t.inj.Pass(valid)
+	if n > 0 {
+		t.met.lineHits.Inc()
+	}
+	return n
+}
+
+// readStruck is ReadLine with a strike due within the row: each valid
+// slot is struck before its compare.
+//
+//zbp:hotpath
+func (t *Table) readStruck(row int, line zaddr.Addr, out *[MaxWays]Slot) int {
+	base := row * t.cfg.Ways
+	key := t.packKey(line)
+	n := 0
+	for w := 0; w < t.cfg.Ways; w++ {
+		if t.tags[base+w]&1 == 0 {
+			continue
+		}
+		if bits, ok := t.inj.Strike(); ok {
+			t.strikeSlot(row, w, bits)
+		}
+		// A parity recovery (or tag upset) clears the slot, and a
+		// cleared tag word never matches the key's valid bit.
+		if (t.tags[base+w]^key)&t.lineMask == 0 {
+			out[n] = t.readSlot(row, w)
+			n++
+		}
+	}
+	if n > 0 {
+		t.met.lineHits.Inc()
+	}
+	return n
 }
 
 // CountFrom returns how many valid entries in the row of a match a's
@@ -506,7 +539,8 @@ func (t *Table) Update(e Entry) bool {
 	if w < 0 {
 		return false
 	}
-	t.writeSlot(row*t.cfg.Ways+w, e)
+	s := SlotOf(e)
+	t.writeSlot(row*t.cfg.Ways+w, t.packKey(e.Addr), &s)
 	t.met.updates.Inc()
 	return true
 }
@@ -518,7 +552,12 @@ func (t *Table) Update(e Entry) bool {
 //
 //zbp:hotpath
 func (t *Table) Insert(e Entry) (victim Entry, evicted bool) {
-	return t.insert(e, false)
+	s := SlotOf(e)
+	v, evicted := t.insert(&s, false)
+	if evicted {
+		victim = v.Entry()
+	}
+	return victim, evicted
 }
 
 // InsertAtLRU writes e like Insert but leaves the new entry at the LRU
@@ -528,50 +567,113 @@ func (t *Table) Insert(e Entry) (victim Entry, evicted bool) {
 //
 //zbp:hotpath
 func (t *Table) InsertAtLRU(e Entry) (victim Entry, evicted bool) {
-	return t.insert(e, true)
-}
-
-//zbp:hotpath
-func (t *Table) insert(e Entry, atLRU bool) (victim Entry, evicted bool) {
-	row := t.RowFor(e.Addr)
-	base := row * t.cfg.Ways
-	key := t.packKey(e.Addr)
-	// Already present: in-place update.
-	for w := 0; w < t.cfg.Ways; w++ {
-		if (t.tags[base+w]^key)&t.entryMask == 0 {
-			t.writeSlot(base+w, e)
-			t.met.updates.Inc()
-			if atLRU {
-				t.demoteWay(row, w)
-			} else {
-				t.promoteWay(row, w)
-			}
-			return Entry{}, false
-		}
-	}
-	// Free way?
-	way := -1
-	for w := 0; w < t.cfg.Ways; w++ {
-		if t.tags[base+w]&1 == 0 {
-			way = w
-			break
-		}
-	}
-	if way < 0 {
-		// Replace LRU.
-		way = int(t.lru[row] >> (4 * uint(t.cfg.Ways-1)) & 0xF)
-		t.unpackEntry(row, way, &victim)
-		evicted = true
-		t.met.evicts.Inc()
-	}
-	t.writeSlot(base+way, e)
-	t.met.installs.Inc()
-	if atLRU {
-		t.demoteWay(row, way)
-	} else {
-		t.promoteWay(row, way)
+	s := SlotOf(e)
+	v, evicted := t.insert(&s, true)
+	if evicted {
+		victim = v.Entry()
 	}
 	return victim, evicted
+}
+
+// InsertSlot is Insert in lane form: s's target and meta words are
+// copied as-is and the victim comes back undecoded.
+//
+//zbp:hotpath
+func (t *Table) InsertSlot(s Slot) (victim Slot, evicted bool) {
+	return t.insert(&s, false)
+}
+
+// Fill is the fused Contains + Insert of a first-level write: it
+// installs s unless branch s.Addr is already resident, and reports
+// whether it wrote. Its row read strikes faults exactly as Contains
+// does; with no strike due it is a single scan of the tag lane that
+// also finds the free way. Any valid victim is dropped without being
+// decoded.
+//
+//zbp:hotpath
+func (t *Table) Fill(s Slot) bool {
+	row := t.RowFor(s.Addr)
+	base := row * t.cfg.Ways
+	if !t.quiet(t.cfg.Ways) {
+		if t.findWay(row, s.Addr) >= 0 {
+			return false
+		}
+		// Strikes never set a tag, so the branch is still absent.
+		t.insert(&s, false)
+		return true
+	}
+	key := t.packKey(s.Addr)
+	free, valid := -1, uint64(0)
+	for w, k := range t.tags[base : base+t.cfg.Ways] {
+		valid += k & 1
+		if (k^key)&t.entryMask == 0 {
+			t.inj.Pass(valid)
+			return false
+		}
+		if free < 0 && k&1 == 0 {
+			free = w
+		}
+	}
+	t.inj.Pass(valid)
+	if free < 0 {
+		free = t.lruWay(row)
+		t.met.evicts.Inc()
+	}
+	t.writeSlot(base+free, key, &s)
+	t.met.installs.Inc()
+	t.promoteWay(row, free)
+	return true
+}
+
+// insert writes s into its row: in place if the branch is present,
+// else into the first free way, else over the LRU way, whose valid
+// content it returns as the victim.
+//
+//zbp:hotpath
+func (t *Table) insert(s *Slot, atLRU bool) (victim Slot, evicted bool) {
+	row := t.RowFor(s.Addr)
+	base := row * t.cfg.Ways
+	key := t.packKey(s.Addr)
+	free := -1
+	for w, k := range t.tags[base : base+t.cfg.Ways] {
+		if (k^key)&t.entryMask == 0 {
+			// Already present: in-place update.
+			t.writeSlot(base+w, key, s)
+			t.met.updates.Inc()
+			t.setRecency(row, w, atLRU)
+			return Slot{}, false
+		}
+		if free < 0 && k&1 == 0 {
+			free = w
+		}
+	}
+	if free < 0 {
+		free = t.lruWay(row)
+		victim, evicted = t.readSlot(row, free), true
+		t.met.evicts.Inc()
+	}
+	t.writeSlot(base+free, key, s)
+	t.met.installs.Inc()
+	t.setRecency(row, free, atLRU)
+	return victim, evicted
+}
+
+// setRecency makes way w of row MRU, or LRU when atLRU.
+//
+//zbp:hotpath
+func (t *Table) setRecency(row, w int, atLRU bool) {
+	if atLRU {
+		t.demoteWay(row, w)
+	} else {
+		t.promoteWay(row, w)
+	}
+}
+
+// lruWay returns the least recently used way of row.
+//
+//zbp:hotpath
+func (t *Table) lruWay(row int) int {
+	return int(t.lru[row] >> (4 * uint(t.cfg.Ways-1)) & 0xF)
 }
 
 // Touch makes the entry for branch a most recently used. It reports
@@ -644,9 +746,8 @@ func (t *Table) MRUWay(a zaddr.Addr) int {
 // LRUEntry returns a copy of the LRU entry of the row containing a.
 func (t *Table) LRUEntry(a zaddr.Addr) Entry {
 	row := t.RowFor(a)
-	way := int(t.lru[row] >> (4 * uint(t.cfg.Ways-1)) & 0xF)
 	var e Entry
-	t.unpackEntry(row, way, &e)
+	t.unpackEntry(row, t.lruWay(row), &e)
 	return e
 }
 

@@ -65,6 +65,26 @@ func (t *Table) packKey(a zaddr.Addr) uint64 {
 	return k
 }
 
+// Slot is one resident entry in lane form, the unit a bulk transfer
+// moves between tables: the branch address rebuilt from its row, tag
+// and offset, plus the raw target and meta words. The target is a raw
+// address and the meta field has the same 16-bit format in every
+// table, so both copy across tables as-is; only the tag word is
+// re-derived from Addr, because each table indexes its own bit range.
+type Slot struct {
+	Addr   zaddr.Addr
+	Target uint64 // raw target lane word
+	Meta   uint64 // 16-bit meta field
+	Way    int    // way ReadLine read the slot from; zero in a packed Entry
+}
+
+// SlotOf packs e into lane form.
+//
+//zbp:hotpath
+func SlotOf(e Entry) Slot {
+	return Slot{Addr: e.Addr, Target: uint64(e.Target), Meta: packMeta(e)}
+}
+
 // packMeta builds the 16-bit meta field for e.
 //
 //zbp:hotpath
@@ -80,43 +100,76 @@ func packMeta(e Entry) uint64 {
 	return m
 }
 
-// unpackEntry decodes slot (row, w) into *e. The branch address is
-// reconstructed from the stored tag + the row index + the stored
-// offset, which is exact: the tag field keeps all bits above the index
-// even when compares truncate to TagBits.
+// Entry decodes s into a valid Entry.
 //
 //zbp:hotpath
-//zbp:layout tagword unpack
+func (s Slot) Entry() Entry {
+	e := Entry{Valid: true, Addr: s.Addr, Target: zaddr.Addr(s.Target)}
+	unpackMeta(s.Meta, &e)
+	return e
+}
+
+// unpackMeta decodes the 16-bit meta field m into e.
+//
+//zbp:hotpath
 //zbp:layout meta unpack
-func (t *Table) unpackEntry(row, w int, e *Entry) {
-	i := row*t.cfg.Ways + w
-	k := t.tags[i]
-	if k&1 == 0 {
-		*e = Entry{}
-		return
-	}
-	addr := uint64(row)<<t.offBits | k>>1&((1<<t.offBits)-1)
-	if t.hiBits > 0 {
-		addr |= k >> t.tagShift << (64 - t.hiBits)
-	}
-	m := t.metaField(i)
-	e.Valid = true
-	e.Addr = zaddr.Addr(addr)
-	e.Target = zaddr.Addr(t.targets[i])
+func unpackMeta(m uint64, e *Entry) {
 	e.Dir = bht.Bimodal(m >> metaDirShift & 3)
 	e.UsePHT = m&(1<<metaUsePHTBit) != 0
 	e.UseCTB = m&(1<<metaUseCTBBit) != 0
 	e.Length = uint8(m >> metaLenShift)
 }
 
-// writeSlot stores e into slot i (unconditionally valid, like the
-// hardware array write it models).
+// slotAddr decodes tag word k of a slot in row: the branch address,
+// reconstructed from the stored tag + the row index + the stored
+// offset, and whether the slot is valid. The reconstruction is exact:
+// the tag field keeps all bits above the index even when compares
+// truncate to TagBits.
 //
 //zbp:hotpath
-func (t *Table) writeSlot(i int, e Entry) {
-	t.tags[i] = t.packKey(e.Addr)
-	t.targets[i] = uint64(e.Target)
-	t.setMetaField(i, packMeta(e))
+//zbp:layout tagword unpack
+func (t *Table) slotAddr(row int, k uint64) (zaddr.Addr, bool) {
+	addr := uint64(row)<<t.offBits | k>>1&((1<<t.offBits)-1)
+	if t.hiBits > 0 {
+		addr |= k >> t.tagShift << (64 - t.hiBits)
+	}
+	return zaddr.Addr(addr), k&1 != 0
+}
+
+// readSlot copies slot (row, w) out in lane form; the slot must be
+// valid.
+//
+//zbp:hotpath
+func (t *Table) readSlot(row, w int) Slot {
+	i := row*t.cfg.Ways + w
+	a, _ := t.slotAddr(row, t.tags[i])
+	return Slot{Addr: a, Target: t.targets[i], Meta: t.metaField(i), Way: w}
+}
+
+// unpackEntry decodes slot (row, w) into *e; an invalid slot decodes
+// to the zero Entry.
+//
+//zbp:hotpath
+func (t *Table) unpackEntry(row, w int, e *Entry) {
+	i := row*t.cfg.Ways + w
+	a, ok := t.slotAddr(row, t.tags[i])
+	if !ok {
+		*e = Entry{}
+		return
+	}
+	e.Valid, e.Addr, e.Target = true, a, zaddr.Addr(t.targets[i])
+	unpackMeta(t.metaField(i), e)
+}
+
+// writeSlot stores s into slot i (unconditionally valid, like the
+// hardware array write it models): key is s.Addr's tag word for this
+// table's geometry (packKey), and the target and meta words are copied.
+//
+//zbp:hotpath
+func (t *Table) writeSlot(i int, key uint64, s *Slot) {
+	t.tags[i] = key
+	t.targets[i] = s.Target
+	t.setMetaField(i, s.Meta)
 }
 
 // clearSlot zeroes every lane of slot i; all-zero is the canonical

@@ -11,17 +11,61 @@ import (
 	"bulkpreload/internal/zaddr"
 )
 
-// The search and predict paths read a row through CountFrom and Probe.
-// They replaced longer call sequences that decoded whole entries; the
-// tests below replay random operations on two identical tables, one
-// answering through the new query and one through the sequence it
+// The search and predict paths read a row through CountFrom and Probe,
+// a BTB2 transfer through ReadLine, and a first-level install through
+// Fill. They replaced longer call sequences that decoded whole entries;
+// the tests below replay random operations on two identical tables,
+// one answering through the new query and one through the sequence it
 // replaced, and require equal results, counters, state and fault
 // strikes after every step.
+
+// lookupLineScan is the row scan LookupLine ran before it became a
+// decode of ReadLine's copy: one pass over the ways that strikes each
+// valid slot and decodes every match into a Hit. It is the reference
+// the replaced sequences below read rows through.
+func lookupLineScan(t *Table, line zaddr.Addr, out []Hit) []Hit {
+	t.met.lookups.Inc()
+	row := t.RowFor(line)
+	base := row * t.cfg.Ways
+	key := t.packKey(line)
+	mruWay := int(t.lru[row] & 0xF)
+	struck := !t.quiet(t.cfg.Ways)
+	found, valid := false, uint64(0)
+	for w := 0; w < t.cfg.Ways; w++ {
+		k := t.tags[base+w]
+		if k&1 == 0 {
+			continue
+		}
+		valid++
+		if struck {
+			if bits, ok := t.inj.Strike(); ok {
+				t.strikeSlot(row, w, bits)
+			}
+			k = t.tags[base+w]
+			if k&1 == 0 {
+				continue
+			}
+		}
+		if (k^key)&t.lineMask == 0 {
+			h := Hit{Way: w, MRU: w == mruWay}
+			t.unpackEntry(row, w, &h.Entry)
+			out = append(out, h)
+			found = true
+		}
+	}
+	if !struck {
+		t.inj.Pass(valid)
+	}
+	if found {
+		t.met.lineHits.Inc()
+	}
+	return out
+}
 
 // searchCount is the sequence CountFrom replaced: LookupLine, then
 // count the decoded entries at or after a's row offset.
 func searchCount(t *Table, a zaddr.Addr, buf []Hit) (int, []Hit) {
-	buf = t.LookupLine(a, buf[:0])
+	buf = lookupLineScan(t, a, buf[:0])
 	n := 0
 	for _, h := range buf {
 		if zaddr.RowOffset(h.Entry.Addr) >= zaddr.RowOffset(a) {
@@ -37,7 +81,7 @@ func predictProbe(t *Table, a zaddr.Addr, buf []Hit) (e Entry, mru, ok bool, _ [
 	if e, ok = t.Find(a); !ok {
 		return Entry{}, false, false, buf
 	}
-	buf = t.LookupLine(a, buf[:0])
+	buf = lookupLineScan(t, a, buf[:0])
 	for _, h := range buf {
 		if h.Entry.Addr == a {
 			mru = h.MRU
@@ -76,10 +120,12 @@ func queryAddr(cfg Config, row, tag, off uint8) zaddr.Addr {
 // queries, prev through the sequences they replaced.
 type queryPair struct {
 	next, prev *Table
-	buf        []Hit
+	buf, hits2 []Hit
+	row        [MaxWays]Slot
 	// Outcome tallies, so a replay can show it reached every case:
-	// searches that counted entries, probe hits, and MRU probe hits.
-	counted, hits, mruHits int
+	// searches that counted entries, probe hits, MRU probe hits, row
+	// reads that copied slots, and fills that wrote.
+	counted, hits, mruHits, copied, filled int
 }
 
 func newQueryPair(cfg Config, perM float64, p fault.Protection, seed uint64) *queryPair {
@@ -103,7 +149,7 @@ func (q *queryPair) step(op uint8, a zaddr.Addr, v uint8) string {
 		UseCTB: v&8 != 0,
 		Length: 2 + v>>4&6,
 	}
-	switch op % 9 {
+	switch op % queryOps {
 	case 0, 1:
 		q.next.Insert(e)
 		q.prev.Insert(e)
@@ -129,6 +175,44 @@ func (q *queryPair) step(op uint8, a zaddr.Addr, v uint8) string {
 		if got > 0 {
 			q.counted++
 		}
+	case 8:
+		n := q.next.ReadLine(a, &q.row)
+		q.buf = lookupLineScan(q.prev, a, q.buf[:0])
+		if n != len(q.buf) {
+			return fmt.Sprintf("ReadLine(%#x) copied %d slots, the row scan found %d", uint64(a), n, len(q.buf))
+		}
+		for i, h := range q.buf {
+			want := Slot{Addr: h.Entry.Addr, Target: uint64(h.Entry.Target), Meta: packMeta(h.Entry), Way: h.Way}
+			if q.row[i] != want || q.row[i].Entry() != h.Entry {
+				return fmt.Sprintf("ReadLine(%#x) slot %d = %+v, the row scan decoded %+v", uint64(a), i, q.row[i], h)
+			}
+		}
+		if n > 0 {
+			q.copied++
+		}
+	case 9:
+		q.hits2 = q.next.LookupLine(a, q.hits2[:0])
+		q.buf = lookupLineScan(q.prev, a, q.buf[:0])
+		if len(q.hits2) != len(q.buf) {
+			return fmt.Sprintf("LookupLine(%#x) = %+v, the row scan %+v", uint64(a), q.hits2, q.buf)
+		}
+		for i := range q.buf {
+			if q.hits2[i] != q.buf[i] {
+				return fmt.Sprintf("LookupLine(%#x) = %+v, the row scan %+v", uint64(a), q.hits2, q.buf)
+			}
+		}
+	case 10:
+		got := q.next.Fill(SlotOf(e))
+		want := !q.prev.Contains(a)
+		if want {
+			q.prev.Insert(e)
+		}
+		if got != want {
+			return fmt.Sprintf("Fill(%#x) = %v, Contains+Insert wrote %v", uint64(a), got, want)
+		}
+		if got {
+			q.filled++
+		}
 	default:
 		ge, gm, gok := q.next.Probe(a)
 		var we Entry
@@ -147,6 +231,9 @@ func (q *queryPair) step(op uint8, a zaddr.Addr, v uint8) string {
 	}
 	return q.diff(q.next.RowFor(a))
 }
+
+// queryOps is the number of operations step draws from.
+const queryOps = 13
 
 // diff compares the counters, the injectors and the lanes of row (every
 // operation touches only its own row); checkState compares the whole
@@ -186,7 +273,7 @@ func runQueryOps(t *testing.T, q *queryPair, cfg Config, ops []byte) {
 	for i := 0; i+5 <= len(ops); i += 5 {
 		a := queryAddr(cfg, ops[i+1], ops[i+2], ops[i+3])
 		if d := q.step(ops[i], a, ops[i+4]); d != "" {
-			t.Fatalf("op %d (%d at %#x): %s", i/5, ops[i]%9, uint64(a), d)
+			t.Fatalf("op %d (%d at %#x): %s", i/5, ops[i]%queryOps, uint64(a), d)
 		}
 	}
 }
@@ -220,9 +307,12 @@ func TestQueriesMatchReplacedSequences(t *testing.T) {
 				// Parity at a strike per read drops every entry on its
 				// first read, so only that mode cannot hit.
 				everyReadDrops := f.perM >= 1e6 && f.p == fault.Parity
-				if !everyReadDrops && (q.counted == 0 || q.mruHits == 0 || q.hits == q.mruHits) {
-					t.Fatalf("replay missed a case: %d counting searches, %d probe hits, %d of them MRU",
-						q.counted, q.hits, q.mruHits)
+				if !everyReadDrops && (q.counted == 0 || q.mruHits == 0 || q.hits == q.mruHits || q.copied == 0) {
+					t.Fatalf("replay missed a case: %d counting searches, %d probe hits, %d of them MRU, %d row copies",
+						q.counted, q.hits, q.mruHits, q.copied)
+				}
+				if q.filled == 0 {
+					t.Fatal("replay never filled a slot")
 				}
 				if j := q.next.Injector(); j != nil && j.Stats().Injected == 0 {
 					t.Fatal("injector never struck")

@@ -76,7 +76,8 @@ func (t *Table) RestoreState(s State) error {
 	}
 	for i := range s.Slots {
 		if s.Slots[i].Valid {
-			t.writeSlot(i, s.Slots[i])
+			sl := SlotOf(s.Slots[i])
+			t.writeSlot(i, t.packKey(sl.Addr), &sl)
 		} else {
 			t.clearSlot(i)
 		}

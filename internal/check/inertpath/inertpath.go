@@ -1,14 +1,15 @@
 // Package inertpath defines an interprocedural purity analyzer backing
 // the engine's "provably-inert instruction run" claim
 // (docs/PERFORMANCE.md): engine.RunBatched's bulk fast path may skip
-// per-record stepping only because its eligibility predicate,
-// Engine.stepBulkOK, inspects state without perturbing it — if the scan
-// had any side effect, batched and record-at-a-time runs would diverge
-// and the differential gate would be the only thing standing.
+// per-record stepping only because its eligibility window,
+// Engine.bulkWindow, inspects state without perturbing it — if the
+// window computation had any side effect, batched and record-at-a-time
+// runs would diverge and the differential gate would be the only thing
+// standing.
 //
 // The analyzer turns that argument into a build-time proof:
 //
-//   - Engine.stepBulkOK (any stepBulkOK method in a package named
+//   - Engine.bulkWindow (any bulkWindow method in a package named
 //     engine) must be annotated //zbp:inert;
 //   - a //zbp:inert function's body may read anything but write only
 //     function-local values: no assignment through a pointer, slice,
@@ -104,18 +105,18 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 // checkAnchor pins the proof's root: the bulk fast path's eligibility
-// predicate must itself be annotated, so the transitive callee rule has
+// window must itself be annotated, so the transitive callee rule has
 // somewhere to start and deleting the root annotation cannot silently
 // disable the whole check.
 func checkAnchor(pass *analysis.Pass, allows *directive.AllowSet, fn *ast.FuncDecl) {
 	if directive.PkgLastElem(pass.Pkg.Path()) != "engine" {
 		return
 	}
-	if fn.Name.Name != "stepBulkOK" || fn.Recv == nil {
+	if fn.Name.Name != "bulkWindow" || fn.Recv == nil {
 		return
 	}
 	allows.Report(pass, fn.Name,
-		"bulk fast-path eligibility predicate %s must be annotated //zbp:inert: RunBatched's equivalence to Run rests on this scan having no side effects", fn.Name.Name)
+		"bulk fast-path eligibility window %s must be annotated //zbp:inert: RunBatched's equivalence to Run rests on it having no side effects", fn.Name.Name)
 }
 
 func checkBody(pass *analysis.Pass, allows *directive.AllowSet, fn *ast.FuncDecl, inert map[types.Object]*ast.FuncDecl) {

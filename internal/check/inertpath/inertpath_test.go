@@ -11,7 +11,7 @@ import (
 // fastpath/lib is analyzed first so its //zbp:inert facts are in the
 // store when fastpath/engine (which imports it) is checked — the same
 // dependency order the zbpcheck driver guarantees. Covered: the
-// stepBulkOK anchor rule, in-package and cross-package inert callees,
+// bulkWindow anchor rule, in-package and cross-package inert callees,
 // every rejected effect class, and the escape hatch.
 func TestInertPath(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), inertpath.Analyzer, "fastpath/lib", "fastpath/engine")

@@ -1,5 +1,5 @@
 // Package engine mirrors the real engine's bulk fast path: the anchor
-// rule pins //zbp:inert on every stepBulkOK eligibility predicate, and
+// rule pins //zbp:inert on every bulkWindow eligibility window, and
 // cross-package callees are proven through facts exported when
 // fastpath/lib was analyzed.
 package engine
@@ -14,15 +14,15 @@ type Engine struct {
 	calls int
 }
 
-// stepBulkOK is the annotated anchor: reads, conversions, and inert
+// bulkWindow is the annotated anchor: reads, conversions, and inert
 // callees (in-package and cross-package) only.
 //
 //zbp:inert
-func (e *Engine) stepBulkOK(addr uint64) bool {
+func (e *Engine) bulkWindow(addr uint64) (lo, span uint64) {
 	if lib.Align(addr, 64) != e.cur {
-		return false
+		return 0, 0
 	}
-	return rowOf(addr) == e.cur
+	return rowOf(addr), min(e.cur, 64)
 }
 
 // rowOf forwards to an inert cross-package callee.
@@ -30,12 +30,12 @@ func (e *Engine) stepBulkOK(addr uint64) bool {
 //zbp:inert
 func rowOf(addr uint64) uint64 { return lib.RowBase(addr) }
 
-// Bare is a second engine whose eligibility predicate lost its
+// Bare is a second engine whose eligibility window lost its
 // annotation; the anchor rule refuses to let the proof root disappear.
 type Bare struct{ cur uint64 }
 
-func (b *Bare) stepBulkOK(addr uint64) bool { // want `bulk fast-path eligibility predicate stepBulkOK must be annotated //zbp:inert`
-	return addr == b.cur
+func (b *Bare) bulkWindow(addr uint64) (lo, span uint64) { // want `bulk fast-path eligibility window bulkWindow must be annotated //zbp:inert`
+	return b.cur, addr
 }
 
 // CrossBad calls a cross-package function that exported no inert fact.

@@ -103,7 +103,9 @@ type Hierarchy struct {
 	chasedPos int
 	crossRefs map[uint64]int
 
-	hitBuf []btb.Hit // scratch for BTB2 transfer reads
+	// xfer is the snapshot of the BTB2 row a transfer read is
+	// installing, taken before any install can write the BTB2.
+	xfer   [btb.MaxWays]btb.Slot
 	met    hierMetrics
 	tracer Tracer // optional event sink (see events.go)
 
@@ -259,7 +261,7 @@ func (h *Hierarchy) Advance(now uint64) {
 func (h *Hierarchy) installDue(now uint64) {
 	n := 0
 	for n < len(h.pendingSurprise) && h.pendingSurprise[n].at <= now {
-		h.installBTBP(h.pendingSurprise[n].entry, now)
+		h.installBTBP(btb.SlotOf(h.pendingSurprise[n].entry), now)
 		n++
 	}
 	m := copy(h.pendingSurprise, h.pendingSurprise[n:])
@@ -268,35 +270,37 @@ func (h *Hierarchy) installDue(now uint64) {
 
 // transfer performs the drained BTB2 row reads: each row's hits are
 // bulk-written into the BTBP and their BTB2 copies handled per policy.
+// The hits move in lane form: their target and meta words are copied,
+// and only the BTBP tag word is re-derived from the branch address.
 //
 //zbp:hotpath
 func (h *Hierarchy) transfer(reads []tracker.Read, now uint64) {
 	for _, rd := range reads {
 		h.met.counters.transferReads.Inc()
-		h.hitBuf = h.btb2.LookupLine(rd.Line, h.hitBuf[:0])
-		h.met.transferBurst.Observe(int64(len(h.hitBuf)))
-		for _, hit := range h.hitBuf {
-			h.installBTBP(hit.Entry, now)
+		n := h.btb2.ReadLine(rd.Line, &h.xfer)
+		h.met.transferBurst.Observe(int64(n))
+		for _, s := range h.xfer[:n] {
+			target := zaddr.Addr(s.Target)
+			h.installBTBP(s, now)
 			h.met.counters.transferredHits.Inc()
-			h.noteTransferInstall(hit.Entry.Addr, now)
-			h.emit(now, EvTransferHit, hit.Entry.Addr, hit.Entry.Target)
+			h.noteTransferInstall(s.Addr, now)
+			h.emit(now, EvTransferHit, s.Addr, target)
 			switch h.cfg.Policy {
 			case SemiExclusive:
 				// "When an entry is copied from BTB2 to BTBP, it is made
 				// LRU in the BTB2."
-				h.btb2.Demote(hit.Entry.Addr)
+				h.btb2.Demote(s.Addr)
 			case TrueExclusive:
-				h.btb2.Invalidate(hit.Entry.Addr)
+				h.btb2.Invalidate(s.Addr)
 			case Inclusive:
-				h.btb2.Touch(hit.Entry.Addr)
+				h.btb2.Touch(s.Addr)
 			}
-			if h.cfg.MultiBlockTransfer && hit.Entry.Target != 0 &&
-				!zaddr.SameBlock(hit.Entry.Addr, hit.Entry.Target) {
+			if h.cfg.MultiBlockTransfer && target != 0 && !zaddr.SameBlock(s.Addr, target) {
 				if h.crossRefs == nil {
 					//zbp:allow hotalloc one-time lazy init, amortized to zero in steady state
 					h.crossRefs = make(map[uint64]int)
 				}
-				h.crossRefs[zaddr.Block(hit.Entry.Target)]++
+				h.crossRefs[zaddr.Block(target)]++
 			}
 		}
 	}
@@ -354,25 +358,29 @@ func (h *Hierarchy) maybeChase(now uint64) {
 // the branch is already resident anywhere in the first level, the write
 // is dropped: the live copy carries fresher training than a (possibly
 // stale) BTB2 transfer or a redundant surprise install, and duplicates
-// would waste first-level capacity.
+// would waste first-level capacity. It is the one first-level install
+// path: transfers, surprise installs and preloads all come through it.
 //
 //zbp:hotpath
-func (h *Hierarchy) installBTBP(e btb.Entry, now uint64) {
-	if h.btb1.Contains(e.Addr) || h.btbp.Contains(e.Addr) {
+func (h *Hierarchy) installBTBP(s btb.Slot, now uint64) {
+	if h.btb1.Contains(s.Addr) {
 		return
 	}
 	if h.cfg.BypassBTBP {
+		if h.btbp.Contains(s.Addr) {
+			return
+		}
 		// Ablation: write straight into the BTB1, displacing live
 		// content — the pollution the BTBP exists to absorb. The victim
 		// still cascades to the BTB2 so capacity is not lost unfairly.
-		victim, evicted := h.btb1.Insert(e)
-		if evicted {
-			h.writeBTB2Victim(victim)
+		if victim, evicted := h.btb1.InsertSlot(s); evicted {
+			h.writeBTB2Victim(victim.Entry())
 		}
 		return
 	}
-	h.btbp.Insert(e)
-	h.noteInstall(e.Addr, now)
+	if h.btbp.Fill(s) {
+		h.noteInstall(s.Addr, now)
+	}
 }
 
 // PendingSurpriseFor reports whether a surprise install for branch a is

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/obs/span"
 	"bulkpreload/internal/predictor"
@@ -18,80 +20,96 @@ import (
 
 // StepBatch processes a batch of committed instructions, equivalent to
 // calling step once per record. Runs of consecutive non-branch
-// instructions that satisfy stepBulkOK are applied in bulk: one
+// instructions inside the bulkWindow are applied in bulk: one
 // instruction-counter add, one clock add (Ticks are integer, so k adds
 // of DispatchTicks equal one add of k*DispatchTicks exactly), and one
-// batched steering observe.
+// batched steering observe. The window is computed once per run; the
+// record that ends a run goes through step.
 //
 //zbp:hotpath
 func (e *Engine) StepBatch(ins []trace.Inst) {
-	i := 0
-	for i < len(ins) {
-		j := i
-		for j < len(ins) && e.stepBulkOK(&ins[j], e.res.Instructions+int64(j-i)) {
-			j++
+	for i := 0; i < len(ins); i++ {
+		lo, span, limit := e.bulkWindow()
+		run := ins[i:]
+		if int64(len(run)) > limit {
+			run = run[:limit]
 		}
-		if j > i {
-			k := int64(j - i)
-			e.res.Instructions += k
+		k := 0
+		for k < len(run) && run[k].Kind == trace.NotBranch && uint64(run[k].Addr-lo) < span {
+			k++
+		}
+		if k > 0 {
+			e.res.Instructions += int64(k)
 			e.clock += e.params.DispatchTicks * predictor.Ticks(k)
-			e.hier.ObserveCompleteBatch(ins[i:j])
-			e.bulkRecords += k
-			i = j
-			continue
+			e.hier.ObserveCompleteBatch(run[:k])
+			e.bulkRecords += int64(k)
+			if i += k; i == len(ins) {
+				return
+			}
 		}
 		e.step(ins[i])
 		e.slowRecords++
-		i++
 	}
 }
 
-// stepBulkOK reports whether in may take the bulk fast path: every side
-// effect of step must reduce to Instructions++, clock += DispatchTicks,
-// and ObserveComplete. insts is the virtual instruction count — the
-// value e.res.Instructions will hold when in is processed.
+// bulkWindow returns the bulk run the engine's current state admits:
+// the next records may take the bulk fast path while each is a
+// NotBranch whose address a lies in the window, uint64(a-lo) < span,
+// and the run holds at most limit records. On such a record every side
+// effect of step reduces to Instructions++, clock += DispatchTicks, and
+// ObserveComplete, and none of those moves the window:
+//
+//   - fetch must be a same-line repeat (its early-return path): the
+//     window starts at the current fetch line and spans at most one
+//     L1I line;
+//   - advanceSearch must be a no-op: the record's row strictly behind
+//     the search position (no catch-up, no unblocking), and lookahead
+//     either blocked or already at its full lead, so the window ends
+//     at the search line, or leadRows-1 rows before it when unblocked
+//     (searchLine is always a row base);
+//   - checkpoints test the instruction count before the increment,
+//     snapshots after it, and the warmup capture fires exactly at the
+//     boundary, so none of those counts may fall inside the run.
+//
+// The window is exact, with one conservative corner: step's lead test
+// wraps for rows in the last leadRows rows of the address space, and
+// those rows never enter the window.
 //
 //zbp:hotpath
 //zbp:inert
-func (e *Engine) stepBulkOK(in *trace.Inst, insts int64) bool {
-	if in.Kind != trace.NotBranch {
-		return false
+func (e *Engine) bulkWindow() (lo zaddr.Addr, span uint64, limit int64) {
+	insts := e.res.Instructions
+	limit = math.MaxInt64
+	if e.nextCkpt > 0 {
+		limit = min(limit, e.nextCkpt-insts)
 	}
-	// Counter-triggered side effects: checkpoints test the count before
-	// the increment, snapshots after it, and the warmup capture fires
-	// exactly at the boundary. None may fall inside a bulk run.
-	if e.nextCkpt > 0 && insts >= e.nextCkpt {
-		return false
+	if e.nextSnap > 0 {
+		limit = min(limit, e.nextSnap-1-insts)
 	}
-	if e.nextSnap > 0 && insts+1 >= e.nextSnap {
-		return false
+	if w := e.params.WarmupInstructions; !e.warmTaken && w > 0 && w >= insts {
+		limit = min(limit, w-insts)
 	}
-	if !e.warmTaken && e.params.WarmupInstructions > 0 && insts == e.params.WarmupInstructions {
-		return false
+	if limit <= 0 || !e.haveFetch || !e.haveSearch {
+		return 0, 0, 0
 	}
-	// fetch must be a same-line repeat (its early-return path).
-	if !e.haveFetch || zaddr.Align(in.Addr, uint64(e.params.L1I.LineBytes)) != e.curFetchLine {
-		return false
+	hi := e.searchLine
+	if !e.searchBlocked {
+		if hi < leadRows*zaddr.RowBytes {
+			return 0, 0, 0
+		}
+		hi -= (leadRows - 1) * zaddr.RowBytes
 	}
-	// advanceSearch must be a no-op: the committed path strictly behind
-	// the search position (no catch-up, no unblocking), and lookahead
-	// either blocked or already at its full lead.
-	if !e.haveSearch {
-		return false
+	lo = e.curFetchLine
+	if hi <= lo {
+		return 0, 0, 0
 	}
-	target := zaddr.RowBase(in.Addr)
-	if e.searchLine <= target {
-		return false
-	}
-	if !e.searchBlocked && e.searchLine < target+leadRows*zaddr.RowBytes {
-		return false
-	}
-	return true
+	return lo, min(uint64(e.params.L1I.LineBytes), uint64(hi-lo)), limit
 }
 
 // RunBatched simulates src to completion under configName like Run, but
-// pulls instructions through a reusable batch (see trace.FillBatch) and
-// steps them with StepBatch. Results are bit-identical to Run on the
+// pulls instructions a batch at a time (see trace.NextBatch: an
+// in-memory source is stepped in place, anything else through one
+// reusable batch) and steps them with StepBatch. Results are bit-identical to Run on the
 // same source.
 //
 // When Params.Spans is set, the run is traced: one phase span per
@@ -112,10 +130,10 @@ func (e *Engine) RunBatched(src trace.Source, configName string) Result {
 	phase := rec.Start(span.KindPhase, phaseName, e.params.SpanParent)
 	phaseStart := int64(0)
 	b := trace.NewBatch(trace.DefaultBatchCapacity)
-	for trace.FillBatch(src, &b) > 0 {
+	for ins := trace.NextBatch(src, &b); len(ins) > 0; ins = trace.NextBatch(src, &b) {
 		bulk0, slow0 := e.bulkRecords, e.slowRecords
 		sb := rec.Start(span.KindBatch, "batch", phase.ID())
-		e.StepBatch(b.Ins)
+		e.StepBatch(ins)
 		sb.EndArgs(e.bulkRecords-bulk0, e.slowRecords-slow0)
 		if rec.Enabled() && phaseName == "warmup" && e.warmTaken {
 			phase.EndArgs(e.res.Instructions-phaseStart, 0)

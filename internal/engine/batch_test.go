@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"strconv"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"bulkpreload/internal/obs"
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/workload"
+	"bulkpreload/internal/zaddr"
 )
 
 // batchProfile is a workload small enough to run dozens of times in the
@@ -138,9 +140,10 @@ func TestStepBatchArbitrarySplits(t *testing.T) {
 	}
 }
 
-// TestBulkFastPathFires measures how often stepBulkOK accepts on a real
-// workload: equivalence proofs are vacuous if the fast path never
-// fires, so a workload with sequential non-branch runs must show hits.
+// TestBulkFastPathFires measures how often the bulk window admits the
+// next record on a real workload: equivalence proofs are vacuous if the
+// fast path never fires, so a workload with sequential non-branch runs
+// must show hits.
 func TestBulkFastPathFires(t *testing.T) {
 	params := DefaultParams()
 	params.WarmupInstructions = 0
@@ -149,7 +152,8 @@ func TestBulkFastPathFires(t *testing.T) {
 	e.reset()
 	hits := 0
 	for i := range ins {
-		if e.stepBulkOK(&ins[i], e.res.Instructions) {
+		lo, span, limit := e.bulkWindow()
+		if limit > 0 && ins[i].Kind == trace.NotBranch && uint64(ins[i].Addr-lo) < span {
 			hits++
 		}
 		e.step(ins[i])
@@ -159,6 +163,133 @@ func TestBulkFastPathFires(t *testing.T) {
 	}
 	t.Logf("bulk fast path accepted %d of %d instructions (%.1f%%)",
 		hits, len(ins), 100*float64(hits)/float64(len(ins)))
+}
+
+// stepBulkOK is the per-record eligibility predicate bulkWindow
+// replaced, kept as its reference: whether in may take the bulk fast
+// path when insts records have been counted.
+func stepBulkOK(e *Engine, in *trace.Inst, insts int64) bool {
+	if in.Kind != trace.NotBranch {
+		return false
+	}
+	if e.nextCkpt > 0 && insts >= e.nextCkpt {
+		return false
+	}
+	if e.nextSnap > 0 && insts+1 >= e.nextSnap {
+		return false
+	}
+	if !e.warmTaken && e.params.WarmupInstructions > 0 && insts == e.params.WarmupInstructions {
+		return false
+	}
+	if !e.haveFetch || zaddr.Align(in.Addr, uint64(e.params.L1I.LineBytes)) != e.curFetchLine {
+		return false
+	}
+	if !e.haveSearch {
+		return false
+	}
+	target := zaddr.RowBase(in.Addr)
+	if e.searchLine <= target {
+		return false
+	}
+	if !e.searchBlocked && e.searchLine < target+leadRows*zaddr.RowBytes {
+		return false
+	}
+	return true
+}
+
+// TestBulkWindowMatchesPredicate draws random engine states around
+// every boundary the predicate tests — checkpoint, snapshot and warmup
+// counts, fetch-line edges, the search line near zero, near the fetch
+// line and near the top of the address space, blocked and unblocked —
+// and requires the window to admit exactly the records the per-record
+// predicate admitted, at every position of a run. The only allowed
+// difference is the documented corner: rows whose lead test wraps
+// around the top of the address space stay out of the window.
+func TestBulkWindowMatchesPredicate(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	params := DefaultParams()
+	params.CheckpointSink = func(*Checkpoint) {}
+	e := New(core.DefaultConfig(), params)
+	kinds := []trace.Kind{trace.NotBranch, trace.NotBranch, trace.NotBranch, trace.CondDirect, trace.PreloadHint}
+	const top = ^zaddr.Addr(0)
+	admitted, corner := 0, 0
+	for state := 0; state < 20000; state++ {
+		line := uint64(32) << r.Intn(6) // 32..1024-byte L1I lines
+		e.params.L1I.LineBytes = int(line)
+		insts := int64(r.Intn(40))
+		e.res.Instructions = insts
+		near := func() int64 {
+			if r.Intn(3) == 0 {
+				return 0 // boundary off
+			}
+			return insts + int64(r.Intn(9)) - 3
+		}
+		e.nextCkpt, e.nextSnap = near(), near()
+		e.params.WarmupInstructions = near()
+		if e.params.WarmupInstructions < 0 {
+			e.params.WarmupInstructions = 0
+		}
+		e.warmTaken = r.Intn(3) == 0
+		e.haveFetch, e.haveSearch = r.Intn(8) != 0, r.Intn(8) != 0
+		e.searchBlocked = r.Intn(2) == 0
+		var base zaddr.Addr
+		switch r.Intn(3) {
+		case 0: // near zero
+			base = zaddr.Addr(r.Intn(4096))
+		case 1: // near the top of the address space
+			base = top - zaddr.Addr(r.Intn(4096))
+		default:
+			base = zaddr.Addr(r.Uint64())
+		}
+		e.curFetchLine = zaddr.Align(base, line)
+		// The search line is a row base near the fetch line, or anywhere
+		// near the base (including across zero).
+		rows := zaddr.Addr(r.Intn(48)) - 8
+		e.searchLine = zaddr.RowBase(e.curFetchLine + rows*zaddr.RowBytes)
+		if r.Intn(4) == 0 {
+			e.searchLine = zaddr.RowBase(base + zaddr.Addr(r.Intn(1024)) - 512)
+		}
+		lo, span, limit := e.bulkWindow()
+		for probe := 0; probe < 24; probe++ {
+			in := trace.Inst{Kind: kinds[r.Intn(len(kinds))], Length: 4}
+			switch r.Intn(3) {
+			case 0:
+				in.Addr = e.curFetchLine + zaddr.Addr(r.Intn(int(line)+128)) - 64
+			case 1:
+				in.Addr = e.searchLine + zaddr.Addr(r.Intn(512)) - 384
+			default:
+				in.Addr = zaddr.Addr(r.Uint64())
+			}
+			// A run reaches position c only through positions 0..c-1, so
+			// the old loop admitted position c of a run of this record
+			// iff the predicate held at every position up to c.
+			want := true
+			for c := int64(0); c < 12; c++ {
+				want = want && stepBulkOK(e, &in, insts+c)
+				got := c < limit && in.Kind == trace.NotBranch && uint64(in.Addr-lo) < span
+				if got == want {
+					if got {
+						admitted++
+					}
+					continue
+				}
+				if !got && zaddr.RowBase(in.Addr) >= top-leadRows*zaddr.RowBytes+1 && !e.searchBlocked {
+					corner++
+					continue
+				}
+				t.Fatalf("state %d: record %v at %#x, run position %d: window admits %v, predicate %v\n"+
+					"  insts %d ckpt %d snap %d warm %d/%v fetch %v %#x line %d search %v %#x blocked %v window [%#x +%d) limit %d",
+					state, in.Kind, uint64(in.Addr), c, got, want,
+					insts, e.nextCkpt, e.nextSnap, e.params.WarmupInstructions, e.warmTaken,
+					e.haveFetch, uint64(e.curFetchLine), line, e.haveSearch, uint64(e.searchLine), e.searchBlocked,
+					uint64(lo), span, limit)
+			}
+		}
+	}
+	if admitted == 0 {
+		t.Fatal("no random state admitted a record")
+	}
+	t.Logf("%d admissions agreed; %d wrap-corner records kept out of the window", admitted, corner)
 }
 
 // TestRunBatchedDegenerateBatches covers sources shorter than one batch

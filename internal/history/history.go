@@ -7,9 +7,22 @@
 // Histories are updated speculatively at prediction time; Snapshot and
 // Restore support repairing them when a misprediction restarts the search
 // pipeline.
+//
+// Both indexes fold each recorded taken address down to the table's
+// index width and rotate it by its age. A History keeps that folded
+// path term for the PHT and the CTB width it was last asked about, and
+// a taken RecordPrediction updates each term in O(1) (XOR out the
+// address leaving the window, XOR in the new one, rotate by one), so an
+// index costs one fold of the branch address instead of re-folding up
+// to 12 path addresses. The first index at a new width, and the first
+// after RestoreState or Reset, rebuilds its term from the address ring.
 package history
 
-import "bulkpreload/internal/zaddr"
+import (
+	"math/bits"
+
+	"bulkpreload/internal/zaddr"
+)
 
 // Depth constants from the paper.
 const (
@@ -28,6 +41,19 @@ type History struct {
 	taken [TakenAddrDepth]zaddr.Addr
 	head  int
 	count int // number of valid taken entries, saturates at TakenAddrDepth
+
+	// pht and ctb are the folded path terms of the two indexes.
+	pht, ctb pathTerm
+}
+
+// pathTerm is the path half of one index at one table width: the XOR
+// over the depth newest taken addresses of each address folded to
+// width bits and rotated left by its age plus one. width 0 means no
+// width is tracked yet.
+type pathTerm struct {
+	width uint
+	out   uint // depth % width: the rotation of the address leaving the window
+	v     uint64
 }
 
 // Snapshot is an immutable copy of a History, used to repair state after
@@ -45,12 +71,59 @@ func (h *History) RecordPrediction(addr zaddr.Addr, taken bool) {
 	}
 	h.dirs &= (1 << DirDepth) - 1
 	if taken {
+		h.pht.push(h, addr, PHTAddrDepth)
+		h.ctb.push(h, addr, TakenAddrDepth)
 		h.head = (h.head + 1) % TakenAddrDepth
 		h.taken[h.head] = addr
 		if h.count < TakenAddrDepth {
 			h.count++
 		}
 	}
+}
+
+// push advances the term past a new taken address, before h's ring
+// records it: the address leaving the depth window drops out, every
+// other address ages by one rotation, and addr enters at age 0.
+//
+//zbp:hotpath
+func (p *pathTerm) push(h *History, addr zaddr.Addr, depth int) {
+	w := p.width
+	if w == 0 {
+		return
+	}
+	mask := uint64(1)<<w - 1
+	v := p.v
+	if old, ok := h.recentTaken(depth - 1); ok {
+		x := fold(zaddr.Halfword(old), w)
+		v ^= (x<<p.out | x>>(w-p.out)) & mask
+	}
+	v ^= fold(zaddr.Halfword(addr), w)
+	p.v = (v<<1 | v>>(w-1)) & mask
+}
+
+// term returns the path term at width, rebuilding it from the ring
+// when the term tracks another width.
+//
+//zbp:hotpath
+func (p *pathTerm) term(h *History, width uint, depth int) uint64 {
+	if p.width != width {
+		p.width, p.out, p.v = width, uint(depth)%width, h.pathFold(width, depth)
+	}
+	return p.v
+}
+
+// pathFold computes a path term from scratch: the depth newest taken
+// addresses, each folded to width bits and rotated by its age plus one.
+func (h *History) pathFold(width uint, depth int) uint64 {
+	var v uint64
+	for i := 0; i < depth; i++ {
+		a, ok := h.recentTaken(i)
+		if !ok {
+			break
+		}
+		v ^= rotl(fold(zaddr.Halfword(a), width), uint(i+1), width)
+	}
+	return v
 }
 
 // Snapshot captures the current state.
@@ -74,11 +147,10 @@ func (h *History) State() State {
 }
 
 // RestoreState overwrites the history with a previously captured State.
+// The path terms are dropped, so the next index rebuilds them from the
+// restored ring.
 func (h *History) RestoreState(s State) {
-	h.dirs = s.Dirs
-	h.taken = s.Taken
-	h.head = s.Head
-	h.count = s.Count
+	*h = History{dirs: s.Dirs, taken: s.Taken, head: s.Head, count: s.Count}
 }
 
 // Reset clears all history.
@@ -116,14 +188,7 @@ func (h *History) recentTaken(i int) (zaddr.Addr, bool) {
 //zbp:hotpath
 func (h *History) PHTIndex(addr zaddr.Addr, entries int) int {
 	width := log2(entries)
-	v := fold(zaddr.Halfword(addr), width) ^ uint64(h.dirs)
-	for i := 0; i < PHTAddrDepth; i++ {
-		a, ok := h.recentTaken(i)
-		if !ok {
-			break
-		}
-		v ^= rotl(fold(zaddr.Halfword(a), width), uint(i+1), width)
-	}
+	v := fold(zaddr.Halfword(addr), width) ^ uint64(h.dirs) ^ h.pht.term(h, width, PHTAddrDepth)
 	return int(v & uint64(entries-1))
 }
 
@@ -134,14 +199,7 @@ func (h *History) PHTIndex(addr zaddr.Addr, entries int) int {
 //zbp:hotpath
 func (h *History) CTBIndex(addr zaddr.Addr, entries int) int {
 	width := log2(entries)
-	v := fold(zaddr.Halfword(addr), width)
-	for i := 0; i < TakenAddrDepth; i++ {
-		a, ok := h.recentTaken(i)
-		if !ok {
-			break
-		}
-		v ^= rotl(fold(zaddr.Halfword(a), width), uint(i+1), width)
-	}
+	v := fold(zaddr.Halfword(addr), width) ^ h.ctb.term(h, width, TakenAddrDepth)
 	return int(v & uint64(entries-1))
 }
 
@@ -158,14 +216,10 @@ func rotl(v uint64, by, width uint) uint64 {
 	return ((v << by) | (v >> (width - by))) & mask
 }
 
+//zbp:hotpath
 func log2(n int) uint {
 	if n <= 0 || n&(n-1) != 0 {
 		panic("history: table size must be a positive power of two")
 	}
-	var w uint
-	for n > 1 {
-		n >>= 1
-		w++
-	}
-	return w
+	return uint(bits.TrailingZeros(uint(n)))
 }

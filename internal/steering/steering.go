@@ -75,6 +75,9 @@ type Table struct {
 	curBlock  uint64
 	curDemand int // demand quartile of the current visit
 	cur       [zaddr.QuartilesPerBlock]quartileInfo
+	// curSector is the 128-byte sector of the last observed address,
+	// meaningful while curValid.
+	curSector uint64
 }
 
 // New builds an ordering table with the given total entry count and
@@ -144,7 +147,25 @@ func (t *Table) setAndTag(block uint64) (int, uint64) {
 // tracking state. Crossing into a different 4 KB block flushes the
 // accumulated state of the previous block into the tagged array and
 // begins a new visit whose entry quartile becomes the demand quartile.
+//
+// A repeat of the last observed sector returns at once: it would set
+// the sector and reference bits it set last time, and nothing but
+// ObserveComplete writes the live visit state in between (Reset clears
+// curValid, which ends the repeat).
+//
+//zbp:hotpath
 func (t *Table) ObserveComplete(a zaddr.Addr) {
+	if sec := uint64(a) / zaddr.SectorBytes; !t.curValid || sec != t.curSector {
+		t.observe(a, sec)
+	}
+}
+
+// observe is ObserveComplete for an address outside the last observed
+// sector, kept out of line so the repeat test inlines into callers.
+//
+//zbp:hotpath
+func (t *Table) observe(a zaddr.Addr, sec uint64) {
+	t.curSector = sec
 	block := zaddr.Block(a)
 	q := zaddr.Quartile(a)
 	if !t.curValid || block != t.curBlock {

@@ -70,6 +70,24 @@ func FillBatch(src Source, b *Batch) int {
 	return len(b.Ins)
 }
 
+// NextBatch returns src's next records, at most cap(b.Ins) of them, as
+// a read-only slice; an empty slice means end of stream. A SliceSource
+// hands out a window of its own slice, so nothing is copied; any other
+// source refills b through FillBatch. The result is valid until the
+// next call and must not be written.
+//
+//zbp:hotpath
+func NextBatch(src Source, b *Batch) []Inst {
+	if s, ok := src.(*SliceSource); ok {
+		n := min(cap(b.Ins), len(s.ins)-s.pos)
+		w := s.ins[s.pos : s.pos+n : s.pos+n]
+		s.pos += n
+		return w
+	}
+	FillBatch(src, b)
+	return b.Ins
+}
+
 // FillBatch implements Batcher with a single bulk copy from the
 // in-memory slice.
 //
@@ -171,9 +189,13 @@ func (d *BatchDecoder) Next(b *Batch) error {
 	k, rferr := io.ReadFull(d.r, d.buf)
 	for i := 0; i+recordSize <= k; i += recordSize {
 		in := decodeRecord(d.buf[i : i+recordSize])
-		if err := in.Validate(); err != nil {
-			d.err = errRecordInvalid(d.read, d.off, err)
-			return d.err
+		// The common record is accepted inline; everything else gets
+		// Validate's full check and diagnostics.
+		if !plainValid(&in) {
+			if err := in.Validate(); err != nil {
+				d.err = errRecordInvalid(d.read, d.off, err)
+				return d.err
+			}
 		}
 		d.read++
 		d.off += recordSize
@@ -184,6 +206,16 @@ func (d *BatchDecoder) Next(b *Batch) error {
 		return d.err
 	}
 	return nil
+}
+
+// plainValid reports whether in is a valid plain instruction: a
+// halfword-aligned NotBranch of length 2, 4 or 6, not taken, naming no
+// hint branch. Validate accepts exactly these NotBranch records.
+//
+//zbp:hotpath
+func plainValid(in *Inst) bool {
+	return in.Kind == NotBranch && !in.Taken && in.HintBranch == 0 && in.Addr%2 == 0 &&
+		(in.Length == 2 || in.Length == 4 || in.Length == 6)
 }
 
 // FileSource streams a ZBPT file through a reusable decode batch: the

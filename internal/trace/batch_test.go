@@ -344,6 +344,75 @@ func TestBatchDecodeZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestNextBatchSliceWindow pins the zero-copy contract of NextBatch on
+// an in-memory source: every batch is a window of the source's own
+// slice (no copy, so no memmove), capped at the batch capacity and
+// unable to grow into the next window, and a pass allocates nothing.
+func TestNextBatchSliceWindow(t *testing.T) {
+	ins := mkRandomTrace(t, 1000, 5)
+	src := NewSliceSource("window", ins)
+	b := NewBatch(64)
+	pos := 0
+	for w := NextBatch(src, &b); len(w) > 0; w = NextBatch(src, &b) {
+		if &w[0] != &ins[pos] {
+			t.Fatalf("batch at record %d is a copy, not a window of the source", pos)
+		}
+		if len(w) > 64 || cap(w) != len(w) {
+			t.Fatalf("batch at record %d has len %d cap %d, want len <= 64 and cap == len", pos, len(w), cap(w))
+		}
+		pos += len(w)
+	}
+	if pos != len(ins) {
+		t.Fatalf("windows covered %d records, want %d", pos, len(ins))
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if len(NextBatch(src, &b)) == 0 {
+			src.Reset()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("NextBatch on a SliceSource allocates %.1f times per call, want 0", allocs)
+	}
+
+	// Any other source fills the caller's batch.
+	other := &nextOnly{src: NewSliceSource("other", ins)}
+	w := NextBatch(other, &b)
+	if len(w) != 64 || &w[0] != &b.Ins[0] || w[63] != ins[63] {
+		t.Fatalf("a per-record source did not refill the batch: len %d", len(w))
+	}
+}
+
+// TestPlainValidMatchesValidate pins the decoder's inline accept: over
+// NotBranch records with every field near its limits, plainValid
+// accepts exactly what Validate accepts, and it never accepts another
+// kind.
+func TestPlainValidMatchesValidate(t *testing.T) {
+	for kind := Kind(0); kind <= numKinds; kind++ {
+		for length := uint8(0); length < 9; length++ {
+			for _, addr := range []zaddr.Addr{0, 1, 0x1000, 0x1001, ^zaddr.Addr(0), ^zaddr.Addr(1)} {
+				for _, taken := range []bool{false, true} {
+					for _, hint := range []zaddr.Addr{0, 2, 3} {
+						for _, target := range []zaddr.Addr{0, 0x2001} {
+							in := Inst{Addr: addr, Length: length, Kind: kind, Taken: taken, HintBranch: hint, Target: target}
+							plain, valid := plainValid(&in), in.Validate() == nil
+							if plain && !valid || kind == NotBranch && plain != valid || kind != NotBranch && plain {
+								t.Fatalf("%+v: plainValid %v, Validate accepts %v", in, plain, valid)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// nextOnly hides every method but Source's.
+type nextOnly struct{ src Source }
+
+func (s *nextOnly) Name() string       { return s.src.Name() }
+func (s *nextOnly) Next() (Inst, bool) { return s.src.Next() }
+func (s *nextOnly) Reset()             { s.src.Reset() }
+
 // FuzzBatchDecoder cross-checks the batch decoder against Read on
 // arbitrary bytes and batch capacities: same salvage prefix, same
 // diagnostic string, no panics, no io sentinels leaking.
