@@ -16,9 +16,9 @@ import (
 // pin that contract.
 
 // DefaultBatchCapacity is the record count of one decode batch. 1024
-// records (~27 KB of wire format, 48 KB of Inst) amortizes call and
-// read overhead while staying comfortably inside the L2 cache of the
-// worker core that replays the batch.
+// records (~27 KB of wire format, 32 KB of 32-byte Inst) amortizes
+// call and read overhead while staying comfortably inside the L2 cache
+// of the worker core that replays the batch.
 const DefaultBatchCapacity = 1024
 
 // Batch is a fixed-capacity, reusable buffer of trace records. Ins

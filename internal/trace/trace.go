@@ -218,53 +218,17 @@ func (s *SliceSource) Len() int { return len(s.ins) }
 // studies that replay one recorded trace many times. A source that
 // reports its length (a Len() int method, as SliceSource and the
 // synthetic workload source have) gets a slice of exactly that size,
-// grown only if the source yields more.
+// grown only if the source yields more. Records arrive through
+// FillBatch, so a Batcher fills whole batches.
 func Collect(src Source) []Inst {
 	src.Reset()
 	var out []Inst
 	if l, ok := src.(interface{ Len() int }); ok {
 		out = make([]Inst, 0, l.Len())
 	}
-	//zbp:bounded terminates when src.Next reports end-of-trace
-	for {
-		in, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, in)
+	b := NewBatch(0)
+	for FillBatch(src, &b) > 0 {
+		out = append(out, b.Ins...)
 	}
-}
-
-// LimitSource wraps a Source and truncates it to at most n instructions
-// per pass. Used to bound simulation time in sweeps.
-type LimitSource struct {
-	Src  Source
-	N    int
-	seen int
-}
-
-// NewLimitSource returns a Source yielding at most n instructions of src.
-func NewLimitSource(src Source, n int) *LimitSource {
-	return &LimitSource{Src: src, N: n}
-}
-
-// Name implements Source.
-func (l *LimitSource) Name() string { return l.Src.Name() }
-
-// Next implements Source.
-func (l *LimitSource) Next() (Inst, bool) {
-	if l.seen >= l.N {
-		return Inst{}, false
-	}
-	in, ok := l.Src.Next()
-	if ok {
-		l.seen++
-	}
-	return in, ok
-}
-
-// Reset implements Source.
-func (l *LimitSource) Reset() {
-	l.seen = 0
-	l.Src.Reset()
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -115,28 +116,6 @@ func TestSliceSource(t *testing.T) {
 			t.Fatalf("pass %d yielded %d records", pass, got)
 		}
 		s.Reset()
-	}
-}
-
-func TestLimitSource(t *testing.T) {
-	ins := make([]Inst, 10)
-	for i := range ins {
-		ins[i] = Inst{Addr: zaddr.Addr(0x1000 + 4*i), Length: 4, Kind: NotBranch}
-	}
-	l := NewLimitSource(NewSliceSource("x", ins), 4)
-	for pass := 0; pass < 2; pass++ {
-		n := 0
-		for {
-			_, ok := l.Next()
-			if !ok {
-				break
-			}
-			n++
-		}
-		if n != 4 {
-			t.Fatalf("pass %d: limit source yielded %d, want 4", pass, n)
-		}
-		l.Reset()
 	}
 }
 
@@ -315,14 +294,15 @@ func TestTopBlocks(t *testing.T) {
 }
 
 func TestCollect(t *testing.T) {
-	ins := synthInsts(rand.New(rand.NewSource(3)), 50)
-	s := NewSliceSource("c", ins)
-	// Partially drain, then Collect must still return everything.
-	s.Next()
-	s.Next()
-	got := Collect(s)
-	if len(got) != 50 {
-		t.Fatalf("Collect returned %d records", len(got))
+	ins := synthInsts(rand.New(rand.NewSource(3)), 3000)
+	// A Batcher fills by batch; a plain Source through Next.
+	for _, s := range []Source{NewSliceSource("c", ins), &nextOnly{NewSliceSource("c", ins)}} {
+		// Partially drain, then Collect must still return everything.
+		s.Next()
+		s.Next()
+		if got := Collect(s); !slices.Equal(got, ins) {
+			t.Fatalf("%T: Collect returned %d records, not the %d of the source", s, len(got), len(ins))
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bulkpreload/internal/trace"
 )
 
 // sharedUsers reports the live Source count of p's shared program, and
@@ -31,7 +33,7 @@ func TestSharedConcurrentNew(t *testing.T) {
 	}
 	want := make([]string, len(profs))
 	for i, p := range profs {
-		want[i] = streamHash(newSource(buildProgram(p)))
+		want[i] = streamHash(newSource(buildProgram(p)), drainNext)
 	}
 
 	const perProfile = 3
@@ -41,7 +43,7 @@ func TestSharedConcurrentNew(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = streamHash(New(profs[i%len(profs)]))
+			got[i] = streamHash(New(profs[i%len(profs)]), drainNext)
 		}(i)
 	}
 	wg.Wait()
@@ -113,5 +115,21 @@ func TestNextAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Next allocates %.3f times per record, want 0", n)
+	}
+}
+
+// TestFillBatchAllocs pins the batch path at zero allocations per
+// fill, across Reset too.
+func TestFillBatchAllocs(t *testing.T) {
+	p := smallProfile()
+	p.PreloadHints = true
+	s := New(p)
+	b := trace.NewBatch(0)
+	if n := testing.AllocsPerRun(3*p.Instructions/cap(b.Ins), func() {
+		if s.FillBatch(&b) == 0 {
+			s.Reset()
+		}
+	}); n != 0 {
+		t.Errorf("FillBatch allocates %.3f times per batch, want 0", n)
 	}
 }

@@ -22,8 +22,8 @@ const maxCallDepth = 16
 const dispatchQuantum = 1200
 
 // Source is the deterministic interpreter that walks a compiled program
-// and implements trace.Source. Two passes separated by Reset yield
-// identical streams.
+// and implements trace.Source and trace.Batcher. Two passes separated
+// by Reset yield identical streams.
 type Source struct {
 	prog *program
 
@@ -166,11 +166,55 @@ func (s *Source) Next() (trace.Inst, bool) {
 		return trace.Inst{}, false
 	}
 	s.emitted++
+	var in trace.Inst
+	s.step(&in)
+	return in, true
+}
+
+// FillBatch implements trace.Batcher: it writes the next records in
+// place into b's backing array, bounded once per call by the batch
+// capacity and the instructions left in the pass. Runs of straight-line
+// ops are copied in a tight loop; every other op goes through step, the
+// interpreter Next uses, so both entry points yield one stream and may
+// be mixed freely.
+//
+//zbp:hotpath
+func (s *Source) FillBatch(b *trace.Batch) int {
+	n := min(cap(b.Ins), s.prog.profile.Instructions-s.emitted)
+	ins := b.Ins[:n]
+	ops := s.prog.ops
+	for i := 0; i < n; {
+		pc := s.pc
+		if ops[pc].kind != trace.NotBranch {
+			s.step(&ins[i])
+			i++
+			continue
+		}
+		// Every function ends in a Return, so the run stays inside ops.
+		start := i
+		for ; i < n && ops[pc].kind == trace.NotBranch; i++ {
+			o := &ops[pc]
+			ins[i] = trace.Inst{Addr: o.addr, Length: o.length}
+			pc++
+		}
+		s.pc = pc
+		s.sinceDisp += i - start
+	}
+	s.emitted += n
+	b.Ins = ins
+	return n
+}
+
+// step writes the op at pc into in and advances the interpreter past
+// it. The caller has counted the instruction against the pass length.
+//
+//zbp:hotpath
+func (s *Source) step(in *trace.Inst) {
 	s.sinceDisp++
 
 	ops := s.prog.ops
 	o := &ops[s.pc]
-	in := trace.Inst{
+	*in = trace.Inst{
 		Addr:   o.addr,
 		Length: o.length,
 		Kind:   o.kind,
@@ -276,10 +320,9 @@ func (s *Source) Next() (trace.Inst, bool) {
 		in.Target = ops[tgt].addr
 		s.pc = tgt
 	}
-	return in, true
 }
 
-var _ trace.Source = (*Source)(nil)
+var _ trace.Batcher = (*Source)(nil)
 
 // blockSpan reports how many 4 KB blocks the program's code occupies
 // (diagnostics for steering/transfer analyses).
