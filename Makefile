@@ -15,7 +15,7 @@ race:
 	$(GO) test -race ./...
 
 # Full static gate: vet plus the repo's analyzer suite (determinism,
-# hot-path allocations, metric/span wiring, shared-state discipline...).
+# packed layouts, metric/span wiring, shared-state discipline...).
 check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/zbpcheck ./...

@@ -2,14 +2,13 @@
 // domain-specific analyzer suite (internal/check/...): it mechanically
 // enforces determinism, the paper's address bit-geometry, every
 // declared packed bit-layout (//zbp:layout pack/unpack codecs, proven
-// against the declaration and against each other), the
-// zero-allocation hot-path contract, metrics registration, error
-// handling, the shard scheduler's state-ownership discipline, the bulk
-// fast path's inertness proof, loop cancellation, the service layer's
-// locking discipline (deadlock-free acquisition order, no blocking
-// under a mutex, guarded-field access), the crash-durability effect
-// order, and the freshness of every //zbp: directive. CI runs it on
-// every build; run it locally with
+// against the declaration and against each other), metrics
+// registration, error handling, the shard scheduler's state-ownership
+// discipline, loop cancellation, the service layer's locking
+// discipline (deadlock-free acquisition order, no blocking under a
+// mutex, guarded-field access), the crash-durability effect order, and
+// the freshness of every //zbp: directive. CI runs it on every build;
+// run it locally with
 //
 //	go run ./cmd/zbpcheck ./...
 //
@@ -19,17 +18,18 @@
 // stdout (and, under GITHUB_ACTIONS, as ::error workflow commands on
 // stderr so they surface as inline PR annotations). See
 // docs/STATIC_ANALYSIS.md for the analyzer catalogue and the
-// //zbp:hotpath, //zbp:wallclock, //zbp:allow, //zbp:inert,
-// //zbp:bounded, //zbp:locked, //zbp:guardedby, //zbp:caller-holds,
-// //zbp:durable, and //zbp:layout annotations.
+// //zbp:allow, //zbp:wallclock, //zbp:bounded, //zbp:locked,
+// //zbp:guardedby, //zbp:caller-holds, //zbp:durable, and //zbp:layout
+// annotations.
 //
 // The checker loads packages offline: module and vendored packages by
 // path mapping, standard-library imports from GOROOT source. Packages
 // are analyzed in dependency order so analyzers that export facts
-// (inertpath) see their dependencies' facts, exactly as upstream
-// go/analysis drivers schedule them. It analyzes non-test files (the
-// contracts it enforces are production ones; fixtures under testdata
-// are exercised by the analysistest suite instead).
+// (packlayout, lockorder, guardedby, durable) see their dependencies'
+// facts, exactly as upstream go/analysis drivers schedule them. It
+// analyzes non-test files (the contracts it enforces are production
+// ones; fixtures under testdata are exercised by the analysistest suite
+// instead).
 package main
 
 import (
@@ -51,8 +51,6 @@ import (
 	"bulkpreload/internal/check/erring"
 	"bulkpreload/internal/check/facts"
 	"bulkpreload/internal/check/guardedby"
-	"bulkpreload/internal/check/hotalloc"
-	"bulkpreload/internal/check/inertpath"
 	"bulkpreload/internal/check/load"
 	"bulkpreload/internal/check/lockorder"
 	"bulkpreload/internal/check/obsreg"
@@ -66,11 +64,9 @@ var suite = []*analysis.Analyzer{
 	determinism.Analyzer,
 	bitrange.Analyzer,
 	packlayout.Analyzer,
-	hotalloc.Analyzer,
 	obsreg.Analyzer,
 	erring.Analyzer,
 	sharedstate.Analyzer,
-	inertpath.Analyzer,
 	ctxflow.Analyzer,
 	lockorder.Analyzer,
 	guardedby.Analyzer,

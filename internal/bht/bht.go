@@ -123,20 +123,14 @@ func NewSurpriseBHT(entries int) *SurpriseBHT {
 
 // index hashes a branch address to a table slot. Instruction addresses
 // are halfword aligned, so bit 63 carries no information; drop it.
-//
-//zbp:hotpath
 func (s *SurpriseBHT) index(a zaddr.Addr) uint64 { return zaddr.Halfword(a) & s.mask }
 
 // Taken returns the table's direction guess for the branch at a.
-//
-//zbp:hotpath
 func (s *SurpriseBHT) Taken(a zaddr.Addr) bool { return s.bits[s.index(a)] }
 
 // Guess combines the table with the static opcode-derived guess: trained
 // slots supply the dynamic bit, untrained slots fall back to the static
 // guess.
-//
-//zbp:hotpath
 func (s *SurpriseBHT) Guess(a zaddr.Addr, staticTaken bool) bool {
 	s.met.guesses.Inc()
 	i := s.index(a)
@@ -156,8 +150,6 @@ func (s *SurpriseBHT) Guess(a zaddr.Addr, staticTaken bool) bool {
 // only stored payload is the one direction bit, so an unprotected fault
 // flips it; parity recovery clears the slot back to untrained (the
 // static guess takes over until the branch retrains it).
-//
-//zbp:hotpath
 func (s *SurpriseBHT) strikeSlot(i uint64) {
 	if s.inj.Parity() {
 		s.bits[i] = false
@@ -170,8 +162,6 @@ func (s *SurpriseBHT) strikeSlot(i uint64) {
 }
 
 // Update records a resolved direction for the branch at a.
-//
-//zbp:hotpath
 func (s *SurpriseBHT) Update(a zaddr.Addr, taken bool) {
 	s.met.updates.Inc()
 	i := s.index(a)

@@ -244,8 +244,6 @@ func (t *Table) RegisterMetrics(r *obs.Registry, prefix string) {
 // RowFor returns the congruence class the address maps to: address
 // bits IndexHi..IndexLo, read through the field New validated once
 // (zaddr.Bits would re-validate the range on every call).
-//
-//zbp:hotpath
 func (t *Table) RowFor(a zaddr.Addr) int {
 	return int(t.index.Of(a))
 }
@@ -263,8 +261,6 @@ type Hit struct {
 // ReadLine's copy of the row, with ReadLine's side effects; the MRU
 // flag reflects the row's recency order before the read's strikes.
 // The result shares no storage with the table.
-//
-//zbp:hotpath
 func (t *Table) LookupLine(line zaddr.Addr, out []Hit) []Hit {
 	mruWay := int(t.lru[t.RowFor(line)] & 0xF)
 	for _, s := range t.lineBuf[:t.ReadLine(line, &t.lineBuf)] {
@@ -281,8 +277,6 @@ func (t *Table) LookupLine(line zaddr.Addr, out []Hit) []Hit {
 // if any slot matched; with an injector attached, each valid slot is
 // struck before its compare (or the row's valid slots are passed in
 // one step when no strike is due within them).
-//
-//zbp:hotpath
 func (t *Table) ReadLine(line zaddr.Addr, out *[MaxWays]Slot) int {
 	t.met.lookups.Inc()
 	row := t.RowFor(line)
@@ -309,8 +303,6 @@ func (t *Table) ReadLine(line zaddr.Addr, out *[MaxWays]Slot) int {
 
 // readStruck is ReadLine with a strike due within the row: each valid
 // slot is struck before its compare.
-//
-//zbp:hotpath
 func (t *Table) readStruck(row int, line zaddr.Addr, out *[MaxWays]Slot) int {
 	base := row * t.cfg.Ways
 	key := t.packKey(line)
@@ -343,8 +335,6 @@ func (t *Table) readStruck(row int, line zaddr.Addr, out *[MaxWays]Slot) int {
 // strike per valid entry in way order. The offset compared is
 // (k>>1)&(RowBytes-1), which equals zaddr.RowOffset of the entry's
 // decoded address because every line is a whole number of rows.
-//
-//zbp:hotpath
 func (t *Table) CountFrom(a zaddr.Addr) int {
 	t.met.lookups.Inc()
 	row := t.RowFor(a)
@@ -374,8 +364,6 @@ func (t *Table) CountFrom(a zaddr.Addr) int {
 
 // countStruck is CountFrom with a strike due within the row: each valid
 // slot is struck before its compare, as LookupLine strikes it.
-//
-//zbp:hotpath
 func (t *Table) countStruck(row int, a zaddr.Addr) int {
 	base := row * t.cfg.Ways
 	key := t.packKey(a)
@@ -413,8 +401,6 @@ func (t *Table) countStruck(row int, a zaddr.Addr) int {
 // always charged a BTB1 prediction, in order: the way scan up to the
 // match, then a full-row read for the MRU check (docs/MODEL.md). The
 // recency update follows the strikes. That is at most 2*Ways reads.
-//
-//zbp:hotpath
 func (t *Table) Probe(a zaddr.Addr) (e Entry, mru, ok bool) {
 	row := t.RowFor(a)
 	if !t.quiet(2 * t.cfg.Ways) {
@@ -446,8 +432,6 @@ func (t *Table) Probe(a zaddr.Addr) (e Entry, mru, ok bool) {
 // probeStruck is Probe with a strike due within its reads: findWay's
 // partial scan, then the full-row MRU read, then the recency update of
 // whatever the strikes left matching.
-//
-//zbp:hotpath
 func (t *Table) probeStruck(row int, a zaddr.Addr) (e Entry, mru, ok bool) {
 	w := t.findWay(row, a)
 	if w < 0 {
@@ -485,8 +469,6 @@ func (t *Table) probeStruck(row int, a zaddr.Addr) (e Entry, mru, ok bool) {
 }
 
 // Find returns a copy of the entry recognized as branch a, if present.
-//
-//zbp:hotpath
 func (t *Table) Find(a zaddr.Addr) (Entry, bool) {
 	row := t.RowFor(a)
 	if w := t.findWay(row, a); w >= 0 {
@@ -501,8 +483,6 @@ func (t *Table) Find(a zaddr.Addr) (Entry, bool) {
 // scheduled faults on the valid entries it reads, like the hardware
 // read it models) and returns its way, or -1. It reads at most Ways
 // valid entries.
-//
-//zbp:hotpath
 func (t *Table) findWay(row int, a zaddr.Addr) int {
 	if t.quiet(t.cfg.Ways) {
 		w, valid := t.matchWay(row, a)
@@ -531,8 +511,6 @@ func (t *Table) Contains(a zaddr.Addr) bool {
 
 // Update overwrites the existing entry for branch e.Addr in place,
 // preserving its recency rank. It reports whether an entry was found.
-//
-//zbp:hotpath
 func (t *Table) Update(e Entry) bool {
 	row := t.RowFor(e.Addr)
 	w := t.findWay(row, e.Addr)
@@ -549,8 +527,6 @@ func (t *Table) Update(e Entry) bool {
 // present it is updated in place and made MRU. Otherwise the entry is
 // written over an invalid way if one exists, else over the LRU way, and
 // made MRU; the displaced valid entry, if any, is returned as the victim.
-//
-//zbp:hotpath
 func (t *Table) Insert(e Entry) (victim Entry, evicted bool) {
 	s := SlotOf(e)
 	v, evicted := t.insert(&s, false)
@@ -564,8 +540,6 @@ func (t *Table) Insert(e Entry) (victim Entry, evicted bool) {
 // recency rank instead of promoting it. The BTB2's semi-exclusive policy
 // uses this for entries that were just copied *out* (made LRU so future
 // victims overwrite them first).
-//
-//zbp:hotpath
 func (t *Table) InsertAtLRU(e Entry) (victim Entry, evicted bool) {
 	s := SlotOf(e)
 	v, evicted := t.insert(&s, true)
@@ -577,8 +551,6 @@ func (t *Table) InsertAtLRU(e Entry) (victim Entry, evicted bool) {
 
 // InsertSlot is Insert in lane form: s's target and meta words are
 // copied as-is and the victim comes back undecoded.
-//
-//zbp:hotpath
 func (t *Table) InsertSlot(s Slot) (victim Slot, evicted bool) {
 	return t.insert(&s, false)
 }
@@ -589,8 +561,6 @@ func (t *Table) InsertSlot(s Slot) (victim Slot, evicted bool) {
 // does; with no strike due it is a single scan of the tag lane that
 // also finds the free way. Any valid victim is dropped without being
 // decoded.
-//
-//zbp:hotpath
 func (t *Table) Fill(s Slot) bool {
 	row := t.RowFor(s.Addr)
 	base := row * t.cfg.Ways
@@ -628,8 +598,6 @@ func (t *Table) Fill(s Slot) bool {
 // insert writes s into its row: in place if the branch is present,
 // else into the first free way, else over the LRU way, whose valid
 // content it returns as the victim.
-//
-//zbp:hotpath
 func (t *Table) insert(s *Slot, atLRU bool) (victim Slot, evicted bool) {
 	row := t.RowFor(s.Addr)
 	base := row * t.cfg.Ways
@@ -659,8 +627,6 @@ func (t *Table) insert(s *Slot, atLRU bool) (victim Slot, evicted bool) {
 }
 
 // setRecency makes way w of row MRU, or LRU when atLRU.
-//
-//zbp:hotpath
 func (t *Table) setRecency(row, w int, atLRU bool) {
 	if atLRU {
 		t.demoteWay(row, w)
@@ -670,16 +636,12 @@ func (t *Table) setRecency(row, w int, atLRU bool) {
 }
 
 // lruWay returns the least recently used way of row.
-//
-//zbp:hotpath
 func (t *Table) lruWay(row int) int {
 	return int(t.lru[row] >> (4 * uint(t.cfg.Ways-1)) & 0xF)
 }
 
 // Touch makes the entry for branch a most recently used. It reports
 // whether the branch was present.
-//
-//zbp:hotpath
 func (t *Table) Touch(a zaddr.Addr) bool {
 	row := t.RowFor(a)
 	if w, _ := t.matchWay(row, a); w >= 0 {
@@ -692,8 +654,6 @@ func (t *Table) Touch(a zaddr.Addr) bool {
 // Demote makes the entry for branch a least recently used. The paper's
 // semi-exclusive policy: "When an entry is copied from BTB2 to BTBP, it
 // is made LRU in the BTB2", so subsequent victims/installs replace it.
-//
-//zbp:hotpath
 func (t *Table) Demote(a zaddr.Addr) bool {
 	row := t.RowFor(a)
 	if w, _ := t.matchWay(row, a); w >= 0 {
@@ -705,8 +665,6 @@ func (t *Table) Demote(a zaddr.Addr) bool {
 
 // Invalidate removes the entry for branch a, reporting whether it was
 // present. The removed way becomes LRU.
-//
-//zbp:hotpath
 func (t *Table) Invalidate(a zaddr.Addr) bool {
 	row := t.RowFor(a)
 	if w, _ := t.matchWay(row, a); w >= 0 {
@@ -723,8 +681,6 @@ func (t *Table) Invalidate(a zaddr.Addr) bool {
 // whole row on a miss. findWay and Probe pass that count to the
 // injector; the write paths Touch/Demote/Invalidate are not array
 // reads in the fault model and ignore it.
-//
-//zbp:hotpath
 func (t *Table) matchWay(row int, a zaddr.Addr) (int, uint64) {
 	base := row * t.cfg.Ways
 	key := t.packKey(a)

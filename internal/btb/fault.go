@@ -15,8 +15,6 @@ func (t *Table) SetInjector(j *fault.Injector) { t.inj = j }
 // striking each of them in turn; any other read takes the struck path,
 // which calls Strike per valid entry. With no injector nothing
 // strikes, so every read is quiet.
-//
-//zbp:hotpath
 func (t *Table) quiet(n int) bool { return t.inj.Quiet() >= uint64(n) }
 
 // Injector returns the attached injector (nil when faults are off).
@@ -58,8 +56,6 @@ const (
 // recovers by invalidation (the way becomes LRU, and semi-exclusivity
 // lets first-level entries refetch from BTB2); unprotected arrays keep
 // serving the flipped entry.
-//
-//zbp:hotpath
 func (t *Table) strikeSlot(row, w int, bits uint64) {
 	i := row*t.cfg.Ways + w
 	if t.inj.Parity() {
@@ -74,8 +70,6 @@ func (t *Table) strikeSlot(row, w int, bits uint64) {
 
 // corruptSlot flips one uniformly chosen payload bit of slot i, at the
 // lane bit that stores it.
-//
-//zbp:hotpath
 func (t *Table) corruptSlot(i int, bits uint64) {
 	b := bits % payloadWidth
 	switch {

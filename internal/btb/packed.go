@@ -55,7 +55,6 @@ const (
 // entry for a would store, and the probe key a lookup for a compares
 // rows against.
 //
-//zbp:hotpath
 //zbp:layout tagword pack
 func (t *Table) packKey(a zaddr.Addr) uint64 {
 	k := 1 | uint64(a)&(t.lineBytes-1)<<1
@@ -79,15 +78,12 @@ type Slot struct {
 }
 
 // SlotOf packs e into lane form.
-//
-//zbp:hotpath
 func SlotOf(e Entry) Slot {
 	return Slot{Addr: e.Addr, Target: uint64(e.Target), Meta: packMeta(e)}
 }
 
 // packMeta builds the 16-bit meta field for e.
 //
-//zbp:hotpath
 //zbp:layout meta pack
 func packMeta(e Entry) uint64 {
 	m := uint64(e.Dir)&3 | uint64(e.Length)<<metaLenShift
@@ -101,8 +97,6 @@ func packMeta(e Entry) uint64 {
 }
 
 // Entry decodes s into a valid Entry.
-//
-//zbp:hotpath
 func (s Slot) Entry() Entry {
 	e := Entry{Valid: true, Addr: s.Addr, Target: zaddr.Addr(s.Target)}
 	unpackMeta(s.Meta, &e)
@@ -111,7 +105,6 @@ func (s Slot) Entry() Entry {
 
 // unpackMeta decodes the 16-bit meta field m into e.
 //
-//zbp:hotpath
 //zbp:layout meta unpack
 func unpackMeta(m uint64, e *Entry) {
 	e.Dir = bht.Bimodal(m >> metaDirShift & 3)
@@ -126,7 +119,6 @@ func unpackMeta(m uint64, e *Entry) {
 // the tag field keeps all bits above the index even when compares
 // truncate to TagBits.
 //
-//zbp:hotpath
 //zbp:layout tagword unpack
 func (t *Table) slotAddr(row int, k uint64) (zaddr.Addr, bool) {
 	addr := uint64(row)<<t.offBits | k>>1&((1<<t.offBits)-1)
@@ -138,8 +130,6 @@ func (t *Table) slotAddr(row int, k uint64) (zaddr.Addr, bool) {
 
 // readSlot copies slot (row, w) out in lane form; the slot must be
 // valid.
-//
-//zbp:hotpath
 func (t *Table) readSlot(row, w int) Slot {
 	i := row*t.cfg.Ways + w
 	a, _ := t.slotAddr(row, t.tags[i])
@@ -148,8 +138,6 @@ func (t *Table) readSlot(row, w int) Slot {
 
 // unpackEntry decodes slot (row, w) into *e; an invalid slot decodes
 // to the zero Entry.
-//
-//zbp:hotpath
 func (t *Table) unpackEntry(row, w int, e *Entry) {
 	i := row*t.cfg.Ways + w
 	a, ok := t.slotAddr(row, t.tags[i])
@@ -164,8 +152,6 @@ func (t *Table) unpackEntry(row, w int, e *Entry) {
 // writeSlot stores s into slot i (unconditionally valid, like the
 // hardware array write it models): key is s.Addr's tag word for this
 // table's geometry (packKey), and the target and meta words are copied.
-//
-//zbp:hotpath
 func (t *Table) writeSlot(i int, key uint64, s *Slot) {
 	t.tags[i] = key
 	t.targets[i] = s.Target
@@ -174,8 +160,6 @@ func (t *Table) writeSlot(i int, key uint64, s *Slot) {
 
 // clearSlot zeroes every lane of slot i; all-zero is the canonical
 // invalid state.
-//
-//zbp:hotpath
 func (t *Table) clearSlot(i int) {
 	t.tags[i] = 0
 	t.targets[i] = 0
@@ -184,7 +168,6 @@ func (t *Table) clearSlot(i int) {
 
 // metaField returns slot i's 16-bit meta field.
 //
-//zbp:hotpath
 //zbp:layout metaslots unpack
 func (t *Table) metaField(i int) uint64 {
 	return t.meta[i>>2] >> (uint(i&3) * metaFieldBits) & 0xFFFF
@@ -194,7 +177,6 @@ func (t *Table) metaField(i int) uint64 {
 // store masks v to the slot width so a wide value can never smear
 // into the neighboring slots.
 //
-//zbp:hotpath
 //zbp:layout metaslots pack
 func (t *Table) setMetaField(i int, v uint64) {
 	sh := uint(i&3) * metaFieldBits
@@ -205,7 +187,6 @@ func (t *Table) setMetaField(i int, v uint64) {
 // injector's single-event-upset primitive). Masking bits to the slot
 // width keeps the flip from leaking into the neighboring slots.
 //
-//zbp:hotpath
 //zbp:layout metaslots pack
 func (t *Table) xorMetaField(i int, bits uint64) {
 	t.meta[i>>2] ^= (bits & 0xFFFF) << (uint(i&3) * metaFieldBits)
@@ -216,7 +197,6 @@ func (t *Table) xorMetaField(i int, bits uint64) {
 // terminates within Ways nibbles; the final rank is returned without a
 // compare to keep the loop bounded even on corrupt words.
 //
-//zbp:hotpath
 //zbp:layout lruword unpack
 func rankOf(word uint64, w, ways int) uint {
 	for k := uint(0); k < uint(ways-1); k++ {
@@ -230,7 +210,6 @@ func rankOf(word uint64, w, ways int) uint {
 // promoteWay moves way w of row to recency rank 0 (MRU): the ranks
 // below w's old position shift up one nibble and w drops into rank 0.
 //
-//zbp:hotpath
 //zbp:layout lruword pack
 func (t *Table) promoteWay(row, w int) {
 	word := t.lru[row]
@@ -244,7 +223,6 @@ func (t *Table) promoteWay(row, w int) {
 // above w's old position shift down one nibble and w lands in the last
 // rank.
 //
-//zbp:hotpath
 //zbp:layout lruword pack
 func (t *Table) demoteWay(row, w int) {
 	word := t.lru[row]

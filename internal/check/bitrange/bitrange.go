@@ -8,11 +8,7 @@
 //  1. constant-propagates zaddr.Bits / zaddr.SetBits call sites and
 //     rejects hi > lo (arguments swapped — the little-endian reflex)
 //     and lo > 63, with a suggested fix for the swap;
-//  2. checks declared structure geometry: a btb.Config composite
-//     literal whose Rows, IndexHi and IndexLo are constants must
-//     satisfy 2^(IndexLo-IndexHi+1) == Rows, the static twin of
-//     Config.Validate;
-//  3. flags raw shift/mask arithmetic on zaddr.Addr values outside
+//  2. flags raw shift/mask arithmetic on zaddr.Addr values outside
 //     package zaddr itself — bit extraction must go through the named
 //     helpers so the geometry stays auditable in one place.
 package bitrange
@@ -36,8 +32,8 @@ const name = "bitrange"
 // Analyzer is the bitrange analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc: "constant-check zaddr bit ranges (big-endian, hi <= lo <= 63), btb.Config " +
-		"index geometry, and raw shift/mask arithmetic bypassing the zaddr helpers",
+	Doc: "constant-check zaddr bit ranges (big-endian, hi <= lo <= 63) and raw " +
+		"shift/mask arithmetic bypassing the zaddr helpers",
 	Run: run,
 }
 
@@ -70,8 +66,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				checkBitsCall(pass, allows, n)
-			case *ast.CompositeLit:
-				checkConfigLit(pass, allows, n)
 			case *ast.BinaryExpr:
 				if !inLayout(n.Pos()) {
 					checkRawBitArith(pass, allows, n)
@@ -152,52 +146,6 @@ func fmtConst(v int64, ok bool) string {
 		return "?"
 	}
 	return fmt.Sprintf("%d", v)
-}
-
-// checkConfigLit verifies declared index geometry on btb.Config
-// composite literals: the index bit range must address exactly Rows
-// congruence classes (width == log2(rows)).
-func checkConfigLit(pass *analysis.Pass, allows *directive.AllowSet, lit *ast.CompositeLit) {
-	tv, ok := pass.TypesInfo.Types[lit]
-	if !ok {
-		return
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok || named.Obj().Name() != "Config" || named.Obj().Pkg() == nil ||
-		directive.PkgLastElem(named.Obj().Pkg().Path()) != "btb" {
-		return
-	}
-	vals := map[string]int64{}
-	known := map[string]bool{}
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			return // positional literal: give up rather than miscount
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if v, ok := intConst(pass, kv.Value); ok {
-			vals[key.Name] = v
-			known[key.Name] = true
-		}
-	}
-	if !known["Rows"] || !known["IndexHi"] || !known["IndexLo"] {
-		return
-	}
-	rows, hi, lo := vals["Rows"], vals["IndexHi"], vals["IndexLo"]
-	if hi > lo || lo > 63 {
-		allows.Report(pass, lit,
-			"btb.Config index range %d:%d is invalid: ranges are big-endian (hi <= lo <= 63)", hi, lo)
-		return
-	}
-	width := lo - hi + 1
-	if width > 62 || 1<<uint(width) != rows {
-		allows.Report(pass, lit,
-			"btb.Config geometry mismatch: index bits %d:%d address %d rows but Rows is %d (width must equal log2(rows))",
-			hi, lo, int64(1)<<uint(width), rows)
-	}
 }
 
 // checkRawBitArith flags shift/mask operators applied to zaddr.Addr

@@ -7,9 +7,8 @@ import (
 	"bulkpreload/internal/check/bitrange"
 )
 
-// TestBitrange exercises constant bit-range propagation, btb.Config
-// geometry checking, and the raw shift/mask check against the zaddr and
-// btb fixture stubs.
+// TestBitrange exercises constant bit-range propagation and the raw
+// shift/mask check against the zaddr fixture stub.
 func TestBitrange(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), bitrange.Analyzer, "geometry")
 }

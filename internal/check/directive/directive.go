@@ -1,10 +1,6 @@
 // Package directive parses the zbpcheck source annotations shared by
 // every analyzer in the suite:
 //
-//	//zbp:hotpath
-//	    On a function declaration's doc comment: the function is a
-//	    zero-allocation hot path; the hotalloc analyzer checks its body.
-//
 //	//zbp:allow <analyzer> <reason>
 //	    On (or immediately above) an offending line: suppress the named
 //	    analyzer's diagnostics on that line. The reason is mandatory,
@@ -15,12 +11,6 @@
 //	    Determinism-analyzer shorthand for an annotated wall-clock
 //	    site: equivalent to //zbp:allow determinism <reason>, kept
 //	    distinct so intent is greppable.
-//
-//	//zbp:inert
-//	    On a function declaration's doc comment: the function is on the
-//	    bulk fast path's eligibility scan and must be provably
-//	    side-effect-free; the inertpath analyzer checks its body and
-//	    propagates the claim across packages as an analysis fact.
 //
 //	//zbp:bounded <reason>
 //	    On (or immediately above) a loop with no statically evident
@@ -107,8 +97,6 @@ const (
 	prefix          = "//zbp:"
 	allowPrefix     = "//zbp:allow"
 	wallclockPrefix = "//zbp:wallclock"
-	hotpathPrefix   = "//zbp:hotpath"
-	inertPrefix     = "//zbp:inert"
 	boundedPrefix   = "//zbp:bounded"
 	lockedPrefix    = "//zbp:locked"
 	durablePrefix   = "//zbp:durable"
@@ -217,16 +205,6 @@ func (s *AllowSet) ReportUnused(pass *analysis.Pass) {
 			pass.Reportf(a.Pos, "unused //zbp:allow %s: no %s diagnostic on this or the next line; delete the stale escape hatch", s.analyzer, s.analyzer)
 		}
 	}
-}
-
-// HasHotpath reports whether fn's doc comment carries //zbp:hotpath.
-func HasHotpath(fn *ast.FuncDecl) bool {
-	return hasDocDirective(fn, hotpathPrefix)
-}
-
-// HasInert reports whether fn's doc comment carries //zbp:inert.
-func HasInert(fn *ast.FuncDecl) bool {
-	return hasDocDirective(fn, inertPrefix)
 }
 
 func hasDocDirective(fn *ast.FuncDecl, want string) bool {

@@ -640,8 +640,7 @@ func (c *checker) classifyCall(call *ast.CallExpr, readonly map[types.Object]boo
 
 // escapes reports whether an assignment target reaches state outside
 // the function: a non-local identifier, or any write through a pointer,
-// slice, or map (the inertpath lvalue classification, reduced to a
-// boolean).
+// slice, or map.
 func escapes(pass *analysis.Pass, fn *ast.FuncDecl, lhs ast.Expr) bool {
 	e := ast.Unparen(lhs)
 	for {

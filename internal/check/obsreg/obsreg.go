@@ -8,16 +8,10 @@
 // text, and phase timelines, which runtime reconciliation can only
 // catch on code paths a test happens to drive.
 //
-// In packages that import the span tracer, the analyzer additionally
-// keeps hot paths and span instrumentation in lockstep:
-//
-//   - A struct with //zbp:hotpath methods must declare a *span.Recorder
-//     field (nil is the zero-cost disabled path) or carry an explicit
-//     //zbp:allow obsreg opting it out — otherwise a subsystem on the
-//     hot path silently falls out of the span hierarchy.
-//   - An unexported *span.Recorder field must be assigned somewhere in
-//     its package; nothing outside the package can wire it, so an
-//     unassigned one means spans recorded through it can never appear.
+// In packages that import the span tracer, an unexported
+// *span.Recorder field must also be assigned somewhere in its package:
+// nothing outside the package can wire it, so an unassigned one means
+// spans recorded through it can never appear.
 package obsreg
 
 import (
@@ -43,7 +37,7 @@ type fieldDecl struct {
 // Analyzer is the obsreg analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc:  "every obs metric field must be wired into an obs.Registry; hot-path structs must carry span instrumentation",
+	Doc:  "every obs metric field must be wired into an obs.Registry; every unexported span recorder field must be assigned",
 	Run:  run,
 }
 
@@ -55,11 +49,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	allows := directive.CollectAllows(pass, name)
 
 	// Pass 1: every obs metric field and span recorder field declared in
-	// this package, plus each struct's type spec for span reporting.
+	// this package.
 	var declared []fieldDecl
 	var recorders []fieldDecl
-	hasRecorder := map[string]bool{}  // struct name -> declares a recorder field
-	typeSpecs := map[string]*ast.TypeSpec{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -70,7 +62,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
-			typeSpecs[ts.Name.Name] = ts
 			for _, field := range st.Fields.List {
 				for _, name := range field.Names {
 					obj, ok := pass.TypesInfo.Defs[name].(*types.Var)
@@ -82,7 +73,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 					case isObsMetricType(obj.Type()):
 						declared = append(declared, d)
 					case isSpanRecorderType(obj.Type()):
-						hasRecorder[ts.Name.Name] = true
 						recorders = append(recorders, d)
 					}
 				}
@@ -90,7 +80,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	checkSpans(pass, allows, recorders, hasRecorder, typeSpecs)
+	checkSpans(pass, allows, recorders)
 	if len(declared) == 0 {
 		allows.ReportUnused(pass)
 		return nil, nil
@@ -139,41 +129,14 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// checkSpans enforces the span-instrumentation rules in packages that
-// import the span tracer: hot-path structs declare a recorder,
-// unexported recorder fields get assigned.
-func checkSpans(pass *analysis.Pass, allows *directive.AllowSet,
-	recorders []fieldDecl, hasRecorder map[string]bool, typeSpecs map[string]*ast.TypeSpec) {
+// checkSpans enforces the span-wiring rule in packages that import the
+// span tracer: unexported recorder fields must be assigned somewhere in
+// the package, since nothing outside it can wire them. Exported ones
+// are caller-set configuration (e.g. engine.Params.Spans) and exempt.
+func checkSpans(pass *analysis.Pass, allows *directive.AllowSet, recorders []fieldDecl) {
 	if !importsSpan(pass.Pkg) {
 		return
 	}
-
-	// Structs with //zbp:hotpath methods must declare a recorder field.
-	flagged := map[string]bool{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || !directive.HasHotpath(fn) {
-				continue
-			}
-			strct := recvTypeName(pass, fn)
-			if strct == "" || hasRecorder[strct] || flagged[strct] {
-				continue
-			}
-			ts, ok := typeSpecs[strct]
-			if !ok {
-				continue // receiver type declared in another package's file set
-			}
-			flagged[strct] = true
-			allows.Report(pass, ts.Name,
-				"struct %s has //zbp:hotpath methods but declares no *span.Recorder field; thread the span tracer through it (nil = zero-cost disabled path) or annotate the type with //zbp:allow obsreg",
-				strct)
-		}
-	}
-
-	// Unexported recorder fields must be assigned somewhere in the
-	// package: nothing outside it can wire them. Exported ones are
-	// caller-set configuration (e.g. engine.Params.Spans) and exempt.
 	assigned := map[*types.Var]bool{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -217,21 +180,6 @@ func importsSpan(pkg *types.Package) bool {
 		}
 	}
 	return false
-}
-
-// recvTypeName resolves a method's receiver base type name.
-func recvTypeName(pass *analysis.Pass, fn *ast.FuncDecl) string {
-	if len(fn.Recv.List) == 0 {
-		return ""
-	}
-	t := fn.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
 }
 
 // isSpanRecorderType reports whether t is *span.Recorder (by name, so

@@ -14,10 +14,9 @@ func TestObsreg(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), obsreg.Analyzer, "metrics")
 }
 
-// TestObsregSpans exercises the span-instrumentation rules against the
-// span fixture stub: hot-path structs without a recorder are flagged
-// (unless allowed), and unexported recorder fields nothing assigns are
-// flagged, while exported config fields and literal-wired ones pass.
+// TestObsregSpans exercises the span-wiring rule against the span
+// fixture stub: unexported recorder fields nothing assigns are flagged,
+// while exported config fields and setter- or literal-wired ones pass.
 func TestObsregSpans(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), obsreg.Analyzer, "spanwire")
 }

@@ -3,27 +3,28 @@
 // own unused suppressions, but only inside the packages it scans — a
 // directive can still rot three ways that nothing else catches:
 //
-//   - a misspelled or retired kind (//zbp:hotpth, //zbp:pure) that no
-//     analyzer will ever parse;
+//   - a misspelled or unknown kind (//zbp:hotpth, //zbp:pure) that no
+//     analyzer will ever parse, or a retired one (//zbp:hotpath,
+//     //zbp:inert) whose analyzer a runtime test replaced — carried over
+//     from an old branch, it fails with the name of that test;
 //   - an //zbp:allow naming an unknown analyzer, or naming a real one
 //     in a package that analyzer never checks (an allow for
 //     determinism in a non-critical package, an allow for erring
 //     outside cmd/ and sim) — the suppression is dead on arrival and
 //     silently stops meaning anything;
-//   - a placement no consumer reads: //zbp:hotpath, //zbp:inert,
-//     //zbp:durable, or //zbp:caller-holds anywhere but a function's
-//     doc comment, //zbp:guardedby anywhere but a struct field's
-//     comment, //zbp:wallclock outside the determinism-critical
-//     packages, //zbp:bounded in a package ctxflow does not scan,
-//     //zbp:layout anywhere but a constant declaration's or function's
-//     doc comment.
+//   - a placement no consumer reads: //zbp:durable or
+//     //zbp:caller-holds anywhere but a function's doc comment,
+//     //zbp:guardedby anywhere but a struct field's comment,
+//     //zbp:wallclock outside the determinism-critical packages,
+//     //zbp:bounded in a package ctxflow does not scan, //zbp:layout
+//     anywhere but a constant declaration's or function's doc comment.
 //
 // //zbp:layout additionally gets its spec linted here — grammar errors
 // and duplicate field names are this analyzer's diagnostics, so a
 // malformed declaration is reported even though packlayout skips it.
 //
 // In-scope usedness stays with the owning analyzer (unused allows with
-// hotalloc &c., unused bounded with ctxflow); this analyzer owns the
+// determinism &c., unused bounded with ctxflow); this analyzer owns the
 // "no analyzer would even look" class, so the two never double-report.
 package staledirective
 
@@ -60,11 +61,9 @@ func everywhere(string) bool { return true }
 var scopes = map[string]func(pkgPath string) bool{
 	"determinism": determinism.InScope,
 	"bitrange":    func(p string) bool { return directive.PkgLastElem(p) != "zaddr" },
-	"hotalloc":    everywhere,
 	"obsreg":      func(p string) bool { return directive.PkgLastElem(p) != "obs" },
 	"erring":      erring.InScope,
 	"sharedstate": sharedstate.InScope,
-	"inertpath":   everywhere,
 	"ctxflow":     ctxflow.InScope,
 	"lockorder":   everywhere,
 	"guardedby":   everywhere,
@@ -102,8 +101,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 type docRange struct{ pos, end int }
 
 // funcDocRanges returns the line extents of every doc comment attached
-// to a function that has a body (the only placement hotalloc and
-// inertpath read).
+// to a function that has a body (the only placement durable and
+// caller-holds are read from).
 func funcDocRanges(f *ast.File) []docRange {
 	var out []docRange
 	for _, decl := range f.Decls {
@@ -169,10 +168,7 @@ func checkComment(pass *analysis.Pass, allows *directive.AllowSet, c *ast.Commen
 	pkg := pass.Pkg.Path()
 	switch kind {
 	case "hotpath", "inert":
-		if !inFuncDoc(c, docs) {
-			allows.Report(pass, c,
-				"stray //zbp:%s: only a function declaration's doc comment is read (by %s); this placement is consumed by no analyzer", kind, consumerOf(kind))
-		}
+		allows.Report(pass, c, "retired //zbp:%s: %s; delete the directive", kind, retired[kind])
 	case "allow":
 		fields := strings.Fields(rest)
 		if len(fields) == 0 {
@@ -235,18 +231,20 @@ func checkComment(pass *analysis.Pass, allows *directive.AllowSet, c *ast.Commen
 		}
 	default:
 		allows.Report(pass, c,
-			"unknown //zbp: directive %q; the suite consumes hotpath, allow, wallclock, inert, bounded, locked, guardedby, caller-holds, durable, and layout", kind)
+			"unknown //zbp: directive %q; the suite consumes allow, wallclock, bounded, locked, guardedby, caller-holds, durable, and layout", kind)
 	}
 }
 
+// retired names, for each directive kind whose analyzer is gone, the
+// runtime test that now holds its contract.
+var retired = map[string]string{
+	"hotpath": "the hotalloc analyzer is gone; allocation-free paths are pinned by testing.AllocsPerRun tests (engine.TestRunAllocsFlatInRecords end to end)",
+	"inert":   "the inertpath analyzer is gone; engine.TestBulkWindowMatchesPredicate pins bulkWindow's inertness",
+}
+
 func consumerOf(kind string) string {
-	switch kind {
-	case "inert":
-		return "inertpath"
-	case "durable":
+	if kind == "durable" {
 		return "durable"
-	case "caller-holds":
-		return "guardedby and lockorder"
 	}
-	return "hotalloc"
+	return "guardedby and lockorder"
 }

@@ -17,24 +17,22 @@ package directives
 
 //zbp:bounded terminates at trace EOF // want `//zbp:bounded in package directives`
 
-// scratch carries an in-scope allow: hotalloc checks every package, so
-// the suppression is live and accepted here.
+// scratch carries an in-scope allow: lockorder checks every package,
+// so the suppression is live and accepted here.
 //
-//zbp:allow hotalloc scratch buffer reused across calls
+//zbp:allow lockorder scratch is filled before any goroutine starts
 var scratch [64]byte
 
-//zbp:hotpath // want `stray //zbp:hotpath`
-var spins int
-
-//zbp:inert // want `stray //zbp:inert`
-var pure int
-
-// fast is annotated in the one placement the consumers read: a
-// function declaration's doc comment. Accepted.
+// Retired kinds fail even in the placement their analyzers used to
+// read, so a directive carried over from an old branch is not silently
+// ignored.
 //
-//zbp:hotpath
-//zbp:inert
+//zbp:hotpath // want `retired //zbp:hotpath: the hotalloc analyzer is gone; allocation-free paths are pinned by testing.AllocsPerRun tests`
+//zbp:inert // want `retired //zbp:inert: the inertpath analyzer is gone; engine.TestBulkWindowMatchesPredicate pins bulkWindow's inertness`
 func fast() int { return len(scratch) }
+
+//zbp:allow hotalloc scratch buffer reused across calls // want `names unknown analyzer "hotalloc"`
+var spins int
 
 //zbp:durable // want `stray //zbp:durable`
 var journal int

@@ -1,12 +1,8 @@
 // Package geometry is the bitrange-analyzer fixture: zaddr.Bits /
-// SetBits constant ranges, btb.Config declared geometry, and raw
-// shift/mask arithmetic on zaddr.Addr.
+// SetBits constant ranges and raw shift/mask arithmetic on zaddr.Addr.
 package geometry
 
-import (
-	"btb"
-	"zaddr"
-)
+import "zaddr"
 
 const btb1Hi, btb1Lo = 49, 58
 
@@ -19,12 +15,6 @@ func ranges(a zaddr.Addr, hi uint) {
 	_ = zaddr.Bits(a, hi, 58)           // ok: hi is not a compile-time constant
 	_ = zaddr.SetBits(a, 47, 58, 0xFFF) // ok: the BTB2 index range
 }
-
-var (
-	good       = btb.Config{Name: "BTB1", Rows: 1024, Ways: 4, IndexHi: 49, IndexLo: 58}
-	tooFewRows = btb.Config{Name: "BTB1", Rows: 512, Ways: 4, IndexHi: 49, IndexLo: 58} // want `btb.Config geometry mismatch: index bits 49:58 address 1024 rows but Rows is 512`
-	swapped    = btb.Config{Name: "X", Rows: 1024, Ways: 4, IndexHi: 58, IndexLo: 49}   // want `btb.Config index range 58:49 is invalid`
-)
 
 func raw(a zaddr.Addr) uint64 {
 	return uint64(a) >> 4 // want `raw ">>" arithmetic on a zaddr.Addr bypasses the zaddr bit-geometry helpers`

@@ -1,12 +1,11 @@
 // Package spanwire is the obsreg-analyzer span fixture: in a package
-// that imports the span tracer, structs with //zbp:hotpath methods must
-// declare a *span.Recorder field (or carry an allow), and unexported
-// recorder fields must be assigned somewhere in the package.
+// that imports the span tracer, unexported recorder fields must be
+// assigned somewhere in the package.
 package spanwire
 
 import "span"
 
-// traced declares hot paths and a wired recorder: compliant.
+// traced declares a recorder wired by a setter: compliant.
 type traced struct {
 	spans *span.Recorder
 	n     int64
@@ -15,29 +14,10 @@ type traced struct {
 // SetSpans wires the recorder; nil keeps tracing disabled.
 func (t *traced) SetSpans(r *span.Recorder) { t.spans = r }
 
-//zbp:hotpath
 func (t *traced) Step() {
 	t.spans.Start()
 	t.n++
 }
-
-// untraced has a hot path but no recorder field: flagged.
-type untraced struct { // want `struct untraced has //zbp:hotpath methods but declares no \*span.Recorder field`
-	n int64
-}
-
-//zbp:hotpath
-func (u *untraced) Step() { u.n++ }
-
-// exempt opts out explicitly: its spans come from a wrapping source.
-//
-//zbp:allow obsreg wrapped by traced, which records the spans
-type exempt struct {
-	n int64
-}
-
-//zbp:hotpath
-func (e *exempt) Step() { e.n++ }
 
 // dangling declares a recorder nothing in the package ever assigns.
 type dangling struct {
@@ -45,7 +25,6 @@ type dangling struct {
 	n     int64
 }
 
-//zbp:hotpath
 func (d *dangling) Step() { d.n++ }
 
 // Params carries an exported recorder wired by callers in other
@@ -61,16 +40,8 @@ type literalWired struct {
 	n     int64
 }
 
-//zbp:hotpath
 func (l *literalWired) Step() { l.n++ }
 
 func newLiteralWired(r *span.Recorder) *literalWired {
 	return &literalWired{spans: r}
 }
-
-// cold has no hot paths, so it needs no recorder.
-type cold struct {
-	n int64
-}
-
-func (c *cold) Step() { c.n++ }

@@ -22,7 +22,7 @@ func predictSteadyState() (*Hierarchy, trace.Inst) {
 	installBranch(h, in, 0)
 	now := uint64(100)
 	// First hit comes from the BTBP and promotes; later hits stay in the
-	// BTB1. A few rounds warm hitBuf and the history ring.
+	// BTB1. A few rounds warm the history ring.
 	for i := 0; i < 8; i++ {
 		if p, ok := h.Predict(a, now); ok {
 			h.Resolve(in, &p, now)

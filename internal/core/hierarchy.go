@@ -124,9 +124,10 @@ func New(cfg Config) *Hierarchy {
 		panic(err)
 	}
 	h := &Hierarchy{
-		cfg:  cfg,
-		btb1: btb.New(cfg.BTB1),
-		btbp: btb.New(cfg.BTBP),
+		cfg:       cfg,
+		btb1:      btb.New(cfg.BTB1),
+		btbp:      btb.New(cfg.BTBP),
+		crossRefs: make(map[uint64]int),
 	}
 	h.met.setBounds()
 	if cfg.PHTEntries > 0 {
@@ -174,7 +175,6 @@ type sequentialOrder struct {
 	buf [zaddr.SectorsPerBlock]int
 }
 
-//zbp:hotpath
 func (o *sequentialOrder) Order(entry zaddr.Addr) []int {
 	start := zaddr.Sector(entry)
 	for i := range o.buf {
@@ -234,8 +234,6 @@ func (h *Hierarchy) History() *history.History { return &h.hist }
 // installs whose write latency has elapsed, and BTB2 bulk-transfer row
 // reads whose data has arrived at the BTBP. With nothing due it is a
 // few compares: the search and predict paths call it every cycle.
-//
-//zbp:hotpath
 func (h *Hierarchy) Advance(now uint64) {
 	if len(h.pendingSurprise) > 0 && h.pendingSurprise[0].at <= now {
 		h.installDue(now)
@@ -256,8 +254,6 @@ func (h *Hierarchy) Advance(now uint64) {
 // [1:] slicing walks the backing array forward and forces append to
 // reallocate periodically, which would put steady-state allocations on
 // the install path.
-//
-//zbp:hotpath
 func (h *Hierarchy) installDue(now uint64) {
 	n := 0
 	for n < len(h.pendingSurprise) && h.pendingSurprise[n].at <= now {
@@ -272,8 +268,6 @@ func (h *Hierarchy) installDue(now uint64) {
 // bulk-written into the BTBP and their BTB2 copies handled per policy.
 // The hits move in lane form: their target and meta words are copied,
 // and only the BTBP tag word is re-derived from the branch address.
-//
-//zbp:hotpath
 func (h *Hierarchy) transfer(reads []tracker.Read, now uint64) {
 	for _, rd := range reads {
 		h.met.counters.transferReads.Inc()
@@ -296,10 +290,6 @@ func (h *Hierarchy) transfer(reads []tracker.Read, now uint64) {
 				h.btb2.Touch(s.Addr)
 			}
 			if h.cfg.MultiBlockTransfer && target != 0 && !zaddr.SameBlock(s.Addr, target) {
-				if h.crossRefs == nil {
-					//zbp:allow hotalloc one-time lazy init, amortized to zero in steady state
-					h.crossRefs = make(map[uint64]int)
-				}
 				h.crossRefs[zaddr.Block(target)]++
 			}
 		}
@@ -310,8 +300,6 @@ func (h *Hierarchy) transfer(reads []tracker.Read, now uint64) {
 // most referenced by just-transferred branch targets — the bounded
 // multi-block transfer of Section 6. Recently chased blocks are skipped
 // to keep chains from cycling.
-//
-//zbp:hotpath
 func (h *Hierarchy) maybeChase(now uint64) {
 	// Leave headroom for demand-triggered searches.
 	if h.trk.ActiveSearches(now) >= h.cfg.Tracker.Count-1 {
@@ -328,9 +316,7 @@ func (h *Hierarchy) maybeChase(now uint64) {
 			best, bestN = blk, n
 		}
 	}
-	for k := range h.crossRefs {
-		delete(h.crossRefs, k)
-	}
+	clear(h.crossRefs)
 	// Require at least two referencing branches: a lone cross-block jump
 	// is weak evidence the target block's content is about to be needed.
 	if bestN < 2 {
@@ -360,8 +346,6 @@ func (h *Hierarchy) maybeChase(now uint64) {
 // stale) BTB2 transfer or a redundant surprise install, and duplicates
 // would waste first-level capacity. It is the one first-level install
 // path: transfers, surprise installs and preloads all come through it.
-//
-//zbp:hotpath
 func (h *Hierarchy) installBTBP(s btb.Slot, now uint64) {
 	if h.btb1.Contains(s.Addr) {
 		return
@@ -398,8 +382,6 @@ func (h *Hierarchy) PendingSurpriseFor(a zaddr.Addr) bool {
 // 32-byte line containing a at or after a's offset — one search of the
 // parallel BTB1+BTBP read. Both rows are read (BTB1 first) even when
 // the BTB1 alone answers, as the hardware reads them in parallel.
-//
-//zbp:hotpath
 func (h *Hierarchy) SearchLine(a zaddr.Addr, now uint64) bool {
 	h.Advance(now)
 	n := h.btb1.CountFrom(a)
@@ -411,8 +393,6 @@ func (h *Hierarchy) SearchLine(a zaddr.Addr, now uint64) bool {
 // hit the entry is moved into the BTB1 and the BTB1 victim cascades into
 // the BTBP and BTB2 per the configured policy. ok is false when the
 // branch misses the whole first level (a surprise branch).
-//
-//zbp:hotpath
 func (h *Hierarchy) Predict(a zaddr.Addr, now uint64) (Prediction, bool) {
 	h.Advance(now)
 	var (
@@ -464,8 +444,6 @@ func (h *Hierarchy) Predict(a zaddr.Addr, now uint64) (Prediction, bool) {
 // promote moves a BTBP entry into the BTB1 ("content is moved into the
 // BTB1 upon making a branch prediction from the BTBP"); the displaced
 // BTB1 victim is written into the BTBP and the BTB2.
-//
-//zbp:hotpath
 func (h *Hierarchy) promote(e btb.Entry, now uint64) {
 	h.btbp.Invalidate(e.Addr)
 	victim, evicted := h.btb1.Insert(e)
@@ -488,8 +466,6 @@ func (h *Hierarchy) promote(e btb.Entry, now uint64) {
 }
 
 // writeBTB2Victim writes a BTB1 victim into the BTB2 per policy.
-//
-//zbp:hotpath
 func (h *Hierarchy) writeBTB2Victim(victim btb.Entry) {
 	if h.btb2 == nil {
 		return
@@ -514,8 +490,6 @@ func (h *Hierarchy) writeBTB2Victim(victim btb.Entry) {
 // Resolve trains the hierarchy with the resolved outcome of branch in.
 // p must be the Prediction previously returned for this branch, or nil
 // for a surprise branch. now is the resolution (completion) cycle.
-//
-//zbp:hotpath
 func (h *Hierarchy) Resolve(in trace.Inst, p *Prediction, now uint64) {
 	if p != nil {
 		h.resolvePredicted(in, p)
@@ -527,7 +501,6 @@ func (h *Hierarchy) Resolve(in trace.Inst, p *Prediction, now uint64) {
 	h.hist.RecordPrediction(in.Addr, in.Taken)
 }
 
-//zbp:hotpath
 func (h *Hierarchy) resolvePredicted(in trace.Inst, p *Prediction) {
 	e := p.Entry
 	dirWrong := p.Taken != in.Taken
@@ -561,7 +534,6 @@ func (h *Hierarchy) resolvePredicted(in trace.Inst, p *Prediction) {
 	}
 }
 
-//zbp:hotpath
 func (h *Hierarchy) resolveSurprise(in trace.Inst, now uint64) {
 	if h.sbht != nil {
 		h.sbht.Update(in.Addr, in.Taken)
@@ -664,8 +636,6 @@ func (h *Hierarchy) ObserveComplete(a zaddr.Addr) {
 // ObserveComplete, hoisting the nil check and method dispatch out of
 // the engine's per-record loop. Equivalent to calling ObserveComplete
 // once per record.
-//
-//zbp:hotpath
 func (h *Hierarchy) ObserveCompleteBatch(ins []trace.Inst) {
 	if h.steer == nil {
 		return
@@ -717,7 +687,7 @@ func (h *Hierarchy) Reset() {
 	h.pendingSurprise = h.pendingSurprise[:0]
 	h.chased = [8]uint64{}
 	h.chasedPos = 0
-	h.crossRefs = nil
+	clear(h.crossRefs)
 	h.met.counters = hierCounters{}
 	h.met.promotionAge.Reset()
 	h.met.transferBurst.Reset()

@@ -87,7 +87,6 @@ func (t *Table) Entries() int { return t.n }
 
 // field returns entry i's packed valid|tag field.
 //
-//zbp:hotpath
 //zbp:layout slots unpack
 func (t *Table) field(i int) uint64 {
 	return t.tags[i>>2] >> (uint(i&3) * fieldBits) & 0xFFFF
@@ -97,7 +96,6 @@ func (t *Table) field(i int) uint64 {
 // to the entry width so a wide value can never smear into the
 // neighboring entries.
 //
-//zbp:hotpath
 //zbp:layout slots pack
 func (t *Table) setField(i int, v uint64) {
 	sh := uint(i&3) * fieldBits
@@ -106,7 +104,6 @@ func (t *Table) setField(i int, v uint64) {
 
 // packField builds the packed valid|tag field for a valid entry.
 //
-//zbp:hotpath
 //zbp:layout field pack
 func packField(tag uint16) uint64 {
 	return 1<<fieldValidBit | uint64(tag&((1<<tagBits)-1))<<fieldTagShift
@@ -144,7 +141,6 @@ func (t *Table) CountValid() int {
 	return n
 }
 
-//zbp:hotpath
 func tagOf(a zaddr.Addr) uint16 {
 	return uint16(zaddr.Halfword(a) & ((1 << tagBits) - 1))
 }
@@ -152,7 +148,6 @@ func tagOf(a zaddr.Addr) uint16 {
 // Lookup returns the path-correlated target for the branch at addr. ok is
 // false on tag mismatch, in which case the caller uses the BTB target.
 //
-//zbp:hotpath
 //zbp:layout field uses
 func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (target zaddr.Addr, ok bool) {
 	t.met.lookups.Inc()
@@ -176,8 +171,6 @@ func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (target zaddr.Addr, 
 // payload: the 64-bit target and then the 10 tag bits. Parity recovers
 // by invalidation; unprotected flips persist (a flipped target
 // silently misdirects every multi-target branch that hits this entry).
-//
-//zbp:hotpath
 func (t *Table) strikeEntry(i int, bits uint64) {
 	if t.inj.Parity() {
 		t.setField(i, 0)
@@ -195,7 +188,6 @@ func (t *Table) strikeEntry(i int, bits uint64) {
 
 // Update trains the entry for the branch at addr with a resolved target.
 //
-//zbp:hotpath
 //zbp:layout field uses
 func (t *Table) Update(h *history.History, addr, target zaddr.Addr) {
 	i := h.CTBIndex(addr, t.n)

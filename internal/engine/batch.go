@@ -25,8 +25,6 @@ import (
 // of DispatchTicks equal one add of k*DispatchTicks exactly), and one
 // batched steering observe. The window is computed once per run; the
 // record that ends a run goes through step.
-//
-//zbp:hotpath
 func (e *Engine) StepBatch(ins []trace.Inst) {
 	for i := 0; i < len(ins); i++ {
 		lo, span, limit := e.bulkWindow()
@@ -74,9 +72,6 @@ func (e *Engine) StepBatch(ins []trace.Inst) {
 // The window is exact, with one conservative corner: step's lead test
 // wraps for rows in the last leadRows rows of the address space, and
 // those rows never enter the window.
-//
-//zbp:hotpath
-//zbp:inert
 func (e *Engine) bulkWindow() (lo zaddr.Addr, span uint64, limit int64) {
 	insts := e.res.Instructions
 	limit = math.MaxInt64

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"math/rand"
 	"strconv"
 	"testing"
 
+	"bulkpreload/internal/btb"
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/obs"
 	"bulkpreload/internal/trace"
@@ -205,11 +207,32 @@ func stepBulkOK(e *Engine, in *trace.Inst, insts int64) bool {
 // predicate admitted, at every position of a run. The only allowed
 // difference is the documented corner: rows whose lead test wraps
 // around the top of the address space stay out of the window.
+//
+// On every state it also requires bulkWindow to be inert: RunBatched
+// skips per-record stepping on the strength of a window computed
+// without side effects, so the engine's checkpoint, its registry
+// snapshot and the batched path's own counters must read the same
+// before and after the call. Neither the window nor the predicate reads
+// the hierarchy, so the engine gets a minimal one: hierarchy state is
+// most of what a checkpoint costs to take and encode.
 func TestBulkWindowMatchesPredicate(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	params := DefaultParams()
 	params.CheckpointSink = func(*Checkpoint) {}
-	e := New(core.DefaultConfig(), params)
+	e := New(minimalHierarchy(), params)
+	var enc bytes.Buffer
+	gobEnc := gob.NewEncoder(&enc)
+	// inertState is everything bulkWindow could leave a mark on. The
+	// encoder is shared, and primed below, so equal checkpoints encode
+	// to equal bytes (gob sends type descriptors only once).
+	inertState := func() (string, obs.Snapshot, [3]int64) {
+		enc.Reset()
+		if err := gobEnc.Encode(e.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		return enc.String(), e.reg.Snapshot(0), [3]int64{e.nextCkpt, e.bulkRecords, e.slowRecords}
+	}
+	inertState()
 	kinds := []trace.Kind{trace.NotBranch, trace.NotBranch, trace.NotBranch, trace.CondDirect, trace.PreloadHint}
 	const top = ^zaddr.Addr(0)
 	admitted, corner := 0, 0
@@ -249,7 +272,16 @@ func TestBulkWindowMatchesPredicate(t *testing.T) {
 		if r.Intn(4) == 0 {
 			e.searchLine = zaddr.RowBase(base + zaddr.Addr(r.Intn(1024)) - 512)
 		}
+		ck0, reg0, own0 := inertState()
 		lo, span, limit := e.bulkWindow()
+		ck1, reg1, own1 := inertState()
+		if ck0 != ck1 || own0 != own1 {
+			t.Fatalf("state %d: bulkWindow changed engine state: checkpoint equal %v, nextCkpt/bulk/slow %v -> %v",
+				state, ck0 == ck1, own0, own1)
+		}
+		for _, d := range obs.Diff(reg0, reg1) {
+			t.Fatalf("state %d: bulkWindow changed the registry: %s", state, d)
+		}
 		for probe := 0; probe < 24; probe++ {
 			in := trace.Inst{Kind: kinds[r.Intn(len(kinds))], Length: 4}
 			switch r.Intn(3) {
@@ -290,6 +322,16 @@ func TestBulkWindowMatchesPredicate(t *testing.T) {
 		t.Fatal("no random state admitted a record")
 	}
 	t.Logf("%d admissions agreed; %d wrap-corner records kept out of the window", admitted, corner)
+}
+
+// minimalHierarchy is the smallest valid first-level-only hierarchy:
+// two-row, one-way BTB1 and BTBP and no auxiliary predictors.
+func minimalHierarchy() core.Config {
+	c := core.OneLevelConfig()
+	c.BTB1 = btb.Config{Name: "BTB1", Rows: 2, Ways: 1, IndexHi: 58, IndexLo: 58}
+	c.BTBP = btb.Config{Name: "BTBP", Rows: 2, Ways: 1, IndexHi: 58, IndexLo: 58}
+	c.PHTEntries, c.CTBEntries, c.FITEntries, c.SurpriseBHTEntries = 0, 0, 0, 0
+	return c
 }
 
 // TestRunBatchedDegenerateBatches covers sources shorter than one batch

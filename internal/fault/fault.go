@@ -212,8 +212,6 @@ func NewInjector(name string, perM float64, p Protection, seed uint64, record bo
 // rearm restores the power-on arrival schedule. The seed is run through
 // a splitmix64 round so that near-identical seeds still yield unrelated
 // streams (a plain `seed | 1` would collapse even/odd seed pairs).
-//
-//zbp:hotpath
 func (j *Injector) rearm() {
 	z := j.seed ^ 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -230,8 +228,6 @@ func (j *Injector) rearm() {
 }
 
 // rand steps the xorshift64* generator.
-//
-//zbp:hotpath
 func (j *Injector) rand() uint64 {
 	x := j.rng
 	x ^= x << 13
@@ -244,8 +240,6 @@ func (j *Injector) rand() uint64 {
 // advance schedules the next strike a geometric gap away: inter-arrival
 // for a per-read probability p, sampled by inversion from one uniform
 // draw. Rates at or above one fault per read strike every read.
-//
-//zbp:hotpath
 func (j *Injector) advance() {
 	p := j.perM / 1e6
 	if p >= 1 {
@@ -270,8 +264,6 @@ func (j *Injector) advance() {
 // pick which stored bit flips. Nil receivers never strike. The miss path
 // is small enough to inline into a structure's read; the strike itself
 // is out of line.
-//
-//zbp:hotpath
 func (j *Injector) Strike() (bits uint64, ok bool) {
 	if j != nil {
 		if j.reads++; j.reads >= j.next {
@@ -283,8 +275,6 @@ func (j *Injector) Strike() (bits uint64, ok bool) {
 
 // strike lands the scheduled fault on the current read and schedules
 // the next one.
-//
-//zbp:hotpath
 func (j *Injector) strike() uint64 {
 	bits := j.rand()
 	j.met.injected.Inc()
@@ -299,8 +289,6 @@ func (j *Injector) strike() uint64 {
 // certain not to strike. The next strike is already scheduled (next >
 // reads always holds), so the window is the reads before it. A nil
 // injector never strikes; its window is unbounded.
-//
-//zbp:hotpath
 func (j *Injector) Quiet() uint64 {
 	if j == nil {
 		return math.MaxUint64
@@ -314,8 +302,6 @@ func (j *Injector) Quiet() uint64 {
 // at most Quiet() valid entries may therefore skip the per-entry Strike
 // and Pass the count afterwards. Larger n is a caller bug (it would
 // skip a scheduled strike).
-//
-//zbp:hotpath
 func (j *Injector) Pass(n uint64) {
 	if j != nil {
 		j.reads += n
@@ -323,15 +309,11 @@ func (j *Injector) Pass(n uint64) {
 }
 
 // Parity reports whether the injector models a parity-protected array.
-//
-//zbp:hotpath
 func (j *Injector) Parity() bool { return j != nil && j.protection == Parity }
 
 // NoteRecovered counts a parity detection and its recovery-by-
 // invalidation. The structure calls it after dropping the entry, so
 // detections and recoveries advance together.
-//
-//zbp:hotpath
 func (j *Injector) NoteRecovered() {
 	if j == nil {
 		return
@@ -341,8 +323,6 @@ func (j *Injector) NoteRecovered() {
 }
 
 // NoteSilent counts an undetected corruption applied to the array.
-//
-//zbp:hotpath
 func (j *Injector) NoteSilent() {
 	if j == nil {
 		return

@@ -127,8 +127,6 @@ func (t *Table) CountValid() int {
 // stored re-index address equals next. Only such confirmed hits earn the
 // accelerated 2-cycle re-index; mismatches are counted as stale and do
 // not change the recency order.
-//
-//zbp:hotpath
 func (t *Table) Lookup(addr, next zaddr.Addr) bool {
 	t.met.lookups.Inc()
 	slot := t.find(addr)
@@ -146,8 +144,6 @@ func (t *Table) Lookup(addr, next zaddr.Addr) bool {
 
 // Train records that the taken branch at addr redirected the search to
 // next, installing or refreshing its FIT entry.
-//
-//zbp:hotpath
 func (t *Table) Train(addr, next zaddr.Addr) {
 	if slot := t.find(addr); slot >= 0 {
 		t.ents[slot].next = next
@@ -167,15 +163,11 @@ func (t *Table) Train(addr, next zaddr.Addr) {
 
 // home returns addr's first probe position in the index (Fibonacci
 // hashing: the multiply spreads every address bit into the top bits).
-//
-//zbp:hotpath
 func (t *Table) home(addr zaddr.Addr) int {
 	return int(uint64(addr) * 0x9E3779B97F4A7C15 >> t.shift)
 }
 
 // find returns the slot holding branch addr, or -1.
-//
-//zbp:hotpath
 func (t *Table) find(addr zaddr.Addr) int32 {
 	mask := len(t.index) - 1
 	for i := t.home(addr); t.index[i] != 0; i = (i + 1) & mask {
@@ -188,8 +180,6 @@ func (t *Table) find(addr zaddr.Addr) int32 {
 
 // reindex enters slot's branch, which must not be indexed yet, at the
 // first empty position from its home.
-//
-//zbp:hotpath
 func (t *Table) reindex(slot int32) {
 	mask := len(t.index) - 1
 	i := t.home(t.ents[slot].branch)
@@ -203,8 +193,6 @@ func (t *Table) reindex(slot int32) {
 // needs no tombstones: each later entry of the probe run that may move
 // back into the hole (its home is not cyclically within the hole's
 // run after the hole) does, until the run ends.
-//
-//zbp:hotpath
 func (t *Table) unindex(addr zaddr.Addr) {
 	mask := len(t.index) - 1
 	hole := t.home(addr)
@@ -223,8 +211,6 @@ func (t *Table) unindex(addr zaddr.Addr) {
 }
 
 // promote moves slot to the MRU end of the recency list.
-//
-//zbp:hotpath
 func (t *Table) promote(slot int32) {
 	if slot == t.mru {
 		return

@@ -62,8 +62,6 @@ type Snapshot struct{ h History }
 
 // RecordPrediction shifts a predicted direction into the history; for
 // taken predictions the branch's instruction address is also recorded.
-//
-//zbp:hotpath
 func (h *History) RecordPrediction(addr zaddr.Addr, taken bool) {
 	h.dirs <<= 1
 	if taken {
@@ -84,8 +82,6 @@ func (h *History) RecordPrediction(addr zaddr.Addr, taken bool) {
 // push advances the term past a new taken address, before h's ring
 // records it: the address leaving the depth window drops out, every
 // other address ages by one rotation, and addr enters at age 0.
-//
-//zbp:hotpath
 func (p *pathTerm) push(h *History, addr zaddr.Addr, depth int) {
 	w := p.width
 	if w == 0 {
@@ -103,8 +99,6 @@ func (p *pathTerm) push(h *History, addr zaddr.Addr, depth int) {
 
 // term returns the path term at width, rebuilding it from the ring
 // when the term tracks another width.
-//
-//zbp:hotpath
 func (p *pathTerm) term(h *History, width uint, depth int) uint64 {
 	if p.width != width {
 		p.width, p.out, p.v = width, uint(depth)%width, h.pathFold(width, depth)
@@ -157,8 +151,6 @@ func (h *History) RestoreState(s State) {
 func (h *History) Reset() { *h = History{} }
 
 // fold XOR-folds a 64-bit value down to width bits.
-//
-//zbp:hotpath
 func fold(v uint64, width uint) uint64 {
 	var out uint64
 	for v != 0 {
@@ -170,8 +162,6 @@ func fold(v uint64, width uint) uint64 {
 
 // recentTaken returns the i-th most recent taken address (i = 0 is the
 // newest); ok is false when fewer than i+1 taken branches have occurred.
-//
-//zbp:hotpath
 func (h *History) recentTaken(i int) (zaddr.Addr, bool) {
 	if i >= h.count {
 		return 0, false
@@ -184,8 +174,6 @@ func (h *History) recentTaken(i int) (zaddr.Addr, bool) {
 // table of the given size (power of two). The index mixes the branch
 // address with the 12-direction history and the 6 most recent
 // taken-branch addresses, each rotated by age so that path order matters.
-//
-//zbp:hotpath
 func (h *History) PHTIndex(addr zaddr.Addr, entries int) int {
 	width := log2(entries)
 	v := fold(zaddr.Halfword(addr), width) ^ uint64(h.dirs) ^ h.pht.term(h, width, PHTAddrDepth)
@@ -195,8 +183,6 @@ func (h *History) PHTIndex(addr zaddr.Addr, entries int) int {
 // CTBIndex computes the CTB congruence class for the branch at addr: the
 // path of the 12 previous taken-branch addresses, mixed with the branch
 // address.
-//
-//zbp:hotpath
 func (h *History) CTBIndex(addr zaddr.Addr, entries int) int {
 	width := log2(entries)
 	v := fold(zaddr.Halfword(addr), width) ^ h.ctb.term(h, width, TakenAddrDepth)
@@ -209,14 +195,12 @@ func (h *History) DirBits() uint16 { return h.dirs }
 // TakenDepthUsed returns how many taken addresses are currently recorded.
 func (h *History) TakenDepthUsed() int { return h.count }
 
-//zbp:hotpath
 func rotl(v uint64, by, width uint) uint64 {
 	by %= width
 	mask := uint64(1)<<width - 1
 	return ((v << by) | (v >> (width - by))) & mask
 }
 
-//zbp:hotpath
 func log2(n int) uint {
 	if n <= 0 || n&(n-1) != 0 {
 		panic("history: table size must be a positive power of two")

@@ -12,8 +12,8 @@
 //  1. Disabled tracing must cost nothing. Every Recorder and Span
 //     method is a nil-receiver no-op, so the hot path pays one
 //     predictable branch and zero allocations when no trace is
-//     attached. The disabled path is pinned by the hotalloc analyzer
-//     and a 0 allocs/op benchmark (span_test.go).
+//     attached. The disabled path is pinned at 0 allocs/op by
+//     span_test.go.
 //  2. Recorders are goroutine-local: a Recorder buffers events for the
 //     one goroutine that owns it, with plain (non-atomic) appends and
 //     sequence counters. Events cross goroutine boundaries only through
@@ -220,15 +220,11 @@ func (r *Recorder) Worker() int {
 }
 
 // now returns nanoseconds since the trace epoch (monotonic).
-//
-//zbp:hotpath
 func (r *Recorder) now() int64 {
 	return int64(time.Since(r.t.epoch))
 }
 
 // nextID mints the next deterministic span ID for this recorder.
-//
-//zbp:hotpath
 func (r *Recorder) nextID() ID {
 	r.seq++
 	return ID(uint64(r.worker+1)<<workerShift | r.seq)
@@ -237,8 +233,6 @@ func (r *Recorder) nextID() ID {
 // Start opens a span of the given kind under parent (0 for a root) and
 // returns its handle. On a nil recorder it returns the zero Span, whose
 // End/EndArgs are no-ops. Nothing is buffered until the span ends.
-//
-//zbp:hotpath
 func (r *Recorder) Start(kind Kind, name string, parent ID) Span {
 	if r == nil {
 		return Span{}
@@ -248,8 +242,6 @@ func (r *Recorder) Start(kind Kind, name string, parent ID) Span {
 
 // Instant records a zero-duration event (a steal decision, a marker)
 // under parent.
-//
-//zbp:hotpath
 func (r *Recorder) Instant(kind Kind, name string, parent ID, arg1, arg2 int64) {
 	if r == nil {
 		return
@@ -283,14 +275,10 @@ type Span struct {
 func (s Span) ID() ID { return s.id }
 
 // End closes the span with no arguments.
-//
-//zbp:hotpath
 func (s Span) End() { s.EndArgs(0, 0) }
 
 // EndArgs closes the span, attaching two kind-specific arguments (see
 // Kind.ArgNames). The event is buffered on the owning recorder.
-//
-//zbp:hotpath
 func (s Span) EndArgs(arg1, arg2 int64) {
 	if s.r == nil {
 		return

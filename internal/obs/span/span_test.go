@@ -6,8 +6,7 @@ import (
 
 // TestDisabledPathNoAllocs pins the zero-alloc contract of the nil
 // recorder: a pipeline built with tracing off must not pay a single
-// allocation for its span calls. This is the runtime half of the
-// hotalloc analyzer's static check.
+// allocation for its span calls.
 func TestDisabledPathNoAllocs(t *testing.T) {
 	var tr *Trace // nil trace: tracing disabled end to end
 	rec := tr.NewRecorder(1)

@@ -85,7 +85,6 @@ func (t *Table) Entries() int { return t.n }
 
 // field returns entry i's packed 16-bit field.
 //
-//zbp:hotpath
 //zbp:layout slots unpack
 func (t *Table) field(i int) uint64 {
 	return t.words[i>>2] >> (uint(i&3) * fieldBits) & 0xFFFF
@@ -95,7 +94,6 @@ func (t *Table) field(i int) uint64 {
 // entry width so a wide value can never smear into the neighboring
 // entries.
 //
-//zbp:hotpath
 //zbp:layout slots pack
 func (t *Table) setField(i int, v uint64) {
 	sh := uint(i&3) * fieldBits
@@ -104,7 +102,6 @@ func (t *Table) setField(i int, v uint64) {
 
 // packField builds the packed field for a valid entry.
 //
-//zbp:hotpath
 //zbp:layout field pack
 func packField(tag uint16, dir bht.Bimodal) uint64 {
 	return 1<<fieldValidBit |
@@ -144,7 +141,6 @@ func (t *Table) CountValid() int {
 	return n
 }
 
-//zbp:hotpath
 func tagOf(a zaddr.Addr) uint16 {
 	return uint16(zaddr.Halfword(a) & ((1 << tagBits) - 1))
 }
@@ -153,7 +149,6 @@ func tagOf(a zaddr.Addr) uint16 {
 // given path history. ok is false on a tag mismatch or invalid entry, in
 // which case the caller falls back to the BTB's bimodal direction.
 //
-//zbp:hotpath
 //zbp:layout field uses
 func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (taken bool, ok bool) {
 	t.met.lookups.Inc()
@@ -177,8 +172,6 @@ func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (taken bool, ok bool
 // payload: 10 tag bits and then the 2-bit direction counter. Parity
 // recovers by invalidation; unprotected flips persist (a flipped tag
 // silently redirects the entry to an aliasing branch).
-//
-//zbp:hotpath
 func (t *Table) strikeEntry(i int, bits uint64) {
 	if t.inj.Parity() {
 		t.setField(i, 0)
@@ -197,7 +190,6 @@ func (t *Table) strikeEntry(i int, bits uint64) {
 // direction. On tag mismatch the entry is stolen (retagged and
 // re-initialized) — small tagged predictors reallocate on miss.
 //
-//zbp:hotpath
 //zbp:layout field uses
 func (t *Table) Update(h *history.History, addr zaddr.Addr, taken bool) {
 	i := h.PHTIndex(addr, t.n)

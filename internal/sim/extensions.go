@@ -191,6 +191,12 @@ func SharingStudy(a, b workload.Profile, quantum int, cfg core.Config,
 	return res
 }
 
+// BTBPGeometry builds a BTBP btb.Config with the given ways at the
+// shipping 128-row geometry (index bits 52:58).
+func BTBPGeometry(ways int) btb.Config {
+	return btb.Config{Name: "BTBP", Rows: 128, Ways: ways, IndexHi: 52, IndexLo: 58}
+}
+
 // SweepBTBPSize varies the preload table's capacity (ways at the fixed
 // 128-row geometry). The BTBP is the hierarchy's linchpin — see the
 // BTBP-bypass ablation — so its sizing is worth a curve: too small and
@@ -200,7 +206,7 @@ func SweepBTBPSize(profiles []workload.Profile, params engine.Params, ways []int
 	var out []SweepPoint
 	for _, w := range ways {
 		base := core.OneLevelConfig()
-		base.BTBP = btb.Config{Name: "BTBP", Rows: 128, Ways: w, IndexHi: 52, IndexLo: 58}
+		base.BTBP = BTBPGeometry(w)
 		cfg := core.DefaultConfig()
 		cfg.BTBP = base.BTBP
 		imp, err := averageImprovement(profiles, params, base, cfg)

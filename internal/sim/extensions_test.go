@@ -28,6 +28,31 @@ func TestBTB2RowGeometry(t *testing.T) {
 	BTB2RowGeometry(256)
 }
 
+// TestSweepGeometriesValidate validates every table geometry the
+// sweeps build, at every setting the experiments run: the Figure 5
+// capacity sweep's BTB2s and the BTBP-size sweep's BTBPs (the row
+// coverage sweep's are checked by TestBTB2RowGeometry).
+func TestSweepGeometriesValidate(t *testing.T) {
+	for _, rows := range []int{64, 512, 1024, 2048, 4096, 8192} {
+		cfg := BTB2Geometry(rows)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("BTB2 %d rows: %v", rows, err)
+		}
+		if cfg.Rows != rows || cfg.LineBytes() != 32 {
+			t.Errorf("BTB2 %d rows: got %d rows of %d bytes", rows, cfg.Rows, cfg.LineBytes())
+		}
+	}
+	for _, ways := range []int{1, 2, 4, 6, 8} {
+		cfg := BTBPGeometry(ways)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("BTBP %d ways: %v", ways, err)
+		}
+		if cfg.Capacity() != 128*ways {
+			t.Errorf("BTBP %d ways: capacity %d", ways, cfg.Capacity())
+		}
+	}
+}
+
 func TestSweepRowCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")

@@ -152,8 +152,6 @@ func (t *Table) setAndTag(block uint64) (int, uint64) {
 // the sector and reference bits it set last time, and nothing but
 // ObserveComplete writes the live visit state in between (Reset clears
 // curValid, which ends the repeat).
-//
-//zbp:hotpath
 func (t *Table) ObserveComplete(a zaddr.Addr) {
 	if sec := uint64(a) / zaddr.SectorBytes; !t.curValid || sec != t.curSector {
 		t.observe(a, sec)
@@ -162,8 +160,6 @@ func (t *Table) ObserveComplete(a zaddr.Addr) {
 
 // observe is ObserveComplete for an address outside the last observed
 // sector, kept out of line so the repeat test inlines into callers.
-//
-//zbp:hotpath
 func (t *Table) observe(a zaddr.Addr, sec uint64) {
 	t.curSector = sec
 	block := zaddr.Block(a)
@@ -292,8 +288,6 @@ func (t *Table) snapshotFor(block uint64) ([zaddr.QuartilesPerBlock]quartileInfo
 // quartile (wrapping around the block). Within every class, sectors are
 // visited starting from the entry sector's position and wrapping, so the
 // code about to execute is transferred soonest.
-//
-//zbp:hotpath
 func (t *Table) Order(entryAddr zaddr.Addr) []int {
 	t.met.lookups.Inc()
 	block := zaddr.Block(entryAddr)

@@ -12,8 +12,7 @@ import (
 // fixed-capacity record batches instead of one interface call per
 // record. A Batch is a reusable buffer (allocated once, refilled in
 // place), so batch-driven runs are allocation-free in steady state;
-// the AllocsPerRun tests in batch_test.go and the hotalloc analyzer
-// pin that contract.
+// the AllocsPerRun tests in batch_test.go pin that contract.
 
 // DefaultBatchCapacity is the record count of one decode batch. 1024
 // records (~27 KB of wire format, 32 KB of 32-byte Inst) amortizes
@@ -53,8 +52,6 @@ type Batcher interface {
 // FillBatch refills b from src: batch-capable sources fill directly,
 // anything else falls back to a per-record Next loop. Returns the
 // number of records delivered; 0 means end of stream.
-//
-//zbp:hotpath
 func FillBatch(src Source, b *Batch) int {
 	if bs, ok := src.(Batcher); ok {
 		return bs.FillBatch(b)
@@ -75,8 +72,6 @@ func FillBatch(src Source, b *Batch) int {
 // hands out a window of its own slice, so nothing is copied; any other
 // source refills b through FillBatch. The result is valid until the
 // next call and must not be written.
-//
-//zbp:hotpath
 func NextBatch(src Source, b *Batch) []Inst {
 	if s, ok := src.(*SliceSource); ok {
 		n := min(cap(b.Ins), len(s.ins)-s.pos)
@@ -90,8 +85,6 @@ func NextBatch(src Source, b *Batch) []Inst {
 
 // FillBatch implements Batcher with a single bulk copy from the
 // in-memory slice.
-//
-//zbp:hotpath
 func (s *SliceSource) FillBatch(b *Batch) int {
 	n := cap(b.Ins)
 	if rem := len(s.ins) - s.pos; n > rem {
@@ -107,8 +100,6 @@ func (s *SliceSource) FillBatch(b *Batch) int {
 // Batch with zero allocations in steady state. Byte-offset diagnostics
 // (truncation, invalid records) are identical to Read's, so salvage
 // tooling sees the same failure point whichever decoder found it.
-//
-//zbp:allow obsreg FileSource wraps this decoder and records the refill spans around Next
 type BatchDecoder struct {
 	r       io.Reader
 	name    string
@@ -168,8 +159,6 @@ func (d *BatchDecoder) Reset(r io.Reader) {
 // the failure are left in b — callers may salvage them — and the
 // returned error carries the same byte-offset diagnostics as Read;
 // every later call returns the same error with an empty batch.
-//
-//zbp:hotpath
 func (d *BatchDecoder) Next(b *Batch) error {
 	b.Ins = b.Ins[:0]
 	if d.err != nil {
@@ -211,8 +200,6 @@ func (d *BatchDecoder) Next(b *Batch) error {
 // plainValid reports whether in is a valid plain instruction: a
 // halfword-aligned NotBranch of length 2, 4 or 6, not taken, naming no
 // hint branch. Validate accepts exactly these NotBranch records.
-//
-//zbp:hotpath
 func plainValid(in *Inst) bool {
 	return in.Kind == NotBranch && !in.Taken && in.HintBranch == 0 && in.Addr%2 == 0 &&
 		(in.Length == 2 || in.Length == 4 || in.Length == 6)
@@ -271,8 +258,6 @@ func (s *FileSource) Name() string { return s.dec.Name() }
 
 // Next implements Source, serving records out of the current batch and
 // refilling when it drains.
-//
-//zbp:hotpath
 func (s *FileSource) Next() (Inst, bool) {
 	if s.pos >= len(s.batch.Ins) && !s.refill() {
 		return Inst{}, false
@@ -304,8 +289,6 @@ func (s *FileSource) refill() bool {
 // FillBatch implements Batcher. With no buffered remainder it decodes
 // straight into b; otherwise it drains the remainder first so mixed
 // Next/FillBatch consumers never reorder records.
-//
-//zbp:hotpath
 func (s *FileSource) FillBatch(b *Batch) int {
 	if rem := len(s.batch.Ins) - s.pos; rem > 0 {
 		n := cap(b.Ins)

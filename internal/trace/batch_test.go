@@ -301,8 +301,7 @@ func TestFileSourceMixedConsumption(t *testing.T) {
 
 // TestBatchDecodeZeroAlloc pins the zero-allocation contract of the
 // steady-state decode loop: once the decoder and batch exist, Next and
-// FillBatch must not allocate (the same contract zbpcheck's hotalloc
-// analyzer enforces syntactically).
+// FillBatch must not allocate.
 func TestBatchDecodeZeroAlloc(t *testing.T) {
 	ins := mkRandomTrace(t, 4096, 99)
 	data := encode(t, "alloc", ins)
@@ -341,6 +340,30 @@ func TestBatchDecodeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("SliceSource.FillBatch allocates %.1f times per call in steady state, want 0", allocs)
+	}
+
+	path := filepath.Join(t.TempDir(), "alloc.zbpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFileSource(path, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	allocs = testing.AllocsPerRun(200, func() {
+		if FillBatch(fs, &b) == 0 {
+			fs.Reset()
+		}
+		if _, ok := fs.Next(); !ok {
+			fs.Reset()
+		}
+	})
+	if fs.Err() != nil {
+		t.Fatal(fs.Err())
+	}
+	if allocs != 0 {
+		t.Errorf("FileSource FillBatch+Next allocates %.1f times per call in steady state, want 0", allocs)
 	}
 }
 

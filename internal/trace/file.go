@@ -157,7 +157,6 @@ func readHeader(r io.Reader) (name string, n uint64, off int64, err error) {
 // decodeRecord rebuilds one Inst from its wire image. rec must hold
 // recordSize bytes; no validation is performed here.
 //
-//zbp:hotpath
 //zbp:layout record unpack
 //zbp:layout flags unpack
 func decodeRecord(rec []byte) Inst {

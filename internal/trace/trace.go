@@ -180,8 +180,6 @@ type Source interface {
 // workhorse for unit tests and for directed microbenchmark kernels.
 // Refills from a resident slice are not worth span events; file-backed
 // streaming (FileSource) is the traced path.
-//
-//zbp:allow obsreg in-memory refills are not traced; FileSource records refill spans
 type SliceSource struct {
 	name string
 	ins  []Inst

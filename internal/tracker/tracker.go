@@ -213,8 +213,6 @@ func (t *Trackers) RegisterMetrics(r *obs.Registry, prefix string) {
 }
 
 // ActiveSearches returns the number of trackers with a search in flight.
-//
-//zbp:hotpath
 func (t *Trackers) ActiveSearches(now uint64) int {
 	n := 0
 	for i := range t.slots {
@@ -230,8 +228,6 @@ func (t *Trackers) ActiveSearches(now uint64) int {
 // partial search completing without an I-cache miss invalidates its
 // tracker; with one, the tracker upgrades (handled in OnICacheMiss, but a
 // late reap here catches the already-upgraded full searches too).
-//
-//zbp:hotpath
 func (t *Trackers) reap(now uint64) {
 	for i := range t.slots {
 		s := &t.slots[i]
@@ -344,8 +340,6 @@ func (t *Trackers) OnICacheMiss(addr zaddr.Addr, now uint64) {
 
 // launchPartial schedules the partial search around the miss address
 // (PartialRows BTB2 rows, 128 bytes in the shipping geometry).
-//
-//zbp:hotpath
 func (t *Trackers) launchPartial(i int, now uint64) {
 	s := &t.slots[i]
 	s.st = partialActive
@@ -361,8 +355,6 @@ func (t *Trackers) launchPartial(i int, now uint64) {
 }
 
 // launchFull schedules a full-block search ordered by the steering table.
-//
-//zbp:hotpath
 func (t *Trackers) launchFull(i int, now uint64) {
 	s := &t.slots[i]
 	s.st = fullActive
@@ -372,8 +364,6 @@ func (t *Trackers) launchFull(i int, now uint64) {
 
 // upgrade extends a partial search to the full block, skipping rows the
 // partial pass already covered.
-//
-//zbp:hotpath
 func (t *Trackers) upgrade(i int, now uint64) {
 	s := &t.slots[i]
 	s.st = fullActive
@@ -386,8 +376,6 @@ func (t *Trackers) upgrade(i int, now uint64) {
 // anchored at the tracker's miss address. Wider BTB2 rows cover several
 // 128-byte sectors each; duplicate rows are filtered by the schedule
 // bitmap. The result is t.rows, valid until the next launch.
-//
-//zbp:hotpath
 func (t *Trackers) fullRowOrder(s *slot) []int {
 	rb := t.cfg.rowBytes()
 	sectors := t.ord.Order(s.missAddr)
@@ -413,8 +401,6 @@ func (t *Trackers) fullRowOrder(s *slot) []int {
 // scheduled for this tracker are skipped (upgrade path). It lowers due
 // to the first read's Ready and to the slot's lastReady, so Drain
 // cannot skip the new reads or the slot's reap.
-//
-//zbp:hotpath
 func (t *Trackers) schedule(i int, rows []int, now uint64) {
 	s := &t.slots[i]
 	start := now + uint64(t.cfg.StartDelay)
@@ -451,8 +437,6 @@ func (t *Trackers) schedule(i int, rows []int, now uint64) {
 // queue, valid until the next Drain (reads scheduled meanwhile do not
 // disturb it). Before the due cycle nothing can be ready, and Drain
 // returns nil without scanning.
-//
-//zbp:hotpath
 func (t *Trackers) Drain(now uint64) []Read {
 	if now < t.due {
 		return nil
@@ -462,8 +446,6 @@ func (t *Trackers) Drain(now uint64) []Read {
 
 // drain is Drain at or past the due cycle: it removes the ready reads,
 // reaps, and recomputes due from the queue head and the active slots.
-//
-//zbp:hotpath
 func (t *Trackers) drain(now uint64) []Read {
 	// The previous result is dead now. Reclaim its prefix once it is at
 	// least as long as the pending reads, so each read moves at most

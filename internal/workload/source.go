@@ -159,8 +159,6 @@ func (s *Source) nextInvocation() int {
 }
 
 // Next implements trace.Source.
-//
-//zbp:hotpath
 func (s *Source) Next() (trace.Inst, bool) {
 	if s.emitted >= s.prog.profile.Instructions {
 		return trace.Inst{}, false
@@ -177,8 +175,6 @@ func (s *Source) Next() (trace.Inst, bool) {
 // ops are copied in a tight loop; every other op goes through step, the
 // interpreter Next uses, so both entry points yield one stream and may
 // be mixed freely.
-//
-//zbp:hotpath
 func (s *Source) FillBatch(b *trace.Batch) int {
 	n := min(cap(b.Ins), s.prog.profile.Instructions-s.emitted)
 	ins := b.Ins[:n]
@@ -207,8 +203,6 @@ func (s *Source) FillBatch(b *trace.Batch) int {
 
 // step writes the op at pc into in and advances the interpreter past
 // it. The caller has counted the instruction against the pass length.
-//
-//zbp:hotpath
 func (s *Source) step(in *trace.Inst) {
 	s.sinceDisp++
 
