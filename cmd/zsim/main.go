@@ -15,9 +15,8 @@
 //	zsim -config btb2 -resume run.ckpt                # continue after a crash
 //	zsim -file damaged.zbpt -salvage                  # use the valid prefix
 //	zsim -file huge.zbpt -stream                      # constant-memory decode
-//	zsim -config btb2 -batch                          # batched zero-alloc pipeline
 //	zsim -compare -workers 0                          # fan configs across cores
-//	zsim -batch -spans spans.json                     # hierarchical span trace (Perfetto)
+//	zsim -spans spans.json                            # hierarchical span trace (Perfetto)
 //	zsim -metrics-addr :9090 -pprof                   # live pprof + runtime metrics
 //	zsim -perfstat gate                               # benchmark regression gate
 //	zsim -list
@@ -72,7 +71,6 @@ func main() {
 		salvage   = flag.Bool("salvage", false, "with -file: tolerate a truncated/corrupt trace tail, simulating the valid prefix")
 
 		workers = flag.Int("workers", 1, "with -compare: fan the three configurations across this many workers (0 = GOMAXPROCS)")
-		batched = flag.Bool("batch", false, "drive the engine through the batched zero-alloc pipeline (bit-identical results; ignored with -resume)")
 		stream  = flag.Bool("stream", false, "with -file: stream the trace from disk through the bulk batch decoder in constant memory (tolerates a damaged tail like -salvage)")
 
 		spansPath = flag.String("spans", "", "write a hierarchical span trace (study/worker/unit/phase/batch, steal instants) to this file: .jsonl = JSON Lines, anything else = Chrome trace_event for Perfetto; routes the run through the batched scheduler")
@@ -311,7 +309,7 @@ func main() {
 
 	var r engine.Result
 	var spanTrace *span.Trace
-	eng := engine.New(cfgs[*config], params)
+	var from *engine.Checkpoint
 	if *resume != "" {
 		ck, err := engine.ReadCheckpointFile(*resume)
 		if err != nil {
@@ -319,12 +317,9 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("resuming %s from %d instructions\n", ck.Trace, ck.Instructions)
-		r, err = eng.Resume(src, ck)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zsim:", err)
-			os.Exit(1)
-		}
-	} else if *spansPath != "" {
+		from = ck
+	}
+	if from == nil && *spansPath != "" {
 		// Route the run through the traced batched scheduler: the span
 		// tree covers scheduling, the engine phases and batches, and (with
 		// -stream) the decoder refills. Results stay bit-identical to the
@@ -343,10 +338,13 @@ func main() {
 			os.Exit(1)
 		}
 		r = res[0]
-	} else if *batched {
-		r = eng.RunBatched(src, *config)
 	} else {
-		r = eng.Run(src, *config)
+		var err error
+		r, err = engine.New(cfgs[*config], params).RunBatched(context.Background(), src, *config, from)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "zsim:", err)
+			os.Exit(1)
+		}
 	}
 	report.Result(os.Stdout, r)
 	if r.Fault.Injected > 0 || r.Fault.Detected > 0 {

@@ -125,9 +125,6 @@ func NewSurpriseBHT(entries int) *SurpriseBHT {
 // are halfword aligned, so bit 63 carries no information; drop it.
 func (s *SurpriseBHT) index(a zaddr.Addr) uint64 { return zaddr.Halfword(a) & s.mask }
 
-// Taken returns the table's direction guess for the branch at a.
-func (s *SurpriseBHT) Taken(a zaddr.Addr) bool { return s.bits[s.index(a)] }
-
 // Guess combines the table with the static opcode-derived guess: trained
 // slots supply the dynamic bit, untrained slots fall back to the static
 // guess.

@@ -94,15 +94,15 @@ func TestSurpriseBHT(t *testing.T) {
 		t.Fatalf("Entries = %d", s.Entries())
 	}
 	a := zaddr.Addr(0x4000)
-	if s.Taken(a) {
-		t.Error("fresh table predicts taken")
+	if s.Guess(a, false) || !s.Guess(a, true) {
+		t.Error("fresh table overrides the static guess")
 	}
 	s.Update(a, true)
-	if !s.Taken(a) {
+	if !s.Guess(a, false) {
 		t.Error("update not visible")
 	}
 	s.Update(a, false)
-	if s.Taken(a) {
+	if s.Guess(a, true) {
 		t.Error("second update not visible")
 	}
 }
@@ -113,13 +113,13 @@ func TestSurpriseBHTAliasing(t *testing.T) {
 	a := zaddr.Addr(0x1000)
 	b := a + 64*2
 	s.Update(a, true)
-	if !s.Taken(b) {
+	if !s.Guess(b, false) {
 		t.Error("expected aliasing between congruent addresses")
 	}
 	// Halfword-adjacent addresses must not collapse to one entry.
 	s2 := NewSurpriseBHT(1024)
 	s2.Update(0x1000, true)
-	if s2.Taken(0x1002) {
+	if s2.Guess(0x1002, false) {
 		t.Error("adjacent halfwords alias; index must use bits above bit 63")
 	}
 }
@@ -131,7 +131,7 @@ func TestSurpriseBHTReset(t *testing.T) {
 	}
 	s.Reset()
 	for i := 0; i < 64; i++ {
-		if s.Taken(zaddr.Addr(i * 2)) {
+		if s.Guess(zaddr.Addr(i*2), false) {
 			t.Fatal("Reset left state behind")
 		}
 	}

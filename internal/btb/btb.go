@@ -529,20 +529,7 @@ func (t *Table) Update(e Entry) bool {
 // made MRU; the displaced valid entry, if any, is returned as the victim.
 func (t *Table) Insert(e Entry) (victim Entry, evicted bool) {
 	s := SlotOf(e)
-	v, evicted := t.insert(&s, false)
-	if evicted {
-		victim = v.Entry()
-	}
-	return victim, evicted
-}
-
-// InsertAtLRU writes e like Insert but leaves the new entry at the LRU
-// recency rank instead of promoting it. The BTB2's semi-exclusive policy
-// uses this for entries that were just copied *out* (made LRU so future
-// victims overwrite them first).
-func (t *Table) InsertAtLRU(e Entry) (victim Entry, evicted bool) {
-	s := SlotOf(e)
-	v, evicted := t.insert(&s, true)
+	v, evicted := t.insert(&s)
 	if evicted {
 		victim = v.Entry()
 	}
@@ -552,7 +539,7 @@ func (t *Table) InsertAtLRU(e Entry) (victim Entry, evicted bool) {
 // InsertSlot is Insert in lane form: s's target and meta words are
 // copied as-is and the victim comes back undecoded.
 func (t *Table) InsertSlot(s Slot) (victim Slot, evicted bool) {
-	return t.insert(&s, false)
+	return t.insert(&s)
 }
 
 // Fill is the fused Contains + Insert of a first-level write: it
@@ -569,7 +556,7 @@ func (t *Table) Fill(s Slot) bool {
 			return false
 		}
 		// Strikes never set a tag, so the branch is still absent.
-		t.insert(&s, false)
+		t.insert(&s)
 		return true
 	}
 	key := t.packKey(s.Addr)
@@ -598,7 +585,7 @@ func (t *Table) Fill(s Slot) bool {
 // insert writes s into its row: in place if the branch is present,
 // else into the first free way, else over the LRU way, whose valid
 // content it returns as the victim.
-func (t *Table) insert(s *Slot, atLRU bool) (victim Slot, evicted bool) {
+func (t *Table) insert(s *Slot) (victim Slot, evicted bool) {
 	row := t.RowFor(s.Addr)
 	base := row * t.cfg.Ways
 	key := t.packKey(s.Addr)
@@ -608,7 +595,7 @@ func (t *Table) insert(s *Slot, atLRU bool) (victim Slot, evicted bool) {
 			// Already present: in-place update.
 			t.writeSlot(base+w, key, s)
 			t.met.updates.Inc()
-			t.setRecency(row, w, atLRU)
+			t.promoteWay(row, w)
 			return Slot{}, false
 		}
 		if free < 0 && k&1 == 0 {
@@ -622,17 +609,8 @@ func (t *Table) insert(s *Slot, atLRU bool) (victim Slot, evicted bool) {
 	}
 	t.writeSlot(base+free, key, s)
 	t.met.installs.Inc()
-	t.setRecency(row, free, atLRU)
+	t.promoteWay(row, free)
 	return victim, evicted
-}
-
-// setRecency makes way w of row MRU, or LRU when atLRU.
-func (t *Table) setRecency(row, w int, atLRU bool) {
-	if atLRU {
-		t.demoteWay(row, w)
-	} else {
-		t.promoteWay(row, w)
-	}
 }
 
 // lruWay returns the least recently used way of row.
@@ -692,19 +670,6 @@ func (t *Table) matchWay(row int, a zaddr.Addr) (int, uint64) {
 		}
 	}
 	return -1, valid
-}
-
-// MRUWay returns the most recently used way of the row containing a.
-func (t *Table) MRUWay(a zaddr.Addr) int {
-	return int(t.lru[t.RowFor(a)] & 0xF)
-}
-
-// LRUEntry returns a copy of the LRU entry of the row containing a.
-func (t *Table) LRUEntry(a zaddr.Addr) Entry {
-	row := t.RowFor(a)
-	var e Entry
-	t.unpackEntry(row, t.lruWay(row), &e)
-	return e
 }
 
 // Entries returns the branch addresses of all valid entries, in storage

@@ -201,22 +201,6 @@ func TestDemoteMakesEntryNextVictim(t *testing.T) {
 	}
 }
 
-func TestInsertAtLRU(t *testing.T) {
-	tb := New(testCfg)
-	a := zaddr.Addr(0x0000)
-	b := a + 512
-	c := a + 1024
-	tb.Insert(entry(a))
-	tb.InsertAtLRU(entry(b)) // b sits at LRU despite being newest
-	v, ev := tb.Insert(entry(c))
-	if !ev || v.Addr != b {
-		t.Fatalf("victim = %+v, want b (installed at LRU)", v)
-	}
-	if !tb.Contains(a) {
-		t.Error("a should have survived")
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	tb := New(testCfg)
 	a := zaddr.Addr(0x3000)
@@ -249,7 +233,7 @@ func TestInsertExistingPromotes(t *testing.T) {
 	}
 }
 
-func TestMRUWayAndLRUEntry(t *testing.T) {
+func TestLookupLineFlagsMRU(t *testing.T) {
 	tb := New(testCfg)
 	a := zaddr.Addr(0x0000)
 	b := a + 512
@@ -259,11 +243,8 @@ func TestMRUWayAndLRUEntry(t *testing.T) {
 	if len(hits) != 1 || !hits[0].MRU {
 		t.Errorf("most recent insert not flagged MRU: %+v", hits)
 	}
-	if le := tb.LRUEntry(a); le.Addr != a {
-		t.Errorf("LRUEntry = %+v, want a", le)
-	}
-	if tb.MRUWay(a) != tb.MRUWay(b) {
-		t.Error("same row must share MRU way")
+	if hits := tb.LookupLine(a, nil); len(hits) != 1 || hits[0].MRU {
+		t.Errorf("older entry of the row flagged MRU: %+v", hits)
 	}
 }
 
@@ -321,7 +302,7 @@ func TestLRUPermutationProperty(t *testing.T) {
 			case 0, 1:
 				tb.Insert(entry(a))
 			case 2:
-				tb.InsertAtLRU(entry(a))
+				tb.InsertSlot(SlotOf(entry(a)))
 			case 3:
 				tb.Touch(a)
 			case 4:
@@ -345,7 +326,7 @@ func TestNoDuplicateEntries(t *testing.T) {
 	tb := New(testCfg)
 	a := zaddr.Addr(0x5008)
 	tb.Insert(entry(a))
-	tb.InsertAtLRU(entry(a))
+	tb.InsertSlot(SlotOf(entry(a)))
 	tb.Insert(entry(a))
 	hits := tb.LookupLine(a, nil)
 	if len(hits) != 1 {

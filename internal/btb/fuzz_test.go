@@ -76,8 +76,6 @@ func FuzzPackedRow(f *testing.F) {
 			tbl.Touch(p)
 			tbl.Demote(p)
 			tbl.Invalidate(p)
-			tbl.MRUWay(p)
-			tbl.LRUEntry(p)
 		}
 		tbl.CountValid()
 		tbl.Entries()

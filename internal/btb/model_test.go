@@ -157,10 +157,7 @@ func (m *refTable) Update(e Entry) bool {
 	return true
 }
 
-func (m *refTable) Insert(e Entry) (Entry, bool)      { return m.insert(e, false) }
-func (m *refTable) InsertAtLRU(e Entry) (Entry, bool) { return m.insert(e, true) }
-
-func (m *refTable) insert(e Entry, atLRU bool) (victim Entry, evicted bool) {
+func (m *refTable) Insert(e Entry) (victim Entry, evicted bool) {
 	e.Valid = true
 	row := m.row(e.Addr)
 	base := row * m.cfg.Ways
@@ -178,7 +175,7 @@ func (m *refTable) insert(e Entry, atLRU bool) (victim Entry, evicted bool) {
 		m.stats.Installs++
 	}
 	m.slots[base+w] = e
-	m.move(row, w, atLRU)
+	m.move(row, w, false)
 	return victim, evicted
 }
 
@@ -199,13 +196,6 @@ func (m *refTable) recency(a zaddr.Addr, toLRU, invalidate bool) bool {
 func (m *refTable) Touch(a zaddr.Addr) bool      { return m.recency(a, false, false) }
 func (m *refTable) Demote(a zaddr.Addr) bool     { return m.recency(a, true, false) }
 func (m *refTable) Invalidate(a zaddr.Addr) bool { return m.recency(a, true, true) }
-
-func (m *refTable) MRUWay(a zaddr.Addr) int { return int(m.order[m.row(a)*m.cfg.Ways]) }
-
-func (m *refTable) LRUEntry(a zaddr.Addr) Entry {
-	base := m.row(a) * m.cfg.Ways
-	return m.slots[base+int(m.order[base+m.cfg.Ways-1])]
-}
 
 func (m *refTable) Entries() []zaddr.Addr {
 	out := []zaddr.Addr{}

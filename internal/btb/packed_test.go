@@ -112,8 +112,8 @@ func randomEntry(rng *rand.Rand, cfg Config) Entry {
 	}
 }
 
-// TestStructVsPackedModel drives long randomized Insert / InsertAtLRU /
-// Update / LookupLine / Find / Touch / Demote / Invalidate / accessor
+// TestStructVsPackedModel drives long randomized Insert / InsertSlot /
+// Update / LookupLine / Find / Touch / Demote / Invalidate / Contains
 // sequences against the packed table and the reference model and
 // demands identical results at every step: identical hits, identical
 // eviction victims, identical recency observations, and finally
@@ -138,10 +138,10 @@ func TestStructVsPackedModel(t *testing.T) {
 								op, e, vP, evP, vR, evR)
 						}
 					case 3:
-						vP, evP := pair.packed.InsertAtLRU(e)
-						vR, evR := pair.ref.InsertAtLRU(e)
-						if vP != vR || evP != evR {
-							t.Fatalf("op %d: InsertAtLRU diverged: (%+v,%v) vs (%+v,%v)", op, vP, evP, vR, evR)
+						vP, evP := pair.packed.InsertSlot(SlotOf(e))
+						vR, evR := pair.ref.Insert(e)
+						if evP != evR || evP && vP.Entry() != vR {
+							t.Fatalf("op %d: InsertSlot diverged: (%+v,%v) vs (%+v,%v)", op, vP.Entry(), evP, vR, evR)
 						}
 					case 4:
 						if okP, okR := pair.packed.Update(e), pair.ref.Update(e); okP != okR {
@@ -174,12 +174,6 @@ func TestStructVsPackedModel(t *testing.T) {
 						}
 					}
 					if op%97 == 0 {
-						if mP, mR := pair.packed.MRUWay(e.Addr), pair.ref.MRUWay(e.Addr); mP != mR {
-							t.Fatalf("op %d: MRUWay diverged: %d vs %d", op, mP, mR)
-						}
-						if lP, lR := pair.packed.LRUEntry(e.Addr), pair.ref.LRUEntry(e.Addr); lP != lR {
-							t.Fatalf("op %d: LRUEntry diverged: %+v vs %+v", op, lP, lR)
-						}
 						if cP, cR := pair.packed.Contains(e.Addr), pair.ref.Contains(e.Addr); cP != cR {
 							t.Fatalf("op %d: Contains diverged", op)
 						}

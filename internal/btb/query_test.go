@@ -154,8 +154,8 @@ func (q *queryPair) step(op uint8, a zaddr.Addr, v uint8) string {
 		q.next.Insert(e)
 		q.prev.Insert(e)
 	case 2:
-		q.next.InsertAtLRU(e)
-		q.prev.InsertAtLRU(e)
+		q.next.InsertSlot(SlotOf(e))
+		q.prev.InsertSlot(SlotOf(e))
 	case 3:
 		q.next.Update(e)
 		q.prev.Update(e)

@@ -47,7 +47,7 @@ type guardFact struct {
 	Mutex string
 }
 
-func (*guardFact) AFact()         {}
+func (*guardFact) AFact()           {}
 func (f *guardFact) String() string { return "guardedby " + f.Mutex }
 
 // Analyzer is the guardedby analyzer.

@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"math"
 
-	"bulkpreload/internal/core"
 	"bulkpreload/internal/obs/span"
 	"bulkpreload/internal/predictor"
 	"bulkpreload/internal/trace"
@@ -101,31 +102,59 @@ func (e *Engine) bulkWindow() (lo zaddr.Addr, span uint64, limit int64) {
 	return lo, min(uint64(e.params.L1I.LineBytes), uint64(hi-lo)), limit
 }
 
-// RunBatched simulates src to completion under configName like Run, but
-// pulls instructions a batch at a time (see trace.NextBatch: an
-// in-memory source is stepped in place, anything else through one
-// reusable batch) and steps them with StepBatch. Results are bit-identical to Run on the
-// same source.
+// ErrRunCanceled reports a run stopped by its context. Use errors.Is;
+// the returned error also wraps the context's own cause
+// (context.Canceled or context.DeadlineExceeded).
+var ErrRunCanceled = fmt.Errorf("engine: run canceled")
+
+// RunBatched is the production run loop: it simulates src to completion
+// under configName like Run, but pulls instructions a batch at a time
+// (see trace.NextBatch: an in-memory source is stepped in place,
+// anything else through the engine's one reusable batch) and steps them
+// with StepBatch. Results are bit-identical to Run on the same source.
+//
+// ctx is polled after every batch, so a run always advances by at least
+// one batch and a cancel lands on a record boundary at most
+// trace.DefaultBatchCapacity records later. A canceled run hands the
+// engine's state at that boundary to Params.CheckpointSink, when one is
+// set, so no progress is lost; the returned error wraps both
+// ErrRunCanceled and ctx's error, and the partial Result must not be
+// reported as a finished run.
+//
+// A non-nil from resumes a checkpointed run: the checkpoint is restored
+// (its trace and config names win over src's and configName) and the
+// prefix it already processed is skipped, whole batches at a time. The
+// engine must be built from the configuration the checkpoint was taken
+// under, and src must be the same trace.
 //
 // When Params.Spans is set, the run is traced: one phase span per
 // warmup/steady region (rotated at batch granularity — the first batch
 // that crosses the warmup boundary closes the warmup span) and one
 // batch span per StepBatch call carrying bulk/slow fast-path
 // attribution. Span data never influences the simulation.
-func (e *Engine) RunBatched(src trace.Source, configName string) Result {
+func (e *Engine) RunBatched(ctx context.Context, src trace.Source, configName string, from *Checkpoint) (Result, error) {
 	e.reset()
 	src.Reset()
 	e.res.Trace = src.Name()
 	e.res.Config = configName
+	var ins []trace.Inst
+	if from != nil {
+		var err error
+		if ins, err = e.resume(src, from); err != nil {
+			return Result{}, err
+		}
+	}
+	if len(ins) == 0 {
+		ins = trace.NextBatch(src, &e.batch)
+	}
 	rec := e.spans
 	phaseName := "steady"
-	if e.params.WarmupInstructions > 0 {
+	if e.params.WarmupInstructions > 0 && !e.warmTaken {
 		phaseName = "warmup"
 	}
 	phase := rec.Start(span.KindPhase, phaseName, e.params.SpanParent)
-	phaseStart := int64(0)
-	b := trace.NewBatch(trace.DefaultBatchCapacity)
-	for ins := trace.NextBatch(src, &b); len(ins) > 0; ins = trace.NextBatch(src, &b) {
+	phaseStart := e.res.Instructions
+	for ; len(ins) > 0; ins = trace.NextBatch(src, &e.batch) {
 		bulk0, slow0 := e.bulkRecords, e.slowRecords
 		sb := rec.Start(span.KindBatch, "batch", phase.ID())
 		e.StepBatch(ins)
@@ -136,14 +165,39 @@ func (e *Engine) RunBatched(src trace.Source, configName string) Result {
 			phaseStart = e.res.Instructions
 			phase = rec.Start(span.KindPhase, phaseName, e.params.SpanParent)
 		}
+		if err := ctx.Err(); err != nil {
+			phase.EndArgs(e.res.Instructions-phaseStart, 0)
+			if e.params.CheckpointSink != nil {
+				e.params.CheckpointSink(e.Checkpoint())
+			}
+			return e.res, fmt.Errorf("%w after %d records: %w", ErrRunCanceled, e.res.Instructions, err)
+		}
 	}
 	phase.EndArgs(e.res.Instructions-phaseStart, 0)
 	e.finishResult()
-	return e.res
+	return e.res, nil
 }
 
-// RunBatched is the package-level convenience: build an engine and run
-// one trace through the batched path.
-func RunBatched(src trace.Source, hcfg core.Config, params Params, configName string) Result {
-	return New(hcfg, params).RunBatched(src, configName)
+// resume restores from onto the freshly reset engine and skips the
+// prefix of src it covers, a batch at a time. It returns the unstepped
+// rest of the batch the prefix ends in.
+func (e *Engine) resume(src trace.Source, from *Checkpoint) ([]trace.Inst, error) {
+	if n := src.Name(); n != from.Trace {
+		return nil, fmt.Errorf("engine: resume trace %q does not match checkpoint trace %q", n, from.Trace)
+	}
+	if err := e.restore(from); err != nil {
+		return nil, err
+	}
+	for rest := from.Instructions; rest > 0; {
+		ins := trace.NextBatch(src, &e.batch)
+		if len(ins) == 0 {
+			return nil, fmt.Errorf("engine: trace ended after %d records while skipping the %d-record checkpoint prefix",
+				from.Instructions-rest, from.Instructions)
+		}
+		if int64(len(ins)) > rest {
+			return ins[rest:], nil
+		}
+		rest -= int64(len(ins))
+	}
+	return nil, nil
 }

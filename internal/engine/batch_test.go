@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"encoding/json"
 	"math/rand"
@@ -25,6 +26,17 @@ func batchProfile(seed int64) workload.Profile {
 		Instructions: 60_000, HotFraction: 0.15, WindowFunctions: 32,
 		CallsPerTransaction: 6, Seed: seed,
 	}
+}
+
+// runBatched runs src on e through the production loop, never canceled
+// and from power-on state.
+func runBatched(t testing.TB, e *Engine, src trace.Source, configName string) Result {
+	t.Helper()
+	r, err := e.RunBatched(context.Background(), src, configName, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // requireResultsEqual fails the test with a field-level report unless
@@ -103,7 +115,7 @@ func TestRunBatchedMatchesRun(t *testing.T) {
 				params = DefaultParams()
 				params.WarmupInstructions = 0
 				tc.mutate(&params, &batchCkpts)
-				batched := New(cfg.c, params).RunBatched(workload.New(batchProfile(4242)), cfg.name)
+				batched := runBatched(t, New(cfg.c, params), workload.New(batchProfile(4242)), cfg.name)
 
 				requireResultsEqual(t, tc.name+"/"+cfg.name, serial, batched)
 				if serialCkpts != batchCkpts {
@@ -341,13 +353,13 @@ func TestRunBatchedDegenerateBatches(t *testing.T) {
 	params.WarmupInstructions = 0
 
 	empty := trace.NewSliceSource("empty", nil)
-	res := New(core.DefaultConfig(), params).RunBatched(empty, "btb2")
+	res := runBatched(t, New(core.DefaultConfig(), params), empty, "btb2")
 	if res.Instructions != 0 {
 		t.Fatalf("empty source simulated %d instructions", res.Instructions)
 	}
 
 	tiny := trace.Collect(workload.New(batchProfile(5)))[:3]
 	serial := New(core.DefaultConfig(), params).Run(trace.NewSliceSource("tiny", tiny), "btb2")
-	batched := New(core.DefaultConfig(), params).RunBatched(trace.NewSliceSource("tiny", tiny), "btb2")
+	batched := runBatched(t, New(core.DefaultConfig(), params), trace.NewSliceSource("tiny", tiny), "btb2")
 	requireResultsEqual(t, "tiny", serial, batched)
 }

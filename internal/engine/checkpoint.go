@@ -10,7 +10,6 @@ import (
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/predictor"
 	"bulkpreload/internal/stats"
-	"bulkpreload/internal/trace"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -26,8 +25,8 @@ const checkpointMagic = "ZBPC\x01"
 // resume, costing at most a brief re-warm (see docs/ROBUSTNESS.md).
 //
 // A checkpoint does not embed Params or the hierarchy Config (both hold
-// function values and are code, not data); Resume must be called on an
-// engine built from the same configuration the checkpoint was taken
+// function values and are code, not data); RunBatched must resume it on
+// an engine built from the same configuration the checkpoint was taken
 // under. Trace and Config names are carried for cross-checking.
 type Checkpoint struct {
 	Trace  string
@@ -149,38 +148,6 @@ func (e *Engine) restore(ck *Checkpoint) error {
 		e.nextCkpt = ck.Instructions + e.params.CheckpointInterval
 	}
 	return nil
-}
-
-// Resume continues a checkpointed simulation: the engine is reset, the
-// checkpoint state restored, the already-processed prefix of src skipped,
-// and the remainder simulated to completion. The engine must have been
-// built from the same hierarchy config and compatible params as the
-// original run; src must be the same trace.
-func (e *Engine) Resume(src trace.Source, ck *Checkpoint) (Result, error) {
-	e.reset()
-	src.Reset()
-	if n := src.Name(); n != ck.Trace {
-		return Result{}, fmt.Errorf("engine: resume trace %q does not match checkpoint trace %q", n, ck.Trace)
-	}
-	if err := e.restore(ck); err != nil {
-		return Result{}, err
-	}
-	for skipped := int64(0); skipped < ck.Instructions; skipped++ {
-		if _, ok := src.Next(); !ok {
-			return Result{}, fmt.Errorf("engine: trace ended after %d records while skipping the %d-record checkpoint prefix",
-				skipped, ck.Instructions)
-		}
-	}
-	//zbp:bounded terminates when src.Next reports end-of-trace
-	for {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		e.step(in)
-	}
-	e.finishResult()
-	return e.res, nil
 }
 
 // Write encodes the checkpoint (magic header + gob payload). Gob rather

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -117,7 +118,7 @@ func TestResumeCompletesRun(t *testing.T) {
 
 	params2 := fastParams()
 	e := New(core.DefaultConfig(), params2)
-	r, err := e.Resume(workload.New(prof), ck)
+	r, err := e.RunBatched(context.Background(), workload.New(prof), "res", ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestResumeIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	resume := func() Result {
-		r, err := New(core.DefaultConfig(), params).Resume(workload.New(prof), wire)
+		r, err := New(core.DefaultConfig(), params).RunBatched(context.Background(), workload.New(prof), "det", wire)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,8 +198,8 @@ func TestResumeRejectsWrongTrace(t *testing.T) {
 	other := prof
 	other.Name = "some-other-trace"
 	e := New(core.DefaultConfig(), fastParams())
-	if _, err := e.Resume(workload.New(other), ck); err == nil {
-		t.Error("Resume accepted a mismatched trace")
+	if _, err := e.RunBatched(context.Background(), workload.New(other), "wrong", ck); err == nil {
+		t.Error("resume accepted a mismatched trace")
 	}
 }
 
@@ -213,8 +214,8 @@ func TestResumeRejectsShortTrace(t *testing.T) {
 	short := prof
 	short.Instructions = 50_000 // shorter than the checkpoint prefix
 	e := New(core.DefaultConfig(), fastParams())
-	if _, err := e.Resume(workload.New(short), ck); err == nil {
-		t.Error("Resume accepted a trace shorter than the checkpoint prefix")
+	if _, err := e.RunBatched(context.Background(), workload.New(short), "short", ck); err == nil {
+		t.Error("resume accepted a trace shorter than the checkpoint prefix")
 	}
 }
 

@@ -121,9 +121,10 @@ type Engine struct {
 
 	res Result
 
-	// reg enumerates every metric of the current run's structures; it is
-	// rebuilt with them on reset. snapSeq numbers interval snapshots,
-	// nextSnap is the instruction count that triggers the next one.
+	// reg enumerates every metric of the engine's structures; it is
+	// built once in New and reads them in place across runs. snapSeq
+	// numbers interval snapshots, nextSnap is the instruction count that
+	// triggers the next one.
 	reg      *obs.Registry
 	snapSeq  int64
 	nextSnap int64
@@ -141,6 +142,9 @@ type Engine struct {
 	bulkRecords int64
 	slowRecords int64
 
+	// batch is RunBatched's record buffer, reused by every run.
+	batch trace.Batch
+
 	// Warmup snapshot, subtracted from the result when the trace is long
 	// enough to cross the warmup boundary.
 	warmTaken      bool
@@ -151,37 +155,48 @@ type Engine struct {
 	warmICache     float64
 }
 
-// New builds an engine; invalid parameters or config panic.
+// New builds an engine and every structure it runs: the hierarchy, the
+// instruction caches, the miss detector and the metric registry. Runs
+// reset them in place; invalid parameters or config panic.
 func New(hcfg core.Config, params Params) *Engine {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
-	e := &Engine{params: params, hcfg: hcfg}
-	e.reset()
+	e := &Engine{params: params, hcfg: hcfg, spans: params.Spans}
+	if params.Fault.Enabled() {
+		hcfg.Fault = params.Fault
+	}
+	e.hier = core.New(hcfg)
+	if params.EventTracer != nil {
+		e.hier.SetTracer(params.EventTracer)
+	}
+	if params.SnapshotInterval > 0 {
+		e.hier.EnableDetailMetrics()
+	}
+	e.l1i = cache.New(params.L1I)
+	if params.FiniteL2 {
+		e.l2i = cache.New(params.L2I)
+	}
+	e.missDet = predictor.NewMissDetector(hcfg.Miss)
+	e.prefetchFill = make(map[zaddr.Addr]predictor.Ticks)
+	e.batch = trace.NewBatch(trace.DefaultBatchCapacity)
+	e.buildRegistry()
 	return e
 }
 
+// reset returns the engine to power-on state for a new run.
 func (e *Engine) reset() {
-	hcfg := e.hcfg
-	if e.params.Fault.Enabled() {
-		hcfg.Fault = e.params.Fault
+	e.hier.Reset()
+	e.l1i.Reset()
+	if e.l2i != nil {
+		e.l2i.Reset()
 	}
-	e.hier = core.New(hcfg)
-	if e.params.EventTracer != nil {
-		e.hier.SetTracer(e.params.EventTracer)
-	}
-	e.l1i = cache.New(e.params.L1I)
-	if e.params.FiniteL2 {
-		e.l2i = cache.New(e.params.L2I)
-	} else {
-		e.l2i = nil
-	}
-	e.missDet = predictor.NewMissDetector(e.hcfg.Miss)
+	e.missDet.Reset()
+	clear(e.prefetchFill)
 	e.clock = 0
 	e.bpClock = 0
 	e.haveSearch = false
 	e.haveFetch = false
-	e.prefetchFill = make(map[zaddr.Addr]predictor.Ticks)
 	e.havePrevTaken = false
 	e.lastNTValid = false
 	e.seen.reset()
@@ -194,22 +209,13 @@ func (e *Engine) reset() {
 	e.warmICache = 0
 
 	e.snapSeq = 0
-	e.nextSnap = 0
-	if e.params.SnapshotInterval > 0 {
-		e.nextSnap = e.params.SnapshotInterval
-		e.hier.EnableDetailMetrics()
-	}
-	e.nextCkpt = 0
-	if e.params.CheckpointInterval > 0 {
-		e.nextCkpt = e.params.CheckpointInterval
-	}
-	e.spans = e.params.Spans
+	e.nextSnap = e.params.SnapshotInterval
+	e.nextCkpt = e.params.CheckpointInterval
 	e.bulkRecords = 0
 	e.slowRecords = 0
-	e.buildRegistry()
 }
 
-// buildRegistry enumerates every metric of the freshly reset run: the
+// buildRegistry enumerates every metric of the engine's structures: the
 // hierarchy with all its structures, both instruction caches, and the
 // engine's own instruction/cycle/outcome/penalty accounting.
 func (e *Engine) buildRegistry() {
@@ -241,7 +247,8 @@ func (e *Engine) buildRegistry() {
 	e.reg = r
 }
 
-// Registry exposes the run's metric registry. It belongs to the
+// Registry exposes the engine's metric registry, which every run
+// reuses: its series read the current run's state. It belongs to the
 // simulation goroutine (see the obs package comment); cross-goroutine
 // consumers must go through published snapshots.
 func (e *Engine) Registry() *obs.Registry { return e.reg }
@@ -331,7 +338,7 @@ func (e *Engine) now() uint64 { return e.clock.ToCycles() }
 // step processes one committed instruction.
 func (e *Engine) step(in trace.Inst) {
 	// Checkpoint before touching this instruction: the captured state is
-	// "exactly Instructions records fully processed", so Resume can skip
+	// "exactly Instructions records fully processed", so a resume can skip
 	// that many records and continue with this one.
 	if e.nextCkpt > 0 && e.res.Instructions >= e.nextCkpt {
 		e.params.CheckpointSink(e.Checkpoint())

@@ -114,10 +114,11 @@ type Params struct {
 	// CheckpointInterval, when positive, makes the engine capture a
 	// checkpoint of the simulation state every CheckpointInterval
 	// committed instructions, feeding each to CheckpointSink. Long runs
-	// resume from the latest one after a crash (see Engine.Resume).
+	// resume from the latest one after a crash (see Engine.RunBatched).
 	CheckpointInterval int64
 
-	// CheckpointSink receives each interval checkpoint. Required when
+	// CheckpointSink receives each interval checkpoint, and the one a
+	// canceled RunBatched takes at its stopping boundary. Required when
 	// CheckpointInterval is positive (a checkpoint nobody persists is
 	// pure overhead).
 	CheckpointSink func(*Checkpoint) `json:"-"`

@@ -59,6 +59,9 @@ func (d *MissDetector) Config() MissConfig { return d.cfg }
 // Reported returns the number of misses reported so far.
 func (d *MissDetector) Reported() int64 { return d.reported }
 
+// Reset returns the detector to its power-on state.
+func (d *MissDetector) Reset() { *d = MissDetector{cfg: d.cfg} }
+
 // Restart resets the window, e.g. after a pipeline restart or a
 // predicted-taken redirect to a new search address.
 func (d *MissDetector) Restart() {

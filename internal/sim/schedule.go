@@ -89,7 +89,11 @@ func runOneUnit(u *Unit, res *engine.Result, i int, batched bool, rec *span.Reco
 		fs.SetSpans(rec, parent)
 	}
 	if batched {
-		*res = eng.RunBatched(src, u.ConfigName)
+		// context.Background: a unit already running always finishes;
+		// cancellation stops the scheduler between units.
+		if *res, err = eng.RunBatched(context.Background(), src, u.ConfigName, nil); err != nil {
+			return 0, 0, err
+		}
 	} else {
 		*res = eng.Run(src, u.ConfigName)
 	}

@@ -82,7 +82,7 @@ type Config struct {
 	Now func() time.Time
 
 	// Spans, when non-nil, collects a span per worker and per job
-	// attempt, with the engine's phase spans nested beneath.
+	// attempt, with the engine's phase and batch spans nested beneath.
 	Spans *span.Trace
 }
 
@@ -300,11 +300,11 @@ func (s *Service) execute(job jobq.Job, rec *span.Recorder, parent span.ID) (res
 		if ck, cerr := engine.ReadCheckpointFile(s.q.CheckpointPath(job.ID)); cerr == nil {
 			s.q.MarkResumedFrom(job.ID, ck.Instructions)
 			s.m.resumed()
-			return eng.ResumeContext(ctx, src, ck, engine.DefaultCancelPoll)
+			return eng.RunBatched(ctx, src, unit.ConfigName, ck)
 		}
 	}
 	s.q.MarkResumedFrom(job.ID, 0)
-	return eng.RunContext(ctx, src, unit.ConfigName, engine.DefaultCancelPoll)
+	return eng.RunBatched(ctx, src, unit.ConfigName, nil)
 }
 
 // Shutdown drains the service: no new jobs are admitted or dequeued;
@@ -329,7 +329,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		s.cancelJobs(errDraining)
 	}
 	// After cancellation workers unwind within one poll interval; wait
-	// without a bound — RunContext's poll guarantees progress.
+	// without a bound — RunBatched's per-batch poll guarantees progress.
 	<-done
 	return s.q.Close()
 }

@@ -10,6 +10,7 @@ import (
 
 	"bulkpreload/internal/engine"
 	"bulkpreload/internal/jobq"
+	"bulkpreload/internal/obs/span"
 	"bulkpreload/internal/sim"
 )
 
@@ -36,7 +37,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	}
 }
 
-func newTestService(t *testing.T, cfg Config) *Service {
+func newTestService(t testing.TB, cfg Config) *Service {
 	t.Helper()
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
@@ -48,7 +49,7 @@ func newTestService(t *testing.T, cfg Config) *Service {
 	return s
 }
 
-func shutdownNow(t *testing.T, s *Service) {
+func shutdownNow(t testing.TB, s *Service) {
 	t.Helper()
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -97,6 +98,52 @@ func TestJobRunsToCompletionMatchingSerialRun(t *testing.T) {
 	}
 	if v, err := s.m.counterValue("svc_tenant_acme_done_total"); err != nil || v != 1 {
 		t.Fatalf("svc_tenant_acme_done_total = %d, %v; want 1", v, err)
+	}
+}
+
+// TestJobSpansNestEnginePhasesAndBatches: a traced job attempt runs
+// through the engine's batched loop, so its unit span carries the
+// engine's warmup and steady phase spans, and their batch spans account
+// for every record of the trace.
+func TestJobSpansNestEnginePhasesAndBatches(t *testing.T) {
+	tr := span.NewTrace()
+	s := newTestService(t, Config{Workers: 1, CheckpointInterval: -1, Spans: tr})
+	job, err := s.Queue().Enqueue("acme", testSpec(300_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	waitFor(t, 30*time.Second, "job completion", func() bool {
+		j, _ := s.Queue().Get(job.ID)
+		return j.State == jobq.StateDone
+	})
+	shutdownNow(t, s) // workers adopt their recorders on exit
+
+	var unit span.ID
+	phases := map[span.ID]string{}
+	var records int64
+	for _, ev := range tr.Events() {
+		switch ev.Kind {
+		case span.KindUnit:
+			unit = ev.ID
+		case span.KindPhase:
+			phases[ev.ID] = ev.Name
+		}
+	}
+	var names []string
+	for _, ev := range tr.Events() {
+		switch {
+		case ev.Kind == span.KindPhase && ev.Parent == unit:
+			names = append(names, ev.Name)
+		case ev.Kind == span.KindBatch && phases[ev.Parent] != "":
+			records += ev.Arg1 + ev.Arg2
+		}
+	}
+	if strings.Join(names, ",") != "warmup,steady" {
+		t.Errorf("phase spans under the job's unit span = %v, want [warmup steady]", names)
+	}
+	if records != 300_000 {
+		t.Errorf("batch spans account for %d records, want 300000", records)
 	}
 }
 
@@ -164,8 +211,8 @@ func TestShutdownDrainCheckpointsAndNextIncarnationResumes(t *testing.T) {
 		}
 	}
 
-	// Serial oracle: same spec, same checkpoint, plain ResumeContext on
-	// a fresh engine — the recovered service result must match it
+	// Oracle: same spec, same checkpoint, an uninterrupted resume on a
+	// fresh engine — the recovered service result must match it
 	// byte-for-byte in persisted form.
 	var spec sim.Spec
 	if err := json.Unmarshal(testSpec(2_000_000), &spec); err != nil {
@@ -179,7 +226,7 @@ func TestShutdownDrainCheckpointsAndNextIncarnationResumes(t *testing.T) {
 	params.CheckpointInterval = cfg.CheckpointInterval
 	params.CheckpointSink = func(*engine.Checkpoint) {}
 	oracle := engine.New(unit.Config, params)
-	want, err := oracle.ResumeContext(context.Background(), unit.NewSource(), ck, engine.DefaultCancelPoll)
+	want, err := oracle.RunBatched(context.Background(), unit.NewSource(), unit.ConfigName, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
