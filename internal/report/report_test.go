@@ -2,13 +2,17 @@ package report
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"bulkpreload/internal/engine"
+	"bulkpreload/internal/fault"
 	"bulkpreload/internal/sim"
 	"bulkpreload/internal/stats"
 	"bulkpreload/internal/trace"
+	"bulkpreload/internal/workload"
 )
 
 func sampleResult(cycles float64) engine.Result {
@@ -118,14 +122,39 @@ func TestAblationsRendering(t *testing.T) {
 	}
 }
 
+// TestResultRendering pins Result's full text for three real runs of
+// 200,000 instructions (the default 100,000 warmup excluded): the
+// two-level configuration, the one-level configuration (no BTB2 or
+// tracker series, rendered as zeros) and a parity-protected faulted
+// run. The expected files are zsim's stdout for the same runs.
 func TestResultRendering(t *testing.T) {
-	var buf bytes.Buffer
-	Result(&buf, sampleResult(2000))
-	out := buf.String()
-	for _, want := range []string{"CPI", "branch outcomes", "trackers", "L1I", "second level"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q", want)
-		}
+	for _, tc := range []struct {
+		name   string
+		config string
+		fault  fault.Config
+	}{
+		{"btb2", sim.ConfigBTB2, fault.Config{}},
+		{"no-btb2", sim.ConfigNoBTB2, fault.Config{}},
+		{"parity-faults", sim.ConfigBTB2, fault.ZEC12Rates(1, 200, fault.Parity)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prof, err := workload.ByName("zos-daytrader-dbserv", 200_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			params := engine.DefaultParams()
+			params.Fault = tc.fault
+			res := engine.Run(workload.New(prof), sim.Table3()[tc.config], params, tc.config)
+			var buf bytes.Buffer
+			Result(&buf, res)
+			want, err := os.ReadFile(filepath.Join("testdata", "result_"+tc.name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := buf.String(); got != string(want) {
+				t.Errorf("rendering differs:\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }
 
