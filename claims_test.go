@@ -238,8 +238,5 @@ func TestClaimEnergyAdvantage(t *testing.T) {
 
 // areaEnergy computes a run's total BTB energy in pJ.
 func areaEnergy(cfg core.Config, r engine.Result) float64 {
-	e := area.EstimateEnergy(cfg, area.AccessCounts{
-		BTB1: r.BTB1, BTBP: r.BTBP, BTB2: r.BTB2,
-	}, area.SRAM, r.Cycles, float64(r.Tracker.RowsRead))
-	return e.TotalPJ()
+	return area.EstimateEnergy(cfg, r.Metrics, area.SRAM, r.Cycles).TotalPJ()
 }

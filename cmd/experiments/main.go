@@ -464,9 +464,7 @@ func areaStudy(insts int) {
 	fmt.Println("  dynamic BTB energy on zos-daytrader-dbserv:")
 	for _, pt := range points {
 		res := engine.Run(workload.New(prof), pt.cfg, engine.DefaultParams(), pt.name)
-		e := area.EstimateEnergy(pt.cfg, area.AccessCounts{
-			BTB1: res.BTB1, BTBP: res.BTBP, BTB2: res.BTB2,
-		}, pt.tech, res.Cycles, float64(res.Tracker.RowsRead))
+		e := area.EstimateEnergy(pt.cfg, res.Metrics, pt.tech, res.Cycles)
 		fmt.Printf("  %-32s %8.1f uJ (dyn %5.1f + leak %5.1f), %6.2f nJ/1k-insts, CPI %.4f\n",
 			pt.name, e.TotalPJ()/1e6, e.DynamicPJ()/1e6, e.StaticPJ()/1e6,
 			e.TotalPJ()/1e3/(float64(res.Instructions)/1000), res.CPI())

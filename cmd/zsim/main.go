@@ -347,10 +347,6 @@ func main() {
 		}
 	}
 	report.Result(os.Stdout, r)
-	if r.Fault.Injected > 0 || r.Fault.Detected > 0 {
-		fmt.Printf("  faults             injected %d, detected %d, recovered %d, silent %d\n",
-			r.Fault.Injected, r.Fault.Detected, r.Fault.Recovered, r.Fault.Silent)
-	}
 	if live != nil && r.Metrics != nil {
 		live.Publish(*r.Metrics)
 	}

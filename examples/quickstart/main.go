@@ -41,5 +41,6 @@ func main() {
 		twoLevel.CPI(), 100*twoLevel.Outcomes.BadRate())
 	fmt.Printf("BTB2 CPI improvement:   %.2f%%\n", twoLevel.Improvement(base))
 	fmt.Printf("bulk transfers:         %d entries preloaded over %d BTB2 row reads\n",
-		twoLevel.Hier.TransferredHits, twoLevel.Hier.TransferReads)
+		twoLevel.Metrics.Counter("hier_transferred_hits_total"),
+		twoLevel.Metrics.Counter("hier_transfer_reads_total"))
 }

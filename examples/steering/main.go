@@ -9,12 +9,15 @@ package main
 import (
 	"fmt"
 
+	"bulkpreload/internal/obs"
 	"bulkpreload/internal/steering"
 	"bulkpreload/internal/zaddr"
 )
 
 func main() {
 	table := steering.NewDefault()
+	reg := obs.NewRegistry()
+	table.RegisterMetrics(reg, "steering_")
 	block := zaddr.Addr(0x40000) // a 4 KB block
 
 	// First visit: enter at sector 9 (quartile 1), execute sectors 9-11,
@@ -42,7 +45,8 @@ func main() {
 	fmt.Println("(9,10,11), then the referenced quartile's (24,25), before any")
 	fmt.Println("cold sectors — so the branches about to execute arrive first.")
 
-	st := table.Stats()
+	st := reg.Snapshot(1)
 	fmt.Printf("\nordering table: %d lookups, %d hits, %d installs\n",
-		st.Lookups, st.Hits, st.Installs)
+		st.Counter("steering_lookups_total"), st.Counter("steering_hits_total"),
+		st.Counter("steering_installs_total"))
 }

@@ -38,9 +38,7 @@ func main() {
 	for _, d := range designs {
 		res := engine.Run(workload.New(prof), d.cfg, engine.DefaultParams(), d.name)
 		ar := area.Analyze(d.cfg, d.tech)
-		en := area.EstimateEnergy(d.cfg, area.AccessCounts{
-			BTB1: res.BTB1, BTBP: res.BTBP, BTB2: res.BTB2,
-		}, d.tech, res.Cycles, float64(res.Tracker.RowsRead))
+		en := area.EstimateEnergy(d.cfg, res.Metrics, d.tech, res.Cycles)
 		fmt.Printf("%-33s| %+5.2f%%  | %6.3f | %10.0f | %6.1f uJ\n",
 			d.name, res.Improvement(base), ar.TotalMm2, ar.PredictionsPerMm2,
 			en.TotalPJ()/1e6)

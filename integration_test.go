@@ -71,10 +71,11 @@ func TestFullComparisonPipeline(t *testing.T) {
 	}
 	// The BTB2 run must have performed bulk transfers, and the baseline
 	// none.
-	if c.BTB2.Hier.TransferredHits == 0 {
+	transfers := func(r engine.Result) int64 { return r.Metrics.Counter("hier_transferred_hits_total") }
+	if transfers(c.BTB2) == 0 {
 		t.Error("two-level run performed no bulk transfers")
 	}
-	if c.Base.Hier.TransferredHits != 0 || c.LargeBTB1.Hier.TransferredHits != 0 {
+	if transfers(c.Base) != 0 || transfers(c.LargeBTB1) != 0 {
 		t.Error("BTB2-less runs performed transfers")
 	}
 	// Capacity surprises shrink when capacity is added.

@@ -18,6 +18,7 @@ import (
 
 	"bulkpreload/internal/btb"
 	"bulkpreload/internal/core"
+	"bulkpreload/internal/obs"
 )
 
 // Technology describes a memory implementation technology.
@@ -177,14 +178,6 @@ func (e Energy) StaticPJ() float64 { return e.BTB1LeakPJ + e.BTBPLeakPJ + e.BTB2
 // TotalPJ returns dynamic plus static energy.
 func (e Energy) TotalPJ() float64 { return e.DynamicPJ() + e.StaticPJ() }
 
-// AccessCounts carries the per-structure access counts of a run (the
-// engine's Result exposes exactly these via btb.Stats).
-type AccessCounts struct {
-	BTB1 btb.Stats
-	BTBP btb.Stats
-	BTB2 btb.Stats
-}
-
 // arrayFactor scales per-bit access energy with array capacity: wire
 // (bitline/wordline) capacitance grows roughly with the square root of
 // the array's bit count. Normalized to a 64 Kbit reference array. This
@@ -201,27 +194,31 @@ func arrayFactor(c btb.Config) float64 {
 	return f
 }
 
-// EstimateEnergy converts a run's access counts into total energy over
-// totalCycles machine cycles. A read touches all ways of a row (a full
+// EstimateEnergy converts a run's final metrics into total energy over
+// totalCycles machine cycles. It reads each table's
+// "<table>_lookups_total", "_installs_total" and "_updates_total" for
+// btb1, btbp and btb2. A read touches all ways of a row (a full
 // congruence-class access); a write touches one entry; per-bit energies
-// scale with array size via arrayFactor. btb2ActiveCycles is the number
-// of cycles the BTB2 was powered (its search port busy); the first level
-// is powered for the whole run.
-func EstimateEnergy(cfg core.Config, counts AccessCounts, btb2Tech Technology,
-	totalCycles, btb2ActiveCycles float64) Energy {
-	rowBits := func(c btb.Config) float64 { return float64(EntryBits(c) * c.Ways) }
-	entryBits := func(c btb.Config) float64 { return float64(EntryBits(c)) }
+// scale with array size via arrayFactor. The BTB2 is powered one cycle
+// per row read ("tracker_rows_read_total", its search port busy); the
+// first level is powered for the whole run.
+func EstimateEnergy(cfg core.Config, m *obs.Snapshot, btb2Tech Technology, totalCycles float64) Energy {
+	read := func(table string, c btb.Config, tech Technology) float64 {
+		return float64(m.Counter(table+"_lookups_total")) * float64(EntryBits(c)*c.Ways) *
+			tech.ReadEnergyPJPerBit * arrayFactor(c)
+	}
+	write := func(table string, c btb.Config, tech Technology) float64 {
+		return float64(m.Counter(table+"_installs_total")+m.Counter(table+"_updates_total")) *
+			float64(EntryBits(c)) * tech.WriteEnergyPJPerBit * arrayFactor(c)
+	}
 	var e Energy
-	f1 := arrayFactor(cfg.BTB1)
-	e.BTB1ReadPJ = float64(counts.BTB1.Lookups) * rowBits(cfg.BTB1) * SRAM.ReadEnergyPJPerBit * f1
-	e.BTB1WritePJ = float64(counts.BTB1.Installs+counts.BTB1.Updates) * entryBits(cfg.BTB1) * SRAM.WriteEnergyPJPerBit * f1
-	fp := arrayFactor(cfg.BTBP)
-	e.BTBPReadPJ = float64(counts.BTBP.Lookups) * rowBits(cfg.BTBP) * RegisterFile.ReadEnergyPJPerBit * fp
-	e.BTBPWritePJ = float64(counts.BTBP.Installs+counts.BTBP.Updates) * entryBits(cfg.BTBP) * RegisterFile.WriteEnergyPJPerBit * fp
+	e.BTB1ReadPJ = read("btb1", cfg.BTB1, SRAM)
+	e.BTB1WritePJ = write("btb1", cfg.BTB1, SRAM)
+	e.BTBPReadPJ = read("btbp", cfg.BTBP, RegisterFile)
+	e.BTBPWritePJ = write("btbp", cfg.BTBP, RegisterFile)
 	if cfg.BTB2Enabled {
-		f2 := arrayFactor(cfg.BTB2)
-		e.BTB2ReadPJ = float64(counts.BTB2.Lookups) * rowBits(cfg.BTB2) * btb2Tech.ReadEnergyPJPerBit * f2
-		e.BTB2WritePJ = float64(counts.BTB2.Installs+counts.BTB2.Updates) * entryBits(cfg.BTB2) * btb2Tech.WriteEnergyPJPerBit * f2
+		e.BTB2ReadPJ = read("btb2", cfg.BTB2, btb2Tech)
+		e.BTB2WritePJ = write("btb2", cfg.BTB2, btb2Tech)
 	}
 	// Static energy: area x leakage density x powered cycles.
 	e.BTB1LeakPJ = structArea(cfg.BTB1.Capacity(), EntryBits(cfg.BTB1), SRAM) *
@@ -229,7 +226,7 @@ func EstimateEnergy(cfg core.Config, counts AccessCounts, btb2Tech Technology,
 	e.BTBPLeakPJ = structArea(cfg.BTBP.Capacity(), EntryBits(cfg.BTBP), RegisterFile) *
 		RegisterFile.LeakPJPerMm2Cycle * totalCycles
 	if cfg.BTB2Enabled {
-		powered := btb2ActiveCycles
+		powered := float64(m.Counter("tracker_rows_read_total"))
 		if powered > totalCycles {
 			powered = totalCycles
 		}

@@ -5,6 +5,7 @@ import (
 
 	"bulkpreload/internal/btb"
 	"bulkpreload/internal/core"
+	"bulkpreload/internal/obs"
 )
 
 func TestTechnologiesValid(t *testing.T) {
@@ -96,14 +97,24 @@ func TestAnalyzePanicsOnBadTech(t *testing.T) {
 	Analyze(core.DefaultConfig(), Technology{})
 }
 
+// counters builds a snapshot holding the given counter values.
+func counters(vals map[string]int64) *obs.Snapshot {
+	s := &obs.Snapshot{}
+	for name, v := range vals {
+		s.Values = append(s.Values, obs.Value{Name: name, Type: obs.TypeCounter, Value: v})
+	}
+	return s
+}
+
 func TestEstimateEnergy(t *testing.T) {
 	cfg := core.DefaultConfig()
-	counts := AccessCounts{
-		BTB1: btb.Stats{Lookups: 1000, Installs: 100, Updates: 50},
-		BTBP: btb.Stats{Lookups: 1000, Installs: 200},
-		BTB2: btb.Stats{Lookups: 500, Installs: 300},
-	}
-	e := EstimateEnergy(cfg, counts, SRAM, 1_000_000, 20_000)
+	counts := counters(map[string]int64{
+		"btb1_lookups_total": 1000, "btb1_installs_total": 100, "btb1_updates_total": 50,
+		"btbp_lookups_total": 1000, "btbp_installs_total": 200,
+		"btb2_lookups_total": 500, "btb2_installs_total": 300,
+		"tracker_rows_read_total": 20_000,
+	})
+	e := EstimateEnergy(cfg, counts, SRAM, 1_000_000)
 	if e.TotalPJ() <= 0 {
 		t.Fatal("non-positive energy")
 	}
@@ -114,12 +125,12 @@ func TestEstimateEnergy(t *testing.T) {
 		t.Error("missing read energy components")
 	}
 	// Without a BTB2, its energy is zero.
-	e2 := EstimateEnergy(core.OneLevelConfig(), counts, SRAM, 1_000_000, 0)
+	e2 := EstimateEnergy(core.OneLevelConfig(), counts, SRAM, 1_000_000)
 	if e2.BTB2ReadPJ != 0 || e2.BTB2WritePJ != 0 {
 		t.Error("BTB2 energy attributed to a one-level config")
 	}
 	// eDRAM reads cost more per bit.
-	e3 := EstimateEnergy(cfg, counts, EDRAM, 1_000_000, 20_000)
+	e3 := EstimateEnergy(cfg, counts, EDRAM, 1_000_000)
 	if e3.BTB2ReadPJ <= e.BTB2ReadPJ {
 		t.Error("eDRAM read energy not higher than SRAM")
 	}
@@ -135,17 +146,18 @@ func TestEnergyStory(t *testing.T) {
 	// Two-level: searches read BTB1 (4-way) + BTBP (6-way RF); BTB2 read
 	// only on transfers (say 2% of searches).
 	cycles := float64(searches) // ~one search per cycle
-	two := EstimateEnergy(core.DefaultConfig(), AccessCounts{
-		BTB1: btb.Stats{Lookups: searches},
-		BTBP: btb.Stats{Lookups: searches},
-		BTB2: btb.Stats{Lookups: searches / 50},
-	}, SRAM, cycles, float64(searches/50))
+	two := EstimateEnergy(core.DefaultConfig(), counters(map[string]int64{
+		"btb1_lookups_total":      searches,
+		"btbp_lookups_total":      searches,
+		"btb2_lookups_total":      searches / 50,
+		"tracker_rows_read_total": searches / 50,
+	}), SRAM, cycles)
 	// One-level 24k: every search reads a 6-way row of the big array
 	// (plus the same BTBP).
-	big := EstimateEnergy(core.LargeOneLevelConfig(), AccessCounts{
-		BTB1: btb.Stats{Lookups: searches},
-		BTBP: btb.Stats{Lookups: searches},
-	}, SRAM, cycles, 0)
+	big := EstimateEnergy(core.LargeOneLevelConfig(), counters(map[string]int64{
+		"btb1_lookups_total": searches,
+		"btbp_lookups_total": searches,
+	}), SRAM, cycles)
 	// Array-size-dependent access energy makes every-search reads of the
 	// 24k array dominate: the two-level hierarchy reads less total
 	// energy despite its occasional BTB2 bursts — the paper's

@@ -98,13 +98,6 @@ type surpriseMetrics struct {
 	updates        obs.Counter
 }
 
-// Stats is a point-in-time view of the surprise BHT counters.
-type Stats struct {
-	Guesses        int64 // direction guesses served
-	TrainedGuesses int64 // guesses answered by a trained slot
-	Updates        int64 // resolved directions recorded
-}
-
 // DefaultSurpriseEntries is the zEC12 surprise BHT size.
 const DefaultSurpriseEntries = 32 * 1024
 
@@ -164,15 +157,6 @@ func (s *SurpriseBHT) Update(a zaddr.Addr, taken bool) {
 	i := s.index(a)
 	s.bits[i] = taken
 	s.touched[i] = true
-}
-
-// Stats returns a view of the counters.
-func (s *SurpriseBHT) Stats() Stats {
-	return Stats{
-		Guesses:        s.met.guesses.Value(),
-		TrainedGuesses: s.met.trainedGuesses.Value(),
-		Updates:        s.met.updates.Value(),
-	}
 }
 
 // RegisterMetrics enumerates the surprise BHT counters (plus a computed

@@ -127,17 +127,6 @@ var (
 	LargeBTB1Config = Config{Name: "BTB1-24k", Rows: 4096, Ways: 6, IndexHi: 47, IndexLo: 58}
 )
 
-// Stats is a point-in-time view of the table's activity counters. The
-// canonical storage is the obs metrics (see RegisterMetrics); Stats
-// remains the convenient comparable value for tests and reports.
-type Stats struct {
-	Lookups  int64 // congruence-class reads
-	LineHits int64 // lookups that found at least one matching entry
-	Installs int64 // new entries written
-	Updates  int64 // in-place updates of existing entries
-	Evicts   int64 // valid victims displaced by installs
-}
-
 // metrics is the table's registry-backed counter set.
 type metrics struct {
 	lookups  obs.Counter
@@ -217,17 +206,6 @@ func New(cfg Config) *Table {
 
 // Config returns the table geometry.
 func (t *Table) Config() Config { return t.cfg }
-
-// Stats returns a view of the activity counters.
-func (t *Table) Stats() Stats {
-	return Stats{
-		Lookups:  t.met.lookups.Value(),
-		LineHits: t.met.lineHits.Value(),
-		Installs: t.met.installs.Value(),
-		Updates:  t.met.updates.Value(),
-		Evicts:   t.met.evicts.Value(),
-	}
-}
 
 // RegisterMetrics enumerates the table's counters (plus a computed
 // occupancy gauge) into r under the given prefix, e.g. "btb1_".

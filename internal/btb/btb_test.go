@@ -6,11 +6,27 @@ import (
 	"testing/quick"
 
 	"bulkpreload/internal/bht"
+	"bulkpreload/internal/obs"
 	"bulkpreload/internal/zaddr"
 )
 
 // small test geometry: 16 rows x 2 ways, same 32-byte lines as hardware.
 var testCfg = Config{Name: "test", Rows: 16, Ways: 2, IndexHi: 55, IndexLo: 58}
+
+// counters reads tb's counter series through RegisterMetrics, named as
+// a run's metrics name the BTB1's.
+func counters(tb *Table) map[string]int64 {
+	r := obs.NewRegistry()
+	tb.RegisterMetrics(r, "btb1_")
+	s := r.Snapshot(0)
+	out := make(map[string]int64)
+	for _, v := range s.Values {
+		if v.Type == obs.TypeCounter {
+			out[v.Name] = v.Value
+		}
+	}
+	return out
+}
 
 func entry(a zaddr.Addr) Entry {
 	return Entry{Addr: a, Target: a + 0x100, Dir: bht.WeakT, Length: 4}
@@ -122,9 +138,9 @@ func TestLookupLineTagMismatch(t *testing.T) {
 	if hits := tb.LookupLine(0x2000+512, nil); len(hits) != 0 {
 		t.Fatalf("full-tag lookup aliased: %v", hits)
 	}
-	st := tb.Stats()
-	if st.Lookups != 1 || st.LineHits != 0 {
-		t.Errorf("stats = %+v", st)
+	st := counters(tb)
+	if st["btb1_lookups_total"] != 1 || st["btb1_line_hits_total"] != 0 {
+		t.Errorf("counters = %v", st)
 	}
 }
 
@@ -257,8 +273,10 @@ func TestReset(t *testing.T) {
 	if tb.CountValid() != 0 {
 		t.Error("Reset left valid entries")
 	}
-	if tb.Stats() != (Stats{}) {
-		t.Error("Reset left stats")
+	for name, v := range counters(tb) {
+		if v != 0 {
+			t.Errorf("Reset left %s = %d", name, v)
+		}
 	}
 	if err := tb.CheckLRUInvariant(); err != nil {
 		t.Error(err)
@@ -273,18 +291,17 @@ func TestStatsCounting(t *testing.T) {
 	tb.Insert(entry(a + 512))  // install
 	tb.Insert(entry(a + 1024)) // install + evict
 	tb.LookupLine(a+1024, nil) // hit or miss depending on survivor
-	st := tb.Stats()
-	if st.Installs != 3 {
-		t.Errorf("Installs = %d, want 3", st.Installs)
+	want := map[string]int64{
+		"btb1_lookups_total":  1,
+		"btb1_installs_total": 3,
+		"btb1_updates_total":  1,
+		"btb1_evicts_total":   1,
 	}
-	if st.Updates != 1 {
-		t.Errorf("Updates = %d, want 1", st.Updates)
-	}
-	if st.Evicts != 1 {
-		t.Errorf("Evicts = %d, want 1", st.Evicts)
-	}
-	if st.Lookups != 1 {
-		t.Errorf("Lookups = %d, want 1", st.Lookups)
+	st := counters(tb)
+	for name, w := range want {
+		if st[name] != w {
+			t.Errorf("%s = %d, want %d", name, st[name], w)
+		}
 	}
 }
 

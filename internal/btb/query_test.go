@@ -239,8 +239,8 @@ const queryOps = 13
 // operation touches only its own row); checkState compares the whole
 // tables.
 func (q *queryPair) diff(row int) string {
-	if g, w := q.next.Stats(), q.prev.Stats(); g != w {
-		return fmt.Sprintf("Stats %+v, want %+v", g, w)
+	if g, w := q.next.met, q.prev.met; g != w {
+		return fmt.Sprintf("counters %+v, want %+v", g, w)
 	}
 	if gi, wi := q.next.Injector(), q.prev.Injector(); gi != nil {
 		if gi.Reads() != wi.Reads() || gi.Stats() != wi.Stats() {

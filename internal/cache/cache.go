@@ -57,26 +57,6 @@ func (c Config) Validate() error {
 // Sets returns the number of congruence classes.
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Ways) }
 
-// Stats is a point-in-time view of the cache's activity counters; the
-// canonical storage is the obs metrics (see RegisterMetrics).
-type Stats struct {
-	Accesses   int64 // demand accesses
-	Misses     int64 // demand misses
-	Prefetches int64 // prefetch fills issued (missing lines only)
-	// PrefetchedHits are demand accesses that hit a line present only
-	// because a prefetch installed it — latency the lookahead predictor
-	// hid.
-	PrefetchedHits int64
-}
-
-// MissRate returns demand misses per demand access.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // metrics is the cache's registry-backed counter set.
 type metrics struct {
 	accesses       obs.Counter
@@ -128,16 +108,6 @@ func New(cfg Config) *Cache {
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
-
-// Stats returns a view of the counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Accesses:       c.met.accesses.Value(),
-		Misses:         c.met.misses.Value(),
-		Prefetches:     c.met.prefetches.Value(),
-		PrefetchedHits: c.met.prefetchedHits.Value(),
-	}
-}
 
 // RegisterMetrics enumerates the cache's counters (plus a computed
 // occupancy gauge) into r under the given prefix, e.g. "l1i_".

@@ -152,7 +152,7 @@ func TestTransferPathNoAllocs(t *testing.T) {
 	for name, cfg := range map[string]Config{"steered": steered, "sequential": sequential} {
 		t.Run(name, func(t *testing.T) {
 			h, branches, now := transferSteadyState(cfg)
-			hits := h.Stats().TransferredHits
+			hits := counters(h)["hier_transferred_hits_total"]
 			allocs := testing.AllocsPerRun(50, func() {
 				now = transferRound(h, branches, now)
 			})
@@ -160,7 +160,7 @@ func TestTransferPathNoAllocs(t *testing.T) {
 				t.Errorf("BTB2 transfer path allocates %.1f objects per full search, want 0", allocs)
 			}
 			// AllocsPerRun adds one warm-up call to its 50 runs.
-			if got, want := h.Stats().TransferredHits-hits, int64(51*len(branches)); got != want {
+			if got, want := counters(h)["hier_transferred_hits_total"]-hits, int64(51*len(branches)); got != want {
 				t.Errorf("%d transferred hits over 51 searches, want %d: the path under test did not run", got, want)
 			}
 		})

@@ -54,19 +54,16 @@ func TestAccessorSurface(t *testing.T) {
 	if h.Config().BTB1.Capacity() != testConfig().BTB1.Capacity() {
 		t.Error("Config accessor wrong")
 	}
-	// Table stats accessors mirror the underlying counters.
+	// The table counters surface under each table's series.
 	installBranch(h, takenBranch(0x1000, 0x2000), 0)
 	h.Predict(0x1000, 100)
-	if h.BTBPStats().Installs == 0 {
-		t.Error("BTBP stats not surfaced")
+	st := counters(h)
+	for _, name := range []string{"btbp_installs_total", "btb1_installs_total", "btb2_installs_total"} {
+		if st[name] == 0 {
+			t.Errorf("%s not surfaced", name)
+		}
 	}
-	if h.BTB1Stats().Installs == 0 {
-		t.Error("BTB1 stats not surfaced")
-	}
-	if h.BTB2Stats().Installs == 0 {
-		t.Error("BTB2 stats not surfaced")
-	}
-	if h.TrackerStats().BTB1Misses != 0 {
+	if st["tracker_btb1_misses_total"] != 0 {
 		t.Error("unexpected tracker activity")
 	}
 	h.ObserveComplete(0x1000) // steering live path
@@ -91,7 +88,7 @@ func TestSequentialOrderFallback(t *testing.T) {
 	h.ReportBTB1Miss(br.Addr, 100000)
 	h.ReportICacheMiss(br.Addr, 100000)
 	h.Advance(100200)
-	if h.Stats().TransferReads == 0 {
+	if counters(h)["hier_transfer_reads_total"] == 0 {
 		t.Error("sequential orderer produced no reads")
 	}
 	// The sequentialOrder helper itself returns a valid permutation.
@@ -125,7 +122,7 @@ func TestInclusivePolicyVictimUpdate(t *testing.T) {
 	if _, _, in2 := h.Contains(a); !in2 {
 		t.Error("inclusive policy lost the victim's BTB2 copy")
 	}
-	if h.Stats().BTB2Writes == 0 {
+	if counters(h)["hier_btb2_writes_total"] == 0 {
 		t.Error("no BTB2 writes recorded")
 	}
 }
@@ -160,9 +157,9 @@ func TestInclusiveVictimReinstallsWhenAliased(t *testing.T) {
 func TestPreloadBranchDuplicateDropped(t *testing.T) {
 	h := New(testConfig())
 	installBranch(h, takenBranch(0x1000, 0x2000), 0)
-	n := h.Stats().PreloadInstalls
+	n := counters(h)["hier_preload_installs_total"]
 	h.PreloadBranch(0x1000, 0x2000, 4, 100) // already in BTBP
-	if h.Stats().PreloadInstalls != n {
+	if counters(h)["hier_preload_installs_total"] != n {
 		t.Error("duplicate preload not dropped")
 	}
 }
@@ -225,7 +222,7 @@ func TestChaseRespectsRecentRing(t *testing.T) {
 	h.ReportBTB1Miss(blockA, 100000)
 	h.ReportICacheMiss(blockA, 100000)
 	h.Advance(100400)
-	first := h.Stats().ChainedSearches
+	first := counters(h)["hier_chained_searches_total"]
 	if first == 0 {
 		t.Fatal("no chase fired")
 	}
@@ -234,7 +231,7 @@ func TestChaseRespectsRecentRing(t *testing.T) {
 	h.ReportBTB1Miss(blockA+64, 200000)
 	h.ReportICacheMiss(blockA+64, 200000)
 	h.Advance(200400)
-	if h.Stats().ChainedSearches != first {
+	if counters(h)["hier_chained_searches_total"] != first {
 		t.Error("chase repeated for a recently chased block")
 	}
 }

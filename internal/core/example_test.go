@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bulkpreload/internal/core"
+	"bulkpreload/internal/obs"
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/zaddr"
 )
@@ -44,6 +45,8 @@ func Example() {
 // block trigger a full 128-row BTB2 search whose hits land in the BTBP.
 func ExampleHierarchy_ReportBTB1Miss() {
 	h := core.New(core.DefaultConfig())
+	reg := obs.NewRegistry()
+	h.RegisterMetrics(reg)
 
 	// Populate the BTB2 with branches of one 4 KB block via surprise
 	// installs (surprise installs write the BTB2 directly).
@@ -62,7 +65,8 @@ func ExampleHierarchy_ReportBTB1Miss() {
 	h.ReportICacheMiss(0x40000, 1000)
 	h.Advance(1000 + 200)
 
-	fmt.Printf("bulk-transferred entries: %d\n", h.Stats().TransferredHits)
+	m := reg.Snapshot(1)
+	fmt.Printf("bulk-transferred entries: %d\n", m.Counter("hier_transferred_hits_total"))
 	// Output:
 	// bulk-transferred entries: 8
 }

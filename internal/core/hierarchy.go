@@ -51,25 +51,6 @@ type Prediction struct {
 	Entry btb.Entry
 }
 
-// Stats is a point-in-time view of the hierarchy counters; the
-// canonical storage is the obs metrics (see RegisterMetrics in
-// metrics.go).
-type Stats struct {
-	Predictions      int64 // dynamic predictions made
-	BTB1Hits         int64
-	BTBPHits         int64
-	Promotions       int64 // BTBP -> BTB1 moves
-	BTB1Victims      int64 // victims displaced by promotions
-	SurpriseInstalls int64
-	PreloadInstalls  int64 // branch-preload-instruction installs
-	PHTOverrides     int64 // predictions whose direction came from the PHT
-	CTBOverrides     int64 // predictions whose target came from the CTB
-	TransferredHits  int64 // BTB2 entries bulk-moved into the BTBP
-	TransferReads    int64 // BTB2 row reads performed
-	BTB2Writes       int64 // entries written into the BTB2
-	ChainedSearches  int64 // secondary block searches (MultiBlockTransfer)
-}
-
 type pendingInstall struct {
 	at    uint64
 	entry btb.Entry
@@ -185,46 +166,6 @@ func (o *sequentialOrder) Order(entry zaddr.Addr) []int {
 
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
-
-// Stats returns a view of the hierarchy counters.
-func (h *Hierarchy) Stats() Stats {
-	c := &h.met.counters
-	return Stats{
-		Predictions:      c.predictions.Value(),
-		BTB1Hits:         c.btb1Hits.Value(),
-		BTBPHits:         c.btbpHits.Value(),
-		Promotions:       c.promotions.Value(),
-		BTB1Victims:      c.btb1Victims.Value(),
-		SurpriseInstalls: c.surpriseInstalls.Value(),
-		PreloadInstalls:  c.preloadInstalls.Value(),
-		PHTOverrides:     c.phtOverrides.Value(),
-		CTBOverrides:     c.ctbOverrides.Value(),
-		TransferredHits:  c.transferredHits.Value(),
-		TransferReads:    c.transferReads.Value(),
-		BTB2Writes:       c.btb2Writes.Value(),
-		ChainedSearches:  c.chainedSearches.Value(),
-	}
-}
-
-// BTB1Stats, BTBPStats and BTB2Stats expose the underlying table counters
-// (BTB2Stats returns zeros when the BTB2 is disabled).
-func (h *Hierarchy) BTB1Stats() btb.Stats { return h.btb1.Stats() }
-func (h *Hierarchy) BTBPStats() btb.Stats { return h.btbp.Stats() }
-func (h *Hierarchy) BTB2Stats() btb.Stats {
-	if h.btb2 == nil {
-		return btb.Stats{}
-	}
-	return h.btb2.Stats()
-}
-
-// TrackerStats returns the BTB2 search tracker counters (zeros when
-// disabled).
-func (h *Hierarchy) TrackerStats() tracker.Stats {
-	if h.trk == nil {
-		return tracker.Stats{}
-	}
-	return h.trk.Stats()
-}
 
 // History exposes the global path history (the engine records resolved
 // outcomes through Resolve; direct access is for diagnostics only).

@@ -1,12 +1,30 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"bulkpreload/internal/btb"
+	"bulkpreload/internal/obs"
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/zaddr"
 )
+
+// counters reads the counter series of h and its structures through
+// RegisterMetrics, named as a run's metrics name them. A disabled
+// structure registers nothing, so its series read as absent (zero).
+func counters(h *Hierarchy) map[string]int64 {
+	r := obs.NewRegistry()
+	h.RegisterMetrics(r)
+	s := r.Snapshot(0)
+	out := make(map[string]int64)
+	for _, v := range s.Values {
+		if v.Type == obs.TypeCounter {
+			out[v.Name] = v.Value
+		}
+	}
+	return out
+}
 
 // testConfig returns a small but fully-featured two-level config so tests
 // can exercise evictions without thousands of installs.
@@ -126,9 +144,9 @@ func TestBTBPPromotionToBTB1(t *testing.T) {
 	if p, _ := h.Predict(br.Addr, 200); p.Level != LevelBTB1 {
 		t.Errorf("second hit level = %v", p.Level)
 	}
-	st := h.Stats()
-	if st.Promotions != 1 || st.BTBPHits != 1 || st.BTB1Hits != 1 {
-		t.Errorf("stats = %+v", st)
+	st := counters(h)
+	if st["hier_promotions_total"] != 1 || st["hier_btbp_hits_total"] != 1 || st["hier_btb1_hits_total"] != 1 {
+		t.Errorf("counters = %v", st)
 	}
 }
 
@@ -157,8 +175,8 @@ func TestVictimCascadeToBTBPAndBTB2(t *testing.T) {
 	if !in2 {
 		t.Error("victim not written to BTB2")
 	}
-	if st := h.Stats(); st.BTB1Victims != 1 {
-		t.Errorf("BTB1Victims = %d, want 1", st.BTB1Victims)
+	if n := counters(h)["hier_btb1_victims_total"]; n != 1 {
+		t.Errorf("hier_btb1_victims_total = %d, want 1", n)
 	}
 }
 
@@ -199,9 +217,9 @@ func TestBulkTransferEndToEnd(t *testing.T) {
 	if !inP {
 		t.Fatal("bulk transfer did not preload the branch into the BTBP")
 	}
-	st := h.Stats()
-	if st.TransferredHits == 0 || st.TransferReads == 0 {
-		t.Errorf("transfer stats = %+v", st)
+	st := counters(h)
+	if st["hier_transferred_hits_total"] == 0 || st["hier_transfer_reads_total"] == 0 {
+		t.Errorf("transfer counters = %v", st)
 	}
 	// The prediction now hits without any new surprise.
 	if _, ok := h.Predict(br.Addr, now+300); !ok {
@@ -268,7 +286,7 @@ func TestPHTGatingOnDirectionMispredict(t *testing.T) {
 	if phtUses == 0 {
 		t.Error("PHT never engaged for a multi-direction branch")
 	}
-	if h.Stats().PHTOverrides == 0 {
+	if counters(h)["hier_pht_overrides_total"] == 0 {
 		t.Error("PHTOverrides not counted")
 	}
 }
@@ -336,7 +354,7 @@ func TestSearchLine(t *testing.T) {
 	if in1, inP, _ := h.Contains(a); !in1 || inP {
 		t.Fatalf("a not promoted to the BTB1 (BTB1 %v, BTBP %v)", in1, inP)
 	}
-	l1, lp := h.BTB1Stats().Lookups, h.BTBPStats().Lookups
+	before := counters(h)
 	if !h.SearchLine(0x2000, 1000) {
 		t.Error("SearchLine(0x2000) missed both branches")
 	}
@@ -352,7 +370,9 @@ func TestSearchLine(t *testing.T) {
 		t.Error("empty line reported found")
 	}
 	// Every search reads one row of each table, hit or not.
-	if d1, dp := h.BTB1Stats().Lookups-l1, h.BTBPStats().Lookups-lp; d1 != 4 || dp != 4 {
+	after := counters(h)
+	if d1, dp := after["btb1_lookups_total"]-before["btb1_lookups_total"],
+		after["btbp_lookups_total"]-before["btbp_lookups_total"]; d1 != 4 || dp != 4 {
 		t.Errorf("4 searches charged %d BTB1 and %d BTBP row reads, want 4 each", d1, dp)
 	}
 }
@@ -404,11 +424,10 @@ func TestOneLevelConfigRejectsBTB2Calls(t *testing.T) {
 	h.ReportICacheMiss(0x1000, 0)
 	h.Advance(100)
 	h.ObserveComplete(0x1000)
-	if st := h.TrackerStats(); st.BTB1Misses != 0 {
-		t.Error("disabled BTB2 tracked misses")
-	}
-	if h.BTB2Stats() != (btb.Stats{}) {
-		t.Error("disabled BTB2 has stats")
+	for name, v := range counters(h) {
+		if strings.HasPrefix(name, "tracker_") || strings.HasPrefix(name, "btb2_") {
+			t.Errorf("disabled BTB2 registered %s = %d", name, v)
+		}
 	}
 }
 
@@ -422,8 +441,10 @@ func TestReset(t *testing.T) {
 	}
 	// Predictions counts only successful predictions; the post-reset miss
 	// contributes nothing.
-	if st := h.Stats(); st != (Stats{}) {
-		t.Errorf("stats after reset = %+v", st)
+	for name, v := range counters(h) {
+		if v != 0 {
+			t.Errorf("%s = %d after reset", name, v)
+		}
 	}
 }
 

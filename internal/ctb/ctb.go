@@ -38,15 +38,6 @@ const (
 	fieldBits     = 16
 )
 
-// Stats is a point-in-time view of the CTB counters; the canonical
-// storage is the obs metrics (see RegisterMetrics).
-type Stats struct {
-	Lookups  int64
-	Hits     int64
-	Installs int64
-	Updates  int64
-}
-
 // metrics is the CTB's registry-backed counter set.
 type metrics struct {
 	lookups  obs.Counter
@@ -107,16 +98,6 @@ func (t *Table) setField(i int, v uint64) {
 //zbp:layout field pack
 func packField(tag uint16) uint64 {
 	return 1<<fieldValidBit | uint64(tag&((1<<tagBits)-1))<<fieldTagShift
-}
-
-// Stats returns a view of the counters.
-func (t *Table) Stats() Stats {
-	return Stats{
-		Lookups:  t.met.lookups.Value(),
-		Hits:     t.met.hits.Value(),
-		Installs: t.met.installs.Value(),
-		Updates:  t.met.updates.Value(),
-	}
 }
 
 // RegisterMetrics enumerates the CTB counters (plus a computed occupancy

@@ -4,8 +4,24 @@ import (
 	"testing"
 
 	"bulkpreload/internal/history"
+	"bulkpreload/internal/obs"
 	"bulkpreload/internal/zaddr"
 )
+
+// counters reads tb's counter series through RegisterMetrics, named as
+// a run's metrics name them.
+func counters(tb *Table) map[string]int64 {
+	r := obs.NewRegistry()
+	tb.RegisterMetrics(r, "ctb_")
+	s := r.Snapshot(0)
+	out := make(map[string]int64)
+	for _, v := range s.Values {
+		if v.Type == obs.TypeCounter {
+			out[v.Name] = v.Value
+		}
+	}
+	return out
+}
 
 func TestNewValidation(t *testing.T) {
 	if New(DefaultEntries).Entries() != 2048 {
@@ -32,9 +48,9 @@ func TestMissTrainHit(t *testing.T) {
 	if !ok || target != 0x1234 {
 		t.Fatalf("lookup = %#x ok=%v", uint64(target), ok)
 	}
-	st := c.Stats()
-	if st.Installs != 1 || st.Hits != 1 || st.Lookups != 2 {
-		t.Errorf("stats = %+v", st)
+	st := counters(c)
+	if st["ctb_installs_total"] != 1 || st["ctb_hits_total"] != 1 || st["ctb_lookups_total"] != 2 {
+		t.Errorf("counters = %v", st)
 	}
 }
 
@@ -66,8 +82,8 @@ func TestUpdateInPlace(t *testing.T) {
 	if tgt, _ := c.Lookup(&h, 0x9000); tgt != 0x2000 {
 		t.Errorf("target = %#x, want latest", uint64(tgt))
 	}
-	if st := c.Stats(); st.Updates != 1 || st.Installs != 1 {
-		t.Errorf("stats = %+v", st)
+	if st := counters(c); st["ctb_updates_total"] != 1 || st["ctb_installs_total"] != 1 {
+		t.Errorf("counters = %v", st)
 	}
 }
 

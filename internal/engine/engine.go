@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"bulkpreload/internal/btb"
 	"bulkpreload/internal/cache"
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/fault"
@@ -12,7 +11,6 @@ import (
 	"bulkpreload/internal/predictor"
 	"bulkpreload/internal/stats"
 	"bulkpreload/internal/trace"
-	"bulkpreload/internal/tracker"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -30,26 +28,18 @@ type Result struct {
 	SurpriseCycles   float64
 	ICacheCycles     float64
 
-	// Component snapshots.
-	Hier    core.Stats
-	Tracker tracker.Stats
-	L1I     cache.Stats
-	L2I     cache.Stats
-	BTB1    btb.Stats
-	BTBP    btb.Stats
-	BTB2    btb.Stats
-
-	MissesReported int64 // BTB1 misses reported by the detector
-
 	// Fault aggregates the run's soft-error injection counters across
 	// every structure (all zero when injection is disabled).
 	Fault fault.Stats
 
-	// Metrics is the final registry snapshot of the run — every counter,
-	// gauge, and histogram of every structure, enumerable by name. Use
-	// it for cross-shard aggregation (obs.Snapshot.Merge) and trace
-	// reconciliation. Excluded from JSON so golden records stay stable.
-	Metrics *obs.Snapshot `json:"-"`
+	// Metrics is the final registry snapshot of the run: every counter,
+	// gauge and histogram of every structure, read by series name (for
+	// example Metrics.Counter("btb2_lookups_total")). It is the only
+	// record of the component counters. Its values are raw cumulative,
+	// warmup included, so they stay comparable with the interval
+	// snapshots and exported event counts; use it for cross-shard
+	// aggregation (obs.Snapshot.Merge) and trace reconciliation.
+	Metrics *obs.Snapshot
 
 	// Snapshots are the interval snapshots taken every
 	// Params.SnapshotInterval instructions (empty when the interval is
@@ -304,6 +294,7 @@ func (e *Engine) finishResult() {
 		e.snapshot()
 	}
 	final := e.reg.Snapshot(e.snapSeq + 1)
+	final.FillKinds()
 	e.res.Metrics = &final
 
 	e.res.Cycles = e.clock.Float()
@@ -319,16 +310,6 @@ func (e *Engine) finishResult() {
 		e.res.SurpriseCycles -= e.warmSurprise
 		e.res.ICacheCycles -= e.warmICache
 	}
-	e.res.Hier = e.hier.Stats()
-	e.res.Tracker = e.hier.TrackerStats()
-	e.res.L1I = e.l1i.Stats()
-	if e.l2i != nil {
-		e.res.L2I = e.l2i.Stats()
-	}
-	e.res.BTB1 = e.hier.BTB1Stats()
-	e.res.BTBP = e.hier.BTBPStats()
-	e.res.BTB2 = e.hier.BTB2Stats()
-	e.res.MissesReported = e.missDet.Reported()
 	e.res.Fault = e.hier.FaultStats()
 }
 

@@ -85,7 +85,7 @@ func TestBranchlessRunHasNoBadBranches(t *testing.T) {
 	}
 	// The run should have triggered speculative BTB1 misses (cold code,
 	// no branches), demonstrating Section 3.4's false-miss caveat.
-	if r.MissesReported == 0 {
+	if r.Metrics.Counter("engine_misses_reported_total") == 0 {
 		t.Error("branchless run never tripped the speculative miss detector")
 	}
 }
@@ -103,7 +103,7 @@ func TestColdSweepBTB2RecoversSecondPass(t *testing.T) {
 			withBTB2.Outcomes.N[stats.BadSurpriseCapacity],
 			noBTB2.Outcomes.N[stats.BadSurpriseCapacity])
 	}
-	if withBTB2.Hier.TransferredHits == 0 {
+	if withBTB2.Metrics.Counter("hier_transferred_hits_total") == 0 {
 		t.Error("cold sweep produced no bulk transfers")
 	}
 }
@@ -184,7 +184,7 @@ func TestHardwareModeSlower(t *testing.T) {
 	if hwR.CPI() < simR.CPI() {
 		t.Errorf("hardware mode faster than simulation mode: %.4f vs %.4f", hwR.CPI(), simR.CPI())
 	}
-	if hwR.L2I.Accesses == 0 {
+	if hwR.Metrics.Counter("l2i_accesses_total") == 0 {
 		t.Error("hardware mode never touched the L2I")
 	}
 }
@@ -251,7 +251,7 @@ func TestPrefetchHidesTargetMisses(t *testing.T) {
 		}
 	}
 	r := Run(trace.NewSliceSource("line-hopper", ins), core.OneLevelConfig(), fastParams(), "t")
-	if r.L1I.Prefetches == 0 {
+	if r.Metrics.Counter("l1i_prefetches_total") == 0 {
 		t.Error("no prefetches issued for predicted-taken targets")
 	}
 }
@@ -263,19 +263,19 @@ func TestDecodeSurpriseMissMode(t *testing.T) {
 	src := workload.KernelColdCodeSweep(24, 3)
 	cfg := core.DefaultConfig()
 	cfg.MissMode = core.MissDecodeSurprise
-	r := Run(src, cfg, fastParams(), "decode")
-	if r.MissesReported != 0 {
-		t.Errorf("speculative detector reported %d misses in decode mode", r.MissesReported)
+	m := Run(src, cfg, fastParams(), "decode").Metrics
+	if n := m.Counter("engine_misses_reported_total"); n != 0 {
+		t.Errorf("speculative detector reported %d misses in decode mode", n)
 	}
-	if r.Tracker.BTB1Misses == 0 {
+	if m.Counter("tracker_btb1_misses_total") == 0 {
 		t.Error("decode-surprise mode never reported misses to the trackers")
 	}
-	if r.Hier.TransferredHits == 0 {
+	if m.Counter("hier_transferred_hits_total") == 0 {
 		t.Error("decode-surprise mode produced no transfers")
 	}
 	// Partial searches exist only for speculative misses.
-	if r.Tracker.Partial != 0 {
-		t.Errorf("decode-surprise mode launched %d partial searches", r.Tracker.Partial)
+	if n := m.Counter("tracker_partial_searches_total"); n != 0 {
+		t.Errorf("decode-surprise mode launched %d partial searches", n)
 	}
 }
 
@@ -283,13 +283,13 @@ func TestMissModeBothCombines(t *testing.T) {
 	src := workload.KernelColdCodeSweep(24, 3)
 	cfg := core.DefaultConfig()
 	cfg.MissMode = core.MissBoth
-	r := Run(src, cfg, fastParams(), "both")
-	if r.MissesReported == 0 {
+	m := Run(src, cfg, fastParams(), "both").Metrics
+	reported := m.Counter("engine_misses_reported_total")
+	if reported == 0 {
 		t.Error("speculative detector inactive in both-mode")
 	}
-	if r.Tracker.BTB1Misses <= r.MissesReported {
-		t.Errorf("decode reports missing: tracker saw %d, detector %d",
-			r.Tracker.BTB1Misses, r.MissesReported)
+	if tracked := m.Counter("tracker_btb1_misses_total"); tracked <= reported {
+		t.Errorf("decode reports missing: tracker saw %d, detector %d", tracked, reported)
 	}
 }
 
@@ -308,7 +308,7 @@ func TestPreloadHintsReduceSurprises(t *testing.T) {
 	params.WarmupInstructions = 50_000
 	rPlain := Run(workload.New(plain), core.OneLevelConfig(), params, "plain")
 	rHinted := Run(workload.New(hinted), core.OneLevelConfig(), params, "hinted")
-	if rHinted.Hier.PreloadInstalls == 0 {
+	if rHinted.Metrics.Counter("hier_preload_installs_total") == 0 {
 		t.Fatal("no preload installs executed")
 	}
 	plainBad := rPlain.Outcomes.BadSurprises()
@@ -333,7 +333,7 @@ func TestMultiBlockChaseRuns(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.MultiBlockTransfer = true
 	r := Run(workload.New(p), cfg, fastParams(), "chase")
-	if r.Hier.ChainedSearches == 0 {
+	if r.Metrics.Counter("hier_chained_searches_total") == 0 {
 		t.Error("multi-block transfer never chased")
 	}
 }
@@ -352,9 +352,8 @@ func TestWrongPathPollution(t *testing.T) {
 	off.ModelWrongPath = false
 	rOn := Run(workload.New(p), core.DefaultConfig(), on, "wp-on")
 	rOff := Run(workload.New(p), core.DefaultConfig(), off, "wp-off")
-	if rOn.Tracker.BTB1Misses <= rOff.Tracker.BTB1Misses {
-		t.Errorf("wrong-path modeling added no tracker pollution: %d vs %d",
-			rOn.Tracker.BTB1Misses, rOff.Tracker.BTB1Misses)
+	if withWP, without := rOn.Metrics.Counter("tracker_btb1_misses_total"), rOff.Metrics.Counter("tracker_btb1_misses_total"); withWP <= without {
+		t.Errorf("wrong-path modeling added no tracker pollution: %d vs %d", withWP, without)
 	}
 	// Outcome counts are identical — wrong path perturbs timing and
 	// contents, not the committed branch stream.
@@ -377,7 +376,7 @@ func TestPHTLearnsAlternatingBranch(t *testing.T) {
 	if mPHT*2 >= mNo {
 		t.Errorf("PHT did not help the alternating branch: %d vs %d mispredicts", mPHT, mNo)
 	}
-	if rPHT.Hier.PHTOverrides == 0 {
+	if rPHT.Metrics.Counter("hier_pht_overrides_total") == 0 {
 		t.Error("PHT never engaged")
 	}
 }
@@ -396,7 +395,7 @@ func TestCTBLearnsCorrelatedReturn(t *testing.T) {
 	if wCTB*2 >= wNo {
 		t.Errorf("CTB did not help the correlated return: %d vs %d wrong targets", wCTB, wNo)
 	}
-	if rCTB.Hier.CTBOverrides == 0 {
+	if rCTB.Metrics.Counter("hier_ctb_overrides_total") == 0 {
 		t.Error("CTB never engaged")
 	}
 }

@@ -34,15 +34,6 @@ type entry struct {
 	newer, older int32
 }
 
-// Stats is a point-in-time view of the FIT counters; the canonical
-// storage is the obs metrics (see RegisterMetrics).
-type Stats struct {
-	Lookups  int64
-	Hits     int64 // branch found with a matching next-index
-	Stale    int64 // branch found but the stored index was wrong
-	Installs int64
-}
-
 // metrics is the FIT's registry-backed counter set.
 type metrics struct {
 	lookups  obs.Counter
@@ -90,16 +81,6 @@ func New(n int) *Table {
 
 // Entries returns the table size.
 func (t *Table) Entries() int { return len(t.ents) }
-
-// Stats returns a view of the counters.
-func (t *Table) Stats() Stats {
-	return Stats{
-		Lookups:  t.met.lookups.Value(),
-		Hits:     t.met.hits.Value(),
-		Stale:    t.met.stale.Value(),
-		Installs: t.met.installs.Value(),
-	}
-}
 
 // RegisterMetrics enumerates the FIT counters (plus a computed occupancy
 // gauge) into r under the given prefix, e.g. "fit_".

@@ -3,8 +3,24 @@ package fit
 import (
 	"testing"
 
+	"bulkpreload/internal/obs"
 	"bulkpreload/internal/zaddr"
 )
+
+// counters reads tb's counter series through RegisterMetrics, named as
+// a run's metrics name them.
+func counters(tb *Table) map[string]int64 {
+	r := obs.NewRegistry()
+	tb.RegisterMetrics(r, "fit_")
+	s := r.Snapshot(0)
+	out := make(map[string]int64)
+	for _, v := range s.Values {
+		if v.Type == obs.TypeCounter {
+			out[v.Name] = v.Value
+		}
+	}
+	return out
+}
 
 func TestNewValidation(t *testing.T) {
 	if New(DefaultEntries).Entries() != 64 {
@@ -28,9 +44,9 @@ func TestTrainLookup(t *testing.T) {
 	if !f.Lookup(br, tgt) {
 		t.Fatal("trained entry missed")
 	}
-	st := f.Stats()
-	if st.Hits != 1 || st.Installs != 1 || st.Lookups != 2 {
-		t.Errorf("stats = %+v", st)
+	st := counters(f)
+	if st["fit_hits_total"] != 1 || st["fit_installs_total"] != 1 || st["fit_lookups_total"] != 2 {
+		t.Errorf("counters = %v", st)
 	}
 }
 
@@ -43,16 +59,16 @@ func TestStaleIndexRejected(t *testing.T) {
 	if f.Lookup(br, 0x3000) {
 		t.Fatal("stale FIT entry honored")
 	}
-	if st := f.Stats(); st.Stale != 1 {
-		t.Errorf("Stale = %d, want 1", st.Stale)
+	if n := counters(f)["fit_stale_total"]; n != 1 {
+		t.Errorf("fit_stale_total = %d, want 1", n)
 	}
 	// Retraining fixes it in place without a second install.
 	f.Train(br, 0x3000)
 	if !f.Lookup(br, 0x3000) {
 		t.Fatal("retrained entry missed")
 	}
-	if st := f.Stats(); st.Installs != 1 {
-		t.Errorf("Installs = %d, want 1 (in-place retrain)", st.Installs)
+	if n := counters(f)["fit_installs_total"]; n != 1 {
+		t.Errorf("fit_installs_total = %d, want 1 (in-place retrain)", n)
 	}
 }
 
@@ -94,7 +110,7 @@ func TestReset(t *testing.T) {
 	if f.Lookup(0x1000, 0x2000) {
 		t.Error("Reset left entries")
 	}
-	if st := f.Stats(); st.Installs != 0 {
-		t.Error("Reset left stats")
+	if n := counters(f)["fit_installs_total"]; n != 0 {
+		t.Errorf("Reset left fit_installs_total = %d", n)
 	}
 }

@@ -14,7 +14,7 @@ import (
 type linearTable struct {
 	entries []linearEntry
 	lru     []int
-	st      Stats
+	met     metrics // the table's counter set, stepped as the table should
 }
 
 type linearEntry struct {
@@ -31,16 +31,16 @@ func newLinear(n int) *linearTable {
 }
 
 func (m *linearTable) Lookup(addr, next zaddr.Addr) bool {
-	m.st.Lookups++
+	m.met.lookups.Inc()
 	for i := range m.entries {
 		e := &m.entries[i]
 		if e.valid && e.branch == addr {
 			if e.next == next {
-				m.st.Hits++
+				m.met.hits.Inc()
 				m.promote(i)
 				return true
 			}
-			m.st.Stale++
+			m.met.stale.Inc()
 			return false
 		}
 	}
@@ -58,7 +58,7 @@ func (m *linearTable) Train(addr, next zaddr.Addr) {
 	}
 	victim := m.lru[len(m.lru)-1]
 	m.entries[victim] = linearEntry{valid: true, branch: addr, next: next}
-	m.st.Installs++
+	m.met.installs.Inc()
 	m.promote(victim)
 }
 
@@ -80,8 +80,8 @@ func (m *linearTable) Reset() {
 // fitDiff compares every slot, the recency order, the index and the
 // counters of t against the model; it returns "" when they agree.
 func fitDiff(t *Table, m *linearTable) string {
-	if g, w := t.Stats(), m.st; g != w {
-		return fmt.Sprintf("stats %+v, want %+v", g, w)
+	if g, w := t.met, m.met; g != w {
+		return fmt.Sprintf("counters %+v, want %+v", g, w)
 	}
 	for i, w := range m.entries {
 		e := t.ents[i]

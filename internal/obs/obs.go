@@ -7,10 +7,10 @@
 // Design constraints, in order:
 //
 //  1. The hot path must cost nothing extra. Counters are plain int64
-//     increments — exactly what the ad-hoc per-package Stats structs
-//     were — with no atomics, locks, or allocations. The registry is
-//     purely an enumeration layer holding pointers to metrics that live
-//     inside the instrumented structures.
+//     increments with no atomics, locks, or allocations. The registry
+//     is purely an enumeration layer holding pointers to metrics that
+//     live inside the instrumented structures; callers read them from
+//     its snapshots.
 //  2. Metrics are therefore goroutine-local: a Registry and everything
 //     registered in it belong to the goroutine running the simulation.
 //     Snapshot must be called from that goroutine. Cross-goroutine

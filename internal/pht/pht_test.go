@@ -4,8 +4,24 @@ import (
 	"testing"
 
 	"bulkpreload/internal/history"
+	"bulkpreload/internal/obs"
 	"bulkpreload/internal/zaddr"
 )
+
+// counters reads tb's counter series through RegisterMetrics, named as
+// a run's metrics name them.
+func counters(tb *Table) map[string]int64 {
+	r := obs.NewRegistry()
+	tb.RegisterMetrics(r, "pht_")
+	s := r.Snapshot(0)
+	out := make(map[string]int64)
+	for _, v := range s.Values {
+		if v.Type == obs.TypeCounter {
+			out[v.Name] = v.Value
+		}
+	}
+	return out
+}
 
 func TestNewValidation(t *testing.T) {
 	if New(DefaultEntries).Entries() != 4096 {
@@ -32,9 +48,9 @@ func TestMissThenTrainThenHit(t *testing.T) {
 	if !ok || !taken {
 		t.Fatalf("after training taken: ok=%v taken=%v", ok, taken)
 	}
-	st := p.Stats()
-	if st.Installs != 1 || st.Hits != 1 || st.Lookups != 2 {
-		t.Errorf("stats = %+v", st)
+	st := counters(p)
+	if st["pht_installs_total"] != 1 || st["pht_hits_total"] != 1 || st["pht_lookups_total"] != 2 {
+		t.Errorf("counters = %v", st)
 	}
 }
 
@@ -79,9 +95,8 @@ func TestTagMismatchSteals(t *testing.T) {
 		// only a failure if they actually collided; check directly
 		t.Skip("addresses did not collide in this tiny table")
 	}
-	st := p.Stats()
-	if st.Installs < 1 {
-		t.Errorf("stats = %+v", st)
+	if st := counters(p); st["pht_installs_total"] < 1 {
+		t.Errorf("counters = %v", st)
 	}
 }
 
@@ -96,9 +111,8 @@ func TestUpdateStrengthens(t *testing.T) {
 	if taken, ok := p.Lookup(&h, addr); !ok || !taken {
 		t.Error("strengthened counter flipped after one contrary outcome")
 	}
-	st := p.Stats()
-	if st.Updates != 2 {
-		t.Errorf("Updates = %d, want 2", st.Updates)
+	if n := counters(p)["pht_updates_total"]; n != 2 {
+		t.Errorf("pht_updates_total = %d, want 2", n)
 	}
 }
 
@@ -110,7 +124,7 @@ func TestReset(t *testing.T) {
 	if _, ok := p.Lookup(&h, 0x2000); ok {
 		t.Error("Reset left entries")
 	}
-	if st := p.Stats(); st.Installs != 0 {
-		t.Error("Reset left stats")
+	if n := counters(p)["pht_installs_total"]; n != 0 {
+		t.Errorf("Reset left pht_installs_total = %d", n)
 	}
 }

@@ -164,13 +164,25 @@ func Result(w io.Writer, r engine.Result) {
 	for i := stats.Outcome(0); i < stats.NumOutcomes; i++ {
 		fmt.Fprintf(w, "    %-26s %10d (%5.2f%%)\n", i.String(), o.N[i], 100*o.Rate(i))
 	}
+	m := r.Metrics
 	fmt.Fprintf(w, "  predictor          %d predictions (BTB1 %d, BTBP %d), %d promotions\n",
-		r.Hier.Predictions, r.Hier.BTB1Hits, r.Hier.BTBPHits, r.Hier.Promotions)
+		m.Counter("hier_predictions_total"), m.Counter("hier_btb1_hits_total"),
+		m.Counter("hier_btbp_hits_total"), m.Counter("hier_promotions_total"))
 	fmt.Fprintf(w, "  second level       %d transferred hits over %d row reads, %d BTB2 writes\n",
-		r.Hier.TransferredHits, r.Hier.TransferReads, r.Hier.BTB2Writes)
+		m.Counter("hier_transferred_hits_total"), m.Counter("hier_transfer_reads_total"),
+		m.Counter("hier_btb2_writes_total"))
 	fmt.Fprintf(w, "  trackers           %d BTB1 misses, %d full / %d partial searches (%d upgraded, %d invalidated, %d dropped)\n",
-		r.Tracker.BTB1Misses, r.Tracker.Full, r.Tracker.Partial,
-		r.Tracker.Upgrades, r.Tracker.Invalidated, r.Tracker.Dropped)
+		m.Counter("tracker_btb1_misses_total"), m.Counter("tracker_full_searches_total"),
+		m.Counter("tracker_partial_searches_total"), m.Counter("tracker_upgrades_total"),
+		m.Counter("tracker_invalidated_total"), m.Counter("tracker_dropped_total"))
+	missRate := 0.0
+	if n := m.Counter("l1i_accesses_total"); n > 0 {
+		missRate = float64(m.Counter("l1i_misses_total")) / float64(n)
+	}
 	fmt.Fprintf(w, "  L1I                %.2f%% miss rate, %d prefetches (%d useful)\n",
-		100*r.L1I.MissRate(), r.L1I.Prefetches, r.L1I.PrefetchedHits)
+		100*missRate, m.Counter("l1i_prefetches_total"), m.Counter("l1i_prefetched_hits_total"))
+	if f := r.Fault; f.Injected > 0 || f.Detected > 0 {
+		fmt.Fprintf(w, "  faults             injected %d, detected %d, recovered %d, silent %d\n",
+			f.Injected, f.Detected, f.Recovered, f.Silent)
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"bulkpreload/internal/core"
@@ -143,6 +145,27 @@ func TestVerifyDifferential(t *testing.T) {
 	perturbed.Cycles++
 	if diffs := DiffResults("perturbed", serial[0], perturbed); len(diffs) == 0 {
 		t.Fatal("DiffResults missed a perturbed Cycles field")
+	}
+
+	// One counter off by one, in a deep copy of the snapshot: a struct
+	// copy of the Result would share it.
+	counted := serial[0]
+	m := *serial[0].Metrics
+	m.Values = slices.Clone(m.Values)
+	found := false
+	for i := range m.Values {
+		if m.Values[i].Name == "btb2_evicts_total" {
+			m.Values[i].Value++
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("no btb2_evicts_total series in the run's metrics")
+	}
+	counted.Metrics = &m
+	diffs := DiffResults("perturbed", serial[0], counted)
+	if len(diffs) != 1 || !strings.Contains(diffs[0], "btb2_evicts_total") {
+		t.Fatalf("DiffResults on one perturbed counter = %q, want one line naming btb2_evicts_total", diffs)
 	}
 }
 

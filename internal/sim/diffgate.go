@@ -42,6 +42,10 @@ func VerifyDifferential(ctx context.Context, workers int, units []Unit) ([]strin
 // one line per difference, each prefixed with label.
 func DiffResults(label string, serial, parallel engine.Result) []string {
 	var out []string
+	// The final snapshot is compared series by series below, so a counter
+	// difference names its series instead of dumping both encodings.
+	sm, pm := serial.Metrics, parallel.Metrics
+	serial.Metrics, parallel.Metrics = nil, nil
 	sj, serr := json.Marshal(serial)
 	pj, perr := json.Marshal(parallel)
 	if serr != nil || perr != nil {
@@ -49,7 +53,7 @@ func DiffResults(label string, serial, parallel engine.Result) []string {
 	} else if !bytes.Equal(sj, pj) {
 		out = append(out, fmt.Sprintf("%s: result fields differ:\n  serial:   %s\n  parallel: %s", label, sj, pj))
 	}
-	out = append(out, diffSnapshotPtr(label, "metrics", serial.Metrics, parallel.Metrics)...)
+	out = append(out, diffSnapshotPtr(label, "metrics", sm, pm)...)
 	if len(serial.Snapshots) != len(parallel.Snapshots) {
 		out = append(out, fmt.Sprintf("%s: interval snapshot count: %d != %d",
 			label, len(serial.Snapshots), len(parallel.Snapshots)))

@@ -48,7 +48,7 @@ func toRecords(rs []engine.Result) []goldenRecord {
 			Instructions: r.Instructions,
 			Cycles:       r.Cycles,
 			Outcomes:     r.Outcomes,
-			Transfers:    r.Hier.TransferredHits,
+			Transfers:    r.Metrics.Counter("hier_transferred_hits_total"),
 		})
 	}
 	return recs

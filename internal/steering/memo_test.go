@@ -61,7 +61,7 @@ func TestObserveMemoMatchesTwin(t *testing.T) {
 		}
 		memo.ObserveComplete(a)
 		observeNoMemo(twin, a)
-		if memo.Stats() != twin.Stats() || !reflect.DeepEqual(memo.ents, twin.ents) ||
+		if memo.met != twin.met || !reflect.DeepEqual(memo.ents, twin.ents) ||
 			!reflect.DeepEqual(memo.order, twin.order) || memo.curValid != twin.curValid ||
 			memo.curBlock != twin.curBlock || memo.curDemand != twin.curDemand || memo.cur != twin.cur {
 			t.Fatalf("op %d at %#x: table diverged from its memo-free twin", i, uint64(a))

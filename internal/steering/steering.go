@@ -39,15 +39,6 @@ type entry struct {
 	q     [zaddr.QuartilesPerBlock]quartileInfo
 }
 
-// Stats is a point-in-time view of the ordering-table counters; the
-// canonical storage is the obs metrics (see RegisterMetrics).
-type Stats struct {
-	Lookups  int64
-	Hits     int64
-	Installs int64
-	Merges   int64 // block-exit merges into an existing entry
-}
-
 // metrics is the ordering table's registry-backed counter set.
 type metrics struct {
 	lookups  obs.Counter
@@ -106,16 +97,6 @@ func New(entries, ways int) *Table {
 
 // NewDefault builds the paper's 512-entry 2-way table.
 func NewDefault() *Table { return New(DefaultEntries, DefaultWays) }
-
-// Stats returns a view of the counters.
-func (t *Table) Stats() Stats {
-	return Stats{
-		Lookups:  t.met.lookups.Value(),
-		Hits:     t.met.hits.Value(),
-		Installs: t.met.installs.Value(),
-		Merges:   t.met.merges.Value(),
-	}
-}
 
 // RegisterMetrics enumerates the ordering-table counters (plus a computed
 // occupancy gauge) into r under the given prefix, e.g. "steering_".

@@ -4,8 +4,24 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bulkpreload/internal/obs"
 	"bulkpreload/internal/zaddr"
 )
+
+// counters reads tb's counter series through RegisterMetrics, named as
+// a run's metrics name them.
+func counters(tb *Table) map[string]int64 {
+	r := obs.NewRegistry()
+	tb.RegisterMetrics(r, "steering_")
+	s := r.Snapshot(0)
+	out := make(map[string]int64)
+	for _, v := range s.Values {
+		if v.Type == obs.TypeCounter {
+			out[v.Name] = v.Value
+		}
+	}
+	return out
+}
 
 func block(n uint64) zaddr.Addr { return zaddr.Addr(n * zaddr.BlockBytes) }
 
@@ -49,9 +65,9 @@ func TestMissIsSequentialFromEntry(t *testing.T) {
 			t.Fatalf("miss order[%d] = %d, want sequential wrap from 9", i, s)
 		}
 	}
-	st := tb.Stats()
-	if st.Lookups != 1 || st.Hits != 0 {
-		t.Errorf("stats = %+v", st)
+	st := counters(tb)
+	if st["steering_lookups_total"] != 1 || st["steering_hits_total"] != 0 {
+		t.Errorf("counters = %v", st)
 	}
 }
 
@@ -78,8 +94,8 @@ func TestDemandQuartileFirstOnHit(t *testing.T) {
 		t.Fatalf("referenced-quartile active sector not third: %v", order[:4])
 	}
 	// All remaining (inactive) sectors must come after.
-	if st := tb.Stats(); st.Hits != 1 {
-		t.Errorf("stats = %+v", st)
+	if st := counters(tb); st["steering_hits_total"] != 1 {
+		t.Errorf("counters = %v", st)
 	}
 }
 
@@ -114,7 +130,7 @@ func TestLiveStateIncludedWithoutFlush(t *testing.T) {
 	if order[0] != 2 {
 		t.Fatalf("live visit state ignored: %v", order[:4])
 	}
-	if st := tb.Stats(); st.Hits != 1 {
+	if counters(tb)["steering_hits_total"] != 1 {
 		t.Error("live-state lookup should count as a hit")
 	}
 }
@@ -135,8 +151,8 @@ func TestReturnToBlockMergesHistory(t *testing.T) {
 	if pos[1] > 7 || pos[5] > 7 {
 		t.Fatalf("merged sectors not prioritized: %v", order[:8])
 	}
-	if st := tb.Stats(); st.Merges != 1 {
-		t.Errorf("Merges = %d, want 1", st.Merges)
+	if n := counters(tb)["steering_merges_total"]; n != 1 {
+		t.Errorf("steering_merges_total = %d, want 1", n)
 	}
 }
 
@@ -209,8 +225,10 @@ func TestReset(t *testing.T) {
 	tb.ObserveComplete(block(1))
 	tb.ObserveComplete(block(2))
 	tb.Reset()
-	if st := tb.Stats(); st != (Stats{}) {
-		t.Error("Reset left stats")
+	for name, v := range counters(tb) {
+		if v != 0 {
+			t.Errorf("Reset left %s = %d", name, v)
+		}
 	}
 	order := tb.Order(block(1))
 	for i, s := range order {

@@ -52,15 +52,15 @@ func TestDrainSkipIsExact(t *testing.T) {
 							skipped++
 						}
 						scan.ForgetDue()
-						before := skip.Stats().Upgrades
+						before := skip.met.upgrades.Value()
 						got, want := skip.Drain(now), scan.Drain(now)
-						reapUpgrades += skip.Stats().Upgrades - before
+						reapUpgrades += skip.met.upgrades.Value() - before
 						if !slices.Equal(got, want) {
 							t.Fatalf("step %d, cycle %d: Drain = %v, scanning Drain = %v", step, now, got, want)
 						}
 					}
-					if g, w := skip.Stats(), scan.Stats(); g != w {
-						t.Fatalf("step %d, cycle %d: Stats %+v, want %+v", step, now, g, w)
+					if g, w := skip.met, scan.met; g != w {
+						t.Fatalf("step %d, cycle %d: counters %+v, want %+v", step, now, g, w)
 					}
 					if g, w := skip.ActiveSearches(now), scan.ActiveSearches(now); g != w {
 						t.Fatalf("step %d, cycle %d: ActiveSearches %d, want %d", step, now, g, w)
@@ -89,14 +89,14 @@ func TestReapUpgradesAtDueCycle(t *testing.T) {
 	if reads := tr.Drain(last - 1); len(reads) != DefaultConfig.PartialRows-1 {
 		t.Fatalf("drained %d rows before the last partial row, want %d", len(reads), DefaultConfig.PartialRows-1)
 	}
-	if tr.Stats().Upgrades != 0 {
+	if counters(tr)["tracker_upgrades_total"] != 0 {
 		t.Fatal("upgraded before the partial search completed")
 	}
 	if reads := tr.Drain(last); len(reads) != 1 {
 		t.Fatalf("drained %d rows at the last partial row's cycle, want 1", len(reads))
 	}
-	if st := tr.Stats(); st.Upgrades != 1 || st.Invalidated != 0 {
-		t.Fatalf("at cycle %d: %+v, want the partial search upgraded", last, st)
+	if st := counters(tr); st["tracker_upgrades_total"] != 1 || st["tracker_invalidated_total"] != 0 {
+		t.Fatalf("at cycle %d: %v, want the partial search upgraded", last, st)
 	}
 	if got := tr.PendingReads(); got != zaddr.RowsPerBlock-DefaultConfig.PartialRows {
 		t.Fatalf("upgrade scheduled %d rows, want %d", got, zaddr.RowsPerBlock-DefaultConfig.PartialRows)

@@ -91,19 +91,6 @@ type Read struct {
 	Ready uint64     // cycle at which the row's hits reach the BTBP
 }
 
-// Stats is a point-in-time view of the tracker counters; the canonical
-// storage is the obs metrics (see RegisterMetrics).
-type Stats struct {
-	BTB1Misses   int64 // miss reports delivered
-	ICacheMisses int64
-	Partial      int64 // partial searches launched
-	Full         int64 // full searches launched (incl. upgrades)
-	Upgrades     int64 // partial searches upgraded to full
-	Invalidated  int64 // partial searches whose tracker died un-upgraded
-	Dropped      int64 // miss reports dropped because all trackers were busy
-	RowsRead     int64 // total BTB2 row reads scheduled
-}
-
 type state uint8
 
 const (
@@ -182,20 +169,6 @@ func New(cfg Config, ord Orderer) *Trackers {
 
 // Config returns the tracker configuration.
 func (t *Trackers) Config() Config { return t.cfg }
-
-// Stats returns a view of the counters.
-func (t *Trackers) Stats() Stats {
-	return Stats{
-		BTB1Misses:   t.met.btb1Misses.Value(),
-		ICacheMisses: t.met.icacheMisses.Value(),
-		Partial:      t.met.partial.Value(),
-		Full:         t.met.full.Value(),
-		Upgrades:     t.met.upgrades.Value(),
-		Invalidated:  t.met.invalidated.Value(),
-		Dropped:      t.met.dropped.Value(),
-		RowsRead:     t.met.rowsRead.Value(),
-	}
-}
 
 // RegisterMetrics enumerates the tracker counters (plus a pending-reads
 // gauge) into r under the given prefix, e.g. "tracker_".

@@ -3,9 +3,25 @@ package tracker
 import (
 	"testing"
 
+	"bulkpreload/internal/obs"
 	"bulkpreload/internal/steering"
 	"bulkpreload/internal/zaddr"
 )
+
+// counters reads tr's counter series through RegisterMetrics, named as
+// a run's metrics name them.
+func counters(tr *Trackers) map[string]int64 {
+	r := obs.NewRegistry()
+	tr.RegisterMetrics(r, "tracker_")
+	s := r.Snapshot(0)
+	out := make(map[string]int64)
+	for _, v := range s.Values {
+		if v.Type == obs.TypeCounter {
+			out[v.Name] = v.Value
+		}
+	}
+	return out
+}
 
 // seqOrder is a trivial Orderer returning sectors 0..31 in order.
 type seqOrder struct{}
@@ -78,9 +94,9 @@ func TestPartialSearchOnly4Rows(t *testing.T) {
 			t.Errorf("row %d = %#x, want %#x", i, uint64(r.Line), uint64(wantBase)+uint64(i*zaddr.RowBytes))
 		}
 	}
-	st := tr.Stats()
-	if st.Partial != 1 || st.Full != 0 {
-		t.Errorf("stats = %+v", st)
+	st := counters(tr)
+	if st["tracker_partial_searches_total"] != 1 || st["tracker_full_searches_total"] != 0 {
+		t.Errorf("counters = %v", st)
 	}
 }
 
@@ -89,8 +105,8 @@ func TestPartialInvalidatedWithoutICacheMiss(t *testing.T) {
 	addr := zaddr.Addr(0x30000)
 	tr.OnBTB1Miss(addr, 0)
 	tr.Drain(10000) // partial completes, no I-cache miss => invalidated
-	if st := tr.Stats(); st.Invalidated != 1 {
-		t.Errorf("Invalidated = %d, want 1", st.Invalidated)
+	if n := counters(tr)["tracker_invalidated_total"]; n != 1 {
+		t.Errorf("tracker_invalidated_total = %d, want 1", n)
 	}
 	// The block is no longer tracked: a new miss relaunches a search.
 	tr.OnBTB1Miss(addr, 20000)
@@ -116,9 +132,10 @@ func TestUpgradeToFullOnICacheMiss(t *testing.T) {
 		}
 		seen[r.Line] = true
 	}
-	st := tr.Stats()
-	if st.Upgrades != 1 || st.Partial != 1 || st.Full != 1 {
-		t.Errorf("stats = %+v", st)
+	st := counters(tr)
+	if st["tracker_upgrades_total"] != 1 || st["tracker_partial_searches_total"] != 1 ||
+		st["tracker_full_searches_total"] != 1 {
+		t.Errorf("counters = %v", st)
 	}
 }
 
@@ -133,8 +150,8 @@ func TestICacheOnlyNoSearch(t *testing.T) {
 	if tr.PendingReads() != zaddr.RowsPerBlock {
 		t.Fatalf("fully active tracker scheduled %d rows, want 128", tr.PendingReads())
 	}
-	if st := tr.Stats(); st.Full != 1 || st.Partial != 0 {
-		t.Errorf("stats = %+v", st)
+	if st := counters(tr); st["tracker_full_searches_total"] != 1 || st["tracker_partial_searches_total"] != 0 {
+		t.Errorf("counters = %v", st)
 	}
 }
 
@@ -157,8 +174,8 @@ func TestDuplicateMissIgnoredWhileTracked(t *testing.T) {
 	}
 	tr.OnICacheMiss(0x70000, 2)
 	tr.OnICacheMiss(0x70010, 3) // duplicate icache: ignored
-	if st := tr.Stats(); st.Upgrades != 1 {
-		t.Errorf("Upgrades = %d, want 1", st.Upgrades)
+	if n := counters(tr)["tracker_upgrades_total"]; n != 1 {
+		t.Errorf("tracker_upgrades_total = %d, want 1", n)
 	}
 }
 
@@ -173,8 +190,8 @@ func TestTrackerExhaustionDrops(t *testing.T) {
 	// Both trackers have long full searches in flight; a third block's
 	// miss must be dropped.
 	tr.OnBTB1Miss(0x30000, 2)
-	if st := tr.Stats(); st.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1", st.Dropped)
+	if n := counters(tr)["tracker_dropped_total"]; n != 1 {
+		t.Errorf("tracker_dropped_total = %d, want 1", n)
 	}
 }
 
@@ -188,8 +205,8 @@ func TestICacheOnlyTrackerIsReplaceable(t *testing.T) {
 	if tr.PendingReads() != 4 {
 		t.Fatalf("replacement failed: %d reads", tr.PendingReads())
 	}
-	if st := tr.Stats(); st.Dropped != 0 {
-		t.Errorf("Dropped = %d, want 0", st.Dropped)
+	if n := counters(tr)["tracker_dropped_total"]; n != 0 {
+		t.Errorf("tracker_dropped_total = %d, want 0", n)
 	}
 }
 
@@ -260,8 +277,10 @@ func TestActiveSearchesAndReset(t *testing.T) {
 	if tr.PendingReads() != 0 || tr.ActiveSearches(0) != 0 {
 		t.Error("Reset incomplete")
 	}
-	if tr.Stats() != (Stats{}) {
-		t.Error("Reset left stats")
+	for name, v := range counters(tr) {
+		if v != 0 {
+			t.Errorf("Reset left %s = %d", name, v)
+		}
 	}
 }
 
