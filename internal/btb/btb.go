@@ -598,37 +598,59 @@ func (t *Table) lruWay(row int) int {
 
 // Touch makes the entry for branch a most recently used. It reports
 // whether the branch was present.
-func (t *Table) Touch(a zaddr.Addr) bool {
-	row := t.RowFor(a)
-	if w, _ := t.matchWay(row, a); w >= 0 {
+func (t *Table) Touch(a zaddr.Addr) bool { return t.TouchSlot(Slot{Addr: a, Way: -1}) }
+
+// TouchSlot is Touch for a slot ReadLine copied: see slotWay.
+func (t *Table) TouchSlot(s Slot) bool {
+	row, w := t.slotWay(s)
+	if w >= 0 {
 		t.promoteWay(row, w)
-		return true
 	}
-	return false
+	return w >= 0
 }
 
 // Demote makes the entry for branch a least recently used. The paper's
 // semi-exclusive policy: "When an entry is copied from BTB2 to BTBP, it
 // is made LRU in the BTB2", so subsequent victims/installs replace it.
-func (t *Table) Demote(a zaddr.Addr) bool {
-	row := t.RowFor(a)
-	if w, _ := t.matchWay(row, a); w >= 0 {
+func (t *Table) Demote(a zaddr.Addr) bool { return t.DemoteSlot(Slot{Addr: a, Way: -1}) }
+
+// DemoteSlot is Demote for a slot ReadLine copied: see slotWay.
+func (t *Table) DemoteSlot(s Slot) bool {
+	row, w := t.slotWay(s)
+	if w >= 0 {
 		t.demoteWay(row, w)
-		return true
 	}
-	return false
+	return w >= 0
 }
 
 // Invalidate removes the entry for branch a, reporting whether it was
 // present. The removed way becomes LRU.
-func (t *Table) Invalidate(a zaddr.Addr) bool {
-	row := t.RowFor(a)
-	if w, _ := t.matchWay(row, a); w >= 0 {
+func (t *Table) Invalidate(a zaddr.Addr) bool { return t.InvalidateSlot(Slot{Addr: a, Way: -1}) }
+
+// InvalidateSlot is Invalidate for a slot ReadLine copied: see slotWay.
+func (t *Table) InvalidateSlot(s Slot) bool {
+	row, w := t.slotWay(s)
+	if w >= 0 {
 		t.clearSlot(row*t.cfg.Ways + w)
 		t.demoteWay(row, w)
-		return true
 	}
-	return false
+	return w >= 0
+}
+
+// slotWay returns the row and way holding branch s.Addr, or way -1. A
+// ReadLine slot names the way it was read from; while that way's tag
+// word still matches the branch it is the answer without a scan (a row
+// never holds a branch twice, and strikes never rewrite a tag). Once
+// the way was rewritten between the read and the update, or when s.Way
+// names no way, the row is scanned. Like matchWay it is not an array
+// read in the fault model.
+func (t *Table) slotWay(s Slot) (row, w int) {
+	row = t.RowFor(s.Addr)
+	if uint(s.Way) < uint(t.cfg.Ways) && (t.tags[row*t.cfg.Ways+s.Way]^t.packKey(s.Addr))&t.entryMask == 0 {
+		return row, s.Way
+	}
+	w, _ = t.matchWay(row, s.Addr)
+	return row, w
 }
 
 // matchWay scans row for the entry recognized as branch a without

@@ -164,11 +164,26 @@ func TestStructVsPackedModel(t *testing.T) {
 						if okP, okR := pair.packed.Touch(e.Addr), pair.ref.Touch(e.Addr); okP != okR {
 							t.Fatalf("op %d: Touch diverged", op)
 						}
+						// The slot forms take a way hint that may or may
+						// not hold the branch; either way they must act
+						// as the by-address calls do.
+						s := Slot{Addr: e.Addr, Way: rng.Intn(cfg.Ways)}
+						if okP, okR := pair.packed.TouchSlot(s), pair.ref.Touch(e.Addr); okP != okR {
+							t.Fatalf("op %d: TouchSlot(way %d) diverged", op, s.Way)
+						}
 					case 8:
 						if okP, okR := pair.packed.Demote(e.Addr), pair.ref.Demote(e.Addr); okP != okR {
 							t.Fatalf("op %d: Demote diverged", op)
 						}
+						s := Slot{Addr: e.Addr, Way: rng.Intn(cfg.Ways)}
+						if okP, okR := pair.packed.DemoteSlot(s), pair.ref.Demote(e.Addr); okP != okR {
+							t.Fatalf("op %d: DemoteSlot(way %d) diverged", op, s.Way)
+						}
 					case 9:
+						s := Slot{Addr: e.Addr, Way: rng.Intn(cfg.Ways)}
+						if okP, okR := pair.packed.InvalidateSlot(s), pair.ref.Invalidate(e.Addr); okP != okR {
+							t.Fatalf("op %d: InvalidateSlot(way %d) diverged", op, s.Way)
+						}
 						if okP, okR := pair.packed.Invalidate(e.Addr), pair.ref.Invalidate(e.Addr); okP != okR {
 							t.Fatalf("op %d: Invalidate diverged", op)
 						}

@@ -220,15 +220,19 @@ func (h *Hierarchy) transfer(reads []tracker.Read, now uint64) {
 			h.met.counters.transferredHits.Inc()
 			h.noteTransferInstall(s.Addr, now)
 			h.emit(now, EvTransferHit, s.Addr, target)
+			// The slot names the BTB2 way it was read from; the update
+			// scans the row only if that way no longer holds the branch
+			// (with BypassBTBP, installBTBP can write a BTB1 victim into
+			// this row between the read and the update).
 			switch h.cfg.Policy {
 			case SemiExclusive:
 				// "When an entry is copied from BTB2 to BTBP, it is made
 				// LRU in the BTB2."
-				h.btb2.Demote(s.Addr)
+				h.btb2.DemoteSlot(s)
 			case TrueExclusive:
-				h.btb2.Invalidate(s.Addr)
+				h.btb2.InvalidateSlot(s)
 			case Inclusive:
-				h.btb2.Touch(s.Addr)
+				h.btb2.TouchSlot(s)
 			}
 			if h.cfg.MultiBlockTransfer && target != 0 && !zaddr.SameBlock(s.Addr, target) {
 				h.crossRefs[zaddr.Block(target)]++

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"bulkpreload/internal/trace"
-	"bulkpreload/internal/zaddr"
 )
 
 // Disassemble writes a human-readable listing of the compiled program's
@@ -20,7 +19,7 @@ func (s *Source) Disassemble(w io.Writer, maxFns int) error {
 	}
 	for fi, f := range prog.fns[:maxFns] {
 		entry := prog.ops[f.first].addr
-		if _, err := fmt.Fprintf(w, "fn%d: ; entry %#x, %d ops\n", fi, uint64(entry), f.end-f.first); err != nil {
+		if _, err := fmt.Fprintf(w, "fn%d: ; entry %#x, %d ops\n", fi, entry, f.end-f.first); err != nil {
 			return err
 		}
 		for i := f.first; i < f.end; i++ {
@@ -37,36 +36,37 @@ func (s *Source) Disassemble(w io.Writer, maxFns int) error {
 
 // disasmOp renders one instruction site.
 func disasmOp(w io.Writer, prog *program, o *op) error {
-	target := func(idx int32) zaddr.Addr { return prog.ops[idx].addr }
+	target := func(idx int32) uint32 { return prog.ops[idx].addr }
 	var text string
 	switch o.kind {
 	case trace.NotBranch:
 		text = fmt.Sprintf("op.%d", o.length)
 	case trace.CondDirect:
+		c := &prog.conds[o.arg]
 		switch {
-		case o.tripCount > 0:
-			text = fmt.Sprintf("brct  %#x        ; loop, %d trips", uint64(target(o.target)), o.tripCount)
-		case o.patPeriod > 0:
-			text = fmt.Sprintf("brc   %#x        ; periodic, NT every %d", uint64(target(o.target)), o.patPeriod)
-		case o.takenBias == 0:
-			text = fmt.Sprintf("brc   %#x        ; never taken", uint64(target(o.target)))
+		case o.count > 0 && c.loop:
+			text = fmt.Sprintf("brct  %#x        ; loop, %d trips", target(c.target), o.count)
+		case o.count > 0:
+			text = fmt.Sprintf("brc   %#x        ; periodic, NT every %d", target(c.target), o.count)
+		case c.takenBias == 0:
+			text = fmt.Sprintf("brc   %#x        ; never taken", target(c.target))
 		default:
-			text = fmt.Sprintf("brc   %#x        ; p(taken)=%.2f", uint64(target(o.target)), o.takenBias)
+			text = fmt.Sprintf("brc   %#x        ; p(taken)=%.2f", target(c.target), c.takenBias)
 		}
 	case trace.UncondDirect:
-		text = fmt.Sprintf("j     %#x", uint64(target(o.target)))
+		text = fmt.Sprintf("j     %#x", target(o.arg))
 	case trace.Call:
-		text = fmt.Sprintf("brasl fn%d          ; %#x", o.callee, uint64(target(prog.fns[o.callee].first)))
+		text = fmt.Sprintf("brasl fn%d          ; %#x", o.arg, target(prog.fns[o.arg].first))
 	case trace.Return:
 		text = "br    %r14          ; return"
 	case trace.IndirectOther:
 		text = fmt.Sprintf("br    %%r1           ; %d targets, first %#x",
-			o.indCount, uint64(target(prog.targets[o.indFirst])))
+			o.count, target(prog.targets[o.arg]))
 	case trace.PreloadHint:
-		text = fmt.Sprintf("bpp   %#x        ; preload hint", uint64(target(o.target)))
+		text = fmt.Sprintf("bpp   %#x        ; preload hint", target(o.arg))
 	default:
 		text = fmt.Sprintf("?kind=%d", o.kind)
 	}
-	_, err := fmt.Fprintf(w, "  %#08x  %s\n", uint64(o.addr), text)
+	_, err := fmt.Fprintf(w, "  %#08x  %s\n", o.addr, text)
 	return err
 }

@@ -22,38 +22,51 @@ import (
 	"sync"
 
 	"bulkpreload/internal/trace"
-	"bulkpreload/internal/zaddr"
 )
 
-// op is one static instruction site. It holds no pointers, so the
-// garbage collector never scans a compiled program's op array.
+// op is one static instruction site, 12 bytes and free of pointers, so
+// the garbage collector never scans a compiled program's op array.
+// About 81% of the sites are non-branches that use only addr and
+// length; what only conditionals need lives in a cond.
 type op struct {
-	addr zaddr.Addr
-	// Conditional-direct fields.
-	takenBias float64 // probability taken; 0 = never taken
-	// target is the jump or preload-hint target: an index into
-	// program.ops.
-	target int32
-	// callee is a call's target function: an index into program.fns.
-	callee int32
-	// indFirst and indCount address an indirect branch's target indices
-	// in program.targets.
-	indFirst int32
-	// slot is the Source counter a loop backedge or periodic conditional
-	// keeps its execution count in.
-	slot        int32
+	// addr is the instruction address. Programs are laid out from
+	// codeBase and Validate bounds their size, so it fits 32 bits.
+	addr uint32
+	// arg is the kind's argument: the jump target (UncondDirect) or the
+	// hinted branch (PreloadHint), as an index into program.ops; the
+	// callee (Call), an index into program.fns; the first target
+	// (IndirectOther), an index into program.targets; or the cond
+	// (CondDirect), an index into program.conds.
+	arg         int32
 	length      uint8
 	kind        trace.Kind
 	staticTaken bool // opcode-derived static guess
-	indCount    uint8
-	// tripCount > 0 marks a loop backedge taken exactly tripCount-1
-	// times per loop entry (predictable iterations, mispredicted exit —
-	// classic loop-branch behaviour).
-	tripCount uint8
-	// patPeriod > 0 marks a periodic conditional: not-taken every
-	// patPeriod-th execution, taken otherwise. Mostly learnable by the
-	// direction predictors, unlike pure noise.
-	patPeriod uint8
+	// count is an IndirectOther's number of targets. On a CondDirect,
+	// count > 0 marks a counted conditional, not taken on every
+	// count-th execution and taken otherwise: a loop backedge with
+	// count iterations per loop entry (predictable iterations,
+	// mispredicted exit — classic loop-branch behaviour) or a periodic
+	// conditional with period count (mostly learnable by the direction
+	// predictors, unlike pure noise). Keeping it in the op lets the
+	// interpreter pick a conditional's rule before its cond arrives.
+	count uint8
+}
+
+// cond holds a conditional direct branch's own fields: the about 14.5%
+// of sites that are conditionals refer to one each, so the op array
+// keeps none of them. It holds no pointers.
+type cond struct {
+	// takenBias is an uncounted conditional's probability of being
+	// taken; 0 = never taken.
+	takenBias float64
+	// target is the jump target: an index into program.ops.
+	target int32
+	// slot is the Source counter a counted conditional keeps its
+	// execution count in.
+	slot int32
+	// loop marks a counted conditional as a loop backedge rather than a
+	// periodic conditional.
+	loop bool
 }
 
 // fn is one function: the contiguous run ops[first:end] of its
@@ -100,6 +113,9 @@ func (p Profile) Validate() error {
 	if p.UniqueBranches < 16 {
 		return fmt.Errorf("workload %s: UniqueBranches %d too small", p.Name, p.UniqueBranches)
 	}
+	if p.UniqueBranches > maxUniqueBranches {
+		return fmt.Errorf("workload %s: UniqueBranches %d above %d", p.Name, p.UniqueBranches, maxUniqueBranches)
+	}
 	// Negated range tests also reject NaN, which compares false with
 	// everything.
 	if !(p.TakenFraction > 0 && p.TakenFraction <= 1) {
@@ -118,15 +134,17 @@ func (p Profile) Validate() error {
 }
 
 // program is the immutable compiled form shared by every Source of its
-// profile. All functions' ops live in one backing array.
+// profile. All functions' ops live in one backing array, and all their
+// conditionals' fields in another.
 type program struct {
 	profile Profile
 	ops     []op
+	conds   []cond
 	fns     []fn
 	// targets holds every indirect branch's target indices into ops.
 	targets []int32
-	// slots counts the loop backedges and periodic conditionals, the
-	// sites a Source keeps a counter for.
+	// slots counts the counted conditionals, the sites a Source keeps a
+	// counter for.
 	slots  int
 	hotFns []int // indices of the hot set
 }
@@ -184,9 +202,22 @@ const branchesPerFn = 14
 // 74.5 on the Table 4 profiles), so programs fill it without regrowing.
 const opsPerFnEstimate = 77
 
+// condsPerFnEstimate sizes a program's cond array the same way (about
+// 10.8 per function).
+const condsPerFnEstimate = 12
+
 // indirectTargetsPerFnEstimate sizes a program's indirect target array
 // the same way (about 3.5 per function).
 const indirectTargetsPerFnEstimate = 4
+
+// codeBase is the address of a program's first instruction.
+const codeBase = 0x100000
+
+// maxUniqueBranches bounds a profile's program so every address fits an
+// op's 32-bit addr field: a program has UniqueBranches/branchesPerFn
+// functions of at most 782 bytes each, gap included, so the largest
+// ends below 1 GB.
+const maxUniqueBranches = 1 << 24
 
 // hintSlots is the number of preload-hint slots at each function entry
 // of a hinted program.
@@ -206,19 +237,20 @@ func buildProgram(p Profile) *program {
 	prog := &program{
 		profile: p,
 		ops:     make([]op, 0, nFns*opsPerFn),
+		conds:   make([]cond, 0, nFns*condsPerFnEstimate),
 		fns:     make([]fn, 0, nFns),
 		targets: make([]int32, 0, nFns*indirectTargetsPerFnEstimate),
 	}
 
 	// Lay functions out contiguously from a base address, with small
 	// inter-function gaps, so several functions share each 4 KB block.
-	addr := zaddr.Addr(0x100000)
+	addr := uint32(codeBase)
 	for i := 0; i < nFns; i++ {
 		prog.buildFn(r, addr, i, nFns)
 		last := prog.ops[len(prog.ops)-1]
-		addr = last.addr + zaddr.Addr(last.length)
+		addr = last.addr + uint32(last.length)
 		// Halfword-aligned gap of 0-14 bytes between functions.
-		addr += zaddr.Addr(r.Intn(8) * 2)
+		addr += uint32(r.Intn(8) * 2)
 	}
 
 	// Hot set: ~3% of functions, at least 2.
@@ -233,19 +265,25 @@ func buildProgram(p Profile) *program {
 
 // buildFn synthesizes function self at base address and appends it to
 // the program.
-func (prog *program) buildFn(r *rand.Rand, base zaddr.Addr, self, nFns int) {
+func (prog *program) buildFn(r *rand.Rand, base uint32, self, nFns int) {
 	p := prog.profile
 	first := len(prog.ops)
 	nBranches := branchesPerFn - 3 + r.Intn(7) // 11..17
 	addr := base
 	emit := func(o op) {
 		o.addr = addr
-		addr += zaddr.Addr(o.length)
-		if o.tripCount > 0 || o.patPeriod > 0 {
-			o.slot = int32(prog.slots)
+		addr += uint32(o.length)
+		prog.ops = append(prog.ops, o)
+	}
+	// emitCond emits a conditional branch site with its cond; count > 0
+	// makes it a counted conditional.
+	emitCond := func(c cond, static bool, count int) {
+		if count > 0 {
+			c.slot = int32(prog.slots)
 			prog.slots++
 		}
-		prog.ops = append(prog.ops, o)
+		emit(op{length: 4, kind: trace.CondDirect, staticTaken: static, arg: int32(len(prog.conds)), count: uint8(count)})
+		prog.conds = append(prog.conds, c)
 	}
 	instLen := func() uint8 { return []uint8{2, 4, 4, 4, 6}[r.Intn(5)] }
 
@@ -256,7 +294,7 @@ func (prog *program) buildFn(r *rand.Rand, base zaddr.Addr, self, nFns int) {
 	// same topology.
 	if p.PreloadHints {
 		for i := 0; i < hintSlots; i++ {
-			emit(op{length: 4, kind: trace.PreloadHint, target: -1})
+			emit(op{length: 4, kind: trace.PreloadHint})
 		}
 	}
 
@@ -271,8 +309,7 @@ func (prog *program) buildFn(r *rand.Rand, base zaddr.Addr, self, nFns int) {
 			// Too early in the function for a backedge: emit a plain
 			// conditional so the roll does not fall through into the
 			// call band (which would concentrate calls at entry points).
-			emit(op{length: 4, kind: trace.CondDirect,
-				takenBias: 0.5, staticTaken: true, target: -1})
+			emitCond(cond{takenBias: 0.5, target: -1}, true, 0)
 			continue
 		}
 		switch {
@@ -286,23 +323,19 @@ func (prog *program) buildFn(r *rand.Rand, base zaddr.Addr, self, nFns int) {
 			ops := prog.ops[first:]
 			floor := 0
 			for i := len(ops) - 1; i >= 0; i-- {
-				if ops[i].kind == trace.Call || (ops[i].kind == trace.CondDirect && ops[i].tripCount > 0) {
+				if ops[i].kind == trace.Call || (ops[i].kind == trace.CondDirect && prog.conds[ops[i].arg].loop) {
 					floor = i + 1
 					break
 				}
 			}
 			if floor >= len(ops)-2 {
 				// No room for a loop body: plain conditional instead.
-				emit(op{length: 4, kind: trace.CondDirect,
-					takenBias: 0.5, staticTaken: true, target: -1})
+				emitCond(cond{takenBias: 0.5, target: -1}, true, 0)
 				break
 			}
 			tgt := floor + r.Intn(len(ops)-2-floor)
-			emit(op{
-				length: 4, kind: trace.CondDirect,
-				staticTaken: true, target: int32(first + tgt),
-				tripCount: uint8(2 + r.Intn(3)), // 2..4 iterations per entry
-			})
+			emitCond(cond{target: int32(first + tgt), loop: true},
+				true, 2+r.Intn(3)) // 2..4 iterations per entry
 		case roll < 0.16:
 			// Call to another function. The call graph is a DAG: callees
 			// always have a higher function index, so every call chain
@@ -313,8 +346,7 @@ func (prog *program) buildFn(r *rand.Rand, base zaddr.Addr, self, nFns int) {
 			// makes block-granular bulk transfers productive), sometimes
 			// far.
 			if self >= nFns-2 {
-				emit(op{length: 4, kind: trace.CondDirect,
-					takenBias: 0.5, staticTaken: true, target: -1})
+				emitCond(cond{takenBias: 0.5, target: -1}, true, 0)
 				break
 			}
 			span := nFns - 1 - self
@@ -322,15 +354,15 @@ func (prog *program) buildFn(r *rand.Rand, base zaddr.Addr, self, nFns int) {
 			if r.Float64() < 0.7 && reach > 24 {
 				reach = 24
 			}
-			emit(op{length: 4, kind: trace.Call, callee: int32(self + 1 + r.Intn(reach))})
+			emit(op{length: 4, kind: trace.Call, arg: int32(self + 1 + r.Intn(reach))})
 		case roll < 0.25:
 			// Indirect branch with 2-4 forward targets (resolved after
 			// all ops exist).
 			emit(op{length: 4, kind: trace.IndirectOther,
-				indCount: uint8(2 + r.Intn(3))})
+				count: uint8(2 + r.Intn(3))})
 		case roll < 0.29:
 			// Unconditional forward jump.
-			emit(op{length: 4, kind: trace.UncondDirect, target: -1}) // fixed below
+			emit(op{length: 4, kind: trace.UncondDirect}) // target fixed below
 		default:
 			// Conditional forward branch; a (1-TakenFraction) share of
 			// sites is never taken. Ever-taken sites get a bimodal bias
@@ -353,9 +385,7 @@ func (prog *program) buildFn(r *rand.Rand, base zaddr.Addr, self, nFns int) {
 				}
 				static = bias > 0.5
 			}
-			emit(op{length: 4, kind: trace.CondDirect,
-				takenBias: bias, staticTaken: static, target: -1,
-				patPeriod: uint8(period)}) // target fixed below
+			emitCond(cond{takenBias: bias, target: -1}, static, period) // target fixed below
 		}
 	}
 	// Trailing run and the return.
@@ -380,43 +410,45 @@ func (prog *program) buildFn(r *rand.Rand, base zaddr.Addr, self, nFns int) {
 			case trace.Call, trace.UncondDirect:
 				suitable = true
 			case trace.CondDirect:
-				suitable = ops[i].tripCount > 0 || ops[i].takenBias > 0.5
+				c := &prog.conds[ops[i].arg]
+				suitable = c.loop || c.takenBias > 0.5
 			}
 			if suitable {
-				ops[hint].target = int32(first + i)
+				ops[hint].arg = int32(first + i)
 				hint++
 			}
 		}
 		// Unused slots degrade to ordinary instructions.
 		for ; hint < hintSlots; hint++ {
 			ops[hint].kind = trace.NotBranch
-			ops[hint].target = 0
 		}
 	}
 
-	// Fix up forward targets now that the op count is known.
+	// Fix up forward targets now that the op count is known. forward
+	// draws a skip of 1..n ops after op i, clamped inside the function.
+	// Direct branches skip up to 9, so taken branches regularly skip
+	// later call sites and the dynamic call rate stays below one per
+	// execution.
+	forward := func(i, n int) int32 {
+		tgt := i + 1 + r.Intn(n)
+		if tgt >= len(ops) {
+			tgt = len(ops) - 1
+		}
+		return int32(first + tgt)
+	}
 	for i := range ops {
 		o := &ops[i]
 		switch o.kind {
-		case trace.CondDirect, trace.UncondDirect:
-			if o.target == -1 {
-				// Forward skip of 1..9 ops, clamped inside the function,
-				// so taken branches regularly skip later call sites and
-				// the dynamic call rate stays below one per execution.
-				tgt := i + 1 + r.Intn(9)
-				if tgt >= len(ops) {
-					tgt = len(ops) - 1
-				}
-				o.target = int32(first + tgt)
+		case trace.CondDirect:
+			if c := &prog.conds[o.arg]; c.target == -1 {
+				c.target = forward(i, 9)
 			}
+		case trace.UncondDirect:
+			o.arg = forward(i, 9)
 		case trace.IndirectOther:
-			o.indFirst = int32(len(prog.targets))
-			for j := 0; j < int(o.indCount); j++ {
-				tgt := i + 1 + r.Intn(8)
-				if tgt >= len(ops) {
-					tgt = len(ops) - 1
-				}
-				prog.targets = append(prog.targets, int32(first+tgt))
+			o.arg = int32(len(prog.targets))
+			for j := 0; j < int(o.count); j++ {
+				prog.targets = append(prog.targets, forward(i, 8))
 			}
 		}
 	}

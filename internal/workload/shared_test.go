@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bulkpreload/internal/trace"
 )
@@ -99,6 +100,32 @@ func TestCompileAllocs(t *testing.T) {
 			if n := testing.AllocsPerRun(1, func() { buildProgram(p) }); n > 64 {
 				t.Errorf("%s (hints %v): compile allocates %.0f times, want <= 64", p.Name, hints, n)
 			}
+		}
+	}
+}
+
+// TestProgramFootprint pins the compact program layout: an op is at
+// most 16 bytes, and two Table 4 programs compile to under half the
+// bytes they took with 40-byte ops (3.37 MB for zos-lspr-cb84, 7.70 MB
+// for zos-daytrader-dbserv, counting allocated capacity).
+func TestProgramFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(op{}); n > 16 {
+		t.Errorf("op is %d bytes, want <= 16", n)
+	}
+	for _, c := range []struct {
+		name   string
+		wideMB float64
+	}{{"zos-lspr-cb84", 3.37}, {"zos-daytrader-dbserv", 7.70}} {
+		p, err := ByName(c.name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := buildProgram(p)
+		n := cap(prog.ops)*int(unsafe.Sizeof(op{})) +
+			cap(prog.conds)*int(unsafe.Sizeof(cond{})) +
+			cap(prog.targets)*int(unsafe.Sizeof(int32(0)))
+		if mb := float64(n) / 1e6; mb >= c.wideMB/2 {
+			t.Errorf("%s compiles to %.2f MB, want under %.2f MB", c.name, mb, c.wideMB/2)
 		}
 	}
 }

@@ -34,9 +34,9 @@ type Source struct {
 	window    int
 	txnLeft   int
 	sinceDisp int // instructions since the last dispatcher visit
-	// counts holds, per counter slot, a loop backedge's in-flight
-	// iteration count or a periodic conditional's execution count.
-	counts []int
+	// counts holds, per counter slot, a counted conditional's
+	// executions since it was last not taken.
+	counts []uint8
 	// lastInvoked is the previous dispatcher choice, re-invoked in
 	// bursts (transaction workloads hammer the same service paths
 	// repeatedly before moving on).
@@ -70,7 +70,7 @@ func newSource(prog *program) *Source {
 		prog:   prog,
 		r:      rand.New(rand.NewSource(prog.profile.Seed + 1)),
 		stack:  make([]int32, 0, maxCallDepth),
-		counts: make([]int, prog.slots),
+		counts: make([]uint8, prog.slots),
 		recent: make([]int, 0, recentCap),
 	}
 	s.Reset()
@@ -190,7 +190,7 @@ func (s *Source) FillBatch(b *trace.Batch) int {
 		start := i
 		for ; i < n && ops[pc].kind == trace.NotBranch; i++ {
 			o := &ops[pc]
-			ins[i] = trace.Inst{Addr: o.addr, Length: o.length}
+			ins[i] = trace.Inst{Addr: zaddr.Addr(o.addr), Length: o.length}
 			pc++
 		}
 		s.pc = pc
@@ -209,7 +209,7 @@ func (s *Source) step(in *trace.Inst) {
 	ops := s.prog.ops
 	o := &ops[s.pc]
 	*in = trace.Inst{
-		Addr:   o.addr,
+		Addr:   zaddr.Addr(o.addr),
 		Length: o.length,
 		Kind:   o.kind,
 	}
@@ -221,44 +221,39 @@ func (s *Source) step(in *trace.Inst) {
 		s.pc++
 
 	case trace.CondDirect:
+		cd := &s.prog.conds[o.arg]
 		var taken bool
-		if o.patPeriod > 0 {
-			c := s.counts[o.slot]
-			s.counts[o.slot] = c + 1
-			taken = c%int(o.patPeriod) != int(o.patPeriod)-1
-		} else if o.tripCount > 0 {
-			// Loop backedge: taken tripCount-1 times per loop entry.
-			c := s.counts[o.slot] + 1
-			if c < int(o.tripCount) {
-				s.counts[o.slot] = c
-				taken = true
-			} else {
-				s.counts[o.slot] = 0
-				taken = false
+		if o.count > 0 {
+			// Counted: not taken on every count-th execution.
+			c := s.counts[cd.slot] + 1
+			taken = c < o.count
+			if !taken {
+				c = 0
 			}
+			s.counts[cd.slot] = c
 		} else {
-			taken = s.r.Float64() < o.takenBias
+			taken = s.r.Float64() < cd.takenBias
 		}
 		in.Taken = taken
-		in.Target = ops[o.target].addr
+		in.Target = zaddr.Addr(ops[cd.target].addr)
 		in.StaticTaken = o.staticTaken
 		if taken {
-			s.pc = o.target
+			s.pc = cd.target
 		} else {
 			s.pc++
 		}
 
 	case trace.UncondDirect:
 		in.Taken = true
-		in.Target = ops[o.target].addr
+		in.Target = zaddr.Addr(ops[o.arg].addr)
 		in.StaticTaken = true
-		s.pc = o.target
+		s.pc = o.arg
 
 	case trace.Call:
 		in.Taken = true
 		in.StaticTaken = true
-		entry := s.prog.fns[o.callee].first
-		in.Target = ops[entry].addr
+		entry := s.prog.fns[o.arg].first
+		in.Target = zaddr.Addr(ops[entry].addr)
 		if len(s.stack) < maxCallDepth {
 			s.stack = append(s.stack, s.pc+1)
 		} else {
@@ -285,19 +280,21 @@ func (s *Source) step(in *trace.Inst) {
 			s.sinceDisp = 0
 			s.pc = s.prog.fns[s.nextInvocation()].first
 		}
-		in.Target = ops[s.pc].addr
+		in.Target = zaddr.Addr(ops[s.pc].addr)
 
 	case trace.PreloadHint:
 		// Software branch preload: name the branch op and its static
 		// target. Calls preload their callee's entry; direct branches
 		// preload their jump target.
-		br := &ops[o.target]
-		in.HintBranch = br.addr
+		br := &ops[o.arg]
+		in.HintBranch = zaddr.Addr(br.addr)
 		switch br.kind {
 		case trace.Call:
-			in.Target = ops[s.prog.fns[br.callee].first].addr
+			in.Target = zaddr.Addr(ops[s.prog.fns[br.arg].first].addr)
+		case trace.CondDirect:
+			in.Target = zaddr.Addr(ops[s.prog.conds[br.arg].target].addr)
 		default:
-			in.Target = ops[br.target].addr
+			in.Target = zaddr.Addr(ops[br.arg].addr)
 		}
 		s.pc++
 
@@ -306,24 +303,14 @@ func (s *Source) step(in *trace.Inst) {
 		in.StaticTaken = true
 		// Indirect branches favour a dominant target (85%), like real
 		// dispatch sites; the remainder exercises the CTB.
-		tgts := s.prog.targets[o.indFirst : o.indFirst+int32(o.indCount)]
+		tgts := s.prog.targets[o.arg : o.arg+int32(o.count)]
 		tgt := tgts[0]
 		if s.r.Float64() >= 0.85 && len(tgts) > 1 {
 			tgt = tgts[1+s.r.Intn(len(tgts)-1)]
 		}
-		in.Target = ops[tgt].addr
+		in.Target = zaddr.Addr(ops[tgt].addr)
 		s.pc = tgt
 	}
 }
 
 var _ trace.Batcher = (*Source)(nil)
-
-// blockSpan reports how many 4 KB blocks the program's code occupies
-// (diagnostics for steering/transfer analyses).
-func (s *Source) blockSpan() int {
-	blocks := map[uint64]bool{}
-	for i := range s.prog.ops {
-		blocks[zaddr.Block(s.prog.ops[i].addr)] = true
-	}
-	return len(blocks)
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bulkpreload/internal/trace"
+	"bulkpreload/internal/zaddr"
 )
 
 func smallProfile() Profile {
@@ -28,6 +29,7 @@ func TestProfileValidate(t *testing.T) {
 	bad := []func(*Profile){
 		func(p *Profile) { p.Name = "" },
 		func(p *Profile) { p.UniqueBranches = 5 },
+		func(p *Profile) { p.UniqueBranches = maxUniqueBranches + 1 },
 		func(p *Profile) { p.TakenFraction = 0 },
 		func(p *Profile) { p.TakenFraction = 1.5 },
 		func(p *Profile) { p.TakenFraction = math.NaN() },
@@ -136,8 +138,9 @@ func TestStaticSitesBoundExecuted(t *testing.T) {
 	if s.Functions() < 4 {
 		t.Errorf("too few functions: %d", s.Functions())
 	}
-	if s.blockSpan() < 2 {
-		t.Errorf("program spans only %d blocks", s.blockSpan())
+	ops := s.prog.ops
+	if first, last := zaddr.Block(zaddr.Addr(ops[0].addr)), zaddr.Block(zaddr.Addr(ops[len(ops)-1].addr)); first == last {
+		t.Errorf("program fits in one 4 KB block (%#x)", first)
 	}
 }
 
