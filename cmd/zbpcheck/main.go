@@ -1,14 +1,13 @@
 // Command zbpcheck is the multichecker for the simulator's
 // domain-specific analyzer suite (internal/check/...): it mechanically
-// enforces determinism, the paper's address bit-geometry, every
-// declared packed bit-layout (//zbp:layout pack/unpack codecs, proven
-// against the declaration and against each other), metrics
-// registration, error handling, the shard scheduler's state-ownership
-// discipline, loop cancellation, the service layer's locking
-// discipline (deadlock-free acquisition order, no blocking under a
-// mutex, guarded-field access), the crash-durability effect order, and
-// the freshness of every //zbp: directive. CI runs it on every build;
-// run it locally with
+// enforces determinism, every declared packed bit-layout (//zbp:layout
+// pack/unpack codecs, proven against the declaration and against each
+// other) and the paper's address bit-geometry, error handling, loop
+// cancellation, the service layer's locking discipline (deadlock-free
+// acquisition order, no blocking under a mutex, guarded-field access,
+// unlock on every path), the crash-durability effect order, and the
+// freshness of every //zbp: directive. CI runs it on every build; run
+// it locally with
 //
 //	go run ./cmd/zbpcheck ./...
 //
@@ -25,10 +24,10 @@
 // The checker loads packages offline: module and vendored packages by
 // path mapping, standard-library imports from GOROOT source. Packages
 // are analyzed in dependency order so analyzers that export facts
-// (packlayout, lockorder, guardedby, durable) see their dependencies'
-// facts, exactly as upstream go/analysis drivers schedule them. It
-// analyzes non-test files (the contracts it enforces are production
-// ones; fixtures under testdata are exercised by the analysistest suite
+// (packlayout, lockorder, durable) see their dependencies' facts,
+// exactly as upstream go/analysis drivers schedule them. It analyzes
+// non-test files (the contracts it enforces are production ones;
+// fixtures under testdata are exercised by the analysistest suite
 // instead).
 package main
 
@@ -44,32 +43,24 @@ import (
 
 	"golang.org/x/tools/go/analysis"
 
-	"bulkpreload/internal/check/bitrange"
 	"bulkpreload/internal/check/ctxflow"
 	"bulkpreload/internal/check/determinism"
 	"bulkpreload/internal/check/durable"
 	"bulkpreload/internal/check/erring"
 	"bulkpreload/internal/check/facts"
-	"bulkpreload/internal/check/guardedby"
 	"bulkpreload/internal/check/load"
 	"bulkpreload/internal/check/lockorder"
-	"bulkpreload/internal/check/obsreg"
 	"bulkpreload/internal/check/packlayout"
-	"bulkpreload/internal/check/sharedstate"
 	"bulkpreload/internal/check/staledirective"
 )
 
 // Suite is the full analyzer suite, in reporting order.
 var suite = []*analysis.Analyzer{
 	determinism.Analyzer,
-	bitrange.Analyzer,
 	packlayout.Analyzer,
-	obsreg.Analyzer,
 	erring.Analyzer,
-	sharedstate.Analyzer,
 	ctxflow.Analyzer,
 	lockorder.Analyzer,
-	guardedby.Analyzer,
 	durable.Analyzer,
 	staledirective.Analyzer,
 }

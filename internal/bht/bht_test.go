@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bulkpreload/internal/obs"
+	"bulkpreload/internal/obs/obstest"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -155,4 +157,13 @@ func TestDefaultSurpriseEntries(t *testing.T) {
 	if DefaultSurpriseEntries != 32768 {
 		t.Errorf("DefaultSurpriseEntries = %d", DefaultSurpriseEntries)
 	}
+}
+
+// TestMetricsRegistered pins RegisterMetrics to the metrics struct:
+// every declared counter and histogram must reach the registry.
+func TestMetricsRegistered(t *testing.T) {
+	s := NewSurpriseBHT(1024)
+	r := obs.NewRegistry()
+	s.RegisterMetrics(r, "sbht_")
+	obstest.RequireRegistered(t, r, &s.met)
 }

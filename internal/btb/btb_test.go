@@ -7,6 +7,7 @@ import (
 
 	"bulkpreload/internal/bht"
 	"bulkpreload/internal/obs"
+	"bulkpreload/internal/obs/obstest"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -408,4 +409,13 @@ func TestWideRowEntryMatch(t *testing.T) {
 	if hits := tb.LookupLine(a, nil); len(hits) != 2 {
 		t.Errorf("wide-row lookup found %d entries, want 2", len(hits))
 	}
+}
+
+// TestMetricsRegistered pins RegisterMetrics to the metrics struct:
+// every declared counter and histogram must reach the registry.
+func TestMetricsRegistered(t *testing.T) {
+	tb := New(testCfg)
+	r := obs.NewRegistry()
+	tb.RegisterMetrics(r, "btb1_")
+	obstest.RequireRegistered(t, r, &tb.met)
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"bulkpreload/internal/obs"
+	"bulkpreload/internal/obs/obstest"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -203,4 +204,13 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	New(Config{Name: "bad", SizeBytes: 100, LineBytes: 64, Ways: 2})
+}
+
+// TestMetricsRegistered pins RegisterMetrics to the metrics struct:
+// every declared counter and histogram must reach the registry.
+func TestMetricsRegistered(t *testing.T) {
+	c := New(tiny)
+	r := obs.NewRegistry()
+	c.RegisterMetrics(r, "l1i_")
+	obstest.RequireRegistered(t, r, &c.met)
 }

@@ -28,14 +28,13 @@
 //
 //	//zbp:guardedby <field>
 //	    On a struct field: every read or write of the field must hold
-//	    the named sibling mutex; the guardedby analyzer checks all
+//	    the named sibling mutex; the lockorder analyzer checks all
 //	    access sites.
 //
 //	//zbp:caller-holds <field>
 //	    On a function declaration's doc comment: the function is only
 //	    called with the named mutex (a receiver field or package-level
-//	    sync var) already held; guardedby and lockorder treat it as
-//	    held on entry.
+//	    sync var) already held; lockorder treats it as held on entry.
 //
 //	//zbp:durable <description...>
 //	    On a function declaration's doc comment: the function is part
@@ -640,19 +639,4 @@ func DocLayouts(doc *ast.CommentGroup) []*Layout {
 		}
 	}
 	return out
-}
-
-// HasLayout reports whether fn's doc comment carries any //zbp:layout
-// directive — the hook bitrange uses to defer raw shift/mask policing
-// to packlayout inside declared pack/unpack bodies.
-func HasLayout(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if _, ok := ParseLayout(c); ok {
-			return true
-		}
-	}
-	return false
 }

@@ -447,7 +447,7 @@ func (w *dwalk) stmt(stmt ast.Stmt) bool {
 }
 
 // clauses walks switch/select cases from a cloned state each and merges
-// the survivors, mirroring the lockset walker's shape.
+// the survivors, mirroring lockorder's held-lock walker.
 func (w *dwalk) clauses(body *ast.BlockStmt, exhaustive bool) bool {
 	saved := w.st
 	var ends []dstate

@@ -1,5 +1,5 @@
 // Package lockorder proves the service layer's locking discipline at
-// build time, the two properties the zsimd testbed can only sample:
+// build time, the properties the zsimd testbed can only sample:
 //
 //   - deadlock freedom by acquisition order: every "acquire B while
 //     holding A" site contributes an A→B edge to a module-wide lock
@@ -13,13 +13,24 @@
 //     sanctioned by //zbp:locked <reason> — on the line for one
 //     operation, in the function's doc comment for the deliberate
 //     fsync-inside-the-critical-section durability idiom (which also
-//     keeps the function's blocking summary out of its callers).
+//     keeps the function's blocking summary out of its callers);
+//   - declared data-race contracts: a struct field annotated
+//     //zbp:guardedby mu may only be read or written while the named
+//     sibling mutex is held — locked in the same function, or declared
+//     held on entry by the function's //zbp:caller-holds mu. Exported
+//     guarded fields export a fact, so other packages' accesses are
+//     checked too. Every guardedby and caller-holds name must resolve
+//     to a real sync mutex;
+//   - unlock on every path: a mutex taken without defer must be
+//     released on every return path (the manual early-unlock ladder in
+//     jobq verifies cleanly).
 //
 // Per-function summaries (locks acquired, ways the body blocks) flow
 // interprocedurally: same-package callees by fixpoint, cross-package
 // callees through the gob facts store, so jobq.Queue.Enqueue calling an
 // exported helper three packages away is checked against the same
-// graph as a direct Lock call.
+// graph as a direct Lock call. Each function is walked twice: once for
+// its summary, once to report against the held set.
 package lockorder
 
 import (
@@ -32,7 +43,6 @@ import (
 	"golang.org/x/tools/go/analysis"
 
 	"bulkpreload/internal/check/directive"
-	"bulkpreload/internal/check/lockset"
 )
 
 const name = "lockorder"
@@ -79,11 +89,11 @@ func (f *lockGraphFact) String() string {
 // Analyzer is the lockorder analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc: "rejects cyclic lock-acquisition orders and blocking operations performed " +
-		"while holding a mutex, interprocedurally via facts; sanctioned blocking " +
-		"requires //zbp:locked <reason>",
+	Doc: "rejects cyclic lock-acquisition orders, blocking while holding a mutex " +
+		"(sanctioned by //zbp:locked <reason>), //zbp:guardedby accesses without the " +
+		"named mutex, and locks left held on a return path; interprocedural via facts",
 	Run:       run,
-	FactTypes: []analysis.Fact{(*lockFact)(nil), (*lockGraphFact)(nil)},
+	FactTypes: []analysis.Fact{(*lockFact)(nil), (*lockGraphFact)(nil), (*guardFact)(nil)},
 }
 
 // callee is one same-package call site recorded during the summary
@@ -106,14 +116,15 @@ type summary struct {
 
 	docLocked bool
 	docReason string
-	entry     []lockset.Lock // synthetic locks from //zbp:caller-holds
+	entry     []heldLock // synthetic locks from //zbp:caller-holds
 }
 
 type checker struct {
 	pass      *analysis.Pass
 	allows    *directive.AllowSet
 	locked    *directive.LockedSet
-	walker    *lockset.Walker
+	walker    *walker
+	guards    map[types.Object]*guard // this package's //zbp:guardedby fields
 	sums      map[types.Object]*summary
 	order     []*summary
 	edges     map[string]*siteEdge // own edges, keyed From+"\x00"+To
@@ -131,14 +142,16 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		pass:   pass,
 		allows: directive.CollectAllows(pass, name),
 		locked: directive.CollectLocked(pass),
-		walker: &lockset.Walker{
-			Info:    pass.TypesInfo,
-			Fset:    pass.Fset,
-			PkgName: directive.PkgLastElem(pass.Pkg.Path()),
+		walker: &walker{
+			info:    pass.TypesInfo,
+			fset:    pass.Fset,
+			pkgName: directive.PkgLastElem(pass.Pkg.Path()),
 		},
-		sums:  make(map[types.Object]*summary),
-		edges: make(map[string]*siteEdge),
+		guards: make(map[types.Object]*guard),
+		sums:   make(map[types.Object]*summary),
+		edges:  make(map[string]*siteEdge),
 	}
+	c.collectGuards()
 
 	// Phase A: direct per-function summaries (declaration order), with
 	// cross-package callee facts merged in as they are seen.
@@ -182,7 +195,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 
 	// Phase B: walk each body with full summaries, reporting blocking
-	// under held locks and collecting acquisition-order edges.
+	// under held locks, unguarded accesses and locks held at exit, and
+	// collecting acquisition-order edges.
 	for _, s := range c.order {
 		c.checkBody(s)
 	}
@@ -194,8 +208,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 // scanDirect computes one function's direct summary with a lit-skipping
-// lockset walk: acquisitions from the Acquire hook, blocking operations
-// and call sites from the Node hook.
+// walk: acquisitions from the acquire hook, blocking operations and call
+// sites from the node hook. It also resolves the function's
+// //zbp:caller-holds names, reporting any that name no mutex.
 func (c *checker) scanDirect(fn *ast.FuncDecl, obj types.Object) *summary {
 	s := &summary{
 		fn:       fn,
@@ -205,16 +220,22 @@ func (c *checker) scanDirect(fn *ast.FuncDecl, obj types.Object) *summary {
 	}
 	s.docReason, s.docLocked = directive.DocLocked(fn)
 	for _, mu := range directive.CallerHolds(fn) {
-		if key, ok := lockset.ResolveHold(c.pass.TypesInfo, c.pass.Pkg, fn, mu); ok {
-			s.entry = append(s.entry, lockset.Lock{Key: key, Pos: fn.Name.Pos(), Synthetic: true})
+		key, ok := resolveHold(c.pass.TypesInfo, c.pass.Pkg, fn, mu)
+		switch {
+		case mu == "":
+			c.allows.Report(c.pass, fn.Name, "malformed //zbp:caller-holds on %s: want //zbp:caller-holds <mutex>", fn.Name.Name)
+		case !ok:
+			c.allows.Report(c.pass, fn.Name, "//zbp:caller-holds on %s names %q, which is neither a sync mutex field of the receiver nor a package-level sync var", fn.Name.Name, mu)
+		default:
+			s.entry = append(s.entry, heldLock{key: key, pos: fn.Name.Pos(), synthetic: true})
 		}
 	}
-	c.walker.Walk(fn, nil, lockset.Hooks{
-		SkipLits: true,
-		Acquire: func(call *ast.CallExpr, l lockset.Lock, held []lockset.Lock) {
-			s.acquires[l.Key] = true
+	c.walker.walk(fn, nil, hooks{
+		skipLits: true,
+		acquire: func(call *ast.CallExpr, l heldLock, held []heldLock) {
+			s.acquires[l.key] = true
 		},
-		Node: func(n ast.Node, held []lockset.Lock) {
+		node: func(n ast.Node, held []heldLock) {
 			if desc, ok := c.classify(n); ok {
 				if !c.locked.Covers(n.Pos()) {
 					s.blocks[desc] = true
@@ -284,27 +305,33 @@ func (c *checker) fixpoint() {
 }
 
 // checkBody is the reporting walk: entry locks seeded from
-// //zbp:caller-holds, blocking flagged against the live held set,
-// acquisition edges recorded for cycle detection.
+// //zbp:caller-holds, blocking and guarded accesses checked against the
+// live held set, locks still held checked at every exit, acquisition
+// edges recorded for cycle detection.
 func (c *checker) checkBody(s *summary) {
 	fname := s.fn.Name.Name
-	c.walker.Walk(s.fn, s.entry, lockset.Hooks{
-		Acquire: func(call *ast.CallExpr, l lockset.Lock, held []lockset.Lock) {
+	c.walker.walk(s.fn, s.entry, hooks{
+		acquire: func(call *ast.CallExpr, l heldLock, held []heldLock) {
 			for _, h := range held {
-				if h.Key != l.Key {
+				if h.key != l.key {
 					continue
 				}
-				if l.Reader && h.Reader {
+				if l.reader && h.reader {
 					return // RLock under RLock is legal
 				}
-				c.allows.Report(c.pass, call, "%s acquires %s while already holding it%s; sync mutexes are not reentrant — this deadlocks", fname, l.Key, heldVia(h))
+				c.allows.Report(c.pass, call, "%s acquires %s while already holding it%s; sync mutexes are not reentrant — this deadlocks", fname, l.key, heldVia(h))
 				return
 			}
 			for _, h := range held {
-				c.addEdge(h.Key, l.Key, fname, call)
+				c.addEdge(h.key, l.key, fname, call)
 			}
 		},
-		Node: func(n ast.Node, held []lockset.Lock) {
+		exit: func(pos token.Pos, held []heldLock) { c.checkExit(fname, pos, held) },
+		node: func(n ast.Node, held []heldLock) {
+			if sel, isSel := n.(*ast.SelectorExpr); isSel {
+				c.checkGuarded(fname, sel, held)
+				return
+			}
 			if desc, ok := c.classify(n); ok && len(held) > 0 {
 				if !s.docLocked && !c.locked.Exempt(n.Pos()) {
 					c.allows.Report(c.pass, n, "%s blocks (%s) while holding %s; one stalled peer stops every contender — move it outside the critical section or annotate //zbp:locked <reason>", fname, desc, keysOf(held))
@@ -321,12 +348,12 @@ func (c *checker) checkBody(s *summary) {
 			}
 			acquires, blocks := c.summaryFor(fnObj)
 			for _, a := range acquires {
-				if lockset.Held(held, a) {
+				if holds(held, a) {
 					c.allows.Report(c.pass, call, "%s calls %s, which acquires %s — already held here; sync mutexes are not reentrant — this deadlocks", fname, fnObj.Name(), a)
 					continue
 				}
 				for _, h := range held {
-					c.addEdge(h.Key, a, fname, call)
+					c.addEdge(h.key, a, fname, call)
 				}
 			}
 			if len(blocks) > 0 && len(held) > 0 && !s.docLocked && !c.locked.Exempt(call.Pos()) {
@@ -581,16 +608,16 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-func keysOf(held []lockset.Lock) string {
+func keysOf(held []heldLock) string {
 	keys := make([]string, len(held))
 	for i, l := range held {
-		keys[i] = l.Key
+		keys[i] = l.key
 	}
 	return strings.Join(keys, ", ")
 }
 
-func heldVia(h lockset.Lock) string {
-	if h.Synthetic {
+func heldVia(h heldLock) string {
+	if h.synthetic {
 		return " (held per //zbp:caller-holds)"
 	}
 	return ""

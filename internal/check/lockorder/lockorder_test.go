@@ -18,3 +18,16 @@ func TestLockOrder(t *testing.T) {
 func TestLockOrderCrossPackage(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "lockdeps/store", "lockdeps/svc")
 }
+
+// TestLockOrderGuarded exercises the //zbp:guardedby and
+// //zbp:caller-holds contracts and the unlock-on-every-path rule.
+func TestLockOrderGuarded(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "guarded")
+}
+
+// TestLockOrderGuardedCrossPackage proves the guard fact path: user
+// reads cell.Box.N, whose guard is known only through the exported
+// object fact on the field.
+func TestLockOrderGuardedCrossPackage(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "guarddeps/cell", "guarddeps/user")
+}

@@ -31,6 +31,12 @@
 // field, so core/fault/engine code touching btb's 72-bit fault payload
 // cannot drift from btb's declaration.
 //
+// Outside layout-bound function bodies, the analyzer also holds the
+// paper's big-endian address geometry (BTB1 49:58, BTBP 52:58, BTB2
+// 47:58, bit 0 = MSB) in one place: raw shift/mask arithmetic on a
+// zaddr.Addr is rejected everywhere but package zaddr, so bit
+// extraction goes through the named helpers.
+//
 // Intentional departures use //zbp:allow packlayout <reason>.
 package packlayout
 
@@ -38,6 +44,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 
@@ -125,7 +132,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: name,
 	Doc: "prove declared packed bit-layouts: fields fit and never overlap, pack sites " +
 		"write each field at its declared shift with a provably fitting value, unpack " +
-		"sites read with the matching shift/mask, cross-package restatements agree",
+		"sites read with the matching shift/mask, cross-package restatements agree; " +
+		"no raw shift/mask on a zaddr.Addr outside the zaddr helpers and layout codecs",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*Layouts)(nil)},
 }
@@ -145,18 +153,24 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	local := map[string]*decl{}   // unqualified name -> resolved spec
 	imported := map[string]Spec{} // "pkg.name" restatements, resolved to the declaring package's spec
 	var roleFns []*ast.FuncDecl
+	var unbound []ast.Decl // declarations outside any //zbp:layout function
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.GenDecl:
+				unbound = append(unbound, d)
 				if d.Tok == token.CONST {
 					for _, l := range directive.DocLayouts(d.Doc) {
 						collectDecl(pass, allows, l, local, imported)
 					}
 				}
 			case *ast.FuncDecl:
+				layouts := directive.DocLayouts(d.Doc)
+				if len(layouts) == 0 {
+					unbound = append(unbound, d)
+				}
 				hasRole := false
-				for _, l := range directive.DocLayouts(d.Doc) {
+				for _, l := range layouts {
 					if len(l.Errs) == 0 && !l.Decl {
 						hasRole = true
 						continue
@@ -214,8 +228,54 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 
+	// Phase 4: raw address arithmetic outside the layout codecs, whose
+	// shifts and masks phase 3 already checked field by field.
+	if directive.PkgLastElem(pass.Pkg.Path()) != "zaddr" {
+		for _, d := range unbound {
+			ast.Inspect(d, func(n ast.Node) bool {
+				if bin, isBin := n.(*ast.BinaryExpr); isBin {
+					checkRawAddr(pass, allows, bin)
+				}
+				return true
+			})
+		}
+	}
+
 	allows.ReportUnused(pass)
 	return nil, nil
+}
+
+// checkRawAddr flags a shift/mask operator applied to a zaddr.Addr
+// (directly or through an integer conversion): it bypasses the named
+// big-endian geometry helpers.
+func checkRawAddr(pass *analysis.Pass, allows *directive.AllowSet, bin *ast.BinaryExpr) {
+	switch bin.Op {
+	case token.SHL, token.SHR, token.AND, token.AND_NOT, token.OR, token.XOR:
+	default:
+		return
+	}
+	if isAddr(pass, bin.X) || isAddr(pass, bin.Y) {
+		allows.Report(pass, bin,
+			"raw %q arithmetic on a zaddr.Addr bypasses the zaddr bit-geometry helpers; use zaddr.Bits/RowBase/BlockOffset/... or bind the function to a //zbp:layout, so index geometry stays auditable",
+			bin.Op.String())
+	}
+}
+
+// isAddr reports whether expr is a zaddr.Addr or a conversion of one,
+// as in uint64(a) >> n.
+func isAddr(pass *analysis.Pass, expr ast.Expr) bool {
+	expr = ast.Unparen(expr)
+	if call, isCall := expr.(*ast.CallExpr); isCall && len(call.Args) == 1 {
+		if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
+			expr = call.Args[0]
+		}
+	}
+	named, isNamed := pass.TypesInfo.TypeOf(expr).(*types.Named)
+	if !isNamed {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Addr" && obj.Pkg() != nil && directive.PkgLastElem(obj.Pkg().Path()) == "zaddr"
 }
 
 // collectDecl resolves one declaration-form //zbp:layout and files it

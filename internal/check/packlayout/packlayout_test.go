@@ -22,11 +22,19 @@ func TestPackLayoutCrossPackage(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), packlayout.Analyzer, "layoutdeps/wire", "layoutdeps/client")
 }
 
+// TestPackLayoutGeometry exercises the raw-address rule: shift/mask
+// arithmetic on zaddr.Addr is flagged, except through the helpers, an
+// allow, or inside a body bound to a //zbp:layout.
+func TestPackLayoutGeometry(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), packlayout.Analyzer, "geometry")
+}
+
 // TestRealTreeLayouts is the fixture-drift smoke: it runs packlayout
 // alone over the real module exactly the way zbpcheck does and demands
 // zero diagnostics. A //zbp:layout directive referencing a constant
-// that no longer exists — or a codec that drifted from its declared
-// geometry — fails this test without needing the full suite.
+// that no longer exists, a codec that drifted from its declared
+// geometry, or raw shift/mask arithmetic on a zaddr.Addr outside the
+// helpers fails this test without needing the full suite.
 func TestRealTreeLayouts(t *testing.T) {
 	root, modPath, err := load.FindModule(".")
 	if err != nil {

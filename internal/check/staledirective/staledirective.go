@@ -40,7 +40,6 @@ import (
 	"bulkpreload/internal/check/determinism"
 	"bulkpreload/internal/check/directive"
 	"bulkpreload/internal/check/erring"
-	"bulkpreload/internal/check/sharedstate"
 )
 
 const name = "staledirective"
@@ -60,13 +59,9 @@ func everywhere(string) bool { return true }
 // scope is nontrivial; drift is impossible there by construction.
 var scopes = map[string]func(pkgPath string) bool{
 	"determinism": determinism.InScope,
-	"bitrange":    func(p string) bool { return directive.PkgLastElem(p) != "zaddr" },
-	"obsreg":      func(p string) bool { return directive.PkgLastElem(p) != "obs" },
 	"erring":      erring.InScope,
-	"sharedstate": sharedstate.InScope,
 	"ctxflow":     ctxflow.InScope,
 	"lockorder":   everywhere,
-	"guardedby":   everywhere,
 	"durable":     everywhere,
 	"packlayout":  everywhere,
 	name:          everywhere,
@@ -116,7 +111,7 @@ func funcDocRanges(f *ast.File) []docRange {
 }
 
 // fieldDocRanges returns the extents of every struct field's doc and
-// trailing comments — the only placement guardedby reads.
+// trailing comments — the only placement //zbp:guardedby is read from.
 func fieldDocRanges(f *ast.File) []docRange {
 	var out []docRange
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -206,7 +201,7 @@ func checkComment(pass *analysis.Pass, allows *directive.AllowSet, c *ast.Commen
 	case "guardedby":
 		if !inFuncDoc(c, fields) {
 			allows.Report(pass, c,
-				"stray //zbp:guardedby: only a struct field's comment is read (by guardedby); this placement is consumed by no analyzer")
+				"stray //zbp:guardedby: only a struct field's comment is read (by lockorder); this placement is consumed by no analyzer")
 		}
 	case "layout":
 		l, ok := directive.ParseLayout(c)
@@ -246,5 +241,5 @@ func consumerOf(kind string) string {
 	if kind == "durable" {
 		return "durable"
 	}
-	return "guardedby and lockorder"
+	return "lockorder"
 }

@@ -43,9 +43,9 @@ var held int
 //zbp:guardedby mu // want `stray //zbp:guardedby`
 var loose int
 
-// guardedHome shows the one placement guardedby reads: a struct
-// field's comment. Accepted (whether the named mutex exists is the
-// guardedby analyzer's own business, not staledirective's).
+// guardedHome shows the one placement //zbp:guardedby is read from: a
+// struct field's comment. Accepted (whether the named mutex exists is
+// lockorder's own business, not staledirective's).
 type guardedHome struct {
 	n int //zbp:guardedby mu
 }

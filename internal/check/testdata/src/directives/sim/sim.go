@@ -1,14 +1,13 @@
 // Package sim shows the same directives accepted where their consumers
 // actually look: a package named sim is in scope for determinism,
-// erring, sharedstate, and ctxflow, so every annotation below is live
-// and the staledirective analyzer stays silent.
+// erring, and ctxflow, so every annotation below is live and the
+// staledirective analyzer stays silent.
 package sim
 
 import "context"
 
 // run's annotations all have a consumer here: wallclock and the
-// determinism allow are read by determinism, bounded by ctxflow, and
-// the sharedstate allow by sharedstate.
+// determinism allow are read by determinism, and bounded by ctxflow.
 func run(ctx context.Context, next chan int) int {
 	//zbp:wallclock progress logging only, excluded from results
 	_ = ctx
@@ -17,8 +16,6 @@ func run(ctx context.Context, next chan int) int {
 	for v := range next {
 		sum += v
 	}
-	//zbp:allow sharedstate worker owns this slot by construction
-	sum++
 	//zbp:allow determinism keys are sorted by the caller before use
 	//zbp:allow erring best-effort cleanup on shutdown
 	return sum

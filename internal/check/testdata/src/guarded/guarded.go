@@ -1,8 +1,8 @@
-// Package guarded exercises the guardedby analyzer: guarded-field
-// accesses with and without the mutex, the //zbp:caller-holds contract
-// and its validation, annotation validation (a name that is not a
-// mutex), the constructor //zbp:allow idiom, and unlock-on-all-paths
-// over the manual early-unlock ladder.
+// Package guarded exercises lockorder's guarded-field rules: accesses
+// with and without the mutex, the //zbp:caller-holds contract and its
+// validation, annotation validation (a name that is not a mutex), the
+// constructor //zbp:allow idiom, and unlock-on-all-paths over the
+// manual early-unlock ladder.
 package guarded
 
 import "sync"
@@ -42,7 +42,7 @@ func (b *box) viaContract() int {
 // allow records why that is safe.
 func newBox() *box {
 	b := &box{}
-	//zbp:allow guardedby constructor write before the value escapes
+	//zbp:allow lockorder constructor write before the value escapes
 	b.n = 1
 	return b
 }

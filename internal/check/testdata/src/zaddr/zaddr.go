@@ -1,34 +1,12 @@
 // Package zaddr is a fixture stub mirroring the real
-// bulkpreload/internal/zaddr surface the bitrange analyzer recognizes
-// (matched by package-path last element, so this stub behaves exactly
-// like the real package). The analyzer skips the package body itself.
+// bulkpreload/internal/zaddr surface packlayout's raw-address rule
+// recognizes (matched by package-path last element, so this stub
+// behaves exactly like the real package). The rule skips the package
+// body itself.
 package zaddr
 
 // Addr is a 64-bit instruction address.
 type Addr uint64
-
-// Bits extracts big-endian bit range hi..lo (bit 0 = MSB).
-func Bits(a Addr, hi, lo uint) uint64 {
-	width := lo - hi + 1
-	shift := 63 - lo
-	if width == 64 {
-		return uint64(a)
-	}
-	return (uint64(a) >> shift) & ((1 << width) - 1)
-}
-
-// SetBits returns a with big-endian bit range hi..lo replaced by v.
-func SetBits(a Addr, hi, lo uint, v uint64) Addr {
-	width := lo - hi + 1
-	shift := 63 - lo
-	var mask uint64
-	if width == 64 {
-		mask = ^uint64(0)
-	} else {
-		mask = ((1 << width) - 1) << shift
-	}
-	return Addr((uint64(a) &^ mask) | ((v << shift) & mask))
-}
 
 // RowBase returns the lowest address of the 32-byte row containing a.
 func RowBase(a Addr) Addr { return a &^ 31 }

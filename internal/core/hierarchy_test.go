@@ -6,6 +6,7 @@ import (
 
 	"bulkpreload/internal/btb"
 	"bulkpreload/internal/obs"
+	"bulkpreload/internal/obs/obstest"
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/zaddr"
 )
@@ -457,4 +458,13 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	bad := DefaultConfig()
 	bad.Miss.SearchLimit = 0
 	New(bad)
+}
+
+// TestMetricsRegistered pins RegisterMetrics to the metrics struct:
+// every declared counter and histogram must reach the registry.
+func TestMetricsRegistered(t *testing.T) {
+	h := New(testConfig())
+	r := obs.NewRegistry()
+	h.RegisterMetrics(r)
+	obstest.RequireRegistered(t, r, &h.met)
 }

@@ -5,6 +5,7 @@ import (
 
 	"bulkpreload/internal/history"
 	"bulkpreload/internal/obs"
+	"bulkpreload/internal/obs/obstest"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -95,4 +96,13 @@ func TestReset(t *testing.T) {
 	if _, ok := c.Lookup(&h, 0x9000); ok {
 		t.Error("Reset left entries")
 	}
+}
+
+// TestMetricsRegistered pins RegisterMetrics to the metrics struct:
+// every declared counter and histogram must reach the registry.
+func TestMetricsRegistered(t *testing.T) {
+	tb := New(256)
+	r := obs.NewRegistry()
+	tb.RegisterMetrics(r, "ctb_")
+	obstest.RequireRegistered(t, r, &tb.met)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bulkpreload/internal/obs"
+	"bulkpreload/internal/obs/obstest"
 )
 
 func TestNilInjectorIsSafeAndFree(t *testing.T) {
@@ -295,4 +296,13 @@ func FuzzInjectorPass(f *testing.F) {
 		}
 		replayPass(t, passRates[int(mode)%len(passRates)], Protection(mode/4%2), seed, ops)
 	})
+}
+
+// TestMetricsRegistered pins RegisterMetrics to the metrics struct:
+// every declared counter and histogram must reach the registry.
+func TestMetricsRegistered(t *testing.T) {
+	j := NewInjector("btb1", 50, Unprotected, 42, false)
+	r := obs.NewRegistry()
+	j.RegisterMetrics(r, "fault_btb1_")
+	obstest.RequireRegistered(t, r, &j.met)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bulkpreload/internal/obs"
+	"bulkpreload/internal/obs/obstest"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -113,4 +114,13 @@ func TestReset(t *testing.T) {
 	if n := counters(f)["fit_installs_total"]; n != 0 {
 		t.Errorf("Reset left fit_installs_total = %d", n)
 	}
+}
+
+// TestMetricsRegistered pins RegisterMetrics to the metrics struct:
+// every declared counter and histogram must reach the registry.
+func TestMetricsRegistered(t *testing.T) {
+	tb := New(4)
+	r := obs.NewRegistry()
+	tb.RegisterMetrics(r, "fit_")
+	obstest.RequireRegistered(t, r, &tb.met)
 }

@@ -5,6 +5,7 @@ import (
 
 	"bulkpreload/internal/history"
 	"bulkpreload/internal/obs"
+	"bulkpreload/internal/obs/obstest"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -127,4 +128,13 @@ func TestReset(t *testing.T) {
 	if n := counters(p)["pht_installs_total"]; n != 0 {
 		t.Errorf("Reset left pht_installs_total = %d", n)
 	}
+}
+
+// TestMetricsRegistered pins RegisterMetrics to the metrics struct:
+// every declared counter and histogram must reach the registry.
+func TestMetricsRegistered(t *testing.T) {
+	tb := New(256)
+	r := obs.NewRegistry()
+	tb.RegisterMetrics(r, "pht_")
+	obstest.RequireRegistered(t, r, &tb.met)
 }

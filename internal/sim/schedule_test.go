@@ -11,6 +11,7 @@ import (
 
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/engine"
+	"bulkpreload/internal/obs/obstest"
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/workload"
 )
@@ -182,4 +183,11 @@ func TestRunUnitsEmpty(t *testing.T) {
 	if err != nil || len(res) != 0 || stats.Units != 0 {
 		t.Fatalf("empty unit set: res=%d stats=%+v err=%v", len(res), stats, err)
 	}
+}
+
+// TestMetricsRegistered pins a worker's registry to schedWorker: every
+// declared counter and histogram must reach it.
+func TestMetricsRegistered(t *testing.T) {
+	var w schedWorker
+	obstest.RequireRegistered(t, w.registry(), &w)
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"bulkpreload/internal/obs"
+	"bulkpreload/internal/obs/obstest"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -243,4 +244,13 @@ func TestPaperGeometryReach(t *testing.T) {
 	if DefaultEntries*zaddr.BlockBytes != 2*1024*1024 {
 		t.Error("ordering table reach is not 2 MB")
 	}
+}
+
+// TestMetricsRegistered pins RegisterMetrics to the metrics struct:
+// every declared counter and histogram must reach the registry.
+func TestMetricsRegistered(t *testing.T) {
+	tb := New(4, 2)
+	r := obs.NewRegistry()
+	tb.RegisterMetrics(r, "steering_")
+	obstest.RequireRegistered(t, r, &tb.met)
 }

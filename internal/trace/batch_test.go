@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"bulkpreload/internal/obs/span"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -388,6 +389,60 @@ func TestFileSourceMixedConsumption(t *testing.T) {
 		if got[i] != ins[i] {
 			t.Fatalf("record %d reordered: %+v, want %+v", i, got[i], ins[i])
 		}
+	}
+}
+
+// TestFileSourceRefillSpans pins the source's span wiring: with a
+// recorder attached, every refill — through Next or FillBatch, up to
+// the one that finds the end of the trace — records one refill span
+// under the given parent, and their record counts sum to the trace.
+func TestFileSourceRefillSpans(t *testing.T) {
+	ins := mkRandomTrace(t, 300, 31)
+	path := filepath.Join(t.TempDir(), "spans.zbpt")
+	if err := os.WriteFile(path, encode(t, "spans", ins), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenFileSource(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	tr := span.NewTrace()
+	rec := tr.NewRecorder(1)
+	const parent = span.ID(7)
+	src.SetSpans(rec, parent)
+
+	// Pass 1 through Next refills the source's 64-record batch; pass 2
+	// through FillBatch decodes into a 50-record one. Each pass ends
+	// with the refill that finds the end of the trace.
+	refills := 0
+	for n := 0; n <= len(ins); n++ {
+		if _, ok := src.Next(); ok != (n < len(ins)) {
+			t.Fatalf("Next %d: ok=%v", n, ok)
+		}
+	}
+	refills += (len(ins)+63)/64 + 1
+	src.Reset()
+	b := NewBatch(50)
+	for src.FillBatch(&b) > 0 {
+		refills++
+	}
+	refills++
+
+	tr.Adopt(rec)
+	evs := tr.Events()
+	if len(evs) != refills {
+		t.Fatalf("%d spans for %d refills", len(evs), refills)
+	}
+	var records int64
+	for _, ev := range evs {
+		if ev.Kind != span.KindRefill || ev.Parent != parent {
+			t.Errorf("span %+v: want a refill span under parent %d", ev, parent)
+		}
+		records += ev.Arg1
+	}
+	if want := int64(2 * len(ins)); records != want {
+		t.Errorf("refill spans carry %d records over two passes, want %d", records, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bulkpreload/internal/obs"
+	"bulkpreload/internal/obs/obstest"
 	"bulkpreload/internal/steering"
 	"bulkpreload/internal/zaddr"
 )
@@ -340,4 +341,13 @@ func TestRowBytesValidation(t *testing.T) {
 	if cfg.RowsPerBlock() != 32 {
 		t.Errorf("rows per block = %d, want 32", cfg.RowsPerBlock())
 	}
+}
+
+// TestMetricsRegistered pins RegisterMetrics to the metrics struct:
+// every declared counter and histogram must reach the registry.
+func TestMetricsRegistered(t *testing.T) {
+	tr := newT(t, DefaultConfig)
+	r := obs.NewRegistry()
+	tr.RegisterMetrics(r, "tracker_")
+	obstest.RequireRegistered(t, r, &tr.met)
 }

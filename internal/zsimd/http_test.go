@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bulkpreload/internal/jobq"
+	"bulkpreload/internal/obs/obstest"
 )
 
 func postJob(t *testing.T, url, tenant string, spec json.RawMessage) *http.Response {
@@ -328,4 +329,11 @@ func TestHTTPDrainingRefusesSubmissions(t *testing.T) {
 		t.Fatalf("draining healthz = %d, want 503", r.StatusCode)
 	}
 	r.Body.Close()
+}
+
+// TestMetricsRegistered pins newMetrics to the metrics struct: every
+// declared counter and histogram must reach the service registry.
+func TestMetricsRegistered(t *testing.T) {
+	m := newMetrics(nil, false)
+	obstest.RequireRegistered(t, m.reg, m)
 }
