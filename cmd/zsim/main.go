@@ -27,6 +27,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -182,7 +183,7 @@ func main() {
 		if *spansPath != "" {
 			spanTrace = span.NewTrace()
 		}
-		c := compareConfigs(src, params, *workers, spanTrace)
+		c := compareConfigs(src, *file, params, *workers, spanTrace)
 		fmt.Println(c)
 		fmt.Printf("  CPI: %s %.4f | %s %.4f | %s %.4f\n",
 			sim.ConfigNoBTB2, c.Base.CPI(), sim.ConfigBTB2, c.BTB2.CPI(),
@@ -415,29 +416,41 @@ func reconcile(what string, counts [core.NumEventKinds]int64, final *obs.Snapsho
 
 // compareConfigs runs the three Table 3 configurations. workers == 1
 // without tracing uses the serial path directly on src; any other
-// combination materializes the trace once and fans the three runs
-// across the work-stealing scheduler (bit-identical results either way
-// — the differential gate in internal/sim pins that). A non-nil tr
-// collects the span hierarchy of the scheduled runs.
-func compareConfigs(src trace.Source, params engine.Params, workers int, tr *span.Trace) sim.Comparison {
+// combination fans the three runs across the work-stealing scheduler,
+// each run reading src or a fork of it, so the trace is never
+// materialized (bit-identical results either way — the differential
+// gate in internal/sim pins that). A non-nil tr collects the span
+// hierarchy of the scheduled runs. path is the -file argument.
+func compareConfigs(src trace.Source, path string, params engine.Params, workers int, tr *span.Trace) sim.Comparison {
 	if workers == 1 && tr == nil {
 		return sim.Compare(src, params)
 	}
+	srcs := []trace.Source{src}
+	for len(srcs) < 3 {
+		fork, err := forkSource(src, path)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "zsim:", err)
+			os.Exit(1)
+		}
+		if c, ok := fork.(io.Closer); ok {
+			defer c.Close()
+		}
+		srcs = append(srcs, fork)
+	}
 	name := src.Name()
-	ins := trace.Collect(src)
-	unit := func(cfg core.Config, cfgName string) sim.Unit {
+	unit := func(i int, cfg core.Config, cfgName string) sim.Unit {
 		return sim.Unit{
 			Label:      name + "/" + cfgName,
-			NewSource:  func() trace.Source { return trace.NewSliceSource(name, ins) },
+			NewSource:  func() trace.Source { return srcs[i] },
 			Config:     cfg,
 			Params:     params,
 			ConfigName: cfgName,
 		}
 	}
 	units := []sim.Unit{
-		unit(core.OneLevelConfig(), sim.ConfigNoBTB2),
-		unit(core.DefaultConfig(), sim.ConfigBTB2),
-		unit(core.LargeOneLevelConfig(), sim.ConfigLargeL1),
+		unit(0, core.OneLevelConfig(), sim.ConfigNoBTB2),
+		unit(1, core.DefaultConfig(), sim.ConfigBTB2),
+		unit(2, core.LargeOneLevelConfig(), sim.ConfigLargeL1),
 	}
 	res, _, err := sim.RunUnitsTraced(context.Background(), workers, units, tr)
 	if err != nil {
@@ -445,6 +458,22 @@ func compareConfigs(src trace.Source, params engine.Params, workers int, tr *spa
 		os.Exit(1)
 	}
 	return sim.Comparison{Trace: name, Base: res[0], BTB2: res[1], LargeBTB1: res[2]}
+}
+
+// forkSource returns an independent reader of src's records that holds
+// no second copy of them: a generated trace shares src's compiled
+// program, a streamed file is opened again at path, and a loaded file
+// shares src's records.
+func forkSource(src trace.Source, path string) (trace.Source, error) {
+	switch s := src.(type) {
+	case *workload.Source:
+		return workload.New(s.Profile()), nil
+	case *trace.FileSource:
+		return trace.OpenFileSource(path, trace.DefaultBatchCapacity)
+	case *trace.SliceSource:
+		return s.Fork(), nil
+	}
+	return nil, fmt.Errorf("cannot fork a %T trace source", src)
 }
 
 func loadSource(file, traceName string, insts int, salvage, stream bool) (trace.Source, error) {

@@ -3,11 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/engine"
 	"bulkpreload/internal/fault"
-	"bulkpreload/internal/trace"
 	"bulkpreload/internal/workload"
 )
 
@@ -44,26 +44,24 @@ type FaultPoint struct {
 // Points are ordered rate-major (unprotected then parity within a rate);
 // failed shards stay zero-valued and surface in the returned error.
 //
-// The profile's trace is recorded once and every run (the fault-free
-// reference first, then each rate x protection point) replays that
-// read-only slice as one RunUnits unit on a GOMAXPROCS-wide pool, so
-// the study holds about 32 B x profile.Instructions of trace in memory.
-// A panicking run is isolated like any other unit: a failed fault-free
-// run no longer takes down the caller, it leaves every DeltaCPIPct at
-// 0, and its error is returned.
+// Every run (the fault-free reference first, then each rate x
+// protection point) is one ProfileUnit on a GOMAXPROCS-wide RunUnits
+// pool that generates its records straight into the engine's batch
+// from the profile's one shared compiled program, so no run records
+// the trace and the study's memory does not grow with
+// profile.Instructions. A panicking run is isolated like any other
+// unit: a failed fault-free run no longer takes down the caller, it
+// leaves every DeltaCPIPct at 0, and its error is returned.
 func FaultStudy(profile workload.Profile, params engine.Params, rates []float64) ([]FaultPoint, error) {
 	cfg := core.DefaultConfig()
-	src := workload.New(profile)
-	name := src.Name()
-	ins := trace.Collect(src)
+	// pin holds the shared compiled program across the whole pool:
+	// without a live Source, one finalized between units would make
+	// the next unit compile the program again.
+	pin := workload.New(profile)
 	unit := func(label string, p engine.Params) Unit {
-		return Unit{
-			Label:      name + "/" + label,
-			NewSource:  func() trace.Source { return trace.NewSliceSource(name, ins) },
-			Config:     cfg,
-			Params:     p,
-			ConfigName: ConfigBTB2,
-		}
+		u := ProfileUnit(profile, cfg, p, ConfigBTB2)
+		u.Label = profile.Name + "/" + label
+		return u
 	}
 
 	prots := []fault.Protection{fault.Unprotected, fault.Parity}
@@ -77,6 +75,7 @@ func FaultStudy(profile workload.Profile, params engine.Params, rates []float64)
 		}
 	}
 	res, err := RunUnits(context.Background(), 0, units)
+	runtime.KeepAlive(pin)
 
 	cleanCPI := res[0].CPI()
 	out := make([]FaultPoint, len(units)-1)

@@ -2,12 +2,15 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/engine"
 	"bulkpreload/internal/fault"
+	"bulkpreload/internal/trace"
 	"bulkpreload/internal/workload"
 )
 
@@ -84,8 +87,8 @@ func TestFaultStudyDeterministic(t *testing.T) {
 
 // TestFaultStudyMatchesSerialOracle recomputes every point the way the
 // study used to: a fresh workload and a serial engine.Run per point,
-// DeltaCPIPct against a serial fault-free run. The study's single
-// recorded trace and batched pool must reproduce each point exactly.
+// DeltaCPIPct against a serial fault-free run. The study's streamed
+// units on the batched pool must reproduce each point exactly.
 func TestFaultStudyMatchesSerialOracle(t *testing.T) {
 	prof := faultStudyProfile()
 	params := engine.DefaultParams()
@@ -148,5 +151,26 @@ func TestFaultStudyIsolatesPanickingRuns(t *testing.T) {
 		if pt != (FaultPoint{}) {
 			t.Errorf("point %d: failed run left %+v, want zero value", 2+i, pt)
 		}
+	}
+}
+
+// TestFaultStudyHoldsNoTrace: the study streams every run from the
+// shared compiled program, so what it allocates (engines, one program
+// compile, batches) stays below the 32 B per instruction a recorded
+// copy of the trace would take on its own.
+func TestFaultStudyHoldsNoTrace(t *testing.T) {
+	prof := faultStudyProfile()
+	prof.Instructions = 250_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := FaultStudy(prof, fastStudyParams(), []float64{100}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	instBytes := uint64(unsafe.Sizeof(trace.Inst{}))
+	if got, limit := after.TotalAlloc-before.TotalAlloc, instBytes*uint64(prof.Instructions); got >= limit {
+		t.Errorf("study allocated %d bytes, want under %d (%d B x %d instructions)",
+			got, limit, instBytes, prof.Instructions)
 	}
 }

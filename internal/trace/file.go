@@ -48,14 +48,24 @@ var ErrBadTrace = errors.New("trace: malformed trace file")
 var ErrTruncated = errors.New("trace: truncated trace file")
 
 // Write serializes all instructions from src to w in ZBPT format. It
-// resets src, makes one counting pass, resets again and streams records.
+// resets src and takes the header's record count from the source's
+// Len() int method if it has one, or else from one counting pass and a
+// second reset; it then streams the records a batch at a time, so its
+// memory does not grow with the trace. A source that yields a different
+// number of records than its header promised is an error.
 func Write(w io.Writer, src Source) (int64, error) {
-	ins := Collect(src)
-	return WriteSlice(w, src.Name(), ins)
-}
+	src.Reset()
+	b := NewBatch(0)
+	var count int
+	if l, ok := src.(interface{ Len() int }); ok {
+		count = l.Len()
+	} else {
+		for n := FillBatch(src, &b); n > 0; n = FillBatch(src, &b) {
+			count += n
+		}
+		src.Reset()
+	}
 
-// WriteSlice serializes ins to w in ZBPT format under the given name.
-func WriteSlice(w io.Writer, name string, ins []Inst) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var written int64
 	if _, err := bw.WriteString(fileMagic); err != nil {
@@ -64,6 +74,7 @@ func WriteSlice(w io.Writer, name string, ins []Inst) (int64, error) {
 	written += int64(len(fileMagic))
 	var hdr [4]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], fileVersion)
+	name := src.Name()
 	if len(name) > 1<<16-1 {
 		return written, fmt.Errorf("trace: name too long (%d bytes)", len(name))
 	}
@@ -77,16 +88,17 @@ func WriteSlice(w io.Writer, name string, ins []Inst) (int64, error) {
 	}
 	written += int64(len(name))
 	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(len(ins)))
+	binary.LittleEndian.PutUint64(cnt[:], uint64(count))
 	if _, err := bw.Write(cnt[:]); err != nil {
 		return written, err
 	}
 	written += 8
 	// Pack a batch of records at a time into one reusable buffer and
 	// hand each batch to the writer in a single call.
-	buf := make([]byte, min(len(ins), DefaultBatchCapacity)*recordSize)
-	for len(ins) > 0 {
-		batch := ins[:min(len(ins), DefaultBatchCapacity)]
+	buf := make([]byte, cap(b.Ins)*recordSize)
+	streamed := 0
+	for batch := NextBatch(src, &b); len(batch) > 0; batch = NextBatch(src, &b) {
+		streamed += len(batch)
 		out := buf[:len(batch)*recordSize]
 		for i := range batch {
 			encodeRecord(out[i*recordSize:][:recordSize], &batch[i])
@@ -95,9 +107,16 @@ func WriteSlice(w io.Writer, name string, ins []Inst) (int64, error) {
 			return written, err
 		}
 		written += int64(len(out))
-		ins = ins[len(batch):]
+	}
+	if streamed != count {
+		return written, fmt.Errorf("trace: %s yielded %d records, its header promised %d", name, streamed, count)
 	}
 	return written, bw.Flush()
+}
+
+// WriteSlice serializes ins to w in ZBPT format under the given name.
+func WriteSlice(w io.Writer, name string, ins []Inst) (int64, error) {
+	return Write(w, NewSliceSource(name, ins))
 }
 
 // encodeRecord packs in into its wire image. rec must hold recordSize

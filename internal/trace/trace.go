@@ -211,9 +211,13 @@ func (s *SliceSource) Reset() { s.pos = 0 }
 // Len returns the total number of instructions in the source.
 func (s *SliceSource) Len() int { return len(s.ins) }
 
+// Fork returns a new SliceSource over the same records, positioned at
+// their start. The records are shared, not copied, so s and its forks
+// may be read concurrently.
+func (s *SliceSource) Fork() *SliceSource { return NewSliceSource(s.name, s.ins) }
+
 // Collect drains src into a slice (resetting it first) and returns the
-// instructions. Intended for tests, for writing trace files and for
-// studies that replay one recorded trace many times. A source that
+// instructions. Intended for tests and benchmarks. A source that
 // reports its length (a Len() int method, as SliceSource and the
 // synthetic workload source have) gets a slice of exactly that size,
 // grown only if the source yields more. Records arrive through

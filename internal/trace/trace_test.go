@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -116,6 +120,20 @@ func TestSliceSource(t *testing.T) {
 			t.Fatalf("pass %d yielded %d records", pass, got)
 		}
 		s.Reset()
+	}
+
+	// A fork starts at the beginning, keeps its own position and reads
+	// the same records, not a copy.
+	s.Next()
+	f := s.Fork()
+	if in, ok := f.Next(); !ok || in != ins[0] || f.Name() != "test" {
+		t.Fatalf("fork's first record %+v (ok %v, name %q), want %+v", in, ok, f.Name(), ins[0])
+	}
+	if in, ok := s.Next(); !ok || in != ins[1] {
+		t.Fatalf("source moved by its fork: next %+v, want %+v", in, ins[1])
+	}
+	if &f.ins[0] != &ins[0] {
+		t.Fatal("fork copied the records")
 	}
 }
 
@@ -302,6 +320,114 @@ func TestCollect(t *testing.T) {
 		s.Next()
 		if got := Collect(s); !slices.Equal(got, ins) {
 			t.Fatalf("%T: Collect returned %d records, not the %d of the source", s, len(got), len(ins))
+		}
+	}
+}
+
+// lenSource is a Next-only source that reports a fixed Len, true or not.
+type lenSource struct {
+	nextOnly
+	n int
+}
+
+func (s *lenSource) Len() int { return s.n }
+
+// writeSources returns ins behind each shape Write handles: a Batcher
+// with Len (SliceSource), a Next-only source without Len, and a Batcher
+// without Len (FileSource over a file holding ins).
+func writeSources(t *testing.T, name string, ins []Inst) []Source {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "w.zbpt")
+	if err := os.WriteFile(path, encode(t, name, ins), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFileSource(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	return []Source{NewSliceSource(name, ins), &nextOnly{NewSliceSource(name, ins)}, fs}
+}
+
+// TestWriteStreams: Write's bytes equal WriteSlice over the collected
+// records for every source shape, partially drained or not, and
+// re-encode the committed wire pin byte for byte.
+func TestWriteStreams(t *testing.T) {
+	pin, err := os.ReadFile(wirePin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinName, pinIns, err := Read(bytes.NewReader(pin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, DefaultBatchCapacity, 3*DefaultBatchCapacity + 17} {
+		ins := synthInsts(rand.New(rand.NewSource(int64(n))), n)
+		for _, src := range writeSources(t, "stream", ins) {
+			src.Next()
+			var got bytes.Buffer
+			wn, err := Write(&got, src)
+			if err != nil {
+				t.Fatalf("n=%d %T: Write: %v", n, src, err)
+			}
+			want := encode(t, "stream", Collect(src))
+			if !bytes.Equal(got.Bytes(), want) || wn != int64(len(want)) {
+				t.Fatalf("n=%d %T: Write produced %d bytes (reported %d), not the %d of WriteSlice(Collect)",
+					n, src, got.Len(), wn, len(want))
+			}
+		}
+	}
+	for _, src := range writeSources(t, pinName, pinIns) {
+		var got bytes.Buffer
+		if _, err := Write(&got, src); err != nil {
+			t.Fatalf("%T: Write: %v", src, err)
+		}
+		if !bytes.Equal(got.Bytes(), pin) {
+			t.Fatalf("%T: Write of the wire pin's records differs from the pin", src)
+		}
+	}
+}
+
+// TestWriteRejectsMiscount: a header is written before the records, so
+// a source yielding more or fewer records than its Len promised fails.
+func TestWriteRejectsMiscount(t *testing.T) {
+	ins := synthInsts(rand.New(rand.NewSource(5)), 2*DefaultBatchCapacity)
+	for _, n := range []int{0, 1, len(ins) - 1, len(ins) + 1} {
+		src := &lenSource{nextOnly{NewSliceSource("lie", ins)}, n}
+		if _, err := Write(io.Discard, src); err == nil {
+			t.Errorf("Len %d over %d records: Write succeeded", n, len(ins))
+		}
+	}
+}
+
+// TestWriteMemoryFlat: Write streams, so neither its allocation count
+// nor its allocated bytes grow with the trace (Collect would take 32 B
+// per record). MemStats counts the whole process, so each figure is the
+// least of five writes, which drops a runtime allocation landing in one.
+func TestWriteMemoryFlat(t *testing.T) {
+	measure := func(src Source) (mallocs, allocated uint64) {
+		mallocs, allocated = math.MaxUint64, math.MaxUint64
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Write(io.Discard, src); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+			allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+		}
+		return mallocs, allocated
+	}
+	short := synthInsts(rand.New(rand.NewSource(1)), 2*DefaultBatchCapacity)
+	long := synthInsts(rand.New(rand.NewSource(2)), 64*DefaultBatchCapacity)
+	shorts, longs := writeSources(t, "short", short), writeSources(t, "long", long)
+	for i := range shorts {
+		sa, sb := measure(shorts[i])
+		la, lb := measure(longs[i])
+		if la > sa || lb > sb+sb/4 {
+			t.Errorf("%T: %d records take %d allocs / %d B, %d records %d / %d B",
+				shorts[i], len(short), sa, sb, len(long), la, lb)
 		}
 	}
 }
