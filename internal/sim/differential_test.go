@@ -11,6 +11,7 @@ import (
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/engine"
 	"bulkpreload/internal/fault"
+	"bulkpreload/internal/trace"
 	"bulkpreload/internal/workload"
 )
 
@@ -170,20 +171,91 @@ func TestVerifyDifferential(t *testing.T) {
 }
 
 // TestDifferentialGateAcrossConfigs runs a reduced profile set under
-// every Table 3 configuration — the oracle must hold for baseline and
-// large-BTB1 geometries, not just the shipping two-level design.
+// every configuration a production caller schedules: the three Table 3
+// configurations, every Ablations variant, the Section 6 miss modes and
+// geometries, Figure 3's finite L2 under configurations 1 and 2, and
+// preload-hinted profiles; plus the sharing study's interleaved mix and
+// the Table 1 kernels without warmup. The oracle must hold for each,
+// not just the shipping two-level design.
 func TestDifferentialGateAcrossConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential gate in -short mode")
 	}
 	params := engine.DefaultParams()
 	params.WarmupInstructions = 3_000
+	hw := params
+	hw.FiniteL2 = true
+	btb2 := func(mutate func(*core.Config)) core.Config {
+		cfg := core.DefaultConfig()
+		mutate(&cfg)
+		return cfg
+	}
+	configs := []struct {
+		name   string
+		cfg    core.Config
+		params engine.Params
+		hints  bool
+	}{
+		{ConfigNoBTB2, core.OneLevelConfig(), params, false},
+		{ConfigBTB2, core.DefaultConfig(), params, false},
+		{ConfigLargeL1, core.LargeOneLevelConfig(), params, false},
+		{"no-steering", btb2(func(c *core.Config) { c.UseSteering = false }), params, false},
+		{"no-icache-filter", btb2(func(c *core.Config) { c.Tracker.FilterByICache = false }), params, false},
+		{"true-exclusive", btb2(func(c *core.Config) { c.Policy = core.TrueExclusive }), params, false},
+		{"inclusive", btb2(func(c *core.Config) { c.Policy = core.Inclusive }), params, false},
+		{"install-not-taken", btb2(func(c *core.Config) { c.InstallNotTaken = true }), params, false},
+		{"btbp-bypass", btb2(func(c *core.Config) { c.BypassBTBP = true }), params, false},
+		{"multi-block", btb2(func(c *core.Config) { c.MultiBlockTransfer = true }), params, false},
+		{"miss-decode-surprise", btb2(func(c *core.Config) { c.MissMode = core.MissDecodeSurprise }), params, false},
+		{"miss-both", btb2(func(c *core.Config) { c.MissMode = core.MissBoth }), params, false},
+		{"btb2-128B-rows", btb2(func(c *core.Config) { c.BTB2 = BTB2RowGeometry(128) }), params, false},
+		{"btbp-2way", btb2(func(c *core.Config) { c.BTBP = BTBPGeometry(2) }), params, false},
+		{ConfigNoBTB2 + "/finite-l2", core.OneLevelConfig(), hw, false},
+		{ConfigBTB2 + "/finite-l2", core.DefaultConfig(), hw, false},
+		{ConfigNoBTB2 + "/hints", core.OneLevelConfig(), params, true},
+		{ConfigBTB2 + "/hints", core.DefaultConfig(), params, true},
+	}
 	profiles := workload.Table4Profiles(15_000)[:4]
 	var units []Unit
 	for _, p := range profiles {
-		for _, name := range []string{ConfigNoBTB2, ConfigBTB2, ConfigLargeL1} {
-			units = append(units, ProfileUnit(p, Table3()[name], params, name))
+		for _, c := range configs {
+			pp := p
+			pp.PreloadHints = c.hints
+			units = append(units, ProfileUnit(pp, c.cfg, c.params, c.name))
 		}
+	}
+	// The sharing study's time-sliced mix: an InterleaveSource is no
+	// trace.Batcher, so the batched path drains it record by record.
+	a, b := profiles[0], profiles[1]
+	for _, name := range []string{ConfigNoBTB2, ConfigBTB2} {
+		units = append(units, Unit{
+			Label: "mix/" + name,
+			NewSource: func() trace.Source {
+				return trace.NewInterleaveSource(2_000, workload.New(a), workload.New(b))
+			},
+			Config:     Table3()[name],
+			Params:     params,
+			ConfigName: name,
+		})
+	}
+	// Table 1's directed kernels: in-memory SliceSources, no warmup.
+	cold := params
+	cold.WarmupInstructions = 0
+	for _, k := range []func() *trace.SliceSource{
+		func() *trace.SliceSource { return workload.KernelSingleTakenLoop(20_000) },
+		func() *trace.SliceSource { return workload.KernelTakenChain(8, 2_000) },
+		func() *trace.SliceSource { return workload.KernelTakenChain(200, 80) },
+		func() *trace.SliceSource { return workload.KernelNotTakenRun(8, 500) },
+		func() *trace.SliceSource { return workload.KernelBranchlessRun(4096, 40) },
+	} {
+		src := k()
+		units = append(units, Unit{
+			Label:      src.Name() + "/" + ConfigNoBTB2,
+			NewSource:  func() trace.Source { return k() },
+			Config:     core.OneLevelConfig(),
+			Params:     cold,
+			ConfigName: ConfigNoBTB2,
+		})
 	}
 	mismatches, err := VerifyDifferential(context.Background(), 0, units)
 	if err != nil {
