@@ -133,7 +133,10 @@ func BenchmarkFig2CPIImprovement(b *testing.B) {
 		b.Run(p.Name, func(b *testing.B) {
 			var c sim.Comparison
 			for i := 0; i < b.N; i++ {
-				c = sim.Compare(workload.New(p), benchParams())
+				var err error
+				if c, err = sim.Compare(workload.New(p), benchParams()); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(c.BTB2Improvement(), "btb2-improvement-pct")
 			b.ReportMetric(c.LargeImprovement(), "large-btb1-improvement-pct")
@@ -344,7 +347,9 @@ func BenchmarkPreloadInstructions(b *testing.B) {
 	}
 	var pts []sim.SweepPoint
 	for i := 0; i < b.N; i++ {
-		pts = sim.PreloadStudy(prof, benchParams())
+		if pts, err = sim.PreloadStudy(prof, benchParams()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, p := range pts {
 		b.ReportMetric(p.Improvement, fmt.Sprintf("pt%d-pct", int(p.Value)))
@@ -362,7 +367,9 @@ func BenchmarkSharingInterference(b *testing.B) {
 	}
 	var r sim.SharingResult
 	for i := 0; i < b.N; i++ {
-		r = sim.SharingStudy(a, c, 20_000, core.DefaultConfig(), benchParams(), "bench")
+		if r, err = sim.SharingStudy(a, c, 20_000, core.DefaultConfig(), benchParams(), "bench"); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(r.InterferencePct, "interference-pct")
 }

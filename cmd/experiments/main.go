@@ -176,21 +176,20 @@ func table1(int) {
 	fmt.Println("Table 1. First level search pipeline throughput (directed kernels)")
 	params := engine.DefaultParams()
 	params.WarmupInstructions = 0
-	type row struct {
-		name string
-		src  trace.Source
+	kernel := func(name string, src *trace.SliceSource) sim.Unit {
+		return sim.Unit{Label: name, NewSource: func() trace.Source { return src },
+			Config: core.OneLevelConfig(), Params: params, ConfigName: "t1"}
 	}
-	rows := []row{
-		{"single taken loop (1 pred/cycle peak)", workload.KernelSingleTakenLoop(20_000)},
-		{"taken chain, 8 sites (FIT regime)", workload.KernelTakenChain(8, 2_000)},
-		{"taken chain, 200 sites (MRU regime)", workload.KernelTakenChain(200, 80)},
-		{"not-taken pairs (2 per 5 cycles)", workload.KernelNotTakenRun(8, 500)},
-		{"branchless run (16 B/cycle search)", workload.KernelBranchlessRun(4096, 40)},
+	units := []sim.Unit{
+		kernel("single taken loop (1 pred/cycle peak)", workload.KernelSingleTakenLoop(20_000)),
+		kernel("taken chain, 8 sites (FIT regime)", workload.KernelTakenChain(8, 2_000)),
+		kernel("taken chain, 200 sites (MRU regime)", workload.KernelTakenChain(200, 80)),
+		kernel("not-taken pairs (2 per 5 cycles)", workload.KernelNotTakenRun(8, 500)),
+		kernel("branchless run (16 B/cycle search)", workload.KernelBranchlessRun(4096, 40)),
 	}
-	for _, r := range rows {
-		res := engine.Run(r.src, core.OneLevelConfig(), params, "t1")
+	for i, res := range must(sim.RunUnits(context.Background(), 0, units)) {
 		fmt.Printf("  %-42s CPI %6.3f, %5.1f%% branches, %5.2f%% bad\n",
-			r.name, res.CPI(), 100*float64(res.Outcomes.Total())/float64(res.Instructions),
+			units[i].Label, res.CPI(), 100*float64(res.Outcomes.Total())/float64(res.Instructions),
 			100*res.Outcomes.BadRate())
 	}
 	tp := predictor.DefaultThroughput
@@ -292,11 +291,12 @@ func fig4(insts int) {
 	if err != nil {
 		panic(err)
 	}
-	src := workload.New(p)
 	params := engine.DefaultParams()
-	without := engine.Run(src, core.OneLevelConfig(), params, sim.ConfigNoBTB2)
-	with := engine.Run(src, core.DefaultConfig(), params, sim.ConfigBTB2)
-	report.Figure4(os.Stdout, p.Name, without, with)
+	res := must(sim.RunUnits(context.Background(), 0, []sim.Unit{
+		sim.ProfileUnit(p, core.OneLevelConfig(), params, sim.ConfigNoBTB2),
+		sim.ProfileUnit(p, core.DefaultConfig(), params, sim.ConfigBTB2),
+	}))
+	report.Figure4(os.Stdout, p.Name, res[0], res[1])
 }
 
 // sweepProfiles picks a representative subset for the parameter sweeps
@@ -356,7 +356,7 @@ func preloadStudy(insts int) {
 	if err != nil {
 		panic(err)
 	}
-	pts := sim.PreloadStudy(prof, engine.DefaultParams())
+	pts := must(sim.PreloadStudy(prof, engine.DefaultParams()))
 	report.Sweep(os.Stdout,
 		"Branch preload instructions (sec. 3.1) vs hardware bulk preload (gain vs config 1)", pts)
 }
@@ -386,7 +386,7 @@ func sharing(insts int) {
 		{"config 2 (BTB2)", core.DefaultConfig()},
 	} {
 		name, cfg := c.name, c.cfg
-		r := sim.SharingStudy(a, b, quantum, cfg, params, name)
+		r := must(sim.SharingStudy(a, b, quantum, cfg, params, name))
 		fmt.Printf("  %-20s solo CPI %.4f, mixed CPI %.4f, interference %+.2f%%\n",
 			name, r.SoloCPI, r.MixedCPI, r.InterferencePct)
 	}
@@ -462,8 +462,12 @@ func areaStudy(insts int) {
 		panic(err)
 	}
 	fmt.Println("  dynamic BTB energy on zos-daytrader-dbserv:")
-	for _, pt := range points {
-		res := engine.Run(workload.New(prof), pt.cfg, engine.DefaultParams(), pt.name)
+	units := make([]sim.Unit, len(points))
+	for i, pt := range points {
+		units[i] = sim.ProfileUnit(prof, pt.cfg, engine.DefaultParams(), pt.name)
+	}
+	for i, res := range must(sim.RunUnits(context.Background(), 0, units)) {
+		pt := points[i]
 		e := area.EstimateEnergy(pt.cfg, res.Metrics, pt.tech, res.Cycles)
 		fmt.Printf("  %-32s %8.1f uJ (dyn %5.1f + leak %5.1f), %6.2f nJ/1k-insts, CPI %.4f\n",
 			pt.name, e.TotalPJ()/1e6, e.DynamicPJ()/1e6, e.StaticPJ()/1e6,

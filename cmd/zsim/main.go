@@ -320,12 +320,13 @@ func main() {
 		fmt.Printf("resuming %s from %d instructions\n", ck.Trace, ck.Instructions)
 		from = ck
 	}
-	if from == nil && *spansPath != "" {
-		// Route the run through the traced batched scheduler: the span
-		// tree covers scheduling, the engine phases and batches, and (with
-		// -stream) the decoder refills. Results stay bit-identical to the
-		// untraced pipeline — the sim package's differential gate pins it.
-		spanTrace = span.NewTrace()
+	if from == nil {
+		// A fresh run is one unit on the scheduler. With -spans it is
+		// traced: the span tree covers scheduling, the engine phases and
+		// batches, and (with -stream) the decoder refills.
+		if *spansPath != "" {
+			spanTrace = span.NewTrace()
+		}
 		unit := sim.Unit{
 			Label:      src.Name() + "/" + *config,
 			NewSource:  func() trace.Source { return src },
@@ -414,17 +415,11 @@ func reconcile(what string, counts [core.NumEventKinds]int64, final *obs.Snapsho
 	}
 }
 
-// compareConfigs runs the three Table 3 configurations. workers == 1
-// without tracing uses the serial path directly on src; any other
-// combination fans the three runs across the work-stealing scheduler,
-// each run reading src or a fork of it, so the trace is never
-// materialized (bit-identical results either way — the differential
-// gate in internal/sim pins that). A non-nil tr collects the span
+// compareConfigs runs the three Table 3 configurations across the
+// work-stealing scheduler, each run reading src or a fork of it, so the
+// trace is never materialized twice. A non-nil tr collects the span
 // hierarchy of the scheduled runs. path is the -file argument.
 func compareConfigs(src trace.Source, path string, params engine.Params, workers int, tr *span.Trace) sim.Comparison {
-	if workers == 1 && tr == nil {
-		return sim.Compare(src, params)
-	}
 	srcs := []trace.Source{src}
 	for len(srcs) < 3 {
 		fork, err := forkSource(src, path)

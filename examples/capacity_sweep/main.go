@@ -6,11 +6,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/engine"
+	"bulkpreload/internal/sim"
 	"bulkpreload/internal/workload"
 )
 
@@ -19,7 +21,10 @@ func main() {
 	fmt.Printf("%10s %12s %12s %10s\n", "branches", "CPI(1-level)", "CPI(2-level)", "gain")
 	params := engine.DefaultParams()
 	params.WarmupInstructions = 60_000
-	for _, unique := range []int{2_000, 4_000, 8_000, 16_000, 32_000, 64_000} {
+	sizes := []int{2_000, 4_000, 8_000, 16_000, 32_000, 64_000}
+	// Every size under both configurations: one pool, 12 units.
+	var units []sim.Unit
+	for _, unique := range sizes {
 		p := workload.Profile{
 			Name:                fmt.Sprintf("sweep-%d", unique),
 			UniqueBranches:      unique,
@@ -30,9 +35,16 @@ func main() {
 			CallsPerTransaction: 8,
 			Seed:                int64(unique),
 		}
-		src := workload.New(p)
-		base := engine.Run(src, core.OneLevelConfig(), params, "no-btb2")
-		two := engine.Run(src, core.DefaultConfig(), params, "btb2")
+		units = append(units,
+			sim.ProfileUnit(p, core.OneLevelConfig(), params, "no-btb2"),
+			sim.ProfileUnit(p, core.DefaultConfig(), params, "btb2"))
+	}
+	res, err := sim.RunUnits(context.Background(), 0, units)
+	if err != nil {
+		panic(err)
+	}
+	for i, unique := range sizes {
+		base, two := res[2*i], res[2*i+1]
 		gain := two.Improvement(base)
 		bar := ""
 		if gain > 0 {

@@ -20,7 +20,10 @@ func main() {
 		panic(err)
 	}
 	src := workload.New(profile)
-	c := sim.Compare(src, engine.DefaultParams())
+	c, err := sim.Compare(src, engine.DefaultParams())
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println("DayTrader DBServ (z/OS), the paper's maximum-benefit trace")
 	fmt.Printf("  CPI: no BTB2 %.4f | BTB2 %.4f | 24k BTB1 %.4f\n",

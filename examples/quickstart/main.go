@@ -5,10 +5,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/engine"
+	"bulkpreload/internal/sim"
 	"bulkpreload/internal/workload"
 )
 
@@ -25,14 +27,20 @@ func main() {
 		CallsPerTransaction: 8,
 		Seed:                1,
 	}
-	src := workload.New(profile)
 	params := engine.DefaultParams()
 
-	// Configuration 1: one-level predictor (4k BTB1 + 768 BTBP).
-	base := engine.Run(src, core.OneLevelConfig(), params, "no-btb2")
-	// Configuration 2: the same first level backed by the 24k BTB2 with
-	// bulk preload, search trackers, and steering.
-	twoLevel := engine.Run(src, core.DefaultConfig(), params, "btb2")
+	// Both runs go to the worker pool as independent units.
+	res, err := sim.RunUnits(context.Background(), 0, []sim.Unit{
+		// Configuration 1: one-level predictor (4k BTB1 + 768 BTBP).
+		sim.ProfileUnit(profile, core.OneLevelConfig(), params, "no-btb2"),
+		// Configuration 2: the same first level backed by the 24k BTB2
+		// with bulk preload, search trackers, and steering.
+		sim.ProfileUnit(profile, core.DefaultConfig(), params, "btb2"),
+	})
+	if err != nil {
+		panic(err)
+	}
+	base, twoLevel := res[0], res[1]
 
 	fmt.Printf("workload:               %s (%d instructions)\n", profile.Name, base.Instructions)
 	fmt.Printf("one-level CPI:          %.4f  (%.1f%% bad branch outcomes)\n",

@@ -6,11 +6,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"bulkpreload/internal/area"
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/engine"
+	"bulkpreload/internal/sim"
 	"bulkpreload/internal/workload"
 )
 
@@ -31,16 +33,25 @@ func main() {
 		{"one-level 24k SRAM BTB1", core.LargeOneLevelConfig(), area.SRAM},
 	}
 
-	base := engine.Run(workload.New(prof), core.OneLevelConfig(), engine.DefaultParams(), "base")
+	// The one-level baseline, then every design point: one pool.
+	units := []sim.Unit{sim.ProfileUnit(prof, core.OneLevelConfig(), engine.DefaultParams(), "base")}
+	for _, d := range designs {
+		units = append(units, sim.ProfileUnit(prof, d.cfg, engine.DefaultParams(), d.name))
+	}
+	res, err := sim.RunUnits(context.Background(), 0, units)
+	if err != nil {
+		panic(err)
+	}
+	base := res[0]
 
 	fmt.Println("design point                     | gain    | mm^2   | preds/mm^2 | BTB energy")
 	fmt.Println("---------------------------------+---------+--------+------------+-----------")
-	for _, d := range designs {
-		res := engine.Run(workload.New(prof), d.cfg, engine.DefaultParams(), d.name)
+	for i, d := range designs {
+		r := res[i+1]
 		ar := area.Analyze(d.cfg, d.tech)
-		en := area.EstimateEnergy(d.cfg, res.Metrics, d.tech, res.Cycles)
+		en := area.EstimateEnergy(d.cfg, r.Metrics, d.tech, r.Cycles)
 		fmt.Printf("%-33s| %+5.2f%%  | %6.3f | %10.0f | %6.1f uJ\n",
-			d.name, res.Improvement(base), ar.TotalMm2, ar.PredictionsPerMm2,
+			d.name, r.Improvement(base), ar.TotalMm2, ar.PredictionsPerMm2,
 			en.TotalPJ()/1e6)
 	}
 	fmt.Println("\nThe eDRAM second level keeps the two-level design's performance")

@@ -61,7 +61,10 @@ func TestTraceFileSimulationEquivalence(t *testing.T) {
 func TestFullComparisonPipeline(t *testing.T) {
 	params := engine.DefaultParams()
 	params.WarmupInstructions = 20_000
-	c := sim.Compare(workload.New(integrationProfile()), params)
+	c, err := sim.Compare(workload.New(integrationProfile()), params)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Capacity-bound workload: the enhanced configurations beat the
 	// baseline.

@@ -257,15 +257,17 @@ func (e *Engine) snapshot() {
 // Hierarchy exposes the predictor under test (diagnostics).
 func (e *Engine) Hierarchy() *core.Hierarchy { return e.hier }
 
-// BatchPathCounts reports how many records of the current batched run
-// took the bulk fast path vs the per-record slow path. Both are zero
-// for serial (Run) executions; the sum equals the raw record count
-// before warmup subtraction.
+// BatchPathCounts reports how many records of the last RunBatched run
+// took the bulk fast path vs the per-record slow path; the sum equals
+// the raw record count before warmup subtraction. Both are zero after
+// a run of the Run oracle.
 func (e *Engine) BatchPathCounts() (bulk, slow int64) { return e.bulkRecords, e.slowRecords }
 
-// Run simulates src to completion under configName and returns the
-// result. The engine state is reset first, so one Engine can run several
-// traces sequentially (each from power-on state).
+// Run is the serial record-at-a-time oracle; production runs use
+// RunBatched through sim.RunUnits. It simulates src to completion under
+// configName, one src.Next record per step, and returns the result. The
+// engine state is reset first, so one Engine can run several traces
+// sequentially (each from power-on state).
 func (e *Engine) Run(src trace.Source, configName string) Result {
 	e.reset()
 	src.Reset()
@@ -690,8 +692,9 @@ func (e *Engine) restart(in trace.Inst) {
 	e.lastNTValid = false
 }
 
-// Run is the package-level convenience: build an engine and run one
-// trace.
+// Run is the serial record-at-a-time oracle; production runs use
+// RunBatched through sim.RunUnits. It builds an engine and runs one
+// trace through (*Engine).Run.
 func Run(src trace.Source, hcfg core.Config, params Params, configName string) Result {
 	return New(hcfg, params).Run(src, configName)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"bulkpreload/internal/btb"
@@ -38,81 +39,36 @@ func BTB2RowGeometry(rowBytes int) btb.Config {
 // utilization) but can overflow when a sequential code stream carries
 // more than 6 ever-taken branches per row.
 func SweepRowCoverage(profiles []workload.Profile, params engine.Params, widths []int) ([]SweepPoint, error) {
-	variants := make([]core.Config, len(widths))
-	for i, w := range widths {
-		cfg := core.DefaultConfig()
-		cfg.BTB2 = BTB2RowGeometry(w)
-		variants[i] = cfg
-	}
-	imps, err := averageImprovements(profiles, params, core.OneLevelConfig(), variants)
-	out := make([]SweepPoint, 0, len(widths))
-	for i, w := range widths {
-		out = append(out, SweepPoint{
-			Label:       fmt.Sprintf("%dB rows (%d reads/block)", w, 4096/w),
-			Value:       float64(w),
-			Improvement: imps[i],
-			Shipping:    w == 32,
+	return sweep(profiles, params, widths,
+		func(c *core.Config, w int) { c.BTB2 = BTB2RowGeometry(w) },
+		func(w int) SweepPoint {
+			return SweepPoint{Label: fmt.Sprintf("%dB rows (%d reads/block)", w, 4096/w),
+				Value: float64(w), Shipping: w == 32}
 		})
-	}
-	return out, err
 }
 
 // SweepMissMode compares the Section 3.4 / Section 6 miss-definition
 // alternatives: early-speculative, late-precise (decode surprise), and
 // their combination.
 func SweepMissMode(profiles []workload.Profile, params engine.Params) ([]SweepPoint, error) {
-	modes := []core.MissMode{core.MissSpeculative, core.MissDecodeSurprise, core.MissBoth}
-	variants := make([]core.Config, len(modes))
-	for i, m := range modes {
-		cfg := core.DefaultConfig()
-		cfg.MissMode = m
-		variants[i] = cfg
-	}
-	imps, err := averageImprovements(profiles, params, core.OneLevelConfig(), variants)
-	out := make([]SweepPoint, 0, len(modes))
-	for i, m := range modes {
-		out = append(out, SweepPoint{
-			Label:       m.String(),
-			Value:       float64(m),
-			Improvement: imps[i],
-			Shipping:    m == core.MissSpeculative,
+	return sweep(profiles, params, []core.MissMode{core.MissSpeculative, core.MissDecodeSurprise, core.MissBoth},
+		func(c *core.Config, m core.MissMode) { c.MissMode = m },
+		func(m core.MissMode) SweepPoint {
+			return SweepPoint{Label: m.String(), Value: float64(m), Shipping: m == core.MissSpeculative}
 		})
-	}
-	return out, err
 }
 
 // MultiBlockStudy measures the bounded multi-block transfer extension
 // against the shipping single-block design.
 func MultiBlockStudy(profiles []workload.Profile, params engine.Params) ([]SweepPoint, error) {
-	settings := []bool{false, true}
-	variants := make([]core.Config, len(settings))
-	for i, on := range settings {
-		cfg := core.DefaultConfig()
-		cfg.MultiBlockTransfer = on
-		variants[i] = cfg
-	}
-	imps, err := averageImprovements(profiles, params, core.OneLevelConfig(), variants)
-	out := make([]SweepPoint, 0, len(settings))
-	for i, on := range settings {
-		label := "single-block (shipping)"
-		if on {
-			label = "multi-block chase"
-		}
-		out = append(out, SweepPoint{
-			Label:       label,
-			Value:       b2f(on),
-			Improvement: imps[i],
-			Shipping:    !on,
+	return sweep(profiles, params, []bool{false, true},
+		func(c *core.Config, on bool) { c.MultiBlockTransfer = on },
+		func(on bool) SweepPoint {
+			if on {
+				return SweepPoint{Label: "multi-block chase", Value: 1}
+			}
+			return SweepPoint{Label: "single-block (shipping)", Value: 0, Shipping: true}
 		})
-	}
-	return out, err
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // PreloadStudy compares the software branch-preload facility (BPP-style
@@ -124,13 +80,15 @@ func b2f(b bool) float64 {
 //	                dispatch slots, so their overhead is included)
 //	hw-btb2       — config 2, no hints
 //	sw+hw         — config 2, hinted trace
-func PreloadStudy(profile workload.Profile, params engine.Params) []SweepPoint {
+//
+// A failed run zeroes its point (or, for the base run, every point) and
+// is reported in the returned error.
+func PreloadStudy(profile workload.Profile, params engine.Params) ([]SweepPoint, error) {
 	plain := profile
 	plain.PreloadHints = false
 	hinted := profile
 	hinted.PreloadHints = true
 
-	base := engine.Run(workload.New(plain), core.OneLevelConfig(), params, "base")
 	rows := []struct {
 		label string
 		prof  workload.Profile
@@ -141,17 +99,21 @@ func PreloadStudy(profile workload.Profile, params engine.Params) []SweepPoint {
 		{"hw bulk preload (config 2)", plain, core.DefaultConfig(), true},
 		{"sw + hw combined (config 2 + hints)", hinted, core.DefaultConfig(), false},
 	}
-	var out []SweepPoint
+	units := []Unit{ProfileUnit(plain, core.OneLevelConfig(), params, "base")}
+	for _, r := range rows {
+		units = append(units, ProfileUnit(r.prof, r.cfg, params, r.label))
+	}
+	res, err := RunUnits(context.Background(), 0, units)
+	out := make([]SweepPoint, 0, len(rows))
 	for i, r := range rows {
-		res := engine.Run(workload.New(r.prof), r.cfg, params, r.label)
 		out = append(out, SweepPoint{
 			Label:       r.label,
 			Value:       float64(i),
-			Improvement: res.Improvement(base),
+			Improvement: res[i+1].Improvement(res[0]),
 			Shipping:    r.ship,
 		})
 	}
-	return out
+	return out, err
 }
 
 // SharingResult quantifies multiprogramming interference in the branch
@@ -171,24 +133,35 @@ type SharingResult struct {
 
 // SharingStudy runs two workloads alone and time-sliced (quantum
 // instructions per slice) under one configuration, returning the
-// interference measurement.
+// interference measurement. The three runs are units of one
+// worker-pool invocation; a failed run is reported in the returned
+// error.
 func SharingStudy(a, b workload.Profile, quantum int, cfg core.Config,
-	params engine.Params, name string) SharingResult {
-	ra := engine.Run(workload.New(a), cfg, params, name)
-	rb := engine.Run(workload.New(b), cfg, params, name)
+	params engine.Params, name string) (SharingResult, error) {
+	res, err := RunUnits(context.Background(), 0, []Unit{
+		ProfileUnit(a, cfg, params, name),
+		ProfileUnit(b, cfg, params, name),
+		{
+			Label: a.Name + "+" + b.Name + "/" + name,
+			NewSource: func() trace.Source {
+				return trace.NewInterleaveSource(quantum, workload.New(a), workload.New(b))
+			},
+			Config:     cfg,
+			Params:     params,
+			ConfigName: name,
+		},
+	})
+	ra, rb, rm := res[0], res[1], res[2]
 	soloCycles := ra.Cycles + rb.Cycles
 	soloInsts := float64(ra.Instructions + rb.Instructions)
 
-	mix := trace.NewInterleaveSource(quantum, workload.New(a), workload.New(b))
-	rm := engine.Run(mix, cfg, params, name)
-
-	res := SharingResult{
+	out := SharingResult{
 		Name:     name,
 		SoloCPI:  soloCycles / soloInsts,
 		MixedCPI: rm.CPI(),
 	}
-	res.InterferencePct = 100 * (res.MixedCPI - res.SoloCPI) / res.SoloCPI
-	return res
+	out.InterferencePct = 100 * (out.MixedCPI - out.SoloCPI) / out.SoloCPI
+	return out, err
 }
 
 // BTBPGeometry builds a BTBP btb.Config with the given ways at the
@@ -228,21 +201,9 @@ func SweepBTBPSize(profiles []workload.Profile, params engine.Params, ways []int
 // latency class of Figure 4 ("due to latency for writing surprise
 // branches into the prediction tables") scales with it.
 func SweepInstallDelay(profiles []workload.Profile, params engine.Params, delays []uint64) ([]SweepPoint, error) {
-	variants := make([]core.Config, len(delays))
-	for i, d := range delays {
-		cfg := core.DefaultConfig()
-		cfg.SurpriseInstallDelay = d
-		variants[i] = cfg
-	}
-	imps, err := averageImprovements(profiles, params, core.OneLevelConfig(), variants)
-	out := make([]SweepPoint, 0, len(delays))
-	for i, d := range delays {
-		out = append(out, SweepPoint{
-			Label:       fmt.Sprintf("%d cycles", d),
-			Value:       float64(d),
-			Improvement: imps[i],
-			Shipping:    d == 24,
+	return sweep(profiles, params, delays,
+		func(c *core.Config, d uint64) { c.SurpriseInstallDelay = d },
+		func(d uint64) SweepPoint {
+			return SweepPoint{Label: fmt.Sprintf("%d cycles", d), Value: float64(d), Shipping: d == 24}
 		})
-	}
-	return out, err
 }

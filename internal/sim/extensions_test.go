@@ -120,7 +120,10 @@ func TestPreloadStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("study in -short mode")
 	}
-	pts := PreloadStudy(quickProfile(), quickParams())
+	pts, err := PreloadStudy(quickProfile(), quickParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -160,7 +163,10 @@ func TestSharingStudy(t *testing.T) {
 	b := quickProfile()
 	b.Name = "sim-test-b"
 	b.Seed = 777
-	r := SharingStudy(a, b, 10_000, core.OneLevelConfig(), quickParams(), "share")
+	r, err := SharingStudy(a, b, 10_000, core.OneLevelConfig(), quickParams(), "share")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.SoloCPI <= 0 || r.MixedCPI <= 0 {
 		t.Fatalf("CPIs not positive: %+v", r)
 	}

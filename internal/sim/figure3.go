@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/engine"
 	"bulkpreload/internal/workload"
@@ -21,55 +23,62 @@ type HardwareResult struct {
 
 // Figure3 reproduces the hardware study: WASDB+CBW2 on one core, and Web
 // CICS/DB2 on four cores (four independent per-core instances with
-// distinct seeds, aggregated by total cycles — system throughput).
+// distinct seeds, aggregated by total cycles — system throughput). All
+// 20 runs are units of one worker-pool invocation; a failed unit
+// zeroes the gains it feeds and is reported in the returned error.
 func Figure3(instructions int, params engine.Params) ([]HardwareResult, error) {
 	hw := params
 	hw.FiniteL2 = true
-
-	var out []HardwareResult
 
 	// Single-core WASDB+CBW2.
 	wasdb, err := workload.ByName("zos-lspr-wasdb-cbw2", instructions)
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, HardwareResult{
-		Name:         "WASDB+CBW2 (1 core)",
-		Cores:        1,
-		SimGain:      gainOn([]workload.Profile{wasdb}, params),
-		HardwareGain: gainOn([]workload.Profile{wasdb}, hw),
-	})
-
 	// Four-core Web CICS/DB2: four per-core instances, distinct seeds.
 	base, err := workload.ByName("zos-lspr-cicsdb2", instructions)
 	if err != nil {
-		return out, err
+		return nil, err
 	}
-	var cores []workload.Profile
-	for i := 0; i < 4; i++ {
-		p := base
-		p.Name = "web-cicsdb2-core" + string(rune('0'+i))
-		p.Seed = base.Seed + int64(100*(i+1))
-		cores = append(cores, p)
+	cores := make([]workload.Profile, 4)
+	for i := range cores {
+		cores[i] = base
+		cores[i].Name = "web-cicsdb2-core" + string(rune('0'+i))
+		cores[i].Seed = base.Seed + int64(100*(i+1))
 	}
-	out = append(out, HardwareResult{
-		Name:         "Web CICS/DB2 (4 cores)",
-		Cores:        4,
-		SimGain:      gainOn(cores, params),
-		HardwareGain: gainOn(cores, hw),
-	})
-	return out, nil
+
+	// Per study, the simulation-mode runs then the hardware-mode runs:
+	// config 1 and config 2 on every core.
+	var units []Unit
+	for _, profiles := range [][]workload.Profile{{wasdb}, cores} {
+		for _, pp := range []engine.Params{params, hw} {
+			for _, p := range profiles {
+				units = append(units,
+					ProfileUnit(p, core.OneLevelConfig(), pp, ConfigNoBTB2),
+					ProfileUnit(p, core.DefaultConfig(), pp, ConfigBTB2))
+			}
+		}
+	}
+	res, err := RunUnits(context.Background(), 0, units)
+	out := []HardwareResult{
+		{Name: "WASDB+CBW2 (1 core)", Cores: 1},
+		{Name: "Web CICS/DB2 (4 cores)", Cores: len(cores)},
+	}
+	for i := range out {
+		n := 2 * out[i].Cores
+		out[i].SimGain, out[i].HardwareGain = gainOn(res[:n]), gainOn(res[n:2*n])
+		res = res[2*n:]
+	}
+	return out, err
 }
 
-// gainOn runs config 1 and config 2 across all profiles (one engine
-// instance per profile = per core) and returns the aggregate-throughput
-// improvement: total cycles summed across cores.
-func gainOn(profiles []workload.Profile, params engine.Params) float64 {
+// gainOn takes (config 1, config 2) result pairs, one pair per core,
+// and returns the aggregate-throughput improvement: total cycles summed
+// across cores.
+func gainOn(res []engine.Result) float64 {
 	var baseCycles, btb2Cycles, baseInsts, btb2Insts float64
-	for _, p := range profiles {
-		src := workload.New(p)
-		b := engine.Run(src, core.OneLevelConfig(), params, ConfigNoBTB2)
-		v := engine.Run(src, core.DefaultConfig(), params, ConfigBTB2)
+	for i := 0; i+1 < len(res); i += 2 {
+		b, v := res[i], res[i+1]
 		baseCycles += b.Cycles
 		btb2Cycles += v.Cycles
 		baseInsts += float64(b.Instructions)

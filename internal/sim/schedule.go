@@ -51,9 +51,11 @@ func ProfileUnit(p workload.Profile, cfg core.Config, params engine.Params, conf
 
 // RunUnitsSerial is the serial oracle: every unit runs in index order,
 // on the calling goroutine, through the engine's record-at-a-time Run
-// loop. It is deliberately boring — the differential gate trusts it.
-// A panicking unit leaves its Result zero-valued and is reported in the
-// returned error; later units still run.
+// loop. It is deliberately boring — the differential gate, perfstat and
+// tests trust it, and no production path calls it: studies, zsim,
+// zsimd and the examples all run on RunUnits. A panicking unit leaves
+// its Result zero-valued and is reported in the returned error; later
+// units still run.
 func RunUnitsSerial(units []Unit) ([]engine.Result, error) {
 	out := make([]engine.Result, len(units))
 	var errs []error
@@ -272,41 +274,6 @@ func RunUnitsTraced(ctx context.Context, workers int, units []Unit, tr *span.Tra
 		study.EndArgs(int64(n), int64(stats.Workers))
 		tr.Adopt(srec)
 		stats.WallNanos = wallElapsed(wall0)
-	}
-
-	if workers == 1 {
-		// Degenerate pool: same batched path, calling goroutine, no
-		// queues to steal from. This is the workers=1 leg of the
-		// deterministic-interleaving tests.
-		w := &schedWorker{}
-		reg := w.registry()
-		wrec := tr.NewRecorder(1)
-		ws := wrec.Start(span.KindWorker, "worker", study.ID())
-		for i := range units {
-			if err := ctx.Err(); err != nil {
-				report(fmt.Errorf("sim: canceled before unit %d (%s): %w", i, units[i].Label, err))
-				continue
-			}
-			w.queueDepth.Observe(int64(n - 1 - i))
-			us := wrec.Start(span.KindUnit, units[i].Label, ws.ID())
-			t0 := wallStart()
-			bulk, slow, err := runOneUnit(&units[i], &out[i], i, true, wrec, us.ID())
-			w.busyNanos.Add(wallElapsed(t0))
-			us.EndArgs(out[i].Instructions, 0)
-			if err != nil {
-				report(err)
-				continue
-			}
-			w.unitsRun.Inc()
-			w.instructions.Add(out[i].Instructions)
-			w.bulkRecords.Add(bulk)
-			w.slowRecords.Add(slow)
-		}
-		ws.EndArgs(w.unitsRun.Value(), 0)
-		tr.Adopt(wrec)
-		stats.Metrics = reg.Snapshot(0)
-		finishStudy()
-		return out, stats, errors.Join(errs...)
 	}
 
 	// Deal contiguous index blocks across the workers; stealing

@@ -69,13 +69,25 @@ func (c Comparison) String() string {
 }
 
 // Compare runs all three Table 3 configurations on one trace source.
-func Compare(src trace.Source, params engine.Params) Comparison {
-	return Comparison{
-		Trace:     src.Name(),
-		Base:      engine.Run(src, core.OneLevelConfig(), params, ConfigNoBTB2),
-		BTB2:      engine.Run(src, core.DefaultConfig(), params, ConfigBTB2),
-		LargeBTB1: engine.Run(src, core.LargeOneLevelConfig(), params, ConfigLargeL1),
+// The three runs share src, so they run one after another on a
+// one-worker pool; a failed run leaves its slot of the Comparison
+// zero-valued and is reported in the returned error.
+func Compare(src trace.Source, params engine.Params) (Comparison, error) {
+	unit := func(cfg core.Config, name string) Unit {
+		return Unit{
+			Label:      src.Name() + "/" + name,
+			NewSource:  func() trace.Source { return src },
+			Config:     cfg,
+			Params:     params,
+			ConfigName: name,
+		}
 	}
+	res, err := RunUnits(context.Background(), 1, []Unit{
+		unit(core.OneLevelConfig(), ConfigNoBTB2),
+		unit(core.DefaultConfig(), ConfigBTB2),
+		unit(core.LargeOneLevelConfig(), ConfigLargeL1),
+	})
+	return Comparison{Trace: src.Name(), Base: res[0], BTB2: res[1], LargeBTB1: res[2]}, err
 }
 
 // Figure2 runs the full Figure 2 study: all 13 Table 4 traces under the
@@ -166,66 +178,52 @@ func BTB2Geometry(rows int) btb.Config {
 // deduplicated (this is the capacity study the parallel pipeline exists
 // for).
 func SweepBTB2Size(profiles []workload.Profile, params engine.Params, rowCounts []int) ([]SweepPoint, error) {
-	variants := make([]core.Config, len(rowCounts))
-	for i, rows := range rowCounts {
-		cfg := core.DefaultConfig()
-		cfg.BTB2 = BTB2Geometry(rows)
-		variants[i] = cfg
-	}
-	imps, err := averageImprovements(profiles, params, core.OneLevelConfig(), variants)
-	out := make([]SweepPoint, 0, len(rowCounts))
-	for i, rows := range rowCounts {
-		out = append(out, SweepPoint{
-			Label:       fmt.Sprintf("%dk (%d x 6)", rows*6/1024, rows),
-			Value:       float64(rows * 6),
-			Improvement: imps[i],
-			Shipping:    rows == 4096,
+	return sweep(profiles, params, rowCounts,
+		func(c *core.Config, rows int) { c.BTB2 = BTB2Geometry(rows) },
+		func(rows int) SweepPoint {
+			return SweepPoint{Label: fmt.Sprintf("%dk (%d x 6)", rows*6/1024, rows),
+				Value: float64(rows * 6), Shipping: rows == 4096}
 		})
-	}
-	return out, err
 }
 
 // SweepMissDefinition reproduces Figure 6: the average improvement as the
 // BTB1-miss search limit varies (the shipping design uses 4 searches /
 // 128 bytes).
 func SweepMissDefinition(profiles []workload.Profile, params engine.Params, limits []int) ([]SweepPoint, error) {
-	variants := make([]core.Config, len(limits))
-	for i, lim := range limits {
-		cfg := core.DefaultConfig()
-		cfg.Miss.SearchLimit = lim
-		variants[i] = cfg
-	}
-	imps, err := averageImprovements(profiles, params, core.OneLevelConfig(), variants)
-	out := make([]SweepPoint, 0, len(limits))
-	for i, lim := range limits {
-		out = append(out, SweepPoint{
-			Label:       fmt.Sprintf("%d searches (%dB)", lim, lim*32),
-			Value:       float64(lim),
-			Improvement: imps[i],
-			Shipping:    lim == 4,
+	return sweep(profiles, params, limits,
+		func(c *core.Config, lim int) { c.Miss.SearchLimit = lim },
+		func(lim int) SweepPoint {
+			return SweepPoint{Label: fmt.Sprintf("%d searches (%dB)", lim, lim*32),
+				Value: float64(lim), Shipping: lim == 4}
 		})
-	}
-	return out, err
 }
 
 // SweepTrackers reproduces Figure 7: the average improvement as the
 // number of BTB2 search trackers varies (the shipping design uses 3).
 func SweepTrackers(profiles []workload.Profile, params engine.Params, counts []int) ([]SweepPoint, error) {
-	variants := make([]core.Config, len(counts))
-	for i, n := range counts {
-		cfg := core.DefaultConfig()
-		cfg.Tracker.Count = n
-		variants[i] = cfg
+	return sweep(profiles, params, counts,
+		func(c *core.Config, n int) { c.Tracker.Count = n },
+		func(n int) SweepPoint {
+			return SweepPoint{Label: fmt.Sprintf("%d trackers", n), Value: float64(n), Shipping: n == 3}
+		})
+}
+
+// sweep is the one-parameter sweep shape: one variant of the shipping
+// configuration per setting (set applies the setting), all measured
+// against configuration 1 by averageImprovements, and each labelled by
+// point, which leaves Improvement to sweep.
+func sweep[T any](profiles []workload.Profile, params engine.Params, settings []T,
+	set func(*core.Config, T), point func(T) SweepPoint) ([]SweepPoint, error) {
+	variants := make([]core.Config, len(settings))
+	for i, v := range settings {
+		variants[i] = core.DefaultConfig()
+		set(&variants[i], v)
 	}
 	imps, err := averageImprovements(profiles, params, core.OneLevelConfig(), variants)
-	out := make([]SweepPoint, 0, len(counts))
-	for i, n := range counts {
-		out = append(out, SweepPoint{
-			Label:       fmt.Sprintf("%d trackers", n),
-			Value:       float64(n),
-			Improvement: imps[i],
-			Shipping:    n == 3,
-		})
+	out := make([]SweepPoint, len(settings))
+	for i, v := range settings {
+		out[i] = point(v)
+		out[i].Improvement = imps[i]
 	}
 	return out, err
 }

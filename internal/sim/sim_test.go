@@ -53,7 +53,10 @@ func TestTable3Configs(t *testing.T) {
 }
 
 func TestCompareShape(t *testing.T) {
-	c := Compare(workload.New(quickProfile()), quickParams())
+	c, err := Compare(workload.New(quickProfile()), quickParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.Trace != "sim-test" {
 		t.Errorf("trace name = %q", c.Trace)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -95,26 +96,15 @@ func (s Spec) source() (trace.Source, error) {
 	}
 }
 
-// Run executes the spec and returns the result.
+// Run executes the spec as one unit on the worker pool and returns the
+// result.
 func (s Spec) Run() (engine.Result, error) {
-	if err := s.Validate(); err != nil {
-		return engine.Result{}, err
-	}
-	src, err := s.source()
+	u, err := s.Unit()
 	if err != nil {
 		return engine.Result{}, err
 	}
-	cfg := Table3()[s.configName()]
-	name := s.configName()
-	if s.Custom != nil {
-		cfg = *s.Custom
-		name = "custom"
-	}
-	params := engine.DefaultParams()
-	if s.Params != nil {
-		params = *s.Params
-	}
-	return engine.Run(src, cfg, params, name), nil
+	res, err := RunUnits(context.Background(), 1, []Unit{u})
+	return res[0], err
 }
 
 // Unit converts a validated spec into one schedulable simulation unit —

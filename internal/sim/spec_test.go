@@ -55,11 +55,17 @@ func TestSpecRoundTripAndRun(t *testing.T) {
 	if loaded.Params.WarmupInstructions != 10_000 {
 		t.Error("params lost in round trip")
 	}
-	// Running the loaded spec reproduces the direct run exactly.
-	direct, err := spec.Run()
+	// Running the loaded spec reproduces the serial oracle's run of the
+	// original spec exactly.
+	u, err := spec.Unit()
 	if err != nil {
 		t.Fatal(err)
 	}
+	oracle, err := RunUnitsSerial([]Unit{u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := oracle[0]
 	replayed, err := loaded.Run()
 	if err != nil {
 		t.Fatal(err)

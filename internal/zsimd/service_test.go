@@ -59,7 +59,7 @@ func shutdownNow(t testing.TB, s *Service) {
 // TestJobRunsToCompletionMatchingSerialRun is the baseline correctness
 // gate: a job executed through queue + worker + context-polling loop
 // produces a Result byte-identical (in its persisted JSON form) to the
-// plain serial spec run.
+// serial oracle's run of the spec.
 func TestJobRunsToCompletionMatchingSerialRun(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, CheckpointInterval: -1})
 	job, err := s.Queue().Enqueue("acme", testSpec(300_000))
@@ -79,11 +79,15 @@ func TestJobRunsToCompletionMatchingSerialRun(t *testing.T) {
 	if err := json.Unmarshal(testSpec(300_000), &spec); err != nil {
 		t.Fatal(err)
 	}
-	want, err := spec.Run()
+	u, err := spec.Unit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON, err := json.Marshal(want)
+	want, err := sim.RunUnitsSerial([]sim.Unit{u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want[0])
 	if err != nil {
 		t.Fatal(err)
 	}
