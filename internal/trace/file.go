@@ -226,16 +226,30 @@ func errRecordInvalid(i uint64, off int64, err error) error {
 // satisfy errors.Is(err, ErrTruncated) and report the byte offset where
 // the stream gave out.
 func Read(r io.Reader) (name string, ins []Inst, err error) {
+	return read(r, -1)
+}
+
+// read is Read over a stream of size bytes, or of unknown size when
+// size < 0.
+func read(r io.Reader, size int64) (name string, ins []Inst, err error) {
 	name, n, off, err := readHeader(r)
 	if err != nil {
 		return name, nil, err
 	}
 	dec := newBatchDecoder(r, name, n, off, DefaultBatchCapacity)
 	// Preallocate from the header's promised count, but bounded: a
-	// corrupt or hostile header must not commit gigabytes before a
-	// single record has been read. The slice grows on demand past the
-	// bound (found by FuzzBatchDecoder cross-checking this path).
-	ins = make([]Inst, 0, min(n, 1<<20))
+	// corrupt or hostile header must not commit more memory than the
+	// stream can fill. A stream of known size is bounded by the records
+	// its bytes hold, plus one slot in which the decoder meets a cut
+	// tail without growing the slice, so a whole file loads into one
+	// array of exactly its records. Any other stream is bounded by
+	// 1<<20 records, past which the slice grows on demand (found by
+	// FuzzBatchDecoder cross-checking this path).
+	limit := uint64(1 << 20)
+	if size >= 0 {
+		limit = uint64(max(size-off, 0)/recordSize) + 1
+	}
+	ins = make([]Inst, 0, min(n, limit))
 	for dec.Decoded() < n {
 		if len(ins) == cap(ins) {
 			ins = slices.Grow(ins, DefaultBatchCapacity)
@@ -265,6 +279,15 @@ func WriteFile(path string, src Source) error {
 	return f.Close()
 }
 
+// readFile is Read over f, of known size when f is a regular file.
+func readFile(f *os.File) (name string, ins []Inst, err error) {
+	size := int64(-1)
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = fi.Size()
+	}
+	return read(f, size)
+}
+
 // ReadFile loads the named ZBPT file as a SliceSource.
 func ReadFile(path string) (*SliceSource, error) {
 	f, err := os.Open(path)
@@ -272,7 +295,7 @@ func ReadFile(path string) (*SliceSource, error) {
 		return nil, err
 	}
 	defer f.Close()
-	name, ins, err := Read(f)
+	name, ins, err := readFile(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -293,7 +316,7 @@ func ReadFileTolerant(path string) (src *SliceSource, diag error, err error) {
 		return nil, nil, err
 	}
 	defer f.Close()
-	name, ins, rerr := Read(f)
+	name, ins, rerr := readFile(f)
 	if rerr == nil {
 		return NewSliceSource(name, ins), nil, nil
 	}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bulkpreload/internal/zaddr"
 )
@@ -474,5 +475,77 @@ func TestWriteSliceNameTooLong(t *testing.T) {
 	long := strings.Repeat("x", 1<<16)
 	if _, err := WriteSlice(&buf, long, nil); err == nil {
 		t.Error("oversized name accepted")
+	}
+}
+
+// repeatSource yields n records cycling through ins, so a test can
+// write a large file without holding its records.
+type repeatSource struct {
+	ins  []Inst
+	n, i int
+}
+
+func (s *repeatSource) Name() string { return "repeat" }
+func (s *repeatSource) Reset()       { s.i = 0 }
+func (s *repeatSource) Len() int     { return s.n }
+func (s *repeatSource) Next() (Inst, bool) {
+	if s.i == s.n {
+		return Inst{}, false
+	}
+	s.i++
+	return s.ins[(s.i-1)%len(s.ins)], true
+}
+
+// TestReadFileAllocatesOnce: a file just past Read's 1<<20-record
+// preallocation bound still loads into one array of exactly its
+// records, since the file's size bounds the header's count, and the
+// load allocates little beyond that array. A truncated copy salvages
+// into one array as well, with at most the cut record's slot to spare.
+func TestReadFileAllocatesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes a 28 MB trace in -short mode")
+	}
+	const n = 1<<20 + 1
+	path := filepath.Join(t.TempDir(), "big.zbpt")
+	src := &repeatSource{ins: synthInsts(rand.New(rand.NewSource(3)), 4096), n: n}
+	if err := WriteFile(path, src); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ReadFile(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := got.ins
+	if len(ins) != n || cap(ins) != len(ins) {
+		t.Fatalf("ReadFile: len %d cap %d, want both %d", len(ins), cap(ins), n)
+	}
+	want := uint64(n) * uint64(unsafe.Sizeof(Inst{}))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > want+want/10 {
+		t.Errorf("ReadFile allocated %d B for %d B of records (limit 1.1x)", alloc, want)
+	}
+	src.Reset()
+	for i := range ins {
+		if in, _ := src.Next(); in != ins[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, ins[i], in)
+		}
+	}
+
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-recordSize/2); err != nil {
+		t.Fatal(err)
+	}
+	salvaged, diag, err := ReadFileTolerant(path)
+	if err != nil || diag == nil {
+		t.Fatalf("ReadFileTolerant of a cut file: diag %v, err %v", diag, err)
+	}
+	if ins := salvaged.ins; len(ins) != n-1 || cap(ins) != n {
+		t.Errorf("ReadFileTolerant: len %d cap %d, want %d and %d", len(ins), cap(ins), n-1, n)
 	}
 }
