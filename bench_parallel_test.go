@@ -96,7 +96,7 @@ func BenchmarkCapacitySweepParallel(b *testing.B) {
 	b.ResetTimer()
 	var insts, steals int64
 	for i := 0; i < b.N; i++ {
-		res, stats, err := sim.RunUnitsStats(ctx, 0, units)
+		res, stats, err := sim.RunUnitsTraced(ctx, 0, units, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

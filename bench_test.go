@@ -16,6 +16,7 @@ import (
 
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/engine"
+	"bulkpreload/internal/fault"
 	"bulkpreload/internal/predictor"
 	"bulkpreload/internal/sim"
 	"bulkpreload/internal/stats"
@@ -119,7 +120,7 @@ func BenchmarkTable5HierarchyBuild(b *testing.B) {
 	// Building the full shipping hierarchy (all SRAM/register structures
 	// allocated and validated).
 	for i := 0; i < b.N; i++ {
-		h := core.New(core.DefaultConfig())
+		h := core.New(core.DefaultConfig(), fault.Config{})
 		if h == nil {
 			b.Fatal("nil hierarchy")
 		}

@@ -18,9 +18,14 @@ import (
 
 	"bulkpreload/internal/analysis"
 	"bulkpreload/internal/area"
+	"bulkpreload/internal/bht"
+	"bulkpreload/internal/cache"
 	"bulkpreload/internal/core"
+	"bulkpreload/internal/ctb"
 	"bulkpreload/internal/engine"
+	"bulkpreload/internal/fit"
 	"bulkpreload/internal/obs/perfstat"
+	"bulkpreload/internal/pht"
 	"bulkpreload/internal/predictor"
 	"bulkpreload/internal/report"
 	"bulkpreload/internal/sim"
@@ -258,22 +263,22 @@ func table4(insts int) {
 
 // table5 prints the modeled chip configuration.
 func table5(int) {
-	p := engine.DefaultParams()
+	l1, l2 := cache.L1IConfig, cache.L2IConfig
 	fmt.Println("Table 5. Modeled zEC12 configuration (engine parameters)")
 	fmt.Printf("  L1 instruction cache   %d KB (%d-way, %d B lines)\n",
-		p.L1I.SizeBytes/1024, p.L1I.Ways, p.L1I.LineBytes)
+		l1.SizeBytes/1024, l1.Ways, l1.LineBytes)
 	fmt.Printf("  L2 instruction cache   %d KB (%d-way; finite in hardware mode only)\n",
-		p.L2I.SizeBytes/1024, p.L2I.Ways)
-	fmt.Printf("  base issue rate        %.2f cycles/instruction\n", p.DispatchTicks.Float())
-	fmt.Printf("  mispredict restart     %d cycles\n", p.MispredictPenalty)
-	fmt.Printf("  surprise-taken redirect %d cycles\n", p.SurpriseTakenPenalty)
-	fmt.Printf("  L1I / L2I miss penalty %d / +%d cycles\n", p.L1IMissPenalty, p.L2IMissPenalty)
+		l2.SizeBytes/1024, l2.Ways)
+	fmt.Printf("  base issue rate        %.2f cycles/instruction\n", engine.DispatchTicks.Float())
+	fmt.Printf("  mispredict restart     %d cycles\n", engine.MispredictPenalty)
+	fmt.Printf("  surprise-taken redirect %d cycles\n", engine.SurpriseTakenPenalty)
+	fmt.Printf("  L1I / L2I miss penalty %d / +%d cycles\n", engine.L1IMissPenalty, engine.L2IMissPenalty)
 	c := core.DefaultConfig()
 	lo, hi := c.EstimatedFootprint()
 	fmt.Printf("  first level footprint  %.1f-%.1f KB estimated (BTB1 %d + BTBP %d branches)\n",
 		float64(lo)/1024, float64(hi)/1024, c.BTB1.Capacity(), c.BTBP.Capacity())
 	fmt.Printf("  PHT/CTB/FIT/sBHT       %d / %d / %d / %d entries\n",
-		c.PHTEntries, c.CTBEntries, c.FITEntries, c.SurpriseBHTEntries)
+		pht.DefaultEntries, ctb.DefaultEntries, fit.DefaultEntries, bht.DefaultSurpriseEntries)
 }
 
 func fig2(insts int) {

@@ -155,47 +155,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	src, err := loadSource(*file, *traceName, *insts, *salvage, *stream)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "zsim:", err)
-		os.Exit(1)
-	}
-	// A streamed source holds the file open for the whole run; a damaged
-	// tail surfaces after the pass, like -salvage.
-	defer func() {
-		if fs, ok := src.(*trace.FileSource); ok {
-			if derr := fs.Err(); derr != nil {
-				fmt.Fprintln(os.Stderr, "zsim: stream salvage:", derr)
-			}
-			if cerr := fs.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "zsim: stream close:", cerr)
-			}
-		}
-	}()
-
 	if *compare {
-		params := engine.DefaultParams()
-		if *hardware {
-			params = engine.HardwareParams()
-		}
-		params.WarmupInstructions = *warmup
-		var spanTrace *span.Trace
-		if *spansPath != "" {
-			spanTrace = span.NewTrace()
-		}
-		c := compareConfigs(src, *file, params, *workers, spanTrace)
-		fmt.Println(c)
-		fmt.Printf("  CPI: %s %.4f | %s %.4f | %s %.4f\n",
-			sim.ConfigNoBTB2, c.Base.CPI(), sim.ConfigBTB2, c.BTB2.CPI(),
-			sim.ConfigLargeL1, c.LargeBTB1.CPI())
-		if spanTrace != nil {
-			if err := writeSpans(*spansPath, spanTrace); err != nil {
-				fmt.Fprintln(os.Stderr, "zsim:", err)
-				os.Exit(1)
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "resume", "checkpoint", "events", "timeline", "interval", "jsonl", "chrome", "metrics-addr":
+				fmt.Fprintf(os.Stderr, "zsim: -%s is a single-run flag; -compare does not take it\n", f.Name)
+				os.Exit(2)
 			}
-			fmt.Printf("spans: wrote %d events to %s\n", spanTrace.Len(), *spansPath)
-		}
-		return
+		})
 	}
 
 	params := engine.DefaultParams()
@@ -217,6 +184,44 @@ func main() {
 			os.Exit(2)
 		}
 		params.Fault = fault.ZEC12Rates(*faultSeed, *faultRate, prot)
+	}
+
+	src, err := loadSource(*file, *traceName, *insts, *salvage, *stream)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "zsim:", err)
+		os.Exit(1)
+	}
+	// A streamed source holds the file open for the whole run; a damaged
+	// tail surfaces after the pass, like -salvage.
+	defer func() {
+		if fs, ok := src.(*trace.FileSource); ok {
+			if derr := fs.Err(); derr != nil {
+				fmt.Fprintln(os.Stderr, "zsim: stream salvage:", derr)
+			}
+			if cerr := fs.Close(); cerr != nil {
+				fmt.Fprintln(os.Stderr, "zsim: stream close:", cerr)
+			}
+		}
+	}()
+
+	if *compare {
+		var spanTrace *span.Trace
+		if *spansPath != "" {
+			spanTrace = span.NewTrace()
+		}
+		c := compareConfigs(src, *file, params, *workers, spanTrace)
+		fmt.Println(c)
+		fmt.Printf("  CPI: %s %.4f | %s %.4f | %s %.4f\n",
+			sim.ConfigNoBTB2, c.Base.CPI(), sim.ConfigBTB2, c.BTB2.CPI(),
+			sim.ConfigLargeL1, c.LargeBTB1.CPI())
+		if spanTrace != nil {
+			if err := writeSpans(*spansPath, spanTrace); err != nil {
+				fmt.Fprintln(os.Stderr, "zsim:", err)
+				os.Exit(1)
+			}
+			fmt.Printf("spans: wrote %d events to %s\n", spanTrace.Len(), *spansPath)
+		}
+		return
 	}
 
 	// Periodic checkpoints, atomically replaced so a crash mid-write

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"bulkpreload/internal/fault"
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/zaddr"
 )
@@ -16,7 +17,7 @@ import (
 // the BTB1 plus the instruction that re-executes it, after warming every
 // internal scratch buffer to capacity.
 func predictSteadyState() (*Hierarchy, trace.Inst) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	a, tgt := zaddr.Addr(0x4000), zaddr.Addr(0x5000)
 	in := takenBranch(a, tgt)
 	installBranch(h, in, 0)
@@ -58,7 +59,7 @@ func surpriseRound(h *Hierarchy, in trace.Inst, now uint64) {
 }
 
 func TestInstallPathNoAllocs(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	in := takenBranch(zaddr.Addr(0x8000), zaddr.Addr(0x9000))
 	now := uint64(0)
 	// Warm the pending-install queue and BHT/BTB2 rows to capacity.
@@ -91,7 +92,7 @@ func BenchmarkPredictResolveNoTracer(b *testing.B) {
 }
 
 func BenchmarkSurpriseInstallNoDetail(b *testing.B) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	in := takenBranch(zaddr.Addr(0x8000), zaddr.Addr(0x9000))
 	now := uint64(0)
 	for i := 0; i < 8; i++ {
@@ -110,7 +111,7 @@ func BenchmarkSurpriseInstallNoDetail(b *testing.B) {
 // spread over one 4 KB block (none left in the first level), plus the
 // branches, after warming every scratch buffer of the transfer path.
 func transferSteadyState(cfg Config) (*Hierarchy, []zaddr.Addr, uint64) {
-	h := New(cfg)
+	h := New(cfg, fault.Config{})
 	const base = zaddr.Addr(0x40000)
 	var branches []zaddr.Addr
 	now := uint64(0)

@@ -30,9 +30,9 @@ type State struct {
 	BTBP btb.State
 	BTB2 *btb.State // nil when the BTB2 is disabled
 
-	PHT  *pht.State // nil when disabled
-	CTB  *ctb.State // nil when disabled
-	SBHT *bht.State // nil when disabled
+	PHT  pht.State
+	CTB  ctb.State
+	SBHT bht.State
 
 	History history.State
 	Pending []PendingInstall
@@ -43,23 +43,14 @@ func (h *Hierarchy) State() State {
 	s := State{
 		BTB1:    h.btb1.State(),
 		BTBP:    h.btbp.State(),
+		PHT:     h.pht.State(),
+		CTB:     h.ctb.State(),
+		SBHT:    h.sbht.State(),
 		History: h.hist.State(),
 	}
 	if h.btb2 != nil {
 		st := h.btb2.State()
 		s.BTB2 = &st
-	}
-	if h.pht != nil {
-		st := h.pht.State()
-		s.PHT = &st
-	}
-	if h.ctb != nil {
-		st := h.ctb.State()
-		s.CTB = &st
-	}
-	if h.sbht != nil {
-		st := h.sbht.State()
-		s.SBHT = &st
 	}
 	s.Pending = make([]PendingInstall, len(h.pendingSurprise))
 	for i, p := range h.pendingSurprise {
@@ -88,32 +79,14 @@ func (h *Hierarchy) RestoreState(s State) error {
 			return err
 		}
 	}
-	if (s.PHT != nil) != (h.pht != nil) {
-		return fmt.Errorf("core: checkpoint PHT presence (%t) does not match configuration (%t)",
-			s.PHT != nil, h.pht != nil)
+	if err := h.pht.RestoreState(s.PHT); err != nil {
+		return err
 	}
-	if s.PHT != nil {
-		if err := h.pht.RestoreState(*s.PHT); err != nil {
-			return err
-		}
+	if err := h.ctb.RestoreState(s.CTB); err != nil {
+		return err
 	}
-	if (s.CTB != nil) != (h.ctb != nil) {
-		return fmt.Errorf("core: checkpoint CTB presence (%t) does not match configuration (%t)",
-			s.CTB != nil, h.ctb != nil)
-	}
-	if s.CTB != nil {
-		if err := h.ctb.RestoreState(*s.CTB); err != nil {
-			return err
-		}
-	}
-	if (s.SBHT != nil) != (h.sbht != nil) {
-		return fmt.Errorf("core: checkpoint surprise BHT presence (%t) does not match configuration (%t)",
-			s.SBHT != nil, h.sbht != nil)
-	}
-	if s.SBHT != nil {
-		if err := h.sbht.RestoreState(*s.SBHT); err != nil {
-			return err
-		}
+	if err := h.sbht.RestoreState(s.SBHT); err != nil {
+		return err
 	}
 	h.hist.RestoreState(s.History)
 	h.pendingSurprise = h.pendingSurprise[:0]

@@ -20,12 +20,7 @@ package core
 import (
 	"fmt"
 
-	"bulkpreload/internal/bht"
 	"bulkpreload/internal/btb"
-	"bulkpreload/internal/ctb"
-	"bulkpreload/internal/fault"
-	"bulkpreload/internal/fit"
-	"bulkpreload/internal/pht"
 	"bulkpreload/internal/predictor"
 	"bulkpreload/internal/tracker"
 )
@@ -112,16 +107,11 @@ type Config struct {
 	BTB2        btb.Config
 	BTB2Enabled bool
 
-	// Auxiliary predictors. Entry counts of zero disable the structure.
-	PHTEntries         int
-	CTBEntries         int
-	FITEntries         int
-	SurpriseBHTEntries int
-
-	// Tracker and steering parameters (BTB2 side).
-	Tracker         tracker.Config
-	SteeringEntries int
-	SteeringWays    int
+	// Tracker parameters (BTB2 side). The auxiliary predictors and the
+	// steering table are fixed at the paper's sizes: pht.DefaultEntries,
+	// ctb.DefaultEntries, fit.DefaultEntries, bht.DefaultSurpriseEntries
+	// and steering.DefaultEntries/DefaultWays.
+	Tracker tracker.Config
 	// UseSteering false degrades full searches to sequential order.
 	UseSteering bool
 
@@ -149,11 +139,6 @@ type Config struct {
 	// Ablation knob; the BTBP still exists but only receives victims.
 	BypassBTBP bool
 
-	// Fault configures soft-error injection into the predictor arrays
-	// (see internal/fault). The zero value disables it; disabled
-	// injection costs one nil pointer check per array read.
-	Fault fault.Config
-
 	// MultiBlockTransfer enables the Section 6 future-work extension:
 	// when a bulk transfer surfaces branches whose targets leave the
 	// block, the most-referenced target block is chased with one
@@ -172,13 +157,7 @@ func DefaultConfig() Config {
 		BTBP:                 btb.BTBPConfig,
 		BTB2:                 btb.BTB2Config,
 		BTB2Enabled:          true,
-		PHTEntries:           pht.DefaultEntries,
-		CTBEntries:           ctb.DefaultEntries,
-		FITEntries:           fit.DefaultEntries,
-		SurpriseBHTEntries:   bht.DefaultSurpriseEntries,
 		Tracker:              tracker.DefaultConfig,
-		SteeringEntries:      512,
-		SteeringWays:         2,
 		UseSteering:          true,
 		Miss:                 predictor.DefaultMissConfig,
 		SurpriseInstallDelay: 24,
@@ -217,35 +196,15 @@ func (c Config) Validate() error {
 		if err := c.Tracker.Validate(); err != nil {
 			return err
 		}
-		if c.UseSteering && (c.SteeringEntries <= 0 || c.SteeringWays <= 0) {
-			return fmt.Errorf("core: steering enabled with invalid geometry %d/%d",
-				c.SteeringEntries, c.SteeringWays)
-		}
 	}
 	if err := c.Miss.Validate(); err != nil {
 		return err
-	}
-	for _, n := range []struct {
-		name string
-		v    int
-	}{
-		{"PHTEntries", c.PHTEntries},
-		{"CTBEntries", c.CTBEntries},
-		{"FITEntries", c.FITEntries},
-		{"SurpriseBHTEntries", c.SurpriseBHTEntries},
-	} {
-		if n.v < 0 {
-			return fmt.Errorf("core: %s must be non-negative", n.name)
-		}
 	}
 	if c.Policy > Inclusive {
 		return fmt.Errorf("core: unknown policy %d", c.Policy)
 	}
 	if c.MissMode > MissBoth {
 		return fmt.Errorf("core: unknown miss mode %d", c.MissMode)
-	}
-	if err := c.Fault.Validate(); err != nil {
-		return err
 	}
 	return nil
 }

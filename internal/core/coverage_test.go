@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bulkpreload/internal/btb"
+	"bulkpreload/internal/fault"
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/zaddr"
 )
@@ -50,7 +51,7 @@ func TestConfigValidateMissMode(t *testing.T) {
 }
 
 func TestAccessorSurface(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	if h.Config().BTB1.Capacity() != testConfig().BTB1.Capacity() {
 		t.Error("Config accessor wrong")
 	}
@@ -76,7 +77,7 @@ func TestSequentialOrderFallback(t *testing.T) {
 	// With steering disabled, the hierarchy uses the sequential orderer.
 	cfg := testConfig()
 	cfg.UseSteering = false
-	h := New(cfg)
+	h := New(cfg, fault.Config{})
 	br := takenBranch(0x40010, 0x40100)
 	h.Resolve(br, nil, 0)
 	// Evict from first level quickly by direct churn.
@@ -98,19 +99,10 @@ func TestSequentialOrderFallback(t *testing.T) {
 	}
 }
 
-func TestFITDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.FITEntries = 0
-	h := New(cfg)
-	if h.FITLookup(0x100, 0x200) {
-		t.Error("disabled FIT hit")
-	}
-}
-
 func TestInclusivePolicyVictimUpdate(t *testing.T) {
 	cfg := testConfig()
 	cfg.Policy = Inclusive
-	h := New(cfg)
+	h := New(cfg, fault.Config{})
 	// Fill a BTB1 row and force a victim cascade: the inclusive policy
 	// must update (or reinstall) the BTB2 copy.
 	a := zaddr.Addr(0x1000)
@@ -133,7 +125,7 @@ func TestInclusiveVictimReinstallsWhenAliased(t *testing.T) {
 	cfg := testConfig()
 	cfg.Policy = Inclusive
 	cfg.BTB2 = btb.Config{Name: "BTB2", Rows: 64, Ways: 1, IndexHi: 53, IndexLo: 58}
-	h := New(cfg)
+	h := New(cfg, fault.Config{})
 	a := zaddr.Addr(0x1000)
 	installBranch(h, takenBranch(a, a+0x100), 0)
 	h.Predict(a, 100) // promote into BTB1
@@ -155,7 +147,7 @@ func TestInclusiveVictimReinstallsWhenAliased(t *testing.T) {
 }
 
 func TestPreloadBranchDuplicateDropped(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	installBranch(h, takenBranch(0x1000, 0x2000), 0)
 	n := counters(h)["hier_preload_installs_total"]
 	h.PreloadBranch(0x1000, 0x2000, 4, 100) // already in BTBP
@@ -167,7 +159,7 @@ func TestPreloadBranchDuplicateDropped(t *testing.T) {
 func TestBypassBTBPInstallsDirect(t *testing.T) {
 	cfg := testConfig()
 	cfg.BypassBTBP = true
-	h := New(cfg)
+	h := New(cfg, fault.Config{})
 	br := takenBranch(0x1000, 0x2000)
 	h.Resolve(br, nil, 0)
 	h.Advance(100)
@@ -181,7 +173,7 @@ func TestBypassBTBPInstallsDirect(t *testing.T) {
 }
 
 func TestResolveSurpriseNotTakenTrainsBHT(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	cond := trace.Inst{Addr: 0x3000, Length: 4, Kind: trace.CondDirect,
 		Taken: false, StaticTaken: true}
 	// Before training, the static guess (taken) wins.
@@ -202,7 +194,7 @@ func TestChaseRespectsRecentRing(t *testing.T) {
 	cfg := testConfig()
 	cfg.MultiBlockTransfer = true
 	cfg.BTB2 = btb.Config{Name: "BTB2", Rows: 256, Ways: 4, IndexHi: 51, IndexLo: 58}
-	h := New(cfg)
+	h := New(cfg, fault.Config{})
 	// Install several branches in block A whose targets point into block
 	// B (cross-block references), all in the BTB2.
 	blockA := zaddr.Addr(0x40000)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"bulkpreload/internal/fault"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -37,7 +38,7 @@ func TestEventString(t *testing.T) {
 // evict -> transfer lifecycle and checks the event sequence.
 func TestEventLifecycle(t *testing.T) {
 	cfg := testConfig()
-	h := New(cfg)
+	h := New(cfg, fault.Config{})
 	tr := &CollectTracer{}
 	h.SetTracer(tr)
 
@@ -128,7 +129,7 @@ func TestTeeTracer(t *testing.T) {
 }
 
 func TestVictimEventOnCascade(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	tr := &CollectTracer{}
 	h.SetTracer(tr)
 	// Fill one BTB1 row (2 ways in test config) and overflow it.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bulkpreload/internal/core"
+	"bulkpreload/internal/fault"
 	"bulkpreload/internal/obs"
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/zaddr"
@@ -13,7 +14,7 @@ import (
 // installed into the BTBP, becomes predictable once the install-write
 // latency elapses, and is promoted into the BTB1 on its first prediction.
 func Example() {
-	h := core.New(core.DefaultConfig())
+	h := core.New(core.DefaultConfig(), fault.Config{})
 
 	branch := trace.Inst{
 		Addr: 0x1000, Target: 0x2000, Length: 4,
@@ -44,7 +45,7 @@ func Example() {
 // perceived BTB1 miss plus an instruction-cache miss in the same 4 KB
 // block trigger a full 128-row BTB2 search whose hits land in the BTBP.
 func ExampleHierarchy_ReportBTB1Miss() {
-	h := core.New(core.DefaultConfig())
+	h := core.New(core.DefaultConfig(), fault.Config{})
 	reg := obs.NewRegistry()
 	h.RegisterMetrics(reg)
 

@@ -9,7 +9,8 @@ import (
 
 // attachInjectors builds one fault injector per configured structure and
 // hands it to the structure. Structures with a zero rate (or absent from
-// the configuration) keep a nil injector — the free disabled state.
+// the configuration) keep a nil injector — the free disabled state;
+// disabled injection costs one nil pointer check per array read.
 // Called once from New; the FIT is deliberately outside the fault model:
 // a stale FIT entry only forfeits a re-index acceleration it would have
 // earned, which the accuracy/CPI studies cannot observe.
@@ -20,8 +21,7 @@ import (
 // cannot silently drift from btb's declaration:
 //
 //zbp:layout btb.payload word:72 target:0..63 dir:64..65 usePHT:66 useCTB:67 length:68..70 valid:71
-func (h *Hierarchy) attachInjectors() {
-	fc := h.cfg.Fault
+func (h *Hierarchy) attachInjectors(fc fault.Config) {
 	if !fc.Enabled() {
 		return
 	}
@@ -33,15 +33,9 @@ func (h *Hierarchy) attachInjectors() {
 	if h.btb2 != nil {
 		h.btb2.SetInjector(mk("btb2", fc.BTB2PerM))
 	}
-	if h.pht != nil {
-		h.pht.SetInjector(mk("pht", fc.PHTPerM))
-	}
-	if h.ctb != nil {
-		h.ctb.SetInjector(mk("ctb", fc.CTBPerM))
-	}
-	if h.sbht != nil {
-		h.sbht.SetInjector(mk("sbht", fc.SBHTPerM))
-	}
+	h.pht.SetInjector(mk("pht", fc.PHTPerM))
+	h.ctb.SetInjector(mk("ctb", fc.CTBPerM))
+	h.sbht.SetInjector(mk("sbht", fc.SBHTPerM))
 }
 
 // FaultInjectors returns the attached injectors, densest structure
@@ -59,15 +53,9 @@ func (h *Hierarchy) FaultInjectors() []*fault.Injector {
 	if h.btb2 != nil {
 		add(h.btb2.Injector())
 	}
-	if h.pht != nil {
-		add(h.pht.Injector())
-	}
-	if h.ctb != nil {
-		add(h.ctb.Injector())
-	}
-	if h.sbht != nil {
-		add(h.sbht.Injector())
-	}
+	add(h.pht.Injector())
+	add(h.ctb.Injector())
+	add(h.sbht.Injector())
 	return out
 }
 
@@ -81,8 +69,9 @@ func (h *Hierarchy) FaultStats() fault.Stats {
 }
 
 // FaultSites returns every recorded strike site keyed by structure name
-// (empty unless Config.Fault.RecordSites). The site slices are shared
-// with the injectors; callers must not mutate them.
+// (empty unless the fault.Config passed to New sets RecordSites). The
+// site slices are shared with the injectors; callers must not mutate
+// them.
 func (h *Hierarchy) FaultSites() map[string][]fault.Site {
 	out := make(map[string][]fault.Site)
 	for _, j := range h.FaultInjectors() {

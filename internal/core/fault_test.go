@@ -9,12 +9,10 @@ import (
 	"bulkpreload/internal/zaddr"
 )
 
-// faultConfig returns the small test hierarchy with aggressive injection
-// rates so a short run sees many strikes.
-func faultConfig(p fault.Protection) Config {
-	c := testConfig()
-	c.Fault = fault.ZEC12Rates(1234, 20_000, p) // 2% of reads
-	return c
+// faultRates returns aggressive injection rates so a short run of the
+// small test hierarchy sees many strikes.
+func faultRates(p fault.Protection) fault.Config {
+	return fault.ZEC12Rates(1234, 20_000, p) // 2% of reads
 }
 
 // driveFaulted exercises the hierarchy under a randomized branch
@@ -52,7 +50,7 @@ func driveFaulted(t *testing.T, h *Hierarchy, steps int) {
 // confined to the entry payload (target, direction, length, valid bit)
 // and never touch the indexed address.
 func TestUnprotectedFaultsPreserveInvariants(t *testing.T) {
-	h := New(faultConfig(fault.Unprotected))
+	h := New(testConfig(), faultRates(fault.Unprotected))
 	for round := 0; round < 20; round++ {
 		driveFaulted(t, h, 500)
 		if err := h.CheckInvariants(); err != nil {
@@ -75,7 +73,7 @@ func TestUnprotectedFaultsPreserveInvariants(t *testing.T) {
 // "recoveries == detections" and that recovery-by-invalidation leaves a
 // hierarchy that still satisfies every structural invariant.
 func TestParityRecoveryRestoresCleanState(t *testing.T) {
-	h := New(faultConfig(fault.Parity))
+	h := New(testConfig(), faultRates(fault.Parity))
 	for round := 0; round < 20; round++ {
 		driveFaulted(t, h, 500)
 		if err := h.CheckInvariants(); err != nil {
@@ -109,9 +107,9 @@ func TestParityRecoveryRestoresCleanState(t *testing.T) {
 // depends on.
 func TestFaultSitesDeterministic(t *testing.T) {
 	run := func() map[string][]fault.Site {
-		c := faultConfig(fault.Unprotected)
-		c.Fault.RecordSites = true
-		h := New(c)
+		fc := faultRates(fault.Unprotected)
+		fc.RecordSites = true
+		h := New(testConfig(), fc)
 		driveFaulted(t, h, 3000)
 		return h.FaultSites()
 	}
@@ -134,9 +132,9 @@ func TestFaultSitesDeterministic(t *testing.T) {
 // TestHierarchyResetReplaysFaults: Reset must rearm the injectors so a
 // replayed workload sees the identical fault stream.
 func TestHierarchyResetReplaysFaults(t *testing.T) {
-	c := faultConfig(fault.Unprotected)
-	c.Fault.RecordSites = true
-	h := New(c)
+	fc := faultRates(fault.Unprotected)
+	fc.RecordSites = true
+	h := New(testConfig(), fc)
 	driveFaulted(t, h, 2000)
 	first := map[string][]fault.Site{}
 	for name, sites := range h.FaultSites() {
@@ -156,7 +154,7 @@ func TestHierarchyResetReplaysFaults(t *testing.T) {
 // fault hooks: with RecordSites off, Strike/parity-recovery must not
 // allocate even while faults are landing on the hot path.
 func TestFaultedPredictPathNoAllocs(t *testing.T) {
-	h := New(faultConfig(fault.Parity)) // 2% of reads struck; RecordSites off
+	h := New(testConfig(), faultRates(fault.Parity)) // 2% of reads struck; RecordSites off
 	a, tgt := zaddr.Addr(0x4000), zaddr.Addr(0x5000)
 	in := takenBranch(a, tgt)
 	installBranch(h, in, 0)
@@ -187,7 +185,7 @@ func TestFaultedPredictPathNoAllocs(t *testing.T) {
 // TestNoFaultConfigAttachesNothing pins the disabled path: a zero fault
 // config must leave every structure with a nil injector.
 func TestNoFaultConfigAttachesNothing(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	if js := h.FaultInjectors(); len(js) != 0 {
 		t.Fatalf("disabled config attached %d injectors", len(js))
 	}

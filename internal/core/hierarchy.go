@@ -4,6 +4,7 @@ import (
 	"bulkpreload/internal/bht"
 	"bulkpreload/internal/btb"
 	"bulkpreload/internal/ctb"
+	"bulkpreload/internal/fault"
 	"bulkpreload/internal/fit"
 	"bulkpreload/internal/history"
 	"bulkpreload/internal/pht"
@@ -64,10 +65,10 @@ type Hierarchy struct {
 	btbp *btb.Table
 	btb2 *btb.Table // nil when disabled
 
-	pht  *pht.Table       // nil when disabled
-	ctb  *ctb.Table       // nil when disabled
-	fit  *fit.Table       // nil when disabled
-	sbht *bht.SurpriseBHT // nil when disabled
+	pht  *pht.Table
+	ctb  *ctb.Table
+	fit  *fit.Table
+	sbht *bht.SurpriseBHT
 	hist history.History
 
 	steer *steering.Table   // nil when BTB2 or steering disabled
@@ -98,36 +99,32 @@ type Hierarchy struct {
 	missAt      map[uint64]uint64     // first outstanding miss report per block
 }
 
-// New builds a hierarchy; an invalid config panics (configurations are
-// code, not input).
-func New(cfg Config) *Hierarchy {
+// New builds a hierarchy whose predictor arrays take soft errors per
+// faults (the zero value disables injection); an invalid config or fault
+// config panics (configurations are code, not input).
+func New(cfg Config, faults fault.Config) *Hierarchy {
 	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	if err := faults.Validate(); err != nil {
 		panic(err)
 	}
 	h := &Hierarchy{
 		cfg:       cfg,
 		btb1:      btb.New(cfg.BTB1),
 		btbp:      btb.New(cfg.BTBP),
+		pht:       pht.New(pht.DefaultEntries),
+		ctb:       ctb.New(ctb.DefaultEntries),
+		fit:       fit.New(fit.DefaultEntries),
+		sbht:      bht.NewSurpriseBHT(bht.DefaultSurpriseEntries),
 		crossRefs: make(map[uint64]int),
 	}
 	h.met.setBounds()
-	if cfg.PHTEntries > 0 {
-		h.pht = pht.New(cfg.PHTEntries)
-	}
-	if cfg.CTBEntries > 0 {
-		h.ctb = ctb.New(cfg.CTBEntries)
-	}
-	if cfg.FITEntries > 0 {
-		h.fit = fit.New(cfg.FITEntries)
-	}
-	if cfg.SurpriseBHTEntries > 0 {
-		h.sbht = bht.NewSurpriseBHT(cfg.SurpriseBHTEntries)
-	}
 	if cfg.BTB2Enabled {
 		h.btb2 = btb.New(cfg.BTB2)
 		var ord tracker.Orderer
 		if cfg.UseSteering {
-			h.steer = steering.New(cfg.SteeringEntries, cfg.SteeringWays)
+			h.steer = steering.NewDefault()
 			ord = h.steer
 		} else {
 			ord = new(sequentialOrder)
@@ -145,7 +142,7 @@ func New(cfg Config) *Hierarchy {
 		}
 		h.trk = tracker.New(tcfg, ord)
 	}
-	h.attachInjectors()
+	h.attachInjectors(faults)
 	return h
 }
 
@@ -363,7 +360,7 @@ func (h *Hierarchy) Predict(a zaddr.Addr, now uint64) (Prediction, bool) {
 	// Direction: bimodal unless the entry is marked multi-direction and
 	// the PHT has a tagged match.
 	p.Taken = e.Dir.Taken()
-	if e.UsePHT && h.pht != nil {
+	if e.UsePHT {
 		if taken, ok := h.pht.Lookup(&h.hist, a); ok {
 			p.Taken = taken
 			p.UsedPHT = true
@@ -373,7 +370,7 @@ func (h *Hierarchy) Predict(a zaddr.Addr, now uint64) (Prediction, bool) {
 	// Target: stored target unless marked multi-target with a CTB match.
 	if p.Taken {
 		p.Target = e.Target
-		if e.UseCTB && h.ctb != nil {
+		if e.UseCTB {
 			if tgt, ok := h.ctb.Lookup(&h.hist, a); ok {
 				p.Target = tgt
 				p.UsedCTB = true
@@ -455,7 +452,7 @@ func (h *Hierarchy) resolvePredicted(in trace.Inst, p *Prediction) {
 	if dirWrong && in.Kind == trace.CondDirect {
 		e.UsePHT = true
 	}
-	if h.pht != nil && e.UsePHT {
+	if e.UsePHT {
 		h.pht.Update(&h.hist, in.Addr, in.Taken)
 	}
 	if in.Taken {
@@ -463,13 +460,11 @@ func (h *Hierarchy) resolvePredicted(in trace.Inst, p *Prediction) {
 			// Multiple targets observed: gate onto the CTB.
 			e.UseCTB = true
 		}
-		if h.ctb != nil && e.UseCTB {
+		if e.UseCTB {
 			h.ctb.Update(&h.hist, in.Addr, in.Target)
 		}
 		e.Target = in.Target
-		if h.fit != nil {
-			h.fit.Train(in.Addr, in.Target)
-		}
+		h.fit.Train(in.Addr, in.Target)
 	}
 	e.Length = in.Length
 	// Write back to wherever the entry now lives (BTB1 after promotion;
@@ -480,9 +475,7 @@ func (h *Hierarchy) resolvePredicted(in trace.Inst, p *Prediction) {
 }
 
 func (h *Hierarchy) resolveSurprise(in trace.Inst, now uint64) {
-	if h.sbht != nil {
-		h.sbht.Update(in.Addr, in.Taken)
-	}
+	h.sbht.Update(in.Addr, in.Taken)
 	// Only ever-taken branches earn BTB entries; a never-taken branch
 	// falls through correctly without one.
 	if !in.Taken && !h.cfg.InstallNotTaken {
@@ -540,9 +533,6 @@ func (h *Hierarchy) PreloadBranch(branch, target zaddr.Addr, length uint8, now u
 // FITLookup reports whether the FIT accelerates the re-index for a
 // predicted-taken branch at a redirecting to next.
 func (h *Hierarchy) FITLookup(a, next zaddr.Addr) bool {
-	if h.fit == nil {
-		return false
-	}
 	return h.fit.Lookup(a, next)
 }
 
@@ -607,18 +597,10 @@ func (h *Hierarchy) Reset() {
 	if h.btb2 != nil {
 		h.btb2.Reset()
 	}
-	if h.pht != nil {
-		h.pht.Reset()
-	}
-	if h.ctb != nil {
-		h.ctb.Reset()
-	}
-	if h.fit != nil {
-		h.fit.Reset()
-	}
-	if h.sbht != nil {
-		h.sbht.Reset()
-	}
+	h.pht.Reset()
+	h.ctb.Reset()
+	h.fit.Reset()
+	h.sbht.Reset()
 	if h.steer != nil {
 		h.steer.Reset()
 	}
@@ -650,8 +632,5 @@ func (h *Hierarchy) SurpriseGuess(in trace.Inst) bool {
 	if in.Kind.AlwaysTaken() {
 		return true
 	}
-	if h.sbht != nil {
-		return h.sbht.Guess(in.Addr, in.StaticTaken)
-	}
-	return in.StaticTaken
+	return h.sbht.Guess(in.Addr, in.StaticTaken)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bulkpreload/internal/btb"
+	"bulkpreload/internal/fault"
 	"bulkpreload/internal/obs"
 	"bulkpreload/internal/obs/obstest"
 	"bulkpreload/internal/trace"
@@ -55,18 +56,8 @@ func TestConfigValidators(t *testing.T) {
 		}
 	}
 	bad := DefaultConfig()
-	bad.PHTEntries = -1
+	bad.Policy = Policy(9)
 	if err := bad.Validate(); err == nil {
-		t.Error("negative PHT entries accepted")
-	}
-	bad2 := DefaultConfig()
-	bad2.SteeringEntries = 0
-	if err := bad2.Validate(); err == nil {
-		t.Error("zero steering entries accepted with steering enabled")
-	}
-	bad3 := DefaultConfig()
-	bad3.Policy = Policy(9)
-	if err := bad3.Validate(); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -97,7 +88,7 @@ func TestFootprintEstimate(t *testing.T) {
 }
 
 func TestSurpriseInstallVisibilityDelay(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	br := takenBranch(0x1000, 0x2000)
 	if _, ok := h.Predict(br.Addr, 0); ok {
 		t.Fatal("empty hierarchy predicted")
@@ -127,7 +118,7 @@ func TestSurpriseInstallVisibilityDelay(t *testing.T) {
 }
 
 func TestBTBPPromotionToBTB1(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	br := takenBranch(0x1000, 0x2000)
 	installBranch(h, br, 0)
 	// First prediction comes from BTBP and moves the entry to BTB1.
@@ -153,7 +144,7 @@ func TestBTBPPromotionToBTB1(t *testing.T) {
 
 func TestVictimCascadeToBTBPAndBTB2(t *testing.T) {
 	cfg := testConfig()
-	h := New(cfg)
+	h := New(cfg, fault.Config{})
 	// Fill one BTB1 row (2 ways) and overflow it. BTB1 rows stride:
 	// 16 rows * 32 B = 512 B.
 	a := zaddr.Addr(0x1000)
@@ -186,7 +177,7 @@ func TestBulkTransferEndToEnd(t *testing.T) {
 	// Widen the BTB2 so first-level churn does not also evict the branch
 	// under test from the second level.
 	cfg.BTB2 = btb.Config{Name: "BTB2", Rows: 64, Ways: 4, IndexHi: 53, IndexLo: 58}
-	h := New(cfg)
+	h := New(cfg, fault.Config{})
 	// Put a branch in the BTB2 only (surprise install writes BTB2
 	// immediately; evict it from the first level by never promoting and
 	// letting BTBP churn push it out).
@@ -229,7 +220,7 @@ func TestBulkTransferEndToEnd(t *testing.T) {
 }
 
 func TestSemiExclusiveDemotesBTB2Hit(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	br := takenBranch(0x40010, 0x40100)
 	h.Resolve(br, nil, 0) // BTB2 write
 	now := uint64(1000)
@@ -247,7 +238,7 @@ func TestSemiExclusiveDemotesBTB2Hit(t *testing.T) {
 func TestTrueExclusiveInvalidatesBTB2Hit(t *testing.T) {
 	cfg := testConfig()
 	cfg.Policy = TrueExclusive
-	h := New(cfg)
+	h := New(cfg, fault.Config{})
 	br := takenBranch(0x40010, 0x40100)
 	h.Resolve(br, nil, 0)
 	now := uint64(1000)
@@ -260,7 +251,7 @@ func TestTrueExclusiveInvalidatesBTB2Hit(t *testing.T) {
 }
 
 func TestPHTGatingOnDirectionMispredict(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	br := takenBranch(0x3000, 0x5000)
 	installBranch(h, br, 0)
 	// Alternating branch: T,NT,T,NT... The bimodal mispredicts; after the
@@ -293,7 +284,7 @@ func TestPHTGatingOnDirectionMispredict(t *testing.T) {
 }
 
 func TestCTBGatingOnTargetChange(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	a := zaddr.Addr(0x3000)
 	// Branch alternates targets 0x5000/0x7000 correlated with path.
 	installBranch(h, takenBranch(a, 0x5000), 0)
@@ -324,7 +315,7 @@ func TestCTBGatingOnTargetChange(t *testing.T) {
 }
 
 func TestNotTakenSurpriseNotInstalled(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	in := trace.Inst{Addr: 0x1000, Target: 0x2000, Length: 4, Kind: trace.CondDirect, Taken: false}
 	h.Resolve(in, nil, 0)
 	h.Advance(1000)
@@ -334,7 +325,7 @@ func TestNotTakenSurpriseNotInstalled(t *testing.T) {
 	// With the ablation knob it is installed.
 	cfg := testConfig()
 	cfg.InstallNotTaken = true
-	h2 := New(cfg)
+	h2 := New(cfg, fault.Config{})
 	h2.Resolve(in, nil, 0)
 	h2.Advance(1000)
 	if _, inP, _ := h2.Contains(in.Addr); !inP {
@@ -343,7 +334,7 @@ func TestNotTakenSurpriseNotInstalled(t *testing.T) {
 }
 
 func TestSearchLine(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	a := zaddr.Addr(0x2008)
 	b := zaddr.Addr(0x2010) // same 32-byte line
 	installBranch(h, takenBranch(a, 0x9000), 0)
@@ -379,7 +370,7 @@ func TestSearchLine(t *testing.T) {
 }
 
 func TestSurpriseGuess(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	// Unconditional kinds are always guessed taken.
 	call := trace.Inst{Addr: 0x100, Target: 0x900, Length: 4, Kind: trace.Call, Taken: true}
 	if !h.SurpriseGuess(call) {
@@ -405,7 +396,7 @@ func TestSurpriseGuess(t *testing.T) {
 }
 
 func TestFITLookupAfterTraining(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	br := takenBranch(0x1000, 0x2000)
 	installBranch(h, br, 0)
 	p, _ := h.Predict(br.Addr, 100)
@@ -419,7 +410,7 @@ func TestFITLookupAfterTraining(t *testing.T) {
 }
 
 func TestOneLevelConfigRejectsBTB2Calls(t *testing.T) {
-	h := New(OneLevelConfig())
+	h := New(OneLevelConfig(), fault.Config{})
 	// Must be safe no-ops.
 	h.ReportBTB1Miss(0x1000, 0)
 	h.ReportICacheMiss(0x1000, 0)
@@ -433,7 +424,7 @@ func TestOneLevelConfigRejectsBTB2Calls(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	installBranch(h, takenBranch(0x1000, 0x2000), 0)
 	h.Predict(0x1000, 100)
 	h.Reset()
@@ -457,13 +448,22 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	}()
 	bad := DefaultConfig()
 	bad.Miss.SearchLimit = 0
-	New(bad)
+	New(bad, fault.Config{})
+}
+
+func TestNewPanicsOnBadFaultConfig(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted an invalid fault config")
+		}
+	}()
+	New(DefaultConfig(), fault.Config{PHTPerM: -1})
 }
 
 // TestMetricsRegistered pins RegisterMetrics to the metrics struct:
 // every declared counter and histogram must reach the registry.
 func TestMetricsRegistered(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	r := obs.NewRegistry()
 	h.RegisterMetrics(r)
 	obstest.RequireRegistered(t, r, &h.met)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"bulkpreload/internal/btb"
+	"bulkpreload/internal/fault"
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/zaddr"
 )
@@ -18,7 +19,7 @@ func TestInvariantsUnderRandomOperations(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		cfg := testConfig()
 		cfg.Policy = policy
-		h := New(cfg)
+		h := New(cfg, fault.Config{})
 		now := uint64(0)
 		for step := 0; step < 400; step++ {
 			now += uint64(r.Intn(20))
@@ -64,7 +65,7 @@ func TestInvariantsUnderRandomOperations(t *testing.T) {
 func TestTrueExclusiveInvariant(t *testing.T) {
 	cfg := testConfig()
 	cfg.Policy = TrueExclusive
-	h := New(cfg)
+	h := New(cfg, fault.Config{})
 	// Install, evict to BTB2-only, then transfer back.
 	br := takenBranch(0x40010, 0x40100)
 	h.Resolve(br, nil, 0)
@@ -80,7 +81,7 @@ func TestTrueExclusiveInvariant(t *testing.T) {
 // TestInvariantViolationDetected: the checker is not a rubber stamp — a
 // hand-constructed duplicate is caught.
 func TestInvariantViolationDetected(t *testing.T) {
-	h := New(testConfig())
+	h := New(testConfig(), fault.Config{})
 	e := takenBranch(0x5000, 0x6000)
 	// Force a duplicate by installing directly into both tables through
 	// the internal fields (test-only white-box access).

@@ -88,18 +88,10 @@ func (h *Hierarchy) RegisterMetrics(r *obs.Registry) {
 	if h.btb2 != nil {
 		h.btb2.RegisterMetrics(r, "btb2_")
 	}
-	if h.pht != nil {
-		h.pht.RegisterMetrics(r, "pht_")
-	}
-	if h.ctb != nil {
-		h.ctb.RegisterMetrics(r, "ctb_")
-	}
-	if h.fit != nil {
-		h.fit.RegisterMetrics(r, "fit_")
-	}
-	if h.sbht != nil {
-		h.sbht.RegisterMetrics(r, "sbht_")
-	}
+	h.pht.RegisterMetrics(r, "pht_")
+	h.ctb.RegisterMetrics(r, "ctb_")
+	h.fit.RegisterMetrics(r, "fit_")
+	h.sbht.RegisterMetrics(r, "sbht_")
 	if h.steer != nil {
 		h.steer.RegisterMetrics(r, "steering_")
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"bulkpreload/internal/cache"
 	"bulkpreload/internal/obs/span"
 	"bulkpreload/internal/predictor"
 	"bulkpreload/internal/trace"
@@ -39,7 +40,7 @@ func (e *Engine) StepBatch(ins []trace.Inst) {
 		}
 		if k > 0 {
 			e.res.Instructions += int64(k)
-			e.clock += e.params.DispatchTicks * predictor.Ticks(k)
+			e.clock += DispatchTicks * predictor.Ticks(k)
 			e.hier.ObserveCompleteBatch(run[:k])
 			e.bulkRecords += int64(k)
 			if i += k; i == len(ins) {
@@ -99,7 +100,7 @@ func (e *Engine) bulkWindow() (lo zaddr.Addr, span uint64, limit int64) {
 	if hi <= lo {
 		return 0, 0, 0
 	}
-	return lo, min(uint64(e.params.L1I.LineBytes), uint64(hi-lo)), limit
+	return lo, min(uint64(cache.L1IConfig.LineBytes), uint64(hi-lo)), limit
 }
 
 // ErrRunCanceled reports a run stopped by its context. Use errors.Is;

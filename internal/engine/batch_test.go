@@ -9,7 +9,7 @@ import (
 	"strconv"
 	"testing"
 
-	"bulkpreload/internal/btb"
+	"bulkpreload/internal/cache"
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/obs"
 	"bulkpreload/internal/trace"
@@ -195,7 +195,7 @@ func stepBulkOK(e *Engine, in *trace.Inst, insts int64) bool {
 	if !e.warmTaken && e.params.WarmupInstructions > 0 && insts == e.params.WarmupInstructions {
 		return false
 	}
-	if !e.haveFetch || zaddr.Align(in.Addr, uint64(e.params.L1I.LineBytes)) != e.curFetchLine {
+	if !e.haveFetch || zaddr.Align(in.Addr, uint64(cache.L1IConfig.LineBytes)) != e.curFetchLine {
 		return false
 	}
 	if !e.haveSearch {
@@ -222,35 +222,40 @@ func stepBulkOK(e *Engine, in *trace.Inst, insts int64) bool {
 //
 // On every state it also requires bulkWindow to be inert: RunBatched
 // skips per-record stepping on the strength of a window computed
-// without side effects, so the engine's checkpoint, its registry
-// snapshot and the batched path's own counters must read the same
-// before and after the call. Neither the window nor the predicate reads
-// the hierarchy, so the engine gets a minimal one: hierarchy state is
-// most of what a checkpoint costs to take and encode.
+// without side effects, so the engine's own checkpointed state and the
+// batched path's own counters must read the same before and after the
+// call, and so must the registry snapshot on every eighth state. Neither
+// the window nor the predicate reads the hierarchy, so the checkpoint
+// leaves its architectural state out (core.State is most of what a
+// checkpoint costs to take and encode), and the registry, whose gauges
+// scan the full-size PHT, CTB and surprise BHT, is sampled.
 func TestBulkWindowMatchesPredicate(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	params := DefaultParams()
 	params.CheckpointSink = func(*Checkpoint) {}
-	e := New(minimalHierarchy(), params)
+	e := New(core.OneLevelConfig(), params)
 	var enc bytes.Buffer
 	gobEnc := gob.NewEncoder(&enc)
 	// inertState is everything bulkWindow could leave a mark on. The
 	// encoder is shared, and primed below, so equal checkpoints encode
 	// to equal bytes (gob sends type descriptors only once).
-	inertState := func() (string, obs.Snapshot, [3]int64) {
+	inertState := func(withRegistry bool) (string, obs.Snapshot, [3]int64) {
 		enc.Reset()
-		if err := gobEnc.Encode(e.Checkpoint()); err != nil {
+		if err := gobEnc.Encode(e.ownCheckpoint()); err != nil {
 			t.Fatal(err)
 		}
-		return enc.String(), e.reg.Snapshot(0), [3]int64{e.nextCkpt, e.bulkRecords, e.slowRecords}
+		var reg obs.Snapshot
+		if withRegistry {
+			reg = e.reg.Snapshot(0)
+		}
+		return enc.String(), reg, [3]int64{e.nextCkpt, e.bulkRecords, e.slowRecords}
 	}
-	inertState()
+	inertState(false)
 	kinds := []trace.Kind{trace.NotBranch, trace.NotBranch, trace.NotBranch, trace.CondDirect, trace.PreloadHint}
 	const top = ^zaddr.Addr(0)
+	line := uint64(cache.L1IConfig.LineBytes)
 	admitted, corner := 0, 0
 	for state := 0; state < 20000; state++ {
-		line := uint64(32) << r.Intn(6) // 32..1024-byte L1I lines
-		e.params.L1I.LineBytes = int(line)
 		insts := int64(r.Intn(40))
 		e.res.Instructions = insts
 		near := func() int64 {
@@ -284,9 +289,10 @@ func TestBulkWindowMatchesPredicate(t *testing.T) {
 		if r.Intn(4) == 0 {
 			e.searchLine = zaddr.RowBase(base + zaddr.Addr(r.Intn(1024)) - 512)
 		}
-		ck0, reg0, own0 := inertState()
+		withRegistry := state%8 == 0
+		ck0, reg0, own0 := inertState(withRegistry)
 		lo, span, limit := e.bulkWindow()
-		ck1, reg1, own1 := inertState()
+		ck1, reg1, own1 := inertState(withRegistry)
 		if ck0 != ck1 || own0 != own1 {
 			t.Fatalf("state %d: bulkWindow changed engine state: checkpoint equal %v, nextCkpt/bulk/slow %v -> %v",
 				state, ck0 == ck1, own0, own1)
@@ -334,16 +340,6 @@ func TestBulkWindowMatchesPredicate(t *testing.T) {
 		t.Fatal("no random state admitted a record")
 	}
 	t.Logf("%d admissions agreed; %d wrap-corner records kept out of the window", admitted, corner)
-}
-
-// minimalHierarchy is the smallest valid first-level-only hierarchy:
-// two-row, one-way BTB1 and BTBP and no auxiliary predictors.
-func minimalHierarchy() core.Config {
-	c := core.OneLevelConfig()
-	c.BTB1 = btb.Config{Name: "BTB1", Rows: 2, Ways: 1, IndexHi: 58, IndexLo: 58}
-	c.BTBP = btb.Config{Name: "BTBP", Rows: 2, Ways: 1, IndexHi: 58, IndexLo: 58}
-	c.PHTEntries, c.CTBEntries, c.FITEntries, c.SurpriseBHTEntries = 0, 0, 0, 0
-	return c
 }
 
 // TestRunBatchedDegenerateBatches covers sources shorter than one batch

@@ -76,6 +76,14 @@ type Checkpoint struct {
 
 // Checkpoint captures the engine's current restartable state.
 func (e *Engine) Checkpoint() *Checkpoint {
+	ck := e.ownCheckpoint()
+	ck.Core = e.hier.State()
+	return ck
+}
+
+// ownCheckpoint captures the engine's own accounting and pipeline
+// position: a Checkpoint without the hierarchy's state.
+func (e *Engine) ownCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		Trace:            e.res.Trace,
 		Config:           e.res.Config,
@@ -105,7 +113,6 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		SnapSeq:          e.snapSeq,
 		NextSnap:         e.nextSnap,
 		Seen:             e.seen.sorted(),
-		Core:             e.hier.State(),
 	}
 }
 

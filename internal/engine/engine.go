@@ -153,19 +153,16 @@ func New(hcfg core.Config, params Params) *Engine {
 		panic(err)
 	}
 	e := &Engine{params: params, hcfg: hcfg, spans: params.Spans}
-	if params.Fault.Enabled() {
-		hcfg.Fault = params.Fault
-	}
-	e.hier = core.New(hcfg)
+	e.hier = core.New(hcfg, params.Fault)
 	if params.EventTracer != nil {
 		e.hier.SetTracer(params.EventTracer)
 	}
 	if params.SnapshotInterval > 0 {
 		e.hier.EnableDetailMetrics()
 	}
-	e.l1i = cache.New(params.L1I)
+	e.l1i = cache.New(cache.L1IConfig)
 	if params.FiniteL2 {
-		e.l2i = cache.New(params.L2I)
+		e.l2i = cache.New(cache.L2IConfig)
 	}
 	e.missDet = predictor.NewMissDetector(hcfg.Miss)
 	e.prefetchFill = make(map[zaddr.Addr]predictor.Ticks)
@@ -341,7 +338,7 @@ func (e *Engine) step(in trace.Inst) {
 		e.snapshot()
 		e.nextSnap += e.params.SnapshotInterval
 	}
-	e.clock += e.params.DispatchTicks
+	e.clock += DispatchTicks
 	e.fetch(in.Addr)
 	e.advanceSearch(in.Addr)
 	e.hier.ObserveComplete(in.Addr)
@@ -361,7 +358,7 @@ func (e *Engine) step(in trace.Inst) {
 // fetch models the demand instruction fetch for addr, charging I-cache
 // miss penalties and reporting misses to the BTB2 trackers.
 func (e *Engine) fetch(addr zaddr.Addr) {
-	line := zaddr.Align(addr, uint64(e.params.L1I.LineBytes))
+	line := zaddr.Align(addr, uint64(cache.L1IConfig.LineBytes))
 	if e.haveFetch && line == e.curFetchLine {
 		return
 	}
@@ -381,10 +378,10 @@ func (e *Engine) fetch(addr zaddr.Addr) {
 		}
 	case hit:
 	default:
-		penalty := e.params.L1IMissPenalty
+		penalty := L1IMissPenalty
 		if e.l2i != nil {
 			if l2hit, _ := e.l2i.Access(line); !l2hit {
-				penalty += e.params.L2IMissPenalty
+				penalty += L2IMissPenalty
 			}
 		}
 		e.charge(&e.res.ICacheCycles, predictor.Cycles(penalty))
@@ -447,7 +444,7 @@ func (e *Engine) searchRow() bool {
 		// Empty rows cost the sequential search rate. A row with content
 		// is *not* charged here: the Table 1 prediction cost charged when
 		// its branch is processed covers that row's full pipeline pass.
-		e.bpClock += e.params.Throughput.SeqSearchPerRow
+		e.bpClock += predictor.DefaultThroughput.SeqSearchPerRow
 	}
 	if e.hcfg.MissMode.Speculative() {
 		if anchor, miss := e.missDet.ObserveSearch(probe, found); miss {
@@ -475,8 +472,7 @@ func (e *Engine) branch(in trace.Inst) {
 	p, hit := e.hier.Predict(in.Addr, now)
 
 	// Clamp the predictor's lead/lag window.
-	maxLead := predictor.Cycles(e.params.MaxLeadCycles)
-	if e.bpClock < e.clock-maxLead {
+	if maxLead := predictor.Cycles(MaxLeadCycles); e.bpClock < e.clock-maxLead {
 		e.bpClock = e.clock - maxLead
 	}
 
@@ -485,7 +481,7 @@ func (e *Engine) branch(in trace.Inst) {
 		// the prediction broadcasts at bpClock after its pipeline pass.
 		cost := e.predictionCost(in, &p)
 		e.bpClock += cost
-		onTime := e.bpClock <= e.clock+predictor.Cycles(e.params.PredictionSlack)
+		onTime := e.bpClock <= e.clock+predictor.Cycles(PredictionSlack)
 		if onTime {
 			e.predicted(in, &p)
 		} else {
@@ -527,11 +523,11 @@ func (e *Engine) predictionCost(in trace.Inst, p *core.Prediction) predictor.Tic
 		loop := e.havePrevTaken && e.prevTakenBranch == in.Addr
 		fit := e.hier.FITLookup(in.Addr, p.Target)
 		c := predictor.ClassifyTaken(loop, fit, p.MRU)
-		return e.params.Throughput.Cost(c)
+		return predictor.DefaultThroughput.Cost(c)
 	}
 	paired := e.lastNTValid && e.lastNTRow == zaddr.RowBase(in.Addr)
 	c := predictor.ClassifyNotTaken(paired)
-	return e.params.Throughput.Cost(c)
+	return predictor.DefaultThroughput.Cost(c)
 }
 
 // predicted handles a timely dynamic prediction.
@@ -558,12 +554,12 @@ func (e *Engine) predicted(in trace.Inst, p *core.Prediction) {
 	case !dirRight:
 		e.res.Outcomes.Add(stats.BadWrongDir)
 		e.wrongPath(in, p)
-		e.charge(&e.res.MispredictCycles, predictor.Cycles(e.params.MispredictPenalty))
+		e.charge(&e.res.MispredictCycles, predictor.Cycles(MispredictPenalty))
 		e.restart(in)
 	default: // wrong target
 		e.res.Outcomes.Add(stats.BadWrongTarget)
 		e.wrongPath(in, p)
-		e.charge(&e.res.MispredictCycles, predictor.Cycles(e.params.MispredictPenalty))
+		e.charge(&e.res.MispredictCycles, predictor.Cycles(MispredictPenalty))
 		e.restart(in)
 	}
 	e.hier.Resolve(in, p, now)
@@ -582,12 +578,12 @@ func (e *Engine) surprise(in trace.Inst, class stats.Outcome) {
 		// Guessed taken at decode: target computed from instruction
 		// text, decode-time redirect penalty only.
 		e.res.Outcomes.Add(class)
-		e.charge(&e.res.SurpriseCycles, predictor.Cycles(e.params.SurpriseTakenPenalty))
+		e.charge(&e.res.SurpriseCycles, predictor.Cycles(SurpriseTakenPenalty))
 		e.restart(in)
 	default:
 		// Wrong static guess either way: resolved at execute.
 		e.res.Outcomes.Add(class)
-		e.charge(&e.res.SurpriseCycles, predictor.Cycles(e.params.MispredictPenalty))
+		e.charge(&e.res.SurpriseCycles, predictor.Cycles(MispredictPenalty))
 		e.restart(in)
 	}
 }
@@ -595,7 +591,7 @@ func (e *Engine) surprise(in trace.Inst, class stats.Outcome) {
 // prefetchTarget issues the lookahead prefetch for a predicted-taken
 // target, recording when its data will arrive.
 func (e *Engine) prefetchTarget(target zaddr.Addr) {
-	line := zaddr.Align(target, uint64(e.params.L1I.LineBytes))
+	line := zaddr.Align(target, uint64(cache.L1IConfig.LineBytes))
 	if e.l1i.Probe(line) {
 		return
 	}
@@ -603,14 +599,11 @@ func (e *Engine) prefetchTarget(target zaddr.Addr) {
 	// The prefetch is issued at the predictor's current position; the
 	// line arrives a full miss latency later. Demand fetches pay only
 	// the uncovered remainder.
-	issue := e.bpClock
-	if issue < e.clock-predictor.Cycles(e.params.MaxLeadCycles) {
-		issue = e.clock - predictor.Cycles(e.params.MaxLeadCycles)
-	}
-	fill := issue + predictor.Cycles(e.params.L1IMissPenalty)
+	issue := max(e.bpClock, e.clock-predictor.Cycles(MaxLeadCycles))
+	fill := issue + predictor.Cycles(L1IMissPenalty)
 	if e.l2i != nil {
 		if l2hit, _ := e.l2i.Access(line); !l2hit {
-			fill += predictor.Cycles(e.params.L2IMissPenalty)
+			fill += predictor.Cycles(L2IMissPenalty)
 		}
 	}
 	e.prefetchFill[line] = fill
@@ -631,9 +624,6 @@ func (e *Engine) redirectSearch(target zaddr.Addr) {
 // captures by simulating wrong-path execution. The path history is not
 // advanced (Resolve repairs it with the correct outcome afterwards).
 func (e *Engine) wrongPath(in trace.Inst, p *core.Prediction) {
-	if !e.params.ModelWrongPath {
-		return
-	}
 	// The wrong continuation: where the (incorrect) prediction steered
 	// fetch. Wrong direction taken->NT walks the fall-through; NT->taken
 	// or wrong target walks the bogus target.
@@ -643,15 +633,10 @@ func (e *Engine) wrongPath(in trace.Inst, p *core.Prediction) {
 	}
 	now := e.now()
 	// The pipeline has roughly the restart penalty's worth of cycles to
-	// chase the wrong path at the sequential search rate.
-	rows := e.params.MispredictPenalty * predictor.TicksPerCycle /
-		int(e.params.Throughput.SeqSearchPerRow)
-	if rows <= 0 {
-		return
-	}
-	if rows > leadRows {
-		rows = leadRows
-	}
+	// chase the wrong path at the sequential search rate, at most the
+	// lookahead's headroom.
+	rows := min(MispredictPenalty*predictor.TicksPerCycle/
+		int(predictor.DefaultThroughput.SeqSearchPerRow), leadRows)
 	line := zaddr.RowBase(wrong)
 	offset := zaddr.RowOffset(wrong)
 	e.missDet.Restart()
@@ -673,7 +658,7 @@ func (e *Engine) wrongPath(in trace.Inst, p *core.Prediction) {
 		offset = 0
 	}
 	// Wrong-path instruction fetches disturb the L1I like real ones.
-	e.l1i.Prefetch(zaddr.Align(wrong, uint64(e.params.L1I.LineBytes)))
+	e.l1i.Prefetch(zaddr.Align(wrong, uint64(cache.L1IConfig.LineBytes)))
 	e.missDet.Restart()
 }
 

@@ -7,17 +7,17 @@
 // throughput rules and penalty accounting, and classifies every branch
 // outcome per Figure 4's taxonomy.
 //
-// The model is deliberately relative-accuracy oriented: absolute CPI is
-// parameterized (Params) and uncalibrated, but the CPI *deltas* between
-// configurations — the paper's reported quantity — derive from the same
-// mechanisms the paper describes: surprise-branch redirect penalties and
-// instruction-cache miss exposure.
+// The model is deliberately relative-accuracy oriented: absolute CPI
+// rests on fixed, uncalibrated timing constants (DispatchTicks and the
+// cycle penalties), but the CPI *deltas* between configurations — the
+// paper's reported quantity — derive from the same mechanisms the paper
+// describes: surprise-branch redirect penalties and instruction-cache
+// miss exposure.
 package engine
 
 import (
 	"fmt"
 
-	"bulkpreload/internal/cache"
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/fault"
 	"bulkpreload/internal/obs"
@@ -25,67 +25,59 @@ import (
 	"bulkpreload/internal/predictor"
 )
 
-// Params fixes the core timing model. All penalties are in cycles.
-type Params struct {
+// The zEC12 core timing model, in cycles unless noted. The prediction
+// rates are predictor.DefaultThroughput (Table 1) and the instruction
+// caches cache.L1IConfig and cache.L2IConfig.
+const (
 	// DispatchTicks is the steady-state cost of one instruction in ticks
 	// (12 ticks = 1 cycle): the base CPI absent all modeled penalties.
-	// The default 9 (0.75 cycles/instruction) reflects a superscalar
-	// core that still stalls on dependences.
-	DispatchTicks predictor.Ticks
+	// 9 ticks (0.75 cycles/instruction) reflects a superscalar core that
+	// still stalls on dependences.
+	DispatchTicks predictor.Ticks = 9
 
 	// MispredictPenalty is the restart cost of a resolved-wrong branch:
 	// wrong dynamic direction, wrong target, or a surprise resolved
 	// opposite to its static guess (discovered at execute).
-	MispredictPenalty int
+	MispredictPenalty = 24
 
 	// SurpriseTakenPenalty is the decode-time redirect cost of a surprise
 	// branch correctly guessed taken: the target is computed at decode,
 	// so the pipeline refetches without waiting for execute.
-	SurpriseTakenPenalty int
+	SurpriseTakenPenalty = 10
 
 	// L1IMissPenalty is the demand L1I miss cost when the next level
 	// hits. The paper's simulations model L2+ as infinite, so this is
 	// the only I-cache penalty in "simulation mode".
-	L1IMissPenalty int
+	L1IMissPenalty = 15
 
 	// L2IMissPenalty is the additional cost when the finite L2I also
-	// misses; only applied in hardware mode (FiniteL2).
-	L2IMissPenalty int
+	// misses; only applied in hardware mode (Params.FiniteL2).
+	L2IMissPenalty = 60
 
 	// MaxLeadCycles caps how far the lookahead predictor may run ahead of
 	// decode (prediction-queue depth).
-	MaxLeadCycles int
+	MaxLeadCycles = 40
 
 	// PredictionSlack is the number of cycles a prediction may trail the
 	// ideal lookahead point and still steer the branch at decode: the
 	// fetch-to-decode pipeline depth. Predictions later than this are
 	// latency surprises.
-	PredictionSlack int
+	PredictionSlack = 8
+)
 
+// Params selects what a run varies around the fixed timing model: the
+// warmup, the Figure 3 hardware mode, soft-error injection, and the
+// observability and checkpoint plumbing.
+type Params struct {
 	// WarmupInstructions are executed normally but excluded from the
 	// reported cycle and outcome counts, like the paper's representative
 	// trace snippets that start with warm predictors. If a trace is
 	// shorter than the warmup, everything is counted.
 	WarmupInstructions int64
 
-	// Throughput is the Table 1 prediction-rate set.
-	Throughput predictor.Throughput
-
-	// L1I is the first-level instruction cache geometry.
-	L1I cache.Config
-
 	// FiniteL2 enables the finite second-level instruction cache
 	// (hardware mode, Figure 3); otherwise every L1I miss hits beyond.
 	FiniteL2 bool
-	L2I      cache.Config
-
-	// ModelWrongPath lets the lookahead search pipeline run down the
-	// mispredicted path during the restart penalty window, as the
-	// paper's C++ model does ("wrong path execution is modeled"): the
-	// off-path searches pollute the miss detector, the BTB2 trackers and
-	// the I-cache prefetch stream, and the path history is repaired at
-	// restart.
-	ModelWrongPath bool
 
 	// EventTracer, when non-nil, receives every hierarchy event of the
 	// run (see core.Tracer). For observability tooling; adds inline
@@ -105,10 +97,8 @@ type Params struct {
 	SnapshotSink func(obs.Snapshot) `json:"-"`
 
 	// Fault configures soft-error injection into the predictor arrays
-	// for this run, overriding any fault configuration already in the
-	// hierarchy config (the hierarchy config stays the canonical place;
-	// this knob exists so studies can sweep fault rates without forking
-	// configs). The zero value leaves the hierarchy config untouched.
+	// for this run (see internal/fault); New arms the hierarchy with it.
+	// The zero value disables injection.
 	Fault fault.Config
 
 	// CheckpointInterval, when positive, makes the engine capture a
@@ -141,20 +131,7 @@ type Params struct {
 // DefaultParams returns the simulation-mode parameter set used throughout
 // the experiments.
 func DefaultParams() Params {
-	return Params{
-		DispatchTicks:        9, // 0.75 cycles/instruction base
-		MispredictPenalty:    24,
-		SurpriseTakenPenalty: 10,
-		L1IMissPenalty:       15,
-		L2IMissPenalty:       60,
-		MaxLeadCycles:        40,
-		PredictionSlack:      8,
-		WarmupInstructions:   100_000,
-		ModelWrongPath:       true,
-		Throughput:           predictor.DefaultThroughput,
-		L1I:                  cache.L1IConfig,
-		L2I:                  cache.L2IConfig,
-	}
+	return Params{WarmupInstructions: 100_000}
 }
 
 // HardwareParams returns the Figure 3 "hardware mode": identical to
@@ -169,18 +146,8 @@ func HardwareParams() Params {
 
 // Validate checks the parameter set.
 func (p Params) Validate() error {
-	if p.DispatchTicks <= 0 {
-		return fmt.Errorf("engine: DispatchTicks must be positive")
-	}
-	if p.MispredictPenalty < 0 || p.SurpriseTakenPenalty < 0 ||
-		p.L1IMissPenalty < 0 || p.L2IMissPenalty < 0 {
-		return fmt.Errorf("engine: penalties must be non-negative")
-	}
-	if p.MaxLeadCycles <= 0 {
-		return fmt.Errorf("engine: MaxLeadCycles must be positive")
-	}
-	if p.PredictionSlack < 0 || p.WarmupInstructions < 0 {
-		return fmt.Errorf("engine: PredictionSlack and WarmupInstructions must be non-negative")
+	if p.WarmupInstructions < 0 {
+		return fmt.Errorf("engine: WarmupInstructions must be non-negative")
 	}
 	if p.SnapshotInterval < 0 {
 		return fmt.Errorf("engine: SnapshotInterval must be non-negative")
@@ -191,19 +158,5 @@ func (p Params) Validate() error {
 	if p.CheckpointInterval > 0 && p.CheckpointSink == nil {
 		return fmt.Errorf("engine: CheckpointInterval set without a CheckpointSink")
 	}
-	if err := p.Fault.Validate(); err != nil {
-		return err
-	}
-	if err := p.Throughput.Validate(); err != nil {
-		return err
-	}
-	if err := p.L1I.Validate(); err != nil {
-		return err
-	}
-	if p.FiniteL2 {
-		if err := p.L2I.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Fault.Validate()
 }

@@ -216,7 +216,7 @@ func runCapacitySweep(ctx context.Context, workers, insts int) (ScenarioResult, 
 	serialSec := time.Since(start).Seconds()
 
 	start = time.Now()
-	parallel, stats, err := sim.RunUnitsStats(ctx, workers, units)
+	parallel, stats, err := sim.RunUnitsTraced(ctx, workers, units, nil)
 	if err != nil {
 		return ScenarioResult{}, fmt.Errorf("parallel pipeline: %w", err)
 	}

@@ -72,15 +72,6 @@ var DefaultThroughput = Throughput{
 	SeqSearchPerRow: Cycles(2), // 32 bytes at 16 B/cycle average
 }
 
-// Validate checks rate sanity.
-func (tp Throughput) Validate() error {
-	if tp.TakenLoop <= 0 || tp.TakenFIT <= 0 || tp.TakenMRU <= 0 || tp.TakenOther <= 0 ||
-		tp.NotTakenPaired <= 0 || tp.NotTaken <= 0 || tp.SeqSearchPerRow <= 0 {
-		return fmt.Errorf("predictor: all throughput ticks must be positive: %+v", tp)
-	}
-	return nil
-}
-
 // PredCase classifies a prediction event for cost purposes.
 type PredCase uint8
 

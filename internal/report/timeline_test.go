@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bulkpreload/internal/core"
+	"bulkpreload/internal/fault"
 	"bulkpreload/internal/trace"
 	"bulkpreload/internal/zaddr"
 )
@@ -53,7 +54,7 @@ func TestTransferTimelineEmpty(t *testing.T) {
 
 func TestTransferTimelineEndToEnd(t *testing.T) {
 	// Drive a real hierarchy and render its captured events.
-	h := core.New(core.DefaultConfig())
+	h := core.New(core.DefaultConfig(), fault.Config{})
 	tr := &core.CollectTracer{}
 	h.SetTracer(tr)
 	for i := 0; i < 6; i++ {

@@ -226,23 +226,18 @@ func (w *unitQueue) push(is []int) {
 // joined into the return). Once ctx is canceled no new unit starts;
 // each abandoned unit is reported in the returned error.
 func RunUnits(ctx context.Context, workers int, units []Unit) ([]engine.Result, error) {
-	out, _, err := RunUnitsStats(ctx, workers, units)
+	out, _, err := RunUnitsTraced(ctx, workers, units, nil)
 	return out, err
 }
 
-// RunUnitsStats is RunUnits plus the scheduler's own observability: the
-// per-worker registries merged into one ShardStats snapshot.
-func RunUnitsStats(ctx context.Context, workers int, units []Unit) ([]engine.Result, ShardStats, error) {
-	return RunUnitsTraced(ctx, workers, units, nil)
-}
-
-// RunUnitsTraced is RunUnitsStats with hierarchical span tracing: a
-// non-nil tr collects one study span over the whole invocation, a
-// worker span per pool worker, a unit span per executed unit (with the
-// engine's phase/batch spans and the FileSource's refill spans nested
-// beneath), and an instant steal event for every successful steal.
-// Tracing never changes scheduling or results; a nil tr is the
-// zero-cost disabled path RunUnitsStats uses.
+// RunUnitsTraced is RunUnits plus the scheduler's own observability:
+// the per-worker registries merged into one ShardStats snapshot, and
+// hierarchical span tracing. A non-nil tr collects one study span over
+// the whole invocation, a worker span per pool worker, a unit span per
+// executed unit (with the engine's phase/batch spans and the
+// FileSource's refill spans nested beneath), and an instant steal event
+// for every successful steal. Tracing never changes scheduling or
+// results; a nil tr is the zero-cost disabled path RunUnits uses.
 func RunUnitsTraced(ctx context.Context, workers int, units []Unit, tr *span.Trace) ([]engine.Result, ShardStats, error) {
 	n := len(units)
 	if workers <= 0 {

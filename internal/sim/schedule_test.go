@@ -131,7 +131,7 @@ func TestRunUnitsCancellation(t *testing.T) {
 // simulated instructions matching the results.
 func TestRunUnitsStatsAccounting(t *testing.T) {
 	units := schedTestUnits(9)
-	res, stats, err := RunUnitsStats(context.Background(), 3, units)
+	res, stats, err := RunUnitsTraced(context.Background(), 3, units, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestRunUnitsStealing(t *testing.T) {
 	units := schedTestUnits(16)
 	steals := int64(0)
 	for try := 0; try < 5 && steals == 0; try++ {
-		_, stats, err := RunUnitsStats(context.Background(), 2, units)
+		_, stats, err := RunUnitsTraced(context.Background(), 2, units, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestRunUnitsStealing(t *testing.T) {
 
 // TestRunUnitsEmpty covers the degenerate inputs.
 func TestRunUnitsEmpty(t *testing.T) {
-	res, stats, err := RunUnitsStats(context.Background(), 4, nil)
+	res, stats, err := RunUnitsTraced(context.Background(), 4, nil, nil)
 	if err != nil || len(res) != 0 || stats.Units != 0 {
 		t.Fatalf("empty unit set: res=%d stats=%+v err=%v", len(res), stats, err)
 	}

@@ -102,7 +102,7 @@ func TestRunUnitsTracedHierarchy(t *testing.T) {
 func TestRunUnitsTracedTelemetry(t *testing.T) {
 	units := schedTestUnits(8)
 	for _, workers := range []int{1, 2} {
-		_, stats, err := RunUnitsStats(context.Background(), workers, units)
+		_, stats, err := RunUnitsTraced(context.Background(), workers, units, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -139,14 +140,17 @@ func (s Spec) Unit() (Unit, error) {
 	}, nil
 }
 
-// LoadSpec reads and validates a JSON spec file.
+// LoadSpec reads and validates a JSON spec file. An unknown key, such as
+// a misspelled field or a knob the model no longer has, is an error.
 func LoadSpec(path string) (Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Spec{}, err
 	}
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("sim: %s: %w", path, err)
 	}
 	if err := s.Validate(); err != nil {

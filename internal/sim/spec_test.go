@@ -3,6 +3,7 @@ package sim
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bulkpreload/internal/core"
@@ -109,6 +110,26 @@ func TestLoadSpecErrors(t *testing.T) {
 	}
 	if _, err := LoadSpec(path); err == nil {
 		t.Error("empty spec accepted")
+	}
+}
+
+// TestLoadSpecRejectsUnknownFields: a misspelled key or a knob the model
+// no longer has is an error, not a silently ignored key that leaves the
+// run at its defaults.
+func TestLoadSpecRejectsUnknownFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spec.json")
+	for key, spec := range map[string]string{
+		"instructons":       `{"trace":"zos-lspr-cb84","instructons":1000}`,
+		"MispredictPenalty": `{"trace":"zos-lspr-cb84","params":{"WarmupInstructions":0,"MispredictPenalty":30}}`,
+		"PHTEntries":        `{"trace":"zos-lspr-cb84","custom":{"PHTEntries":0}}`,
+	} {
+		if err := writeFile(path, spec); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadSpec(path)
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("spec with unknown key %q: err = %v, want an error naming it", key, err)
+		}
 	}
 }
 

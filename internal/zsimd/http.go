@@ -79,7 +79,9 @@ func shed(w http.ResponseWriter, status int, retryAfter time.Duration, msg strin
 // limit, spec validation, bounded enqueue — shedding, never stalling.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields() // a misspelled or retired spec key is a 400, not a silent default
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "undecodable request: " + err.Error()})
 		return
 	}

@@ -306,6 +306,31 @@ func TestHTTPRejectsBadSpecAtAdmission(t *testing.T) {
 	r.Body.Close()
 }
 
+// TestHTTPRejectsUnknownSpecFields: a misspelled spec key or a knob the
+// model no longer has earns a 400 naming it, instead of a job that runs
+// at the defaults.
+func TestHTTPRejectsUnknownSpecFields(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer shutdownNow(t, s)
+
+	for key, spec := range map[string]string{
+		"instructons":   `{"trace":"zos-lspr-cb84","instructons":1000}`,
+		"DispatchTicks": `{"trace":"zos-lspr-cb84","instructions":1000,"params":{"DispatchTicks":9}}`,
+	} {
+		resp := postJob(t, ts.URL, "acme", json.RawMessage(spec))
+		var e apiError
+		decodeInto(t, resp, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, key) {
+			t.Errorf("spec with unknown key %q: status %d, error %q; want 400 naming it", key, resp.StatusCode, e.Error)
+		}
+	}
+	if d := s.q.Depth(); d != (jobq.Depth{}) {
+		t.Errorf("rejected specs enqueued jobs: %+v", d)
+	}
+}
+
 // TestHTTPDrainingRefusesSubmissions: once Shutdown begins, new
 // submissions get 503 and healthz reports draining.
 func TestHTTPDrainingRefusesSubmissions(t *testing.T) {
