@@ -15,7 +15,7 @@ race:
 	$(GO) test -race ./...
 
 # Full static gate: vet plus the repo's analyzer suite (determinism,
-# packed layouts and address geometry, locking discipline...).
+# address geometry, locking discipline...).
 check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/zbpcheck ./...

@@ -1,12 +1,11 @@
 // Command zbpcheck is the multichecker for the simulator's
 // domain-specific analyzer suite (internal/check/...): it mechanically
-// enforces determinism, every declared packed bit-layout (//zbp:layout
-// pack/unpack codecs, proven against the declaration and against each
-// other) and the paper's address bit-geometry, error handling, loop
-// cancellation, the service layer's locking discipline (deadlock-free
-// acquisition order, no blocking under a mutex, guarded-field access,
-// unlock on every path), the crash-durability effect order, and the
-// freshness of every //zbp: directive. CI runs it on every build; run
+// enforces determinism, the paper's address bit-geometry (no raw
+// shift/mask on a zaddr.Addr outside the zaddr helpers), error
+// handling, loop cancellation, the service layer's locking discipline
+// (deadlock-free acquisition order, no blocking under a mutex,
+// guarded-field access, unlock on every path), the crash-durability
+// effect order, and the freshness of every //zbp: directive. CI runs it on every build; run
 // it locally with
 //
 //	go run ./cmd/zbpcheck ./...
@@ -18,14 +17,13 @@
 // stderr so they surface as inline PR annotations). See
 // docs/STATIC_ANALYSIS.md for the analyzer catalogue and the
 // //zbp:allow, //zbp:wallclock, //zbp:bounded, //zbp:locked,
-// //zbp:guardedby, //zbp:caller-holds, //zbp:durable, and //zbp:layout
-// annotations.
+// //zbp:guardedby, //zbp:caller-holds, and //zbp:durable annotations.
 //
 // The checker loads packages offline: module and vendored packages by
 // path mapping, standard-library imports from GOROOT source. Packages
 // are analyzed in dependency order so analyzers that export facts
-// (packlayout, lockorder, durable) see their dependencies' facts,
-// exactly as upstream go/analysis drivers schedule them. It analyzes
+// (lockorder, durable) see their dependencies' facts, exactly as
+// upstream go/analysis drivers schedule them. It analyzes
 // non-test files (the contracts it enforces are production ones;
 // fixtures under testdata are exercised by the analysistest suite
 // instead).
@@ -50,14 +48,14 @@ import (
 	"bulkpreload/internal/check/facts"
 	"bulkpreload/internal/check/load"
 	"bulkpreload/internal/check/lockorder"
-	"bulkpreload/internal/check/packlayout"
+	"bulkpreload/internal/check/rawaddr"
 	"bulkpreload/internal/check/staledirective"
 )
 
 // Suite is the full analyzer suite, in reporting order.
 var suite = []*analysis.Analyzer{
 	determinism.Analyzer,
-	packlayout.Analyzer,
+	rawaddr.Analyzer,
 	erring.Analyzer,
 	ctxflow.Analyzer,
 	lockorder.Analyzer,

@@ -185,6 +185,10 @@ func main() {
 		}
 		params.Fault = fault.ZEC12Rates(*faultSeed, *faultRate, prot)
 	}
+	if err := params.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "zsim:", err)
+		os.Exit(2)
+	}
 
 	src, err := loadSource(*file, *traceName, *insts, *salvage, *stream)
 	if err != nil {

@@ -77,3 +77,28 @@ func TestCompareRefusesSingleRunFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsBadParams: a parameter that engine.Params.Validate rejects
+// prints one zsim: line and exits 2, for single and -compare runs
+// alike, instead of panicking inside engine.New.
+func TestRejectsBadParams(t *testing.T) {
+	bin := buildZsim(t)
+	for _, args := range [][]string{
+		{"-insts", "20000", "-warmup", "-1"},
+		{"-compare", "-insts", "20000", "-warmup", "-1"},
+	} {
+		cmd := exec.Command(bin, args...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("zsim %v: err %v, want exit status 2", args, err)
+			continue
+		}
+		if lines := bytes.Split(bytes.TrimSpace(stderr.Bytes()), []byte("\n")); len(lines) != 1 ||
+			!bytes.HasPrefix(lines[0], []byte("zsim: ")) || !bytes.Contains(lines[0], []byte("WarmupInstructions")) {
+			t.Errorf("zsim %v: stderr %q, want one zsim: line naming WarmupInstructions", args, stderr.String())
+		}
+	}
+}

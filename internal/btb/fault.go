@@ -35,11 +35,9 @@ func (t *Table) Injector() *fault.Injector { return t.inj }
 // every lane of the slot (all-zero is the canonical invalid state, so
 // no residue of the lost entry survives into State snapshots).
 //
-// Dependent packages restate this layout against the exported fact
-// (//zbp:layout btb.payload ...), so the bit positions below cannot
-// drift from what core's injector wiring assumes:
-//
-//zbp:layout payload word:payloadWidth dir:dirBit0..dirBit0+1 usePHT:usePHTBit useCTB:useCTBBit length:lengthBit0..lengthBit0+2 valid:validBit target:0..targetBits-1
+// TestPayloadLayout (layout_test.go) flips each of the 72 bits through
+// corruptSlot and checks that exactly the Entry field named below
+// moves, so a width or position change here fails there.
 const (
 	targetBits   = 64             // Entry.Target, bits 0..63
 	dirBit0      = targetBits     // Entry.Dir, 2-bit bimodal counter

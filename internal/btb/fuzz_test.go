@@ -20,9 +20,10 @@ func FuzzPackedRow(f *testing.F) {
 	f.Add(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), uint64(0))
 	f.Add(uint64(1), uint64(0xFFFE), uint64(2), uint64(0x8000_0000_0000_0001),
 		uint64(42), uint64(7), uint64(0xF00F), uint64(0xBEEF))
-	// Seed one input per declared field boundary of the packed layouts
-	// (//zbp:layout in packed.go), so the corpus starts exactly at the
-	// bit positions where off-by-one packing bugs live. For the Config
+	// Seed one input per field boundary of the packed layouts (the
+	// constants in packed.go, swept by TestLayoutSweep), so the corpus
+	// starts exactly at the bit positions where off-by-one packing bugs
+	// live. For the Config
 	// below (IndexHi 55, IndexLo 58) the tag word's declared fields sit
 	// at valid:0, offset:1..5, tag:6..63.
 	for _, bit := range []uint{0, 1, 5, 6, 63} {

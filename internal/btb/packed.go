@@ -36,13 +36,11 @@ import (
 // rank 0 (bits 0..3) = MRU, rank Ways-1 = LRU. Promote/demote are a
 // masked shift of the ranks between the way's old and new position.
 //
-// The packlayout analyzer proves every codec below against these
-// declarations (docs/STATIC_ANALYSIS.md#packlayout):
-//
-//zbp:layout tagword word:64 valid:0 offset:1..@offBits tag:@tagShift..63
-//zbp:layout meta word:16 dir:metaDirShift..metaDirShift+1 usePHT:metaUsePHTBit useCTB:metaUseCTBBit length:metaLenShift..metaLenShift+7
-//zbp:layout metaslots word:64 slot[4]:0..metaFieldBits-1
-//zbp:layout lruword word:64 rank[16]:0..3
+// These constants, and the Table's geometry fields for the tag word,
+// are the layout's one statement. TestLayoutSweep (layout_test.go)
+// sets each field alone to all-ones and to a value one bit too wide,
+// and checks that only that field's declared bits move, in every
+// study geometry and in random valid ones.
 const (
 	metaDirShift  = 0
 	metaUsePHTBit = 2
@@ -54,11 +52,11 @@ const (
 // packKey builds the tag-lane word for address a: the value a resident
 // entry for a would store, and the probe key a lookup for a compares
 // rows against.
-//
-//zbp:layout tagword pack
 func (t *Table) packKey(a zaddr.Addr) uint64 {
+	//zbp:allow rawaddr the in-line offset width is this table's runtime geometry; TestLayoutSweep checks the tag word
 	k := 1 | uint64(a)&(t.lineBytes-1)<<1
 	if t.hiBits > 0 {
+		//zbp:allow rawaddr the tag's shifts are this table's runtime geometry; TestLayoutSweep checks the tag word
 		k |= uint64(a) >> t.tagIn << t.tagShift
 	}
 	return k
@@ -83,8 +81,6 @@ func SlotOf(e Entry) Slot {
 }
 
 // packMeta builds the 16-bit meta field for e.
-//
-//zbp:layout meta pack
 func packMeta(e Entry) uint64 {
 	m := uint64(e.Dir)&3 | uint64(e.Length)<<metaLenShift
 	if e.UsePHT {
@@ -104,8 +100,6 @@ func (s Slot) Entry() Entry {
 }
 
 // unpackMeta decodes the 16-bit meta field m into e.
-//
-//zbp:layout meta unpack
 func unpackMeta(m uint64, e *Entry) {
 	e.Dir = bht.Bimodal(m >> metaDirShift & 3)
 	e.UsePHT = m&(1<<metaUsePHTBit) != 0
@@ -118,8 +112,6 @@ func unpackMeta(m uint64, e *Entry) {
 // offset, and whether the slot is valid. The reconstruction is exact:
 // the tag field keeps all bits above the index even when compares
 // truncate to TagBits.
-//
-//zbp:layout tagword unpack
 func (t *Table) slotAddr(row int, k uint64) (zaddr.Addr, bool) {
 	addr := uint64(row)<<t.offBits | k>>1&((1<<t.offBits)-1)
 	if t.hiBits > 0 {
@@ -167,8 +159,6 @@ func (t *Table) clearSlot(i int) {
 }
 
 // metaField returns slot i's 16-bit meta field.
-//
-//zbp:layout metaslots unpack
 func (t *Table) metaField(i int) uint64 {
 	return t.meta[i>>2] >> (uint(i&3) * metaFieldBits) & 0xFFFF
 }
@@ -176,8 +166,6 @@ func (t *Table) metaField(i int) uint64 {
 // setMetaField overwrites slot i's 16-bit meta field with v. The
 // store masks v to the slot width so a wide value can never smear
 // into the neighboring slots.
-//
-//zbp:layout metaslots pack
 func (t *Table) setMetaField(i int, v uint64) {
 	sh := uint(i&3) * metaFieldBits
 	t.meta[i>>2] = t.meta[i>>2]&^(uint64(0xFFFF)<<sh) | (v&0xFFFF)<<sh
@@ -186,8 +174,6 @@ func (t *Table) setMetaField(i int, v uint64) {
 // xorMetaField flips the given bits of slot i's meta field (the fault
 // injector's single-event-upset primitive). Masking bits to the slot
 // width keeps the flip from leaking into the neighboring slots.
-//
-//zbp:layout metaslots pack
 func (t *Table) xorMetaField(i int, bits uint64) {
 	t.meta[i>>2] ^= (bits & 0xFFFF) << (uint(i&3) * metaFieldBits)
 }
@@ -196,8 +182,6 @@ func (t *Table) xorMetaField(i int, bits uint64) {
 // permutation of the row's ways (checkLRUInvariant), so the scan always
 // terminates within Ways nibbles; the final rank is returned without a
 // compare to keep the loop bounded even on corrupt words.
-//
-//zbp:layout lruword unpack
 func rankOf(word uint64, w, ways int) uint {
 	for k := uint(0); k < uint(ways-1); k++ {
 		if int(word>>(4*k)&0xF) == w {
@@ -209,8 +193,6 @@ func rankOf(word uint64, w, ways int) uint {
 
 // promoteWay moves way w of row to recency rank 0 (MRU): the ranks
 // below w's old position shift up one nibble and w drops into rank 0.
-//
-//zbp:layout lruword pack
 func (t *Table) promoteWay(row, w int) {
 	word := t.lru[row]
 	pos := rankOf(word, w, t.cfg.Ways)
@@ -222,8 +204,6 @@ func (t *Table) promoteWay(row, w int) {
 // demoteWay moves way w of row to recency rank Ways-1 (LRU): the ranks
 // above w's old position shift down one nibble and w lands in the last
 // rank.
-//
-//zbp:layout lruword pack
 func (t *Table) demoteWay(row, w int) {
 	word := t.lru[row]
 	pos := rankOf(word, w, t.cfg.Ways)

@@ -42,32 +42,13 @@
 //	    its effect order (journal append fsynced before state
 //	    mutation; temp-file Sync -> Rename -> directory Sync).
 //
-//	//zbp:layout <name> word:<w> [unit:byte] <field>[<count>]:<lo>[..<hi>] ...
-//	//zbp:layout <name> pack|unpack|uses
-//	    For the packlayout analyzer. The first (declaration) form, on a
-//	    constant block's or function's doc comment, declares a packed
-//	    binary layout: a <w>-unit word (bits by default, bytes with
-//	    unit:byte) carved into named fields. Bounds are sums of integer
-//	    literals, package constants, and at most one @ident symbolic
-//	    term (a runtime geometry quantity, matched against selector
-//	    field names at use sites); <field>[<count>] declares an array
-//	    of <count> consecutive copies. The second (role) form, on a
-//	    pack/unpack function's doc comment, binds the function's body
-//	    to a declared layout — local by name, cross-package as
-//	    "pkg.name" — so every shift/mask/or is checked against the
-//	    declaration; "uses" checks accesses without demanding full
-//	    field coverage.
-//
 // Annotations are plain line comments and must start exactly with
 // "//zbp:" (no space), mirroring the //go: directive convention.
 package directive
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"regexp"
-	"strconv"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -100,7 +81,6 @@ const (
 	lockedPrefix    = "//zbp:locked"
 	durablePrefix   = "//zbp:durable"
 	holdsPrefix     = "//zbp:caller-holds"
-	layoutPrefix    = "//zbp:layout"
 )
 
 // CollectAllows scans every comment in the pass for //zbp:allow
@@ -490,153 +470,4 @@ func PkgLastElem(path string) string {
 		return path[i+1:]
 	}
 	return path
-}
-
-// LayoutField is one raw field spec of a //zbp:layout declaration. The
-// bound strings are unresolved expressions (sums of integer literals,
-// package constant names, and at most one @ident symbolic term); the
-// packlayout analyzer resolves them against the package scope.
-type LayoutField struct {
-	Name  string
-	Count int64  // array repetition; 1 for scalar fields
-	Lo    string // raw lower-bound expression
-	Hi    string // raw upper-bound expression; equals Lo for single-unit fields
-}
-
-// Layout is one parsed //zbp:layout comment: either a declaration
-// (Decl with Word/Unit/Fields set) or a role binding (Roles set).
-type Layout struct {
-	Pos    token.Pos
-	Name   string // layout name, possibly qualified "pkg.name"
-	Decl   bool   // declaration form
-	Word   string // raw word-width expression (declaration form)
-	Unit   string // "bit" (default) or "byte"
-	Fields []LayoutField
-	Roles  []string // "pack", "unpack", "uses" (role form)
-	Errs   []string // malformed-spec messages; staledirective reports them
-}
-
-// layoutNameRE admits a layout or field name, with an optional single
-// package qualifier on layout names.
-var layoutNameRE = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
-
-// layoutQualifiedRE admits "name" or "pkg.name".
-var layoutQualifiedRE = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*\.)?[A-Za-z_][A-Za-z0-9_]*$`)
-
-// ParseLayout recognizes //zbp:layout comments. ok is false for other
-// comments; a recognized but malformed directive comes back with Errs
-// set so staledirective can report it (and packlayout can skip it).
-func ParseLayout(c *ast.Comment) (*Layout, bool) {
-	if !strings.HasPrefix(c.Text, layoutPrefix) {
-		return nil, false
-	}
-	rest := strings.TrimPrefix(c.Text, layoutPrefix)
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, false // e.g. //zbp:layouts
-	}
-	l := &Layout{Pos: c.Pos(), Unit: "bit"}
-	fields := strings.Fields(rest)
-	for i, tok := range fields {
-		if strings.HasPrefix(tok, "//") {
-			fields = fields[:i] // trailing commentary after // is not part of the spec
-			break
-		}
-	}
-	if len(fields) == 0 {
-		l.Errs = append(l.Errs, "missing layout name: want //zbp:layout <name> word:<w> <field>:<lo>[..<hi>] ... or //zbp:layout <name> pack|unpack|uses")
-		return l, true
-	}
-	l.Name = fields[0]
-	if !layoutQualifiedRE.MatchString(l.Name) {
-		l.Errs = append(l.Errs, fmt.Sprintf("invalid layout name %q", l.Name))
-	}
-	sawUnit := false
-	for _, tok := range fields[1:] {
-		switch {
-		case tok == "pack" || tok == "unpack" || tok == "uses":
-			l.Roles = append(l.Roles, tok)
-		case strings.HasPrefix(tok, "word:"):
-			if l.Word != "" {
-				l.Errs = append(l.Errs, "word: given twice")
-			}
-			l.Word = strings.TrimPrefix(tok, "word:")
-			if l.Word == "" {
-				l.Errs = append(l.Errs, "empty word: width")
-			}
-		case strings.HasPrefix(tok, "unit:"):
-			sawUnit = true
-			l.Unit = strings.TrimPrefix(tok, "unit:")
-			if l.Unit != "bit" && l.Unit != "byte" {
-				l.Errs = append(l.Errs, fmt.Sprintf("unknown unit %q: want bit or byte", l.Unit))
-			}
-		default:
-			f, err := parseLayoutField(tok)
-			if err != "" {
-				l.Errs = append(l.Errs, err)
-				continue
-			}
-			l.Fields = append(l.Fields, f)
-		}
-	}
-	l.Decl = l.Word != "" || len(l.Fields) > 0 || sawUnit
-	switch {
-	case l.Decl && len(l.Roles) > 0:
-		l.Errs = append(l.Errs, "mixes a layout declaration with a pack/unpack role; use separate //zbp:layout lines")
-	case l.Decl && l.Word == "":
-		l.Errs = append(l.Errs, "declaration is missing its word:<width>")
-	case l.Decl && len(l.Fields) == 0:
-		l.Errs = append(l.Errs, "declaration has no fields")
-	case !l.Decl && len(l.Roles) == 0:
-		l.Errs = append(l.Errs, "want a declaration (word:<w> <field>:<lo>[..<hi>] ...) or a role (pack, unpack, uses) after the layout name")
-	}
-	return l, true
-}
-
-// parseLayoutField parses one <name>[<count>]:<lo>[..<hi>] token.
-func parseLayoutField(tok string) (LayoutField, string) {
-	i := strings.IndexByte(tok, ':')
-	if i < 0 {
-		return LayoutField{}, fmt.Sprintf("field spec %q has no ':<lo>[..<hi>]' bounds", tok)
-	}
-	f := LayoutField{Name: tok[:i], Count: 1}
-	bounds := tok[i+1:]
-	if open := strings.IndexByte(f.Name, '['); open >= 0 {
-		if !strings.HasSuffix(f.Name, "]") {
-			return LayoutField{}, fmt.Sprintf("field spec %q has an unterminated [count]", tok)
-		}
-		cnt := f.Name[open+1 : len(f.Name)-1]
-		f.Name = f.Name[:open]
-		n, err := strconv.ParseInt(cnt, 10, 64)
-		if err != nil || n < 1 {
-			return LayoutField{}, fmt.Sprintf("field spec %q has a bad [count] %q (want a positive integer)", tok, cnt)
-		}
-		f.Count = n
-	}
-	if !layoutNameRE.MatchString(f.Name) {
-		return LayoutField{}, fmt.Sprintf("invalid field name %q", f.Name)
-	}
-	f.Lo = bounds
-	f.Hi = bounds
-	if j := strings.Index(bounds, ".."); j >= 0 {
-		f.Lo, f.Hi = bounds[:j], bounds[j+2:]
-	}
-	if f.Lo == "" || f.Hi == "" {
-		return LayoutField{}, fmt.Sprintf("field spec %q has empty bounds", tok)
-	}
-	return f, ""
-}
-
-// DocLayouts parses every //zbp:layout line of a doc comment,
-// well-formed or not. Nil when the group carries none.
-func DocLayouts(doc *ast.CommentGroup) []*Layout {
-	if doc == nil {
-		return nil
-	}
-	var out []*Layout
-	for _, c := range doc.List {
-		if l, ok := ParseLayout(c); ok {
-			out = append(out, l)
-		}
-	}
-	return out
 }

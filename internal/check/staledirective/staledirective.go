@@ -16,12 +16,7 @@
 //     //zbp:caller-holds anywhere but a function's doc comment,
 //     //zbp:guardedby anywhere but a struct field's comment,
 //     //zbp:wallclock outside the determinism-critical packages,
-//     //zbp:bounded in a package ctxflow does not scan, //zbp:layout
-//     anywhere but a constant declaration's or function's doc comment.
-//
-// //zbp:layout additionally gets its spec linted here — grammar errors
-// and duplicate field names are this analyzer's diagnostics, so a
-// malformed declaration is reported even though packlayout skips it.
+//     //zbp:bounded in a package ctxflow does not scan.
 //
 // In-scope usedness stays with the owning analyzer (unused allows with
 // determinism &c., unused bounded with ctxflow); this analyzer owns the
@@ -30,7 +25,6 @@ package staledirective
 
 import (
 	"go/ast"
-	"go/token"
 	"sort"
 	"strings"
 
@@ -40,6 +34,7 @@ import (
 	"bulkpreload/internal/check/determinism"
 	"bulkpreload/internal/check/directive"
 	"bulkpreload/internal/check/erring"
+	"bulkpreload/internal/check/rawaddr"
 )
 
 const name = "staledirective"
@@ -63,7 +58,7 @@ var scopes = map[string]func(pkgPath string) bool{
 	"ctxflow":     ctxflow.InScope,
 	"lockorder":   everywhere,
 	"durable":     everywhere,
-	"packlayout":  everywhere,
+	"rawaddr":     rawaddr.InScope,
 	name:          everywhere,
 }
 
@@ -81,10 +76,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	for _, f := range pass.Files {
 		docs := funcDocRanges(f)
 		fields := fieldDocRanges(f)
-		consts := constDocRanges(f)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				checkComment(pass, allows, c, docs, fields, consts)
+				checkComment(pass, allows, c, docs, fields)
 			}
 		}
 	}
@@ -131,21 +125,6 @@ func fieldDocRanges(f *ast.File) []docRange {
 	return out
 }
 
-// constDocRanges returns the extents of every constant declaration's
-// doc comment — the placement packlayout reads layout declarations
-// from (alongside function doc comments).
-func constDocRanges(f *ast.File) []docRange {
-	var out []docRange
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST || gd.Doc == nil {
-			continue
-		}
-		out = append(out, docRange{int(gd.Doc.Pos()), int(gd.Doc.End())})
-	}
-	return out
-}
-
 func inFuncDoc(c *ast.Comment, docs []docRange) bool {
 	for _, d := range docs {
 		if int(c.Pos()) >= d.pos && int(c.End()) <= d.end {
@@ -155,7 +134,7 @@ func inFuncDoc(c *ast.Comment, docs []docRange) bool {
 	return false
 }
 
-func checkComment(pass *analysis.Pass, allows *directive.AllowSet, c *ast.Comment, docs, fields, consts []docRange) {
+func checkComment(pass *analysis.Pass, allows *directive.AllowSet, c *ast.Comment, docs, fields []docRange) {
 	kind, rest, ok := directive.Split(c)
 	if !ok {
 		return
@@ -203,30 +182,9 @@ func checkComment(pass *analysis.Pass, allows *directive.AllowSet, c *ast.Commen
 			allows.Report(pass, c,
 				"stray //zbp:guardedby: only a struct field's comment is read (by lockorder); this placement is consumed by no analyzer")
 		}
-	case "layout":
-		l, ok := directive.ParseLayout(c)
-		if !ok {
-			return // //zbp:layoutsomething — the default arm's problem
-		}
-		if !inFuncDoc(c, docs) && !inFuncDoc(c, consts) {
-			allows.Report(pass, c,
-				"stray //zbp:layout: only a constant declaration's or function's doc comment is read (by packlayout); this placement is consumed by no analyzer")
-			return
-		}
-		for _, err := range l.Errs {
-			allows.Report(pass, c, "malformed //zbp:layout: %s", err)
-		}
-		seen := map[string]bool{}
-		for _, fl := range l.Fields {
-			if seen[fl.Name] {
-				allows.Report(pass, c,
-					"//zbp:layout %s declares field %q twice; rename or delete one", l.Name, fl.Name)
-			}
-			seen[fl.Name] = true
-		}
 	default:
 		allows.Report(pass, c,
-			"unknown //zbp: directive %q; the suite consumes allow, wallclock, bounded, locked, guardedby, caller-holds, durable, and layout", kind)
+			"unknown //zbp: directive %q; the suite consumes allow, wallclock, bounded, locked, guardedby, caller-holds, and durable", kind)
 	}
 }
 

@@ -67,28 +67,8 @@ func persist(g *guardedHome) int {
 //zbp:legacy retired kind, suppressed by the allow above
 func quiet() {}
 
-// The placements packlayout reads: a constant declaration's doc
-// comment for declarations, a function's doc comment for either form.
-// Accepted (whether the spec resolves is packlayout's own business).
+// A leftover //zbp:layout line, the grammar of the retired packlayout
+// analyzer, is an unknown directive.
 //
-//zbp:layout header word:16 kind:0..3 seq:4..15
+//zbp:layout header word:16 kind:0..3 seq:4..15 // want `unknown //zbp: directive "layout"`
 const headerBits = 16
-
-//zbp:layout header pack
-func packHeader(kind, seq uint16) uint16 { return kind&0xF | seq<<4 }
-
-//zbp:layout header word:16 kind:0..3 seq:4..15 // want `stray //zbp:layout: only a constant declaration's or function's doc comment is read \(by packlayout\); this placement is consumed by no analyzer`
-var strayLayout int
-
-// Malformed specs are this analyzer's diagnostics, reported even
-// though packlayout skips the broken declarations.
-//
-//zbp:layout noword kind:0..3 // want `malformed //zbp:layout: declaration is missing its word:<width>`
-//zbp:layout nofields word:16 // want `malformed //zbp:layout: declaration has no fields`
-//zbp:layout nobounds word:16 ok:0..3 kind // want `malformed //zbp:layout: field spec "kind" has no ':<lo>\[\.\.<hi>\]' bounds`
-//zbp:layout badunit word:16 unit:nibble kind:0..3 // want `malformed //zbp:layout: unknown unit "nibble": want bit or byte`
-//zbp:layout mixed word:16 pack kind:0..3 // want `malformed //zbp:layout: mixes a layout declaration with a pack/unpack role; use separate //zbp:layout lines`
-//zbp:layout badcount word:64 ok:0..15 lane[0]:16..31 // want `malformed //zbp:layout: field spec "lane\[0\]:16\.\.31" has a bad \[count\] "0" \(want a positive integer\)`
-//zbp:layout dup word:16 kind:0..3 kind:4..7 // want `//zbp:layout dup declares field "kind" twice; rename or delete one`
-//zbp:layout // want `malformed //zbp:layout: missing layout name: want //zbp:layout <name> word:<w> <field>:<lo>\[\.\.<hi>\] \.\.\. or //zbp:layout <name> pack\|unpack\|uses`
-const _ = 0

@@ -1,6 +1,5 @@
-// Package geometry is packlayout's raw-address fixture: shift/mask
-// arithmetic on zaddr.Addr is rejected outside the zaddr helpers and
-// outside function bodies bound to a //zbp:layout.
+// Package geometry is rawaddr's fixture: shift/mask arithmetic on
+// zaddr.Addr is rejected outside the zaddr helpers.
 package geometry
 
 import "zaddr"
@@ -18,22 +17,9 @@ func viaHelpers(a zaddr.Addr) zaddr.Addr {
 }
 
 func allowedFold(a zaddr.Addr) uint64 {
-	//zbp:allow packlayout hash folding, not index geometry
+	//zbp:allow rawaddr hash folding, not index geometry
 	return uint64(a) >> 4
 }
 
-//zbp:allow packlayout stale escape hatch // want `unused //zbp:allow packlayout`
+//zbp:allow rawaddr stale escape hatch // want `unused //zbp:allow rawaddr`
 func nothingToAllow() int { return 1 }
-
-// The lane a row offset and tag pack into.
-//
-//zbp:layout lane word:64 offset:0..4 tag:5..63
-const laneBits = 64
-
-// packedLane is bound to a //zbp:layout: packlayout checks its shifts
-// and masks field by field, so the raw-arithmetic rule stays silent.
-//
-//zbp:layout lane pack
-func packedLane(a zaddr.Addr) uint64 {
-	return uint64(a&31) | uint64(a>>5)<<5 // ok: checked field-by-field against lane
-}

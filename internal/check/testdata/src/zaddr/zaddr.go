@@ -1,5 +1,5 @@
 // Package zaddr is a fixture stub mirroring the real
-// bulkpreload/internal/zaddr surface packlayout's raw-address rule
+// bulkpreload/internal/zaddr surface rawaddr's rule
 // recognizes (matched by package-path last element, so this stub
 // behaves exactly like the real package). The rule skips the package
 // body itself.

@@ -5,6 +5,7 @@ import (
 
 	"bulkpreload/internal/fault"
 	"bulkpreload/internal/trace"
+	"bulkpreload/internal/tracker"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -138,7 +139,7 @@ func transferRound(h *Hierarchy, branches []zaddr.Addr, now uint64) uint64 {
 	}
 	h.ReportICacheMiss(branches[0], now)
 	h.ReportBTB1Miss(branches[0], now)
-	end := now + uint64(h.cfg.Tracker.StartDelay+h.cfg.Tracker.PipeDepth+zaddr.RowsPerBlock)
+	end := now + uint64(tracker.StartDelay+tracker.PipeDepth+zaddr.RowsPerBlock)
 	for ; now <= end; now++ {
 		h.Advance(now)
 	}

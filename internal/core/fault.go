@@ -15,12 +15,9 @@ import (
 // a stale FIT entry only forfeits a re-index acceleration it would have
 // earned, which the accuracy/CPI studies cannot observe.
 //
-// The injector domain is btb's 72-bit logical entry payload. The
-// restatement below is verified field-by-field against btb's exported
-// layout fact at build time, so the bit positions this wiring assumes
-// cannot silently drift from btb's declaration:
-//
-//zbp:layout btb.payload word:72 target:0..63 dir:64..65 usePHT:66 useCTB:67 length:68..70 valid:71
+// The injector domain is btb's 72-bit logical entry payload. This
+// wiring never reads its bit positions; btb's TestPayloadLayout pins
+// them.
 func (h *Hierarchy) attachInjectors(fc fault.Config) {
 	if !fc.Enabled() {
 		return

@@ -42,11 +42,9 @@ const journalMagic = "ZBPJ\x01"
 
 // frameSize is the fixed per-record frame header: a u32 little-endian
 // payload length followed by the u32 CRC32 (IEEE) of the payload.
-// packlayout proves the writer (appendRecord) and the reader
-// (replayJournal) against this declaration, so the two framing codecs
-// cannot drift apart.
-//
-//zbp:layout frame word:frameSize unit:byte length:0..3 crc:4..7
+// TestFrameLayout (layout_test.go) checks the writer (appendRecord)
+// and the reader (replayJournal) against this layout, so the two
+// framing codecs cannot drift apart.
 const frameSize = 8
 
 // maxRecordBytes bounds one journal record. Payloads are job specs and
@@ -100,8 +98,6 @@ type record struct {
 // appendRecord frames and writes one record: u32 little-endian payload
 // length, u32 CRC32 (IEEE) of the payload, payload bytes. The caller
 // owns syncing.
-//
-//zbp:layout frame pack
 func appendRecord(w io.Writer, rec *record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -126,8 +122,6 @@ func appendRecord(w io.Writer, rec *record) error {
 // mismatch — wrapped with the byte offset where salvage stopped. A
 // journal missing its magic header entirely is rejected (that is a
 // wrong file, not a torn one).
-//
-//zbp:layout frame unpack
 func replayJournal(r io.Reader) (*state, int64, error) {
 	hdr := make([]byte, len(journalMagic))
 	if n, err := io.ReadFull(r, hdr); err != nil {

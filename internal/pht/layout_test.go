@@ -8,6 +8,7 @@ import (
 	"bulkpreload/internal/bht"
 	"bulkpreload/internal/fault"
 	"bulkpreload/internal/history"
+	"bulkpreload/internal/layouttest"
 	"bulkpreload/internal/zaddr"
 )
 
@@ -158,4 +159,41 @@ func TestRestoreStateRejectsOutOfRange(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLayoutSweep checks both levels of the packed layout against the
+// constants that state it: the 16-bit field (packField, read back
+// through State) and the four fields of a uint64 word (setField and
+// field).
+func TestLayoutSweep(t *testing.T) {
+	valid := layouttest.Field{Name: "valid", Lo: fieldValidBit, Width: 1}
+	field := layouttest.Layout{Bits: fieldBits, Fields: []layouttest.Field{
+		{Name: "tag", Lo: fieldTagShift, Width: tagBits},
+		{Name: "dir", Lo: fieldDirShift, Width: 2},
+	}}
+	layouttest.Check(t, layouttest.Layout{Bits: fieldBits, Fields: append([]layouttest.Field{valid}, field.Fields...)})
+	tbl := New(4)
+	read := func(f uint64) EntryState {
+		tbl.setField(0, f)
+		return tbl.State().Entries[0]
+	}
+	layouttest.Sweep(t, field, func(base []uint64, k int, v uint64) []byte {
+		vals := append([]uint64(nil), base...)
+		vals[k] = v
+		return layouttest.Word(packField(uint16(vals[0]), bht.Bimodal(vals[1])))
+	}, func(word []byte) []uint64 {
+		e := read(layouttest.Uint64(word))
+		if !e.Valid {
+			t.Errorf("packed field %#x reads back invalid", layouttest.Uint64(word))
+		}
+		return []uint64{uint64(e.Tag), uint64(e.Dir)}
+	})
+	// The valid bit alone decides validity.
+	if e := read(1 << fieldValidBit); e != (EntryState{Valid: true}) {
+		t.Errorf("field with only the valid bit reads %+v", e)
+	}
+	if e := read((1<<fieldBits - 1) &^ (1 << fieldValidBit)); e != (EntryState{}) {
+		t.Errorf("field with every bit but valid reads %+v", e)
+	}
+	layouttest.Slots(t, fieldBits, &tbl.words[0], tbl.setField, tbl.field)
 }

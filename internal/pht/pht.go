@@ -29,11 +29,10 @@ const tagBits = 10
 
 // Packed 16-bit field layout (four fields per uint64 word): bit 0 is
 // valid, bits 1..10 the tag, bits 11..12 the 2-bit direction counter.
-// Both levels are proven by packlayout: the 16-bit field's contents,
-// and the four-fields-per-word striding of the uint64 lane.
-//
-//zbp:layout field word:fieldBits valid:fieldValidBit tag:fieldTagShift..fieldTagShift+tagBits-1 dir:fieldDirShift..fieldDirShift+1
-//zbp:layout slots word:64 entry[4]:0..fieldBits-1
+// These constants are the layout's one statement. TestLayoutSweep
+// (layout_test.go) checks both levels against them: the 16-bit
+// field's contents, and the four-fields-per-word striding of the
+// uint64 lane.
 const (
 	fieldValidBit = 0
 	fieldTagShift = 1
@@ -75,8 +74,6 @@ func New(entries int) *Table {
 func (t *Table) Entries() int { return t.n }
 
 // field returns entry i's packed 16-bit field.
-//
-//zbp:layout slots unpack
 func (t *Table) field(i int) uint64 {
 	return t.words[i>>2] >> (uint(i&3) * fieldBits) & 0xFFFF
 }
@@ -84,16 +81,12 @@ func (t *Table) field(i int) uint64 {
 // setField overwrites entry i's packed field with v, masked to the
 // entry width so a wide value can never smear into the neighboring
 // entries.
-//
-//zbp:layout slots pack
 func (t *Table) setField(i int, v uint64) {
 	sh := uint(i&3) * fieldBits
 	t.words[i>>2] = t.words[i>>2]&^(uint64(0xFFFF)<<sh) | (v&0xFFFF)<<sh
 }
 
 // packField builds the packed field for a valid entry.
-//
-//zbp:layout field pack
 func packField(tag uint16, dir bht.Bimodal) uint64 {
 	return 1<<fieldValidBit |
 		uint64(tag&((1<<tagBits)-1))<<fieldTagShift |
@@ -129,8 +122,6 @@ func tagOf(a zaddr.Addr) uint16 {
 // Lookup returns the PHT's direction for the branch at addr under the
 // given path history. ok is false on a tag mismatch or invalid entry, in
 // which case the caller falls back to the BTB's bimodal direction.
-//
-//zbp:layout field uses
 func (t *Table) Lookup(h *history.History, addr zaddr.Addr) (taken bool, ok bool) {
 	t.met.lookups.Inc()
 	i := h.PHTIndex(addr, t.n)
@@ -170,8 +161,6 @@ func (t *Table) strikeEntry(i int, bits uint64) {
 // Update trains the entry for the branch at addr with a resolved
 // direction. On tag mismatch the entry is stolen (retagged and
 // re-initialized) — small tagged predictors reallocate on miss.
-//
-//zbp:layout field uses
 func (t *Table) Update(h *history.History, addr zaddr.Addr, taken bool) {
 	i := h.PHTIndex(addr, t.n)
 	tag := tagOf(addr)
@@ -203,8 +192,6 @@ type EntryState struct {
 type State struct{ Entries []EntryState }
 
 // State returns a deep copy of the table's architectural state.
-//
-//zbp:layout field unpack
 func (t *Table) State() State {
 	s := State{Entries: make([]EntryState, t.n)}
 	for i := 0; i < t.n; i++ {

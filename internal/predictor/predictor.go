@@ -10,11 +10,7 @@
 // cycle average sequential search" stay exact in integer arithmetic.
 package predictor
 
-import (
-	"fmt"
-
-	"bulkpreload/internal/zaddr"
-)
+import "fmt"
 
 // TicksPerCycle is the fixed-point scale: 12 ticks = 1 cycle. 12 is
 // divisible by 2, 3 and 4, covering every fractional rate in the model.
@@ -152,16 +148,4 @@ func ClassifyNotTaken(paired bool) PredCase {
 		return CaseNotTakenPaired
 	}
 	return CaseNotTaken
-}
-
-// SeqSearchCost returns the tick cost of sequentially searching from
-// addr over n bytes without finding a prediction.
-func (tp Throughput) SeqSearchCost(from zaddr.Addr, bytes int) Ticks {
-	if bytes <= 0 {
-		return 0
-	}
-	first := zaddr.RowBase(from)
-	last := zaddr.RowBase(from + zaddr.Addr(bytes-1))
-	rows := int((last-first)/zaddr.RowBytes) + 1
-	return Ticks(rows) * tp.SeqSearchPerRow
 }

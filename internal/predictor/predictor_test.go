@@ -99,27 +99,6 @@ func TestCostPanicsOnUnknown(t *testing.T) {
 	DefaultThroughput.Cost(PredCase(99))
 }
 
-func TestSeqSearchCost(t *testing.T) {
-	tp := DefaultThroughput
-	// 0 or negative bytes: free.
-	if tp.SeqSearchCost(0x100, 0) != 0 {
-		t.Error("zero-byte search should cost nothing")
-	}
-	// A search within one row costs one row.
-	if got := tp.SeqSearchCost(0x100, 16); got != Cycles(2) {
-		t.Errorf("one-row search = %v ticks", got)
-	}
-	// Crossing a row boundary costs two rows: 0x110..0x12F spans rows
-	// 0x100 and 0x120.
-	if got := tp.SeqSearchCost(0x110, 32); got != Cycles(4) {
-		t.Errorf("two-row search = %v ticks", got)
-	}
-	// 128 bytes row-aligned = 4 rows = 8 cycles (16 B/cycle average).
-	if got := tp.SeqSearchCost(0x200, 128); got != Cycles(8) {
-		t.Errorf("128B search = %v ticks", got)
-	}
-}
-
 func TestMissConfigValidate(t *testing.T) {
 	if err := DefaultMissConfig.Validate(); err != nil {
 		t.Fatal(err)

@@ -64,5 +64,5 @@ func PipelineStages() []Stage {
 
 // MissDetectCycle is the pipeline stage at which a BTB1 miss is known
 // ("the miss is detected in the b3 cycle of the search process"); the
-// BTB2 search can start StartDelay cycles later (b10 at the earliest).
+// BTB2 search can start tracker.StartDelay cycles later (b10 at the earliest).
 const MissDetectCycle = 3

@@ -122,6 +122,7 @@ func TestLoadSpecRejectsUnknownFields(t *testing.T) {
 		"instructons":       `{"trace":"zos-lspr-cb84","instructons":1000}`,
 		"MispredictPenalty": `{"trace":"zos-lspr-cb84","params":{"WarmupInstructions":0,"MispredictPenalty":30}}`,
 		"PHTEntries":        `{"trace":"zos-lspr-cb84","custom":{"PHTEntries":0}}`,
+		"StartDelay":        `{"trace":"zos-lspr-cb84","custom":{"Tracker":{"Count":3,"PartialRows":4,"StartDelay":7}}}`,
 	} {
 		if err := writeFile(path, spec); err != nil {
 			t.Fatal(err)

@@ -25,12 +25,11 @@ import (
 // re-consumed without regeneration (cmd/tracegen writes, ReadFile
 // loads).
 
-// The record's byte geometry and the flags byte's bit layout are both
-// declared here and proven against the encoder/decoder by packlayout,
-// so encodeRecord and decodeRecord cannot drift apart silently.
-//
-//zbp:layout record word:recordSize unit:byte addr:0..7 target:8..15 hint:16..23 length:24 kind:25 flags:26
-//zbp:layout flags word:8 taken:0 staticTaken:1
+// The record's byte geometry is stated once, in the format comment
+// above and recordSize. TestLayoutSweep (layout_test.go) sets each field
+// of the record and of the flags byte alone and checks that
+// encodeRecord moves only its declared bytes and decodeRecord reads it
+// back, so the two codecs cannot drift apart silently.
 const (
 	fileMagic   = "ZBPT"
 	fileVersion = 2
@@ -121,9 +120,6 @@ func WriteSlice(w io.Writer, name string, ins []Inst) (int64, error) {
 
 // encodeRecord packs in into its wire image. rec must hold recordSize
 // bytes (the caller bounds it).
-//
-//zbp:layout record pack
-//zbp:layout flags pack
 func encodeRecord(rec []byte, in *Inst) {
 	binary.LittleEndian.PutUint64(rec[0:8], uint64(in.Addr))
 	binary.LittleEndian.PutUint64(rec[8:16], uint64(in.Target))
@@ -189,9 +185,6 @@ func readHeader(r io.Reader) (name string, n uint64, off int64, err error) {
 // decodeRecord rebuilds in from its wire image. rec must hold
 // recordSize bytes (the caller bounds it); no validation is performed
 // here.
-//
-//zbp:layout record unpack
-//zbp:layout flags unpack
 func decodeRecord(rec []byte, in *Inst) {
 	in.Addr = zaddr.Addr(binary.LittleEndian.Uint64(rec[0:8]))
 	in.Target = zaddr.Addr(binary.LittleEndian.Uint64(rec[8:16]))

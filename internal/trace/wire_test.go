@@ -11,9 +11,9 @@ import (
 // kind, both StaticTaken values on every kind, preload hints with their
 // hint branch, not-taken branches and plain records carrying arbitrary
 // (even odd) targets, and addresses across the full 64-bit range.
-// packlayout proves each codec against the declared record layout, but
-// an encoder and decoder that changed together would still agree with
-// each other; the pinned bytes catch that.
+// TestLayoutSweep checks each codec against the record layout, but a
+// format change made to both codecs and to that test's table together
+// would pass it; the pinned bytes catch that.
 const wirePin = "testdata/wire.zbpt"
 
 // TestWirePin decodes the pinned file through Read, BatchDecoder and

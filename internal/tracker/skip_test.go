@@ -85,7 +85,7 @@ func TestReapUpgradesAtDueCycle(t *testing.T) {
 	addr := zaddr.Addr(0x30000)
 	tr.OnBTB1Miss(addr, 0)
 	tr.RaceICacheMiss(addr)
-	last := uint64(DefaultConfig.StartDelay + DefaultConfig.PipeDepth + DefaultConfig.PartialRows - 1)
+	last := uint64(StartDelay + PipeDepth + DefaultConfig.PartialRows - 1)
 	if reads := tr.Drain(last - 1); len(reads) != DefaultConfig.PartialRows-1 {
 		t.Fatalf("drained %d rows before the last partial row, want %d", len(reads), DefaultConfig.PartialRows-1)
 	}

@@ -32,12 +32,16 @@ type Orderer interface {
 	Order(entryAddr zaddr.Addr) []int
 }
 
-// Config fixes the tracker array and search timing parameters.
+// Search timing (Section 3.6), the same in every configuration.
+const (
+	StartDelay = 7 // cycles from miss detection to search start (b3 -> b10)
+	PipeDepth  = 8 // BTB2 search pipeline depth in cycles
+)
+
+// Config fixes the tracker array and search parameters.
 type Config struct {
 	Count          int  // number of trackers (paper: 3)
 	PartialRows    int  // BTB2 rows searched by a partial search (paper: 4 = 128 B)
-	StartDelay     int  // cycles from miss detection to search start (paper: 7)
-	PipeDepth      int  // BTB2 search pipeline depth in cycles (paper: 8)
 	FilterByICache bool // gate full searches on I-cache misses (paper: true)
 	// RowBytes is the instruction bytes one BTB2 row covers (paper: 32;
 	// the future-work congruence-class study widens it to 64 or 128,
@@ -60,8 +64,6 @@ func (c Config) RowsPerBlock() int { return zaddr.BlockBytes / c.rowBytes() }
 var DefaultConfig = Config{
 	Count:          3,
 	PartialRows:    4,
-	StartDelay:     7,
-	PipeDepth:      8,
 	FilterByICache: true,
 }
 
@@ -77,9 +79,6 @@ func (c Config) Validate() error {
 	}
 	if c.PartialRows <= 0 || c.PartialRows > c.RowsPerBlock() {
 		return fmt.Errorf("tracker: partial rows %d out of range", c.PartialRows)
-	}
-	if c.StartDelay < 0 || c.PipeDepth <= 0 {
-		return fmt.Errorf("tracker: invalid timing (delay %d, depth %d)", c.StartDelay, c.PipeDepth)
 	}
 	return nil
 }
@@ -376,7 +375,7 @@ func (t *Trackers) fullRowOrder(s *slot) []int {
 // cannot skip the new reads or the slot's reap.
 func (t *Trackers) schedule(i int, rows []int, now uint64) {
 	s := &t.slots[i]
-	start := now + uint64(t.cfg.StartDelay)
+	start := now + StartDelay
 	if t.portFree > start {
 		start = t.portFree
 	}
@@ -388,7 +387,7 @@ func (t *Trackers) schedule(i int, rows []int, now uint64) {
 			continue
 		}
 		s.markRow(row)
-		ready := cycle + uint64(t.cfg.PipeDepth)
+		ready := cycle + PipeDepth
 		t.queue = append(t.queue, Read{
 			Line:  blockBase + zaddr.Addr(row*rb),
 			Ready: ready,
@@ -400,7 +399,7 @@ func (t *Trackers) schedule(i int, rows []int, now uint64) {
 		cycle++
 	}
 	t.portFree = cycle
-	t.due = min(t.due, start+uint64(t.cfg.PipeDepth), s.lastReady)
+	t.due = min(t.due, start+PipeDepth, s.lastReady)
 }
 
 // Drain returns (and removes) all scheduled reads whose Ready cycle is at

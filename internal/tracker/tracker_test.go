@@ -45,11 +45,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{Count: 0, PartialRows: 4, StartDelay: 7, PipeDepth: 8},
-		{Count: 3, PartialRows: 0, StartDelay: 7, PipeDepth: 8},
-		{Count: 3, PartialRows: 999, StartDelay: 7, PipeDepth: 8},
-		{Count: 3, PartialRows: 4, StartDelay: -1, PipeDepth: 8},
-		{Count: 3, PartialRows: 4, StartDelay: 7, PipeDepth: 0},
+		{Count: 0, PartialRows: 4},
+		{Count: 3, PartialRows: 0},
+		{Count: 3, PartialRows: 999},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
