@@ -14,11 +14,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full static gate: vet plus the repo's analyzer suite (determinism,
-# address geometry, locking discipline...).
+# Full static gate, the same as CI's: vet plus the repo's analyzer
+# suite (determinism, address geometry, locking discipline...), then
+# vet of studybench, a nested module the root ./... skips.
 check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/zbpcheck ./...
+	cd studybench && $(GO) vet ./...
 
 # One benchmark-trajectory measurement, printed as JSON. Touches no files.
 bench:

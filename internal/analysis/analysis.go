@@ -132,41 +132,6 @@ func BranchReuse(src trace.Source) ReuseHistogram {
 	return h
 }
 
-// WorkingSet reports the average and maximum number of distinct branch
-// sites executed per window of windowInsts instructions — the footprint
-// a predictor must retain to cover one window.
-func WorkingSet(src trace.Source, windowInsts int) (avg float64, max int) {
-	if windowInsts <= 0 {
-		panic("analysis: window must be positive")
-	}
-	src.Reset()
-	seen := make(map[zaddr.Addr]bool, 1<<12)
-	var windows, sum, inWindow int
-	for {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		if in.IsBranch() {
-			seen[in.Addr] = true
-		}
-		inWindow++
-		if inWindow == windowInsts {
-			windows++
-			sum += len(seen)
-			if len(seen) > max {
-				max = len(seen)
-			}
-			seen = make(map[zaddr.Addr]bool, len(seen))
-			inWindow = 0
-		}
-	}
-	if windows == 0 {
-		return float64(len(seen)), len(seen)
-	}
-	return float64(sum) / float64(windows), max
-}
-
 // LevelCoverage summarizes, for the paper's structure capacities, which
 // share of re-references each level can plausibly catch, assuming a
 // structure holding N branches retains a site for roughly N * instsPerBranch

@@ -60,26 +60,6 @@ func TestHistogramString(t *testing.T) {
 	}
 }
 
-func TestWorkingSet(t *testing.T) {
-	// The loop touches exactly 1 branch site per window.
-	avg, max := WorkingSet(loopTrace(100, 10), 44)
-	if avg != 1 || max != 1 {
-		t.Errorf("avg=%v max=%d, want 1/1", avg, max)
-	}
-	// Tiny trace smaller than one window still reports its content.
-	avg, max = WorkingSet(loopTrace(2, 2), 1_000_000)
-	if max != 1 {
-		t.Errorf("sub-window max = %d", max)
-	}
-	_ = avg
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero window accepted")
-		}
-	}()
-	WorkingSet(loopTrace(1, 1), 0)
-}
-
 func TestCoverageMonotone(t *testing.T) {
 	p, err := workload.ByName("zos-lspr-cb84", 150_000)
 	if err != nil {

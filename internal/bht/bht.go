@@ -28,9 +28,6 @@ const (
 // Taken reports the direction the counter currently predicts.
 func (b Bimodal) Taken() bool { return b >= WeakT }
 
-// Strong reports whether the counter is in a saturated state.
-func (b Bimodal) Strong() bool { return b == StrongNT || b == StrongT }
-
 // Update returns the counter state after observing an outcome.
 func (b Bimodal) Update(taken bool) Bimodal {
 	if taken {
@@ -180,9 +177,6 @@ func (s *SurpriseBHT) CountTrained() int {
 	}
 	return n
 }
-
-// Entries returns the table size.
-func (s *SurpriseBHT) Entries() int { return len(s.bits) }
 
 // Reset clears all history.
 func (s *SurpriseBHT) Reset() {

@@ -39,9 +39,6 @@ func TestBimodalPredicates(t *testing.T) {
 	if !WeakT.Taken() || !StrongT.Taken() {
 		t.Error("taken states predict not-taken")
 	}
-	if !StrongNT.Strong() || WeakNT.Strong() || WeakT.Strong() || !StrongT.Strong() {
-		t.Error("Strong() misclassifies")
-	}
 }
 
 func TestBimodalInit(t *testing.T) {
@@ -92,8 +89,8 @@ func TestBimodalString(t *testing.T) {
 
 func TestSurpriseBHT(t *testing.T) {
 	s := NewSurpriseBHT(1024)
-	if s.Entries() != 1024 {
-		t.Fatalf("Entries = %d", s.Entries())
+	if len(s.bits) != 1024 {
+		t.Fatalf("entries = %d", len(s.bits))
 	}
 	a := zaddr.Addr(0x4000)
 	if s.Guess(a, false) || !s.Guess(a, true) {

@@ -204,9 +204,6 @@ func New(cfg Config) *Table {
 	return t
 }
 
-// Config returns the table geometry.
-func (t *Table) Config() Config { return t.cfg }
-
 // RegisterMetrics enumerates the table's counters (plus a computed
 // occupancy gauge) into r under the given prefix, e.g. "btb1_".
 func (t *Table) RegisterMetrics(r *obs.Registry, prefix string) {
@@ -596,11 +593,9 @@ func (t *Table) lruWay(row int) int {
 	return int(t.lru[row] >> (4 * uint(t.cfg.Ways-1)) & 0xF)
 }
 
-// Touch makes the entry for branch a most recently used. It reports
-// whether the branch was present.
-func (t *Table) Touch(a zaddr.Addr) bool { return t.TouchSlot(Slot{Addr: a, Way: -1}) }
-
-// TouchSlot is Touch for a slot ReadLine copied: see slotWay.
+// TouchSlot makes the entry for branch s.Addr most recently used. It
+// reports whether the branch was present. s may be a slot ReadLine
+// copied: see slotWay.
 func (t *Table) TouchSlot(s Slot) bool {
 	row, w := t.slotWay(s)
 	if w >= 0 {
@@ -609,12 +604,10 @@ func (t *Table) TouchSlot(s Slot) bool {
 	return w >= 0
 }
 
-// Demote makes the entry for branch a least recently used. The paper's
-// semi-exclusive policy: "When an entry is copied from BTB2 to BTBP, it
-// is made LRU in the BTB2", so subsequent victims/installs replace it.
-func (t *Table) Demote(a zaddr.Addr) bool { return t.DemoteSlot(Slot{Addr: a, Way: -1}) }
-
-// DemoteSlot is Demote for a slot ReadLine copied: see slotWay.
+// DemoteSlot makes the entry for branch s.Addr least recently used. The
+// paper's semi-exclusive policy: "When an entry is copied from BTB2 to
+// BTBP, it is made LRU in the BTB2", so subsequent victims/installs
+// replace it. s may be a slot ReadLine copied: see slotWay.
 func (t *Table) DemoteSlot(s Slot) bool {
 	row, w := t.slotWay(s)
 	if w >= 0 {
@@ -657,8 +650,8 @@ func (t *Table) slotWay(s Slot) (row, w int) {
 // striking faults and returns its way, or -1, with the number of valid
 // slots the scan read: those up to and including the match, or the
 // whole row on a miss. findWay and Probe pass that count to the
-// injector; the write paths Touch/Demote/Invalidate are not array
-// reads in the fault model and ignore it.
+// injector; the write paths TouchSlot, DemoteSlot and InvalidateSlot
+// are not array reads in the fault model and ignore it.
 func (t *Table) matchWay(row int, a zaddr.Addr) (int, uint64) {
 	base := row * t.cfg.Ways
 	key := t.packKey(a)
@@ -670,20 +663,6 @@ func (t *Table) matchWay(row int, a zaddr.Addr) (int, uint64) {
 		}
 	}
 	return -1, valid
-}
-
-// Entries returns the branch addresses of all valid entries, in storage
-// order. Intended for invariant checks and diagnostics.
-func (t *Table) Entries() []zaddr.Addr {
-	out := make([]zaddr.Addr, 0, t.CountValid())
-	var e Entry
-	for i := range t.tags {
-		if t.tags[i]&1 != 0 {
-			t.unpackEntry(i/t.cfg.Ways, i%t.cfg.Ways, &e)
-			out = append(out, e.Addr)
-		}
-	}
-	return out
 }
 
 // CountValid returns the number of valid entries in the whole table.

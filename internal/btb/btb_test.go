@@ -187,14 +187,14 @@ func TestTouchChangesVictim(t *testing.T) {
 	c := a + 1024
 	tb.Insert(entry(a))
 	tb.Insert(entry(b))
-	if !tb.Touch(a) { // a becomes MRU; b is now LRU
+	if !tb.TouchSlot(Slot{Addr: a, Way: -1}) { // a becomes MRU; b is now LRU
 		t.Fatal("Touch missed")
 	}
 	v, ev := tb.Insert(entry(c))
 	if !ev || v.Addr != b {
 		t.Fatalf("victim = %+v, want b", v)
 	}
-	if tb.Touch(0x777777) {
+	if tb.TouchSlot(Slot{Addr: 0x777777, Way: -1}) {
 		t.Error("Touch hit an absent branch")
 	}
 }
@@ -205,15 +205,15 @@ func TestDemoteMakesEntryNextVictim(t *testing.T) {
 	b := a + 512
 	c := a + 1024
 	tb.Insert(entry(a))
-	tb.Insert(entry(b)) // order: b MRU, a LRU
-	if !tb.Demote(b) {  // b forced LRU — the BTB2 semi-exclusive hit rule
+	tb.Insert(entry(b))                         // order: b MRU, a LRU
+	if !tb.DemoteSlot(Slot{Addr: b, Way: -1}) { // b forced LRU — the BTB2 semi-exclusive hit rule
 		t.Fatal("Demote missed")
 	}
 	v, ev := tb.Insert(entry(c))
 	if !ev || v.Addr != b {
 		t.Fatalf("victim = %+v, want demoted b", v)
 	}
-	if tb.Demote(0x777777) {
+	if tb.DemoteSlot(Slot{Addr: 0x777777, Way: -1}) {
 		t.Error("Demote hit an absent branch")
 	}
 }
@@ -322,9 +322,9 @@ func TestLRUPermutationProperty(t *testing.T) {
 			case 2:
 				tb.InsertSlot(SlotOf(entry(a)))
 			case 3:
-				tb.Touch(a)
+				tb.TouchSlot(Slot{Addr: a, Way: -1})
 			case 4:
-				tb.Demote(a)
+				tb.DemoteSlot(Slot{Addr: a, Way: -1})
 			}
 			if err := tb.CheckLRUInvariant(); err != nil {
 				t.Logf("seed %d op %d: %v", seed, i, err)

@@ -19,8 +19,8 @@ func TestFaultParityInvalidatesPackedWord(t *testing.T) {
 	packed, ref := New(cfg), newRefTable(cfg)
 	// A rate of 1e6 per million reads arms a strike on (essentially)
 	// every read, so the very first lookup is hit deterministically.
-	packed.SetInjector(fault.NewInjector("btb", 1e6, fault.Parity, 42, false))
-	ref.inj = fault.NewInjector("btb", 1e6, fault.Parity, 42, false)
+	packed.SetInjector(fault.NewInjector("btb", 1e6, fault.Parity, 42))
+	ref.inj = fault.NewInjector("btb", 1e6, fault.Parity, 42)
 
 	e := Entry{Addr: 0x4010, Target: 0x8888, Dir: 3, UsePHT: true, Length: 6}
 	packed.Insert(e)
@@ -66,8 +66,8 @@ func TestFaultStructVsPackedModel(t *testing.T) {
 	cfg := Config{Name: "flt", Rows: 16, Ways: 4, IndexHi: 55, IndexLo: 58}
 	for _, prot := range []fault.Protection{fault.Unprotected, fault.Parity} {
 		packed, ref := New(cfg), newRefTable(cfg)
-		packed.SetInjector(fault.NewInjector("btb", 5000, prot, 0xDEAD, false))
-		ref.inj = fault.NewInjector("btb", 5000, prot, 0xDEAD, false)
+		packed.SetInjector(fault.NewInjector("btb", 5000, prot, 0xDEAD))
+		ref.inj = fault.NewInjector("btb", 5000, prot, 0xDEAD)
 		rng := rand.New(rand.NewSource(77))
 		var hitsP, hitsR []Hit
 		for op := 0; op < 30000; op++ {

@@ -74,8 +74,8 @@ func FuzzPackedRow(f *testing.F) {
 				t.Fatalf("Find(%#x) returned an invalid entry", uint64(p))
 			}
 			tbl.Contains(p)
-			tbl.Touch(p)
-			tbl.Demote(p)
+			tbl.TouchSlot(Slot{Addr: p, Way: -1})
+			tbl.DemoteSlot(Slot{Addr: p, Way: -1})
 			tbl.Invalidate(p)
 		}
 		tbl.CountValid()

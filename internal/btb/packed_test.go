@@ -161,7 +161,7 @@ func TestStructVsPackedModel(t *testing.T) {
 							t.Fatalf("op %d: Find diverged: (%+v,%v) vs (%+v,%v)", op, gP, okP, gR, okR)
 						}
 					case 7:
-						if okP, okR := pair.packed.Touch(e.Addr), pair.ref.Touch(e.Addr); okP != okR {
+						if okP, okR := pair.packed.TouchSlot(Slot{Addr: e.Addr, Way: -1}), pair.ref.Touch(e.Addr); okP != okR {
 							t.Fatalf("op %d: Touch diverged", op)
 						}
 						// The slot forms take a way hint that may or may
@@ -172,7 +172,7 @@ func TestStructVsPackedModel(t *testing.T) {
 							t.Fatalf("op %d: TouchSlot(way %d) diverged", op, s.Way)
 						}
 					case 8:
-						if okP, okR := pair.packed.Demote(e.Addr), pair.ref.Demote(e.Addr); okP != okR {
+						if okP, okR := pair.packed.DemoteSlot(Slot{Addr: e.Addr, Way: -1}), pair.ref.Demote(e.Addr); okP != okR {
 							t.Fatalf("op %d: Demote diverged", op)
 						}
 						s := Slot{Addr: e.Addr, Way: rng.Intn(cfg.Ways)}

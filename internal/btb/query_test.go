@@ -88,7 +88,7 @@ func predictProbe(t *Table, a zaddr.Addr, buf []Hit) (e Entry, mru, ok bool, _ [
 			break
 		}
 	}
-	t.Touch(a)
+	t.TouchSlot(Slot{Addr: a, Way: -1})
 	return e, mru, true, buf
 }
 
@@ -131,8 +131,8 @@ type queryPair struct {
 func newQueryPair(cfg Config, perM float64, p fault.Protection, seed uint64) *queryPair {
 	q := &queryPair{next: New(cfg), prev: New(cfg)}
 	if perM > 0 {
-		q.next.SetInjector(fault.NewInjector("btb", perM, p, seed, false))
-		q.prev.SetInjector(fault.NewInjector("btb", perM, p, seed, false))
+		q.next.SetInjector(fault.NewInjector("btb", perM, p, seed))
+		q.prev.SetInjector(fault.NewInjector("btb", perM, p, seed))
 	}
 	return q
 }
@@ -160,8 +160,8 @@ func (q *queryPair) step(op uint8, a zaddr.Addr, v uint8) string {
 		q.next.Update(e)
 		q.prev.Update(e)
 	case 4:
-		q.next.Demote(a)
-		q.prev.Demote(a)
+		q.next.DemoteSlot(Slot{Addr: a, Way: -1})
+		q.prev.DemoteSlot(Slot{Addr: a, Way: -1})
 	case 5:
 		q.next.Invalidate(a)
 		q.prev.Invalidate(a)

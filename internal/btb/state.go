@@ -85,23 +85,3 @@ func (t *Table) RestoreState(s State) error {
 	copy(t.lru, lru)
 	return nil
 }
-
-// CheckPlacement verifies that every valid entry is stored in the row
-// its address indexes to — the structural invariant a hardware array
-// cannot violate (the index selects the row) and that fault injection
-// must therefore never break. The packed lanes satisfy it by
-// construction (the row position is part of the stored address), so
-// the walk doubles as a decode self-check.
-func (t *Table) CheckPlacement() error {
-	var e Entry
-	for row := 0; row < t.cfg.Rows; row++ {
-		for w := 0; w < t.cfg.Ways; w++ {
-			t.unpackEntry(row, w, &e)
-			if e.Valid && t.RowFor(e.Addr) != row {
-				return fmt.Errorf("btb %s: entry %#x stored in row %d but indexes row %d",
-					t.cfg.Name, uint64(e.Addr), row, t.RowFor(e.Addr))
-			}
-		}
-	}
-	return nil
-}

@@ -106,9 +106,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // RegisterMetrics enumerates the cache's counters (plus a computed
 // occupancy gauge) into r under the given prefix, e.g. "l1i_".
 func (c *Cache) RegisterMetrics(r *obs.Registry, prefix string) {

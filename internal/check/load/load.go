@@ -68,9 +68,6 @@ func New(moduleRoot, modulePath string) *Loader {
 	}
 }
 
-// Fset returns the file set shared by everything the loader touches.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // dirFor maps an import path to the directory holding its source.
 func (l *Loader) dirFor(path string) (string, error) {
 	if path == l.ModulePath {

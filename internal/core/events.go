@@ -171,17 +171,6 @@ func (c *CollectTracer) Ordered() []Event {
 	return out
 }
 
-// Count returns how many events of the given kind were collected.
-func (c *CollectTracer) Count(kind EventKind) int {
-	n := 0
-	for _, e := range c.Events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
 // TeeTracer fans each event out to every member tracer, letting a run
 // stream a JSONL export and feed a timeline buffer at the same time.
 type TeeTracer []Tracer

@@ -23,7 +23,7 @@ func (h *Hierarchy) attachInjectors(fc fault.Config) {
 		return
 	}
 	mk := func(name string, perM float64) *fault.Injector {
-		return fault.NewInjector(name, perM, fc.Protection, fault.DeriveSeed(fc.Seed, name), fc.RecordSites)
+		return fault.NewInjector(name, perM, fc.Protection, fault.DeriveSeed(fc.Seed, name))
 	}
 	h.btb1.SetInjector(mk("btb1", fc.BTB1PerM))
 	h.btbp.SetInjector(mk("btbp", fc.BTBPPerM))
@@ -63,18 +63,6 @@ func (h *Hierarchy) FaultStats() fault.Stats {
 		s.Add(j.Stats())
 	}
 	return s
-}
-
-// FaultSites returns every recorded strike site keyed by structure name
-// (empty unless the fault.Config passed to New sets RecordSites). The
-// site slices are shared with the injectors; callers must not mutate
-// them.
-func (h *Hierarchy) FaultSites() map[string][]fault.Site {
-	out := make(map[string][]fault.Site)
-	for _, j := range h.FaultInjectors() {
-		out[j.Name()] = j.Sites()
-	}
-	return out
 }
 
 // registerFaultMetrics enumerates each injector's counters into r as

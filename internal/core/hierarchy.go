@@ -131,16 +131,7 @@ func New(cfg Config, faults fault.Config) *Hierarchy {
 		}
 		// The tracker's search granularity follows the BTB2's row
 		// coverage (32 bytes shipping; 64/128 in the future-work study).
-		// PartialRows is specified in 32-byte units in Config, so the
-		// partial search keeps its 128-byte coverage at any row width.
-		tcfg := cfg.Tracker
-		tcfg.RowBytes = cfg.BTB2.LineBytes()
-		if scaled := cfg.Tracker.PartialRows * zaddr.RowBytes / tcfg.RowBytes; scaled > 0 {
-			tcfg.PartialRows = scaled
-		} else {
-			tcfg.PartialRows = 1
-		}
-		h.trk = tracker.New(tcfg, ord)
+		h.trk = tracker.New(cfg.Tracker, cfg.BTB2.LineBytes(), ord)
 	}
 	h.attachInjectors(faults)
 	return h
@@ -160,13 +151,6 @@ func (o *sequentialOrder) Order(entry zaddr.Addr) []int {
 	}
 	return o.buf[:]
 }
-
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
-// History exposes the global path history (the engine records resolved
-// outcomes through Resolve; direct access is for diagnostics only).
-func (h *Hierarchy) History() *history.History { return &h.hist }
 
 // Advance applies all state transitions due by cycle now: surprise
 // installs whose write latency has elapsed, and BTB2 bulk-transfer row

@@ -298,7 +298,7 @@ func TestCTBGatingOnTargetChange(t *testing.T) {
 			pathBr = 0x200
 		}
 		// Distinct path: a preceding taken branch differs per target.
-		h.History().RecordPrediction(pathBr, true)
+		h.hist.RecordPrediction(pathBr, true)
 		p, ok := h.Predict(a, now)
 		if !ok {
 			t.Fatal("prediction lost")

@@ -72,9 +72,6 @@ func New(entries int) *Table {
 	}
 }
 
-// Entries returns the table size.
-func (t *Table) Entries() int { return t.n }
-
 // field returns entry i's packed valid|tag field.
 func (t *Table) field(i int) uint64 {
 	return t.tags[i>>2] >> (uint(i&3) * fieldBits) & 0xFFFF

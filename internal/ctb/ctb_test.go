@@ -25,7 +25,7 @@ func counters(tb *Table) map[string]int64 {
 }
 
 func TestNewValidation(t *testing.T) {
-	if New(DefaultEntries).Entries() != 2048 {
+	if New(DefaultEntries).n != 2048 {
 		t.Error("DefaultEntries != 2048")
 	}
 	defer func() {

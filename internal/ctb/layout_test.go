@@ -62,8 +62,8 @@ func TestStructVsPackedModel(t *testing.T) {
 	for _, prot := range []fault.Protection{fault.Unprotected, fault.Parity} {
 		packed := New(256)
 		ref := &refCTB{slots: make([]EntryState, 256)}
-		packed.SetInjector(fault.NewInjector("ctb", 2000, prot, 0xC0FFEE, false))
-		ref.inj = fault.NewInjector("ctb", 2000, prot, 0xC0FFEE, false)
+		packed.SetInjector(fault.NewInjector("ctb", 2000, prot, 0xC0FFEE))
+		ref.inj = fault.NewInjector("ctb", 2000, prot, 0xC0FFEE)
 		rng := rand.New(rand.NewSource(2001))
 		var h history.History
 		for op := 0; op < 30000; op++ {

@@ -234,12 +234,6 @@ func (e *Engine) buildRegistry() {
 	e.reg = r
 }
 
-// Registry exposes the engine's metric registry, which every run
-// reuses: its series read the current run's state. It belongs to the
-// simulation goroutine (see the obs package comment); cross-goroutine
-// consumers must go through published snapshots.
-func (e *Engine) Registry() *obs.Registry { return e.reg }
-
 // snapshot captures the registry, appends it to the result, and feeds
 // the sink if one is configured.
 func (e *Engine) snapshot() {

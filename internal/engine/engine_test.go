@@ -86,7 +86,7 @@ func TestColdSweepBTB2RecoversSecondPass(t *testing.T) {
 	// Two sweeps over 48 blocks (~768 branch sites, exceeding the 4k?
 	// no — exceeding nothing, but evicted from BTBP between sweeps due
 	// to distance). Compare bad capacity outcomes with and without BTB2.
-	src := workload.KernelColdCodeSweep(48, 4)
+	src := kernelColdCodeSweep(48, 4)
 	params := fastParams()
 	noBTB2 := Run(src, core.OneLevelConfig(), params, "c1")
 	withBTB2 := Run(src, core.DefaultConfig(), params, "c2")
@@ -208,7 +208,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestOutcomeTotalsMatchBranchCount(t *testing.T) {
-	src := workload.KernelColdCodeSweep(8, 3)
+	src := kernelColdCodeSweep(8, 3)
 	st := trace.Measure(src)
 	r := Run(src, core.DefaultConfig(), fastParams(), "t")
 	if r.Outcomes.Total() != st.Branches {
@@ -252,7 +252,7 @@ func TestDecodeSurpriseMissMode(t *testing.T) {
 	// In decode-surprise mode, the speculative detector is off: misses
 	// are reported only when surprise branches are encountered, and they
 	// launch full searches (no I-cache filter involvement).
-	src := workload.KernelColdCodeSweep(24, 3)
+	src := kernelColdCodeSweep(24, 3)
 	cfg := core.DefaultConfig()
 	cfg.MissMode = core.MissDecodeSurprise
 	m := Run(src, cfg, fastParams(), "decode").Metrics
@@ -272,7 +272,7 @@ func TestDecodeSurpriseMissMode(t *testing.T) {
 }
 
 func TestMissModeBothCombines(t *testing.T) {
-	src := workload.KernelColdCodeSweep(24, 3)
+	src := kernelColdCodeSweep(24, 3)
 	cfg := core.DefaultConfig()
 	cfg.MissMode = core.MissBoth
 	m := Run(src, cfg, fastParams(), "both").Metrics
@@ -303,8 +303,11 @@ func TestPreloadHintsReduceSurprises(t *testing.T) {
 	if rHinted.Metrics.Counter("hier_preload_installs_total") == 0 {
 		t.Fatal("no preload installs executed")
 	}
-	plainBad := rPlain.Outcomes.BadSurprises()
-	hintedBad := rHinted.Outcomes.BadSurprises()
+	badSurprises := func(c stats.Counts) int64 {
+		return c.N[stats.BadSurpriseCompulsory] + c.N[stats.BadSurpriseLatency] + c.N[stats.BadSurpriseCapacity]
+	}
+	plainBad := badSurprises(rPlain.Outcomes)
+	hintedBad := badSurprises(rHinted.Outcomes)
 	// Compare rates (instruction counts differ).
 	plainRate := float64(plainBad) / float64(rPlain.Instructions)
 	hintedRate := float64(hintedBad) / float64(rHinted.Instructions)
@@ -335,8 +338,8 @@ func TestPHTLearnsAlternatingBranch(t *testing.T) {
 	// about half the time) but the PHT's direction history disambiguates
 	// it: after the first few iterations every direction comes from the
 	// PHT and nearly nothing mispredicts.
-	r := Run(workload.KernelAlternating(4000), core.OneLevelConfig(), fastParams(), "pht")
-	if m, n := r.Outcomes.Mispredicted(), r.Outcomes.Total(); m*100 >= n {
+	r := Run(kernelAlternating(4000), core.OneLevelConfig(), fastParams(), "pht")
+	if m, n := r.Outcomes.N[stats.BadWrongDir]+r.Outcomes.N[stats.BadWrongTarget], r.Outcomes.Total(); m*100 >= n {
 		t.Errorf("alternating branch mispredicted %d of %d branches, want under 1%%", m, n)
 	}
 	if n := r.Metrics.Counter("hier_pht_overrides_total"); n < 3900 {
@@ -348,7 +351,7 @@ func TestCTBLearnsCorrelatedReturn(t *testing.T) {
 	// A return alternating between two call sites mispredicts its target
 	// with the plain BTB entry about half the time; the path-indexed CTB
 	// learns both.
-	r := Run(workload.KernelCallerCorrelatedReturn(4000), core.OneLevelConfig(), fastParams(), "ctb")
+	r := Run(kernelCallerCorrelatedReturn(4000), core.OneLevelConfig(), fastParams(), "ctb")
 	if w, n := r.Outcomes.N[stats.BadWrongTarget], r.Outcomes.Total(); w*100 >= n {
 		t.Errorf("correlated return took %d wrong targets in %d branches, want under 1%%", w, n)
 	}

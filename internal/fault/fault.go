@@ -80,11 +80,6 @@ type Config struct {
 	PHTPerM  float64
 	CTBPerM  float64
 	SBHTPerM float64
-
-	// RecordSites makes every injector keep an in-order log of its
-	// strike sites (read ordinal + raw random bits), for reproducibility
-	// tests and debugging. Off in normal runs: the log allocates.
-	RecordSites bool
 }
 
 // Enabled reports whether any structure has a nonzero fault rate.
@@ -146,13 +141,6 @@ func DeriveSeed(seed uint64, name string) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Site is one recorded fault strike: the ordinal of the read it struck
-// and the raw random bits the structure used to pick what to flip.
-type Site struct {
-	Read uint64
-	Bits uint64
-}
-
 // Stats is a point-in-time view of one injector's (or an aggregate's)
 // counters.
 type Stats struct {
@@ -192,19 +180,16 @@ type Injector struct {
 	reads uint64 // valid-entry reads observed so far
 	next  uint64 // read ordinal the next fault strikes at
 
-	record bool
-	sites  []Site
-
 	met metrics
 }
 
 // NewInjector builds an injector for one structure. A rate of zero (or
 // less) returns nil — the disabled state.
-func NewInjector(name string, perM float64, p Protection, seed uint64, record bool) *Injector {
+func NewInjector(name string, perM float64, p Protection, seed uint64) *Injector {
 	if perM <= 0 {
 		return nil
 	}
-	j := &Injector{name: name, protection: p, perM: perM, seed: seed, record: record}
+	j := &Injector{name: name, protection: p, perM: perM, seed: seed}
 	j.rearm()
 	return j
 }
@@ -223,7 +208,6 @@ func (j *Injector) rearm() {
 	j.rng = z
 	j.reads = 0
 	j.next = 0
-	j.sites = j.sites[:0]
 	j.advance()
 }
 
@@ -278,9 +262,6 @@ func (j *Injector) Strike() (bits uint64, ok bool) {
 func (j *Injector) strike() uint64 {
 	bits := j.rand()
 	j.met.injected.Inc()
-	if j.record {
-		j.sites = append(j.sites, Site{Read: j.reads, Bits: bits})
-	}
 	j.advance()
 	return bits
 }
@@ -357,15 +338,6 @@ func (j *Injector) Stats() Stats {
 		Recovered: j.met.recovered.Value(),
 		Silent:    j.met.silent.Value(),
 	}
-}
-
-// Sites returns the recorded strike log (nil unless RecordSites). The
-// slice is shared; callers must not mutate it.
-func (j *Injector) Sites() []Site {
-	if j == nil {
-		return nil
-	}
-	return j.sites
 }
 
 // Reset restores the injector to its power-on state: counters cleared

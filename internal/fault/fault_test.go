@@ -27,16 +27,13 @@ func TestNilInjectorIsSafeAndFree(t *testing.T) {
 	if s := j.Stats(); s != (Stats{}) {
 		t.Errorf("nil injector stats = %+v", s)
 	}
-	if j.Sites() != nil {
-		t.Error("nil injector has sites")
-	}
 }
 
 func TestNewInjectorDisabledRate(t *testing.T) {
-	if j := NewInjector("x", 0, Unprotected, 1, false); j != nil {
+	if j := NewInjector("x", 0, Unprotected, 1); j != nil {
 		t.Error("zero rate built an injector")
 	}
-	if j := NewInjector("x", -1, Unprotected, 1, false); j != nil {
+	if j := NewInjector("x", -1, Unprotected, 1); j != nil {
 		t.Error("negative rate built an injector")
 	}
 }
@@ -54,8 +51,8 @@ func collectStrikes(j *Injector, n int) []uint64 {
 
 func TestStrikeDeterministicAndResetReplays(t *testing.T) {
 	const n = 500_000
-	a := NewInjector("btb1", 50, Unprotected, 42, false)
-	b := NewInjector("btb1", 50, Unprotected, 42, false)
+	a := NewInjector("btb1", 50, Unprotected, 42)
+	b := NewInjector("btb1", 50, Unprotected, 42)
 	ha := collectStrikes(a, n)
 	hb := collectStrikes(b, n)
 	if len(ha) == 0 {
@@ -73,7 +70,7 @@ func TestStrikeDeterministicAndResetReplays(t *testing.T) {
 		t.Error("post-Reset schedule differs from the original")
 	}
 	// A different seed strikes differently.
-	c := NewInjector("btb1", 50, Unprotected, 43, false)
+	c := NewInjector("btb1", 50, Unprotected, 43)
 	if reflect.DeepEqual(ha, collectStrikes(c, n)) {
 		t.Error("different seeds produced identical schedules")
 	}
@@ -84,7 +81,7 @@ func TestStrikeRateMatchesGeometricSchedule(t *testing.T) {
 		perM  = 200.0
 		reads = 4_000_000
 	)
-	j := NewInjector("pht", perM, Unprotected, 7, false)
+	j := NewInjector("pht", perM, Unprotected, 7)
 	hits := len(collectStrikes(j, reads))
 	want := perM / 1e6 * reads
 	// Geometric arrivals: the count concentrates tightly around the
@@ -98,7 +95,7 @@ func TestStrikeRateMatchesGeometricSchedule(t *testing.T) {
 }
 
 func TestParityCountsRecoveriesAsDetections(t *testing.T) {
-	j := NewInjector("btbp", 1000, Parity, 3, false)
+	j := NewInjector("btbp", 1000, Parity, 3)
 	for i := 0; i < 100_000; i++ {
 		if _, ok := j.Strike(); ok {
 			j.NoteRecovered()
@@ -119,26 +116,8 @@ func TestParityCountsRecoveriesAsDetections(t *testing.T) {
 	}
 }
 
-func TestRecordSites(t *testing.T) {
-	j := NewInjector("ctb", 2000, Unprotected, 9, true)
-	for i := 0; i < 50_000; i++ {
-		if _, ok := j.Strike(); ok {
-			j.NoteSilent()
-		}
-	}
-	sites := j.Sites()
-	if int64(len(sites)) != j.Stats().Injected {
-		t.Fatalf("recorded %d sites for %d injections", len(sites), j.Stats().Injected)
-	}
-	for i := 1; i < len(sites); i++ {
-		if sites[i].Read <= sites[i-1].Read {
-			t.Fatal("sites not in read order")
-		}
-	}
-}
-
 func TestRegisterMetrics(t *testing.T) {
-	j := NewInjector("btb1", 5000, Parity, 11, false)
+	j := NewInjector("btb1", 5000, Parity, 11)
 	r := obs.NewRegistry()
 	j.RegisterMetrics(r, "fault_btb1_")
 	for i := 0; i < 10_000; i++ {
@@ -216,16 +195,15 @@ func TestDeriveSeedIndependence(t *testing.T) {
 // whose windows run to thousands of reads.
 var passRates = []float64{1e6, 3e5, 2e4, 1e3}
 
-// replayPass drives two identically seeded injectors, with site
-// recording on, through ops. Each op strikes both once, or observes a
-// run of reads: next in one Pass of at most the quiet window, its twin
-// in as many Strike calls, none of which may strike. Reads, Stats,
-// the scheduled strike's ordinal and the latest site must agree after
-// every op (sites only append), and the whole site logs at the end.
+// replayPass drives two identically seeded injectors through ops. Each
+// op strikes both once, comparing the strikes' random bits, or observes
+// a run of reads: next in one Pass of at most the quiet window, its
+// twin in as many Strike calls, none of which may strike. Reads, Stats
+// and the scheduled strike's ordinal must agree after every op.
 func replayPass(t *testing.T, perM float64, p Protection, seed uint64, ops []byte) (strikes, passed int) {
 	t.Helper()
-	next := NewInjector("x", perM, p, seed, true)
-	twin := NewInjector("x", perM, p, seed, true)
+	next := NewInjector("x", perM, p, seed)
+	twin := NewInjector("x", perM, p, seed)
 	for i, op := range ops {
 		switch op & 3 {
 		case 0, 1:
@@ -250,15 +228,10 @@ func replayPass(t *testing.T, perM float64, p Protection, seed uint64, ops []byt
 			}
 			passed += int(n)
 		}
-		ns, ts := next.Sites(), twin.Sites()
-		if next.Reads() != twin.Reads() || next.next != twin.next || next.Stats() != twin.Stats() ||
-			len(ns) != len(ts) || len(ns) > 0 && ns[len(ns)-1] != ts[len(ts)-1] {
+		if next.Reads() != twin.Reads() || next.next != twin.next || next.Stats() != twin.Stats() {
 			t.Fatalf("op %d: reads %d next %d %+v, twin reads %d next %d %+v",
 				i, next.Reads(), next.next, next.Stats(), twin.Reads(), twin.next, twin.Stats())
 		}
-	}
-	if !reflect.DeepEqual(next.Sites(), twin.Sites()) {
-		t.Fatal("strike sites diverged")
 	}
 	return strikes, passed
 }
@@ -301,7 +274,7 @@ func FuzzInjectorPass(f *testing.F) {
 // TestMetricsRegistered pins RegisterMetrics to the metrics struct:
 // every declared counter and histogram must reach the registry.
 func TestMetricsRegistered(t *testing.T) {
-	j := NewInjector("btb1", 50, Unprotected, 42, false)
+	j := NewInjector("btb1", 50, Unprotected, 42)
 	r := obs.NewRegistry()
 	j.RegisterMetrics(r, "fault_btb1_")
 	obstest.RequireRegistered(t, r, &j.met)

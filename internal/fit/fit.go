@@ -79,9 +79,6 @@ func New(n int) *Table {
 	return t
 }
 
-// Entries returns the table size.
-func (t *Table) Entries() int { return len(t.ents) }
-
 // RegisterMetrics enumerates the FIT counters (plus a computed occupancy
 // gauge) into r under the given prefix, e.g. "fit_".
 func (t *Table) RegisterMetrics(r *obs.Registry, prefix string) {

@@ -24,7 +24,7 @@ func counters(tb *Table) map[string]int64 {
 }
 
 func TestNewValidation(t *testing.T) {
-	if New(DefaultEntries).Entries() != 64 {
+	if len(New(DefaultEntries).ents) != 64 {
 		t.Error("DefaultEntries != 64")
 	}
 	defer func() {

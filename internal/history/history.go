@@ -4,9 +4,7 @@
 // addresses of the 6 previous taken branches" and the CTB "based on the
 // instruction addresses of the 12 previous taken branches".
 //
-// Histories are updated speculatively at prediction time; Snapshot and
-// Restore support repairing them when a misprediction restarts the search
-// pipeline.
+// Histories are updated speculatively at prediction time.
 //
 // Both indexes fold each recorded taken address down to the table's
 // index width and rotate it by its age. A History keeps that folded
@@ -55,10 +53,6 @@ type pathTerm struct {
 	out   uint // depth % width: the rotation of the address leaving the window
 	v     uint64
 }
-
-// Snapshot is an immutable copy of a History, used to repair state after
-// a pipeline restart.
-type Snapshot struct{ h History }
 
 // RecordPrediction shifts a predicted direction into the history; for
 // taken predictions the branch's instruction address is also recorded.
@@ -120,14 +114,8 @@ func (h *History) pathFold(width uint, depth int) uint64 {
 	return v
 }
 
-// Snapshot captures the current state.
-func (h *History) Snapshot() Snapshot { return Snapshot{h: *h} }
-
-// Restore rewinds the history to a prior snapshot.
-func (h *History) Restore(s Snapshot) { *h = s.h }
-
 // State is the serializable (exported-field) mirror of a History, used
-// by checkpoint encoding where Snapshot's unexported field cannot go.
+// by checkpoint encoding.
 type State struct {
 	Dirs  uint16
 	Taken [TakenAddrDepth]zaddr.Addr
@@ -188,12 +176,6 @@ func (h *History) CTBIndex(addr zaddr.Addr, entries int) int {
 	v := fold(zaddr.Halfword(addr), width) ^ h.ctb.term(h, width, TakenAddrDepth)
 	return int(v & uint64(entries-1))
 }
-
-// DirBits returns the raw direction history register (diagnostics/tests).
-func (h *History) DirBits() uint16 { return h.dirs }
-
-// TakenDepthUsed returns how many taken addresses are currently recorded.
-func (h *History) TakenDepthUsed() int { return h.count }
 
 func rotl(v uint64, by, width uint) uint64 {
 	by %= width

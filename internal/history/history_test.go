@@ -13,11 +13,11 @@ func TestRecordPredictionDirs(t *testing.T) {
 	h.RecordPrediction(0x1000, true)
 	h.RecordPrediction(0x1004, false)
 	h.RecordPrediction(0x1008, true)
-	if h.DirBits() != 0b101 {
-		t.Errorf("DirBits = %b, want 101", h.DirBits())
+	if h.dirs != 0b101 {
+		t.Errorf("dirs = %b, want 101", h.dirs)
 	}
-	if h.TakenDepthUsed() != 2 {
-		t.Errorf("TakenDepthUsed = %d, want 2", h.TakenDepthUsed())
+	if h.count != 2 {
+		t.Errorf("count = %d, want 2", h.count)
 	}
 }
 
@@ -26,11 +26,11 @@ func TestDirHistoryDepthLimit(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.RecordPrediction(zaddr.Addr(i*4), true)
 	}
-	if h.DirBits() != (1<<DirDepth)-1 {
-		t.Errorf("DirBits = %b after 100 takens", h.DirBits())
+	if h.dirs != (1<<DirDepth)-1 {
+		t.Errorf("dirs = %b after 100 takens", h.dirs)
 	}
-	if h.TakenDepthUsed() != TakenAddrDepth {
-		t.Errorf("TakenDepthUsed = %d, want %d", h.TakenDepthUsed(), TakenAddrDepth)
+	if h.count != TakenAddrDepth {
+		t.Errorf("count = %d, want %d", h.count, TakenAddrDepth)
 	}
 }
 
@@ -38,17 +38,17 @@ func TestSnapshotRestore(t *testing.T) {
 	var h History
 	h.RecordPrediction(0x100, true)
 	h.RecordPrediction(0x200, true)
-	snap := h.Snapshot()
+	snap := h.State()
 	idxBefore := h.PHTIndex(0x300, 4096)
 	ctbBefore := h.CTBIndex(0x300, 2048)
 	h.RecordPrediction(0x400, false)
 	h.RecordPrediction(0x500, true)
-	h.Restore(snap)
+	h.RestoreState(snap)
 	if h.PHTIndex(0x300, 4096) != idxBefore {
-		t.Error("PHT index changed across Snapshot/Restore")
+		t.Error("PHT index changed across State/RestoreState")
 	}
 	if h.CTBIndex(0x300, 2048) != ctbBefore {
-		t.Error("CTB index changed across Snapshot/Restore")
+		t.Error("CTB index changed across State/RestoreState")
 	}
 }
 
@@ -56,7 +56,7 @@ func TestReset(t *testing.T) {
 	var h History
 	h.RecordPrediction(0x100, true)
 	h.Reset()
-	if h.DirBits() != 0 || h.TakenDepthUsed() != 0 {
+	if h.dirs != 0 || h.count != 0 {
 		t.Error("Reset left state")
 	}
 }

@@ -43,22 +43,22 @@ var pathWidths = [][2]int{{4096, 2048}, {2, 2}, {4, 8}, {8, 128}, {1 << 13, 1 <<
 
 // runHistoryOps replays ops (two bytes each: operation and address) on
 // one history and checks both indexes against the from-scratch model
-// after every operation. Snapshots and State copies taken along the way
+// after every operation. Value copies and State copies taken along the way
 // are restored later, and the table sizes in use can switch, so the
 // terms are rebuilt mid-stream as well as carried.
 func runHistoryOps(t *testing.T, sizes [][2]int, ops []byte) {
 	t.Helper()
 	var h History
-	var snap Snapshot
+	var snap History
 	var st State
 	size := sizes[0]
 	for i := 0; i+2 <= len(ops); i += 2 {
 		a := zaddr.Addr(uint64(ops[i+1])*0x1_0203_0405_0607 + uint64(ops[i+1])<<1)
 		switch ops[i] % 16 {
 		case 0:
-			snap = h.Snapshot()
+			snap = h
 		case 1:
-			h.Restore(snap)
+			h = snap
 		case 2:
 			st = h.State()
 		case 3:

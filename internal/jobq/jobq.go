@@ -245,9 +245,6 @@ func (q *Queue) Close() error {
 	return q.f.Close()
 }
 
-// Dir returns the queue's directory.
-func (q *Queue) Dir() string { return q.dir }
-
 // CheckpointPath is where the job's ZBPC checkpoint file lives.
 func (q *Queue) CheckpointPath(id string) string {
 	return filepath.Join(q.dir, id+".ckpt")
@@ -570,9 +567,3 @@ func (q *Queue) TenantCounts(key func(tenant string) string) map[string]Counts {
 	}
 	return out
 }
-
-// MaxDepth returns the configured pending-backlog bound.
-func (q *Queue) MaxDepth() int { return q.opts.MaxDepth }
-
-// MaxAttempts returns the configured dead-letter threshold.
-func (q *Queue) MaxAttempts() int { return q.opts.MaxAttempts }

@@ -51,16 +51,6 @@ type Outcome struct {
 	Dur     time.Duration
 }
 
-// Failed reports whether any outcome failed.
-func Failed(outs []Outcome) bool {
-	for _, o := range outs {
-		if o.Err != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // scenario is one named testbed case.
 type scenario struct {
 	name     string

@@ -33,16 +33,16 @@ func TestConcurrentSnapshotExport(t *testing.T) {
 		defer wg.Done()
 		reg := NewRegistry()
 		var c Counter
-		var g Gauge
+		var level int64
 		var h Histogram
 		reg.Counter("work_total", "ops", "work items", &c)
-		reg.Gauge("level", "ops", "current level", &g)
+		reg.GaugeFunc("level", "ops", "current level", func() int64 { return level })
 		reg.Histogram("size", "ops", "work size", &h)
 		h.SetBounds(1, 10, 100, 1000)
 		seq := int64(0)
 		for i := 1; i <= iters; i++ {
 			c.Inc()
-			g.Set(int64(i))
+			level = int64(i)
 			h.Observe(int64(i % 500))
 			if i%every == 0 {
 				seq++

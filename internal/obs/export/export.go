@@ -144,10 +144,6 @@ func (t *Chrome) Event(e core.Event) {
 		uint64(e.Addr), e.Cycle, int(e.Kind)+1, uint64(e.Aux))
 }
 
-// Counts returns the number of events exported so far, indexed by
-// core.EventKind.
-func (t *Chrome) Counts() [core.NumEventKinds]int64 { return t.n }
-
 // Flush drains the write buffer without terminating the array.
 func (t *Chrome) Flush() error {
 	if err := t.w.Flush(); err != nil && t.err == nil {

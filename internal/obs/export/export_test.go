@@ -87,8 +87,8 @@ func TestChromeIsValidJSON(t *testing.T) {
 	if meta != core.NumEventKinds || inst != 4 {
 		t.Fatalf("meta/instant = %d/%d", meta, inst)
 	}
-	if c.Counts()[core.EvPredict] != 2 {
-		t.Fatalf("counts = %v", c.Counts())
+	if c.n[core.EvPredict] != 2 {
+		t.Fatalf("counts = %v", c.n)
 	}
 }
 

@@ -22,10 +22,7 @@
 //     per-metric knowledge.
 package obs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Type classifies a metric.
 type Type uint8
@@ -64,18 +61,6 @@ func (c *Counter) Add(n int64) { c.v += n }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v }
-
-// Gauge is an instantaneous level that can move both ways.
-type Gauge struct{ v int64 }
-
-// Set replaces the level.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Add moves the level by n.
-func (g *Gauge) Add(n int64) { g.v += n }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v }
 
 // Histogram is a fixed-bucket distribution of int64 observations.
 // Bounds are inclusive upper bounds in ascending order; one implicit
@@ -119,12 +104,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[len(h.bounds)]++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // Reset clears observations, keeping the bounds.
 func (h *Histogram) Reset() {
 	h.count, h.sum = 0, 0
@@ -145,7 +124,6 @@ type Desc struct {
 type metric struct {
 	desc Desc
 	c    *Counter
-	g    *Gauge
 	h    *Histogram
 	fn   func() int64 // computed metric, read at snapshot time
 }
@@ -180,11 +158,6 @@ func (r *Registry) Counter(name, unit, help string, c *Counter) {
 	r.add(metric{desc: Desc{Name: name, Type: TypeCounter, Unit: unit, Help: help}, c: c})
 }
 
-// Gauge registers g under name.
-func (r *Registry) Gauge(name, unit, help string, g *Gauge) {
-	r.add(metric{desc: Desc{Name: name, Type: TypeGauge, Unit: unit, Help: help}, g: g})
-}
-
 // Histogram registers h under name.
 func (r *Registry) Histogram(name, unit, help string, h *Histogram) {
 	r.add(metric{desc: Desc{Name: name, Type: TypeHistogram, Unit: unit, Help: help}, h: h})
@@ -203,19 +176,6 @@ func (r *Registry) CounterFunc(name, unit, help string, fn func() int64) {
 	r.add(metric{desc: Desc{Name: name, Type: TypeCounter, Unit: unit, Help: help}, fn: fn})
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.metrics) }
-
-// Descs returns the catalogue of registered metrics, sorted by name.
-func (r *Registry) Descs() []Desc {
-	out := make([]Desc, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		out = append(out, m.desc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Snapshot captures every registered metric's current value. seq tags
 // the snapshot (interval snapshots number from 1). Must be called from
 // the goroutine that owns the registered metrics.
@@ -226,8 +186,6 @@ func (r *Registry) Snapshot(seq int64) Snapshot {
 		switch {
 		case m.c != nil:
 			v.Value = m.c.Value()
-		case m.g != nil:
-			v.Value = m.g.Value()
 		case m.fn != nil:
 			v.Value = m.fn()
 		case m.h != nil:

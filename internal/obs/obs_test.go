@@ -14,11 +14,14 @@ func TestCounterGauge(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Value())
+	// A gauge is computed at snapshot time, so it reads the level then.
+	r := NewRegistry()
+	level := int64(7)
+	r.GaugeFunc("level", "entries", "demo gauge", func() int64 { return level })
+	level -= 3
+	s := r.Snapshot(1)
+	if v, ok := s.Get("level"); !ok || v.Type != TypeGauge || v.Value != 4 {
+		t.Fatalf("gauge = %+v, want a gauge of 4", v)
 	}
 }
 
@@ -28,8 +31,8 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{0, 1, 2, 5, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 || h.Sum() != 108 {
-		t.Fatalf("count/sum = %d/%d, want 5/108", h.Count(), h.Sum())
+	if h.count != 5 || h.sum != 108 {
+		t.Fatalf("count/sum = %d/%d, want 5/108", h.count, h.sum)
 	}
 	want := []int64{2, 1, 1, 1} // <=1: 0,1; <=4: 2; <=16: 5; overflow: 100
 	for i, n := range want {
@@ -38,7 +41,7 @@ func TestHistogramBuckets(t *testing.T) {
 		}
 	}
 	h.Reset()
-	if h.Count() != 0 || h.counts[0] != 0 {
+	if h.count != 0 || h.counts[0] != 0 {
 		t.Fatal("Reset did not clear observations")
 	}
 }
@@ -47,8 +50,8 @@ func TestHistogramNoBounds(t *testing.T) {
 	var h Histogram
 	h.Observe(10)
 	h.Observe(20)
-	if h.Count() != 2 || h.Sum() != 30 {
-		t.Fatalf("boundless histogram count/sum = %d/%d", h.Count(), h.Sum())
+	if h.count != 2 || h.sum != 30 {
+		t.Fatalf("boundless histogram count/sum = %d/%d", h.count, h.sum)
 	}
 }
 
@@ -62,29 +65,29 @@ func TestHistogramBadBounds(t *testing.T) {
 	h.SetBounds(4, 1)
 }
 
-func buildRegistry(t *testing.T) (*Registry, *Counter, *Gauge, *Histogram) {
+func buildRegistry(t *testing.T) (*Registry, *Counter, *int64, *Histogram) {
 	t.Helper()
 	r := NewRegistry()
 	var c Counter
-	var g Gauge
+	var level int64
 	var h Histogram
 	h.SetBounds(10, 100)
 	r.Counter("demo_events_total", "events", "demo counter", &c)
-	r.Gauge("demo_level", "entries", "demo gauge", &g)
+	r.GaugeFunc("demo_level", "entries", "demo gauge", func() int64 { return level })
 	r.Histogram("demo_latency_cycles", "cycles", "demo histogram", &h)
 	r.GaugeFunc("demo_computed", "entries", "computed gauge", func() int64 { return 42 })
-	return r, &c, &g, &h
+	return r, &c, &level, &h
 }
 
 func TestRegistrySnapshot(t *testing.T) {
 	r, c, g, h := buildRegistry(t)
 	c.Add(3)
-	g.Set(9)
+	*g = 9
 	h.Observe(5)
 	h.Observe(500)
 
 	s := r.Snapshot(1)
-	if s.Seq != 1 || len(s.Values) != r.Len() {
+	if s.Seq != 1 || len(s.Values) != len(r.metrics) {
 		t.Fatalf("snapshot seq/len = %d/%d", s.Seq, len(s.Values))
 	}
 	if s.Counter("demo_events_total") != 3 {
@@ -120,20 +123,10 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 	r.Counter("x", "", "", &c)
 }
 
-func TestRegistryDescsSorted(t *testing.T) {
-	r, _, _, _ := buildRegistry(t)
-	ds := r.Descs()
-	for i := 1; i < len(ds); i++ {
-		if ds[i-1].Name >= ds[i].Name {
-			t.Fatalf("descs not sorted: %q >= %q", ds[i-1].Name, ds[i].Name)
-		}
-	}
-}
-
 func TestSnapshotMerge(t *testing.T) {
 	r, c, g, h := buildRegistry(t)
 	c.Add(2)
-	g.Set(5)
+	*g = 5
 	h.Observe(50)
 	a := r.Snapshot(1)
 	c.Add(3)
@@ -160,11 +153,11 @@ func TestSnapshotMerge(t *testing.T) {
 func TestSnapshotDelta(t *testing.T) {
 	r, c, g, h := buildRegistry(t)
 	c.Add(10)
-	g.Set(100)
+	*g = 100
 	h.Observe(5)
 	first := r.Snapshot(1)
 	c.Add(4)
-	g.Set(70)
+	*g = 70
 	h.Observe(7)
 	second := r.Snapshot(2)
 

@@ -12,15 +12,14 @@ import (
 
 var (
 	counterType   = reflect.TypeOf(obs.Counter{})
-	gaugeType     = reflect.TypeOf(obs.Gauge{})
 	histogramType = reflect.TypeOf(obs.Histogram{})
 )
 
-// RequireRegistered fails t for every obs.Counter, obs.Gauge and
-// obs.Histogram field of the struct metrics points to (nested struct
-// fields included) that reg does not enumerate. Each field is moved in
-// turn — a counter or gauge by one, a histogram by one observation —
-// and some series of reg's snapshot must move with it. A field that
+// RequireRegistered fails t for every obs.Counter and obs.Histogram
+// field of the struct metrics points to (nested struct fields included)
+// that reg does not enumerate. Each field is moved in turn — a counter
+// by one, a histogram by one observation — and some series of reg's
+// snapshot must move with it. A field that
 // increments but was never registered would otherwise vanish from
 // snapshots, exporters and phase timelines without failing anything.
 // The fields are left moved; pass a structure built for the check.
@@ -40,8 +39,6 @@ func RequireRegistered(t testing.TB, reg *obs.Registry, metrics any) {
 			switch f.Type() {
 			case counterType:
 				move = func() { (*obs.Counter)(ptr).Inc() }
-			case gaugeType:
-				move = func() { (*obs.Gauge)(ptr).Add(1) }
 			case histogramType:
 				move = func() { (*obs.Histogram)(ptr).Observe(0) }
 			default:

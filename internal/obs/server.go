@@ -52,9 +52,6 @@ func (s *Server) Start(addr string) (string, error) {
 	return s.addr, nil
 }
 
-// Addr returns the bound address after a successful Start.
-func (s *Server) Addr() string { return s.addr }
-
 // Shutdown stops the server gracefully: no new connections, in-flight
 // requests run to completion or until timeout elapses, whichever comes
 // first. Safe to call once after Start.

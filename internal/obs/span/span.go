@@ -211,14 +211,6 @@ type Recorder struct {
 // skip argument computation that is only needed for tracing.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Worker returns the recorder's worker number (0 when disabled).
-func (r *Recorder) Worker() int {
-	if r == nil {
-		return 0
-	}
-	return r.worker
-}
-
 // now returns nanoseconds since the trace epoch (monotonic).
 func (r *Recorder) now() int64 {
 	return int64(time.Since(r.t.epoch))
@@ -273,9 +265,6 @@ type Span struct {
 // ID returns the span's identity for parenting children (0 when inert,
 // which children interpret as "root").
 func (s Span) ID() ID { return s.id }
-
-// End closes the span with no arguments.
-func (s Span) End() { s.EndArgs(0, 0) }
 
 // EndArgs closes the span, attaching two kind-specific arguments (see
 // Kind.ArgNames). The event is buffered on the owning recorder.

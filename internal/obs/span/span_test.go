@@ -18,7 +18,7 @@ func TestDisabledPathNoAllocs(t *testing.T) {
 		rec.Instant(KindSteal, "steal", sp.ID(), 3, 2)
 		sp.EndArgs(1024, 0)
 		sp2 := rec.Start(KindRefill, "refill", sp.ID())
-		sp2.End()
+		sp2.EndArgs(0, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled span path allocated %v times per run, want 0", allocs)
@@ -101,7 +101,7 @@ func TestDeterministicIDs(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				sp := rec.Start(KindUnit, "u", 0)
 				ids = append(ids, sp.ID())
-				sp.End()
+				sp.EndArgs(0, 0)
 			}
 		}
 		return ids

@@ -63,8 +63,8 @@ func TestStructVsPackedModel(t *testing.T) {
 	for _, prot := range []fault.Protection{fault.Unprotected, fault.Parity} {
 		packed := New(256)
 		ref := &refPHT{slots: make([]EntryState, 256)}
-		packed.SetInjector(fault.NewInjector("pht", 2000, prot, 0xFEED, false))
-		ref.inj = fault.NewInjector("pht", 2000, prot, 0xFEED, false)
+		packed.SetInjector(fault.NewInjector("pht", 2000, prot, 0xFEED))
+		ref.inj = fault.NewInjector("pht", 2000, prot, 0xFEED)
 		rng := rand.New(rand.NewSource(1701))
 		var h history.History
 		for op := 0; op < 30000; op++ {

@@ -70,9 +70,6 @@ func New(entries int) *Table {
 	return &Table{n: entries, words: make([]uint64, (entries+3)/4)}
 }
 
-// Entries returns the table size.
-func (t *Table) Entries() int { return t.n }
-
 // field returns entry i's packed 16-bit field.
 func (t *Table) field(i int) uint64 {
 	return t.words[i>>2] >> (uint(i&3) * fieldBits) & 0xFFFF

@@ -25,7 +25,7 @@ func counters(tb *Table) map[string]int64 {
 }
 
 func TestNewValidation(t *testing.T) {
-	if New(DefaultEntries).Entries() != 4096 {
+	if New(DefaultEntries).n != 4096 {
 		t.Error("DefaultEntries != 4096")
 	}
 	defer func() {

@@ -53,9 +53,6 @@ func NewMissDetector(cfg MissConfig) *MissDetector {
 	return &MissDetector{cfg: cfg}
 }
 
-// Config returns the detector's configuration.
-func (d *MissDetector) Config() MissConfig { return d.cfg }
-
 // Reported returns the number of misses reported so far.
 func (d *MissDetector) Reported() int64 { return d.reported }
 

@@ -101,15 +101,3 @@ func formatMix(n [stats.NumOutcomes]int64, total int64) string {
 	}
 	return sb.String()
 }
-
-// PhaseCount returns how many phases PhaseTimeline would render (the
-// snapshots with a non-empty instruction delta).
-func PhaseCount(snaps []obs.Snapshot) int {
-	n := 0
-	for _, r := range phaseRows(snaps) {
-		if r.instructions > 0 {
-			n++
-		}
-	}
-	return n
-}

@@ -29,9 +29,6 @@ func TestPhaseTimeline(t *testing.T) {
 	var sb strings.Builder
 	PhaseTimeline(&sb, snaps)
 	out := sb.String()
-	if got := PhaseCount(snaps); got != 2 {
-		t.Errorf("PhaseCount = %d, want 2 (zero-delta snapshot skipped)", got)
-	}
 	if !strings.Contains(out, "1.1000") {
 		t.Errorf("phase 1 CPI (1100/1000) missing:\n%s", out)
 	}
@@ -54,9 +51,6 @@ func TestPhaseTimelineEmpty(t *testing.T) {
 	PhaseTimeline(&sb, nil)
 	if !strings.Contains(sb.String(), "no snapshots") {
 		t.Errorf("empty timeline message missing: %q", sb.String())
-	}
-	if PhaseCount(nil) != 0 {
-		t.Error("PhaseCount(nil) != 0")
 	}
 }
 

@@ -34,15 +34,3 @@ func AggregateMetrics(results ...engine.Result) (agg obs.Snapshot, ok bool) {
 	}
 	return agg, ok
 }
-
-// ComparisonMetrics aggregates one configuration's final snapshots
-// across a slice of per-trace comparisons. pick selects the result to
-// aggregate from each comparison (e.g. func(c Comparison) engine.Result
-// { return c.BTB2 }).
-func ComparisonMetrics(cs []Comparison, pick func(Comparison) engine.Result) (obs.Snapshot, bool) {
-	results := make([]engine.Result, len(cs))
-	for i, c := range cs {
-		results[i] = pick(c)
-	}
-	return AggregateMetrics(results...)
-}

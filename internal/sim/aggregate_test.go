@@ -96,35 +96,3 @@ func TestAggregateMetrics(t *testing.T) {
 		t.Error("AggregateMetrics reported ok with no snapshots")
 	}
 }
-
-func TestComparisonMetrics(t *testing.T) {
-	cfgs := Table3()
-	profiles := shardProfiles(2)
-	units := make([]Unit, len(profiles))
-	for i, p := range profiles {
-		units[i] = ProfileUnit(p, cfgs[ConfigBTB2], quickParams(), ConfigBTB2)
-	}
-	res, err := RunUnits(context.Background(), 0, units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := make([]Comparison, len(profiles))
-	for i := range profiles {
-		cs[i] = Comparison{Trace: profiles[i].Name, BTB2: res[i]}
-	}
-	var want int64
-	for _, c := range cs {
-		want += c.BTB2.Metrics.Counter("hier_predictions_total")
-	}
-	agg, ok := ComparisonMetrics(cs, func(c Comparison) engine.Result { return c.BTB2 })
-	if !ok {
-		t.Fatal("ComparisonMetrics found no snapshots")
-	}
-	if got := agg.Counter("hier_predictions_total"); got != want {
-		t.Errorf("merged predictions = %d, want %d", got, want)
-	}
-	// The Base results carry no metrics; picking them reports not ok.
-	if _, ok := ComparisonMetrics(cs, func(c Comparison) engine.Result { return c.Base }); ok {
-		t.Error("ComparisonMetrics reported ok for empty results")
-	}
-}

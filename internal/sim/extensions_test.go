@@ -143,18 +143,6 @@ func TestPreloadStudy(t *testing.T) {
 	}
 }
 
-func TestPreloadHintsImproveWorkload(t *testing.T) {
-	// The hinted program shares topology with the unhinted one: same
-	// function count, strictly more instructions per invocation.
-	plain := quickProfile()
-	hinted := quickProfile()
-	hinted.PreloadHints = true
-	ps, hs := workload.New(plain), workload.New(hinted)
-	if ps.Functions() != hs.Functions() {
-		t.Errorf("topology diverged: %d vs %d functions", ps.Functions(), hs.Functions())
-	}
-}
-
 func TestSharingStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("study in -short mode")

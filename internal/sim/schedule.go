@@ -117,19 +117,6 @@ type ShardStats struct {
 	Metrics   obs.Snapshot
 }
 
-// Utilization returns the fraction of aggregate worker wall time spent
-// executing units (0 when unknown): merged sched_busy_nanos_total over
-// Workers x WallNanos. The gap is scheduling overhead plus tail idling
-// — workers that drained every queue while a long unit finished
-// elsewhere.
-func (s ShardStats) Utilization() float64 {
-	if s.WallNanos <= 0 || s.Workers <= 0 {
-		return 0
-	}
-	busy := s.Metrics.Counter("sched_busy_nanos_total")
-	return float64(busy) / (float64(s.WallNanos) * float64(s.Workers))
-}
-
 // schedWorker is one worker's goroutine-local scheduler instrumentation.
 type schedWorker struct {
 	unitsRun      obs.Counter   // units this worker executed

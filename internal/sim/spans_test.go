@@ -109,10 +109,11 @@ func TestRunUnitsTracedTelemetry(t *testing.T) {
 		if stats.WallNanos <= 0 {
 			t.Errorf("workers=%d: WallNanos = %d, want > 0", workers, stats.WallNanos)
 		}
-		if busy := stats.Metrics.Counter("sched_busy_nanos_total"); busy <= 0 {
+		busy := stats.Metrics.Counter("sched_busy_nanos_total")
+		if busy <= 0 {
 			t.Errorf("workers=%d: sched_busy_nanos_total = %d, want > 0", workers, busy)
 		}
-		u := stats.Utilization()
+		u := float64(busy) / (float64(stats.WallNanos) * float64(stats.Workers))
 		if u <= 0 || u > 1.5 { // small slack for clock granularity
 			t.Errorf("workers=%d: utilization = %v, want in (0, 1]", workers, u)
 		}

@@ -158,15 +158,3 @@ func LoadSpec(path string) (Spec, error) {
 	}
 	return s, nil
 }
-
-// SaveSpec writes a spec as indented JSON.
-func SaveSpec(path string, s Spec) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}

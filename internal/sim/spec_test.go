@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,7 +44,11 @@ func TestSpecRoundTripAndRun(t *testing.T) {
 		Params:  &params,
 	}
 	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := SaveSpec(path, spec); err != nil {
+	data, err := json.MarshalIndent(spec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFile(path, string(data)); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadSpec(path)
@@ -122,7 +127,9 @@ func TestLoadSpecRejectsUnknownFields(t *testing.T) {
 		"instructons":       `{"trace":"zos-lspr-cb84","instructons":1000}`,
 		"MispredictPenalty": `{"trace":"zos-lspr-cb84","params":{"WarmupInstructions":0,"MispredictPenalty":30}}`,
 		"PHTEntries":        `{"trace":"zos-lspr-cb84","custom":{"PHTEntries":0}}`,
-		"StartDelay":        `{"trace":"zos-lspr-cb84","custom":{"Tracker":{"Count":3,"PartialRows":4,"StartDelay":7}}}`,
+		"StartDelay":        `{"trace":"zos-lspr-cb84","custom":{"Tracker":{"Count":3,"StartDelay":7}}}`,
+		"PartialRows":       `{"trace":"zos-lspr-cb84","custom":{"Tracker":{"Count":3,"PartialRows":4}}}`,
+		"RowBytes":          `{"trace":"zos-lspr-cb84","custom":{"Tracker":{"Count":3,"RowBytes":64}}}`,
 	} {
 		if err := writeFile(path, spec); err != nil {
 			t.Fatal(err)
@@ -131,12 +138,6 @@ func TestLoadSpecRejectsUnknownFields(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), key) {
 			t.Errorf("spec with unknown key %q: err = %v, want an error naming it", key, err)
 		}
-	}
-}
-
-func TestSaveSpecRejectsInvalid(t *testing.T) {
-	if err := SaveSpec(filepath.Join(t.TempDir(), "x.json"), Spec{}); err == nil {
-		t.Error("invalid spec saved")
 	}
 }
 

@@ -73,12 +73,6 @@ func (o Outcome) MetricName() string {
 // Bad reports whether the outcome incurs a penalty.
 func (o Outcome) Bad() bool { return o >= BadWrongDir && o < NumOutcomes }
 
-// Surprise reports whether the outcome came from a first-level miss.
-func (o Outcome) Surprise() bool {
-	return o == GoodSurpriseNT || o == BadSurpriseCompulsory ||
-		o == BadSurpriseLatency || o == BadSurpriseCapacity
-}
-
 // Counts accumulates outcome tallies.
 type Counts struct {
 	N [NumOutcomes]int64
@@ -124,22 +118,4 @@ func (c *Counts) Rate(o Outcome) float64 {
 		return 0
 	}
 	return float64(c.N[o]) / float64(total)
-}
-
-// Mispredicted returns the dynamically-mispredicted count (direction or
-// target).
-func (c *Counts) Mispredicted() int64 {
-	return c.N[BadWrongDir] + c.N[BadWrongTarget]
-}
-
-// BadSurprises returns the bad-surprise count across all three classes.
-func (c *Counts) BadSurprises() int64 {
-	return c.N[BadSurpriseCompulsory] + c.N[BadSurpriseLatency] + c.N[BadSurpriseCapacity]
-}
-
-// Merge adds other's tallies into c.
-func (c *Counts) Merge(other Counts) {
-	for i := range c.N {
-		c.N[i] += other.N[i]
-	}
 }

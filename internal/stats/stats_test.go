@@ -31,21 +31,6 @@ func TestBadClassification(t *testing.T) {
 	}
 }
 
-func TestSurpriseClassification(t *testing.T) {
-	surprises := []Outcome{GoodSurpriseNT, BadSurpriseCompulsory,
-		BadSurpriseLatency, BadSurpriseCapacity}
-	for _, o := range surprises {
-		if !o.Surprise() {
-			t.Errorf("%v not classified surprise", o)
-		}
-	}
-	for _, o := range []Outcome{GoodPredicted, BadWrongDir, BadWrongTarget} {
-		if o.Surprise() {
-			t.Errorf("%v classified surprise", o)
-		}
-	}
-}
-
 func TestCountsArithmetic(t *testing.T) {
 	var c Counts
 	c.Add(GoodPredicted)
@@ -66,28 +51,11 @@ func TestCountsArithmetic(t *testing.T) {
 	if c.Rate(GoodPredicted) != 2.0/6.0 {
 		t.Errorf("Rate = %v", c.Rate(GoodPredicted))
 	}
-	if c.Mispredicted() != 2 {
-		t.Errorf("Mispredicted = %d", c.Mispredicted())
-	}
-	if c.BadSurprises() != 1 {
-		t.Errorf("BadSurprises = %d", c.BadSurprises())
-	}
 }
 
 func TestEmptyCounts(t *testing.T) {
 	var c Counts
 	if c.BadRate() != 0 || c.Rate(GoodPredicted) != 0 || c.Total() != 0 {
 		t.Error("empty counts not zero")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	var a, b Counts
-	a.Add(GoodPredicted)
-	b.Add(GoodPredicted)
-	b.Add(BadWrongDir)
-	a.Merge(b)
-	if a.N[GoodPredicted] != 2 || a.N[BadWrongDir] != 1 {
-		t.Errorf("Merge wrong: %+v", a)
 	}
 }

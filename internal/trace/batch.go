@@ -36,9 +36,6 @@ func NewBatch(capacity int) Batch {
 	return Batch{Ins: make([]Inst, 0, capacity)}
 }
 
-// Len returns the number of records currently in the batch.
-func (b *Batch) Len() int { return len(b.Ins) }
-
 // Batcher is a Source that can refill whole batches directly, skipping
 // the per-record Next dispatch.
 type Batcher interface {
@@ -140,9 +137,6 @@ func newBatchDecoder(r io.Reader, name string, total uint64, off int64, batchCap
 
 // Name returns the trace name from the header.
 func (d *BatchDecoder) Name() string { return d.name }
-
-// Total returns the record count the header promises.
-func (d *BatchDecoder) Total() uint64 { return d.total }
 
 // Decoded returns how many records have been fully decoded so far.
 func (d *BatchDecoder) Decoded() uint64 { return d.read }

@@ -132,9 +132,9 @@ func TestBatchDecoderMatchesRead(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d cap=%d: %v", n, batchCap, err)
 			}
-			if dec.Name() != wantName || dec.Total() != uint64(n) {
+			if dec.Name() != wantName || dec.total != uint64(n) {
 				t.Fatalf("n=%d cap=%d: header %q/%d, want %q/%d",
-					n, batchCap, dec.Name(), dec.Total(), wantName, n)
+					n, batchCap, dec.Name(), dec.total, wantName, n)
 			}
 			got, derr := drainDecoder(dec, batchCap)
 			if derr != nil {

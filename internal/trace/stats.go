@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"bulkpreload/internal/zaddr"
 )
@@ -28,25 +27,12 @@ type Stats struct {
 	ChangingTarget int // taken branch sites observed with >1 target
 }
 
-// LargeFootprint reports whether the trace meets the paper's threshold
-// for a BTB2-benefit candidate (more than 5,000 unique taken branch
-// instruction addresses).
-func (s Stats) LargeFootprint() bool { return s.UniqueTaken > 5000 }
-
 // TakenRate returns the fraction of dynamic branches resolved taken.
 func (s Stats) TakenRate() float64 {
 	if s.Branches == 0 {
 		return 0
 	}
 	return float64(s.TakenBr) / float64(s.Branches)
-}
-
-// BranchDensity returns dynamic branches per instruction.
-func (s Stats) BranchDensity() float64 {
-	if s.Instructions == 0 {
-		return 0
-	}
-	return float64(s.Branches) / float64(s.Instructions)
 }
 
 // String renders a one-line summary.
@@ -100,33 +86,4 @@ func Measure(src Source) Stats {
 		st.CodeBytes += int64(l)
 	}
 	return st
-}
-
-// TopBlocks returns the n most frequently executed 4 KB block numbers of
-// src, in descending execution-count order. Used by steering analyses.
-func TopBlocks(src Source, n int) []uint64 {
-	src.Reset()
-	counts := make(map[uint64]int64)
-	//zbp:bounded terminates when src.Next reports end-of-trace
-	for {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		counts[zaddr.Block(in.Addr)]++
-	}
-	blocks := make([]uint64, 0, len(counts))
-	for b := range counts {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool {
-		if counts[blocks[i]] != counts[blocks[j]] {
-			return counts[blocks[i]] > counts[blocks[j]]
-		}
-		return blocks[i] < blocks[j]
-	})
-	if len(blocks) > n {
-		blocks = blocks[:n]
-	}
-	return blocks
 }

@@ -280,35 +280,11 @@ func TestMeasure(t *testing.T) {
 	if st.Blocks4K != 2 {
 		t.Errorf("Blocks4K = %d, want 2", st.Blocks4K)
 	}
-	if st.LargeFootprint() {
-		t.Error("tiny trace classified as large footprint")
-	}
 	if st.TakenRate() != 5.0/6.0 {
 		t.Errorf("TakenRate = %v", st.TakenRate())
 	}
-	if st.BranchDensity() != 6.0/8.0 {
-		t.Errorf("BranchDensity = %v", st.BranchDensity())
-	}
 	if st.String() == "" {
 		t.Error("empty String()")
-	}
-}
-
-func TestTopBlocks(t *testing.T) {
-	var ins []Inst
-	// Block 2 hottest, then block 5, then block 9.
-	for i := 0; i < 30; i++ {
-		ins = append(ins, Inst{Addr: 2*4096 + zaddr.Addr(4*(i%10)), Length: 4, Kind: NotBranch})
-	}
-	for i := 0; i < 20; i++ {
-		ins = append(ins, Inst{Addr: 5*4096 + zaddr.Addr(4*(i%10)), Length: 4, Kind: NotBranch})
-	}
-	for i := 0; i < 10; i++ {
-		ins = append(ins, Inst{Addr: 9*4096 + zaddr.Addr(4*(i%10)), Length: 4, Kind: NotBranch})
-	}
-	top := TopBlocks(NewSliceSource("tb", ins), 2)
-	if len(top) != 2 || top[0] != 2 || top[1] != 5 {
-		t.Errorf("TopBlocks = %v", top)
 	}
 }
 

@@ -15,16 +15,24 @@ import (
 // searches at every step. Time mostly advances a cycle or two at a
 // time, so drains land on the exact cycles reads and reaps fall due.
 func TestDrainSkipIsExact(t *testing.T) {
-	wide := DefaultConfig
-	wide.RowBytes, wide.PartialRows = 128, 1
 	one := DefaultConfig
 	one.Count = 1
 	unfiltered := DefaultConfig
 	unfiltered.FilterByICache = false
-	for name, cfg := range map[string]Config{"default": DefaultConfig, "128B-rows": wide, "one-tracker": one, "unfiltered": unfiltered} {
+	type setup struct {
+		cfg      Config
+		rowBytes int
+	}
+	for name, su := range map[string]setup{
+		"default":     {DefaultConfig, zaddr.RowBytes},
+		"128B-rows":   {DefaultConfig, 128},
+		"one-tracker": {one, zaddr.RowBytes},
+		"unfiltered":  {unfiltered, zaddr.RowBytes},
+	} {
+		cfg, rowBytes := su.cfg, su.rowBytes
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/%d", name, seed), func(t *testing.T) {
-				skip, scan := New(cfg, seqOrder{}), New(cfg, seqOrder{})
+				skip, scan := New(cfg, rowBytes, seqOrder{}), New(cfg, rowBytes, seqOrder{})
 				r := rand.New(rand.NewSource(seed))
 				// skipped counts drains the bound answered without a scan;
 				// reapUpgrades counts drains that upgraded a raced partial
@@ -81,13 +89,14 @@ func TestDrainSkipIsExact(t *testing.T) {
 // overshoot: a partial search whose I-cache bit was set as it completed
 // upgrades at exactly its last read's cycle.
 func TestReapUpgradesAtDueCycle(t *testing.T) {
+	const partialRows = PartialBytes / zaddr.RowBytes
 	tr := newT(t, DefaultConfig)
 	addr := zaddr.Addr(0x30000)
 	tr.OnBTB1Miss(addr, 0)
 	tr.RaceICacheMiss(addr)
-	last := uint64(StartDelay + PipeDepth + DefaultConfig.PartialRows - 1)
-	if reads := tr.Drain(last - 1); len(reads) != DefaultConfig.PartialRows-1 {
-		t.Fatalf("drained %d rows before the last partial row, want %d", len(reads), DefaultConfig.PartialRows-1)
+	last := uint64(StartDelay + PipeDepth + partialRows - 1)
+	if reads := tr.Drain(last - 1); len(reads) != partialRows-1 {
+		t.Fatalf("drained %d rows before the last partial row, want %d", len(reads), partialRows-1)
 	}
 	if counters(tr)["tracker_upgrades_total"] != 0 {
 		t.Fatal("upgraded before the partial search completed")
@@ -98,7 +107,7 @@ func TestReapUpgradesAtDueCycle(t *testing.T) {
 	if st := counters(tr); st["tracker_upgrades_total"] != 1 || st["tracker_invalidated_total"] != 0 {
 		t.Fatalf("at cycle %d: %v, want the partial search upgraded", last, st)
 	}
-	if got := tr.PendingReads(); got != zaddr.RowsPerBlock-DefaultConfig.PartialRows {
-		t.Fatalf("upgrade scheduled %d rows, want %d", got, zaddr.RowsPerBlock-DefaultConfig.PartialRows)
+	if got := tr.PendingReads(); got != zaddr.RowsPerBlock-partialRows {
+		t.Fatalf("upgrade scheduled %d rows, want %d", got, zaddr.RowsPerBlock-partialRows)
 	}
 }

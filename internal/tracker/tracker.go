@@ -32,38 +32,26 @@ type Orderer interface {
 	Order(entryAddr zaddr.Addr) []int
 }
 
-// Search timing (Section 3.6), the same in every configuration.
+// Search timing and partial-search coverage (Section 3.6), the same in
+// every configuration.
 const (
 	StartDelay = 7 // cycles from miss detection to search start (b3 -> b10)
 	PipeDepth  = 8 // BTB2 search pipeline depth in cycles
+	// PartialBytes is the instruction span a partial search reads: 4
+	// rows of the shipping 32-byte BTB2 rows, 2 of 64-byte rows, 1 of
+	// 128-byte rows.
+	PartialBytes = 128
 )
 
-// Config fixes the tracker array and search parameters.
+// Config fixes the tracker array's studied parameters.
 type Config struct {
 	Count          int  // number of trackers (paper: 3)
-	PartialRows    int  // BTB2 rows searched by a partial search (paper: 4 = 128 B)
 	FilterByICache bool // gate full searches on I-cache misses (paper: true)
-	// RowBytes is the instruction bytes one BTB2 row covers (paper: 32;
-	// the future-work congruence-class study widens it to 64 or 128,
-	// which shortens full-block transfers proportionally). 0 selects 32.
-	RowBytes int
 }
-
-// rowBytes returns the effective row coverage.
-func (c Config) rowBytes() int {
-	if c.RowBytes == 0 {
-		return zaddr.RowBytes
-	}
-	return c.RowBytes
-}
-
-// RowsPerBlock returns how many BTB2 rows one 4 KB block spans.
-func (c Config) RowsPerBlock() int { return zaddr.BlockBytes / c.rowBytes() }
 
 // DefaultConfig is the shipping zEC12 configuration.
 var DefaultConfig = Config{
 	Count:          3,
-	PartialRows:    4,
 	FilterByICache: true,
 }
 
@@ -71,14 +59,6 @@ var DefaultConfig = Config{
 func (c Config) Validate() error {
 	if c.Count <= 0 {
 		return fmt.Errorf("tracker: count %d must be positive", c.Count)
-	}
-	switch c.rowBytes() {
-	case 32, 64, 128:
-	default:
-		return fmt.Errorf("tracker: row bytes %d not one of 32/64/128", c.RowBytes)
-	}
-	if c.PartialRows <= 0 || c.PartialRows > c.RowsPerBlock() {
-		return fmt.Errorf("tracker: partial rows %d out of range", c.PartialRows)
 	}
 	return nil
 }
@@ -114,9 +94,13 @@ func (s *slot) rowMarked(row int) bool { return s.searched[row/64]&(1<<uint(row%
 
 // Trackers is the tracker array plus the serialized BTB2 search port.
 type Trackers struct {
-	cfg   Config
-	ord   Orderer
-	slots []slot
+	cfg Config
+	// rowBytes is the instruction bytes one BTB2 row covers: 32 in the
+	// paper, 64 or 128 in the future-work congruence-class study, which
+	// shortens full-block transfers proportionally.
+	rowBytes int
+	ord      Orderer
+	slots    []slot
 	// queue[head:] holds the scheduled reads in Ready order (the single
 	// search port guarantees monotone Ready assignment). queue[:head] is
 	// what earlier Drains returned; drain reclaims it.
@@ -150,24 +134,29 @@ type metrics struct {
 	rowsRead     obs.Counter
 }
 
-// New builds a tracker array; invalid config panics.
-func New(cfg Config, ord Orderer) *Trackers {
+// New builds a tracker array searching BTB2 rows of rowBytes
+// instruction bytes, the BTB2's btb.Config.LineBytes. An invalid config
+// or row width panics.
+func New(cfg Config, rowBytes int, ord Orderer) *Trackers {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	switch rowBytes {
+	case 32, 64, 128:
+	default:
+		panic(fmt.Sprintf("tracker: row bytes %d not one of 32/64/128", rowBytes))
 	}
 	if ord == nil {
 		panic("tracker: nil Orderer")
 	}
 	return &Trackers{
-		cfg:   cfg,
-		ord:   ord,
-		slots: make([]slot, cfg.Count),
-		rows:  make([]int, 0, cfg.RowsPerBlock()),
+		cfg:      cfg,
+		rowBytes: rowBytes,
+		ord:      ord,
+		slots:    make([]slot, cfg.Count),
+		rows:     make([]int, 0, zaddr.BlockBytes/rowBytes),
 	}
 }
-
-// Config returns the tracker configuration.
-func (t *Trackers) Config() Config { return t.cfg }
 
 // RegisterMetrics enumerates the tracker counters (plus a pending-reads
 // gauge) into r under the given prefix, e.g. "tracker_".
@@ -310,17 +299,16 @@ func (t *Trackers) OnICacheMiss(addr zaddr.Addr, now uint64) {
 	t.slots[i] = slot{st: icacheOnly, block: block, icache: true, allocTime: now}
 }
 
-// launchPartial schedules the partial search around the miss address
-// (PartialRows BTB2 rows, 128 bytes in the shipping geometry).
+// launchPartial schedules the partial search around the miss address:
+// the BTB2 rows covering PartialBytes from the start of its sector.
 func (t *Trackers) launchPartial(i int, now uint64) {
 	s := &t.slots[i]
 	s.st = partialActive
 	t.met.partial.Inc()
-	rb := t.cfg.rowBytes()
 	sectorBase := zaddr.Align(s.missAddr, zaddr.SectorBytes)
-	startRow := int(zaddr.BlockOffset(sectorBase)) / rb
+	startRow := int(zaddr.BlockOffset(sectorBase)) / t.rowBytes
 	t.rows = t.rows[:0]
-	for r := 0; r < t.cfg.PartialRows && startRow+r < t.cfg.RowsPerBlock(); r++ {
+	for r := 0; r < PartialBytes/t.rowBytes; r++ {
 		t.rows = append(t.rows, startRow+r)
 	}
 	t.schedule(i, t.rows, now)
@@ -349,7 +337,7 @@ func (t *Trackers) upgrade(i int, now uint64) {
 // 128-byte sectors each; duplicate rows are filtered by the schedule
 // bitmap. The result is t.rows, valid until the next launch.
 func (t *Trackers) fullRowOrder(s *slot) []int {
-	rb := t.cfg.rowBytes()
+	rb := t.rowBytes
 	sectors := t.ord.Order(s.missAddr)
 	t.rows = t.rows[:0]
 	if rb <= zaddr.SectorBytes {
@@ -380,7 +368,7 @@ func (t *Trackers) schedule(i int, rows []int, now uint64) {
 		start = t.portFree
 	}
 	blockBase := zaddr.Addr(s.block * zaddr.BlockBytes)
-	rb := t.cfg.rowBytes()
+	rb := t.rowBytes
 	cycle := start
 	for _, row := range rows {
 		if s.rowMarked(row) {

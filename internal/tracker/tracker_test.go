@@ -37,22 +37,15 @@ func (seqOrder) Order(zaddr.Addr) []int {
 
 func newT(t *testing.T, cfg Config) *Trackers {
 	t.Helper()
-	return New(cfg, seqOrder{})
+	return New(cfg, zaddr.RowBytes, seqOrder{})
 }
 
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Config{
-		{Count: 0, PartialRows: 4},
-		{Count: 3, PartialRows: 0},
-		{Count: 3, PartialRows: 999},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
+	if err := (Config{Count: 0}).Validate(); err == nil {
+		t.Error("zero trackers accepted")
 	}
 }
 
@@ -254,7 +247,7 @@ func TestSteeredOrderUsed(t *testing.T) {
 	base := zaddr.Addr(0x80000)
 	st.ObserveComplete(base + 9*zaddr.SectorBytes)
 	st.ObserveComplete(zaddr.Addr(0x200000)) // flush
-	tr := New(DefaultConfig, st)
+	tr := New(DefaultConfig, zaddr.RowBytes, st)
 	tr.OnBTB1Miss(base+9*zaddr.SectorBytes+16, 0)
 	tr.OnICacheMiss(base+9*zaddr.SectorBytes, 0)
 	reads := tr.Drain(1 << 20)
@@ -289,7 +282,7 @@ func TestNewPanics(t *testing.T) {
 			t.Fatal("New accepted bad config")
 		}
 	}()
-	New(Config{}, seqOrder{})
+	New(Config{}, zaddr.RowBytes, seqOrder{})
 }
 
 func TestNilOrdererPanics(t *testing.T) {
@@ -298,16 +291,13 @@ func TestNilOrdererPanics(t *testing.T) {
 			t.Fatal("New accepted nil orderer")
 		}
 	}()
-	New(DefaultConfig, nil)
+	New(DefaultConfig, zaddr.RowBytes, nil)
 }
 
 func TestWideRowGeometry(t *testing.T) {
 	// 64-byte BTB2 rows: a full block is 64 reads at 64-byte strides, so
 	// the whole transfer finishes in roughly half the shipping time.
-	cfg := DefaultConfig
-	cfg.RowBytes = 64
-	cfg.PartialRows = 2 // keep the 128-byte partial coverage
-	tr := New(cfg, seqOrder{})
+	tr := New(DefaultConfig, 64, seqOrder{})
 	tr.OnBTB1Miss(0x10000, 0)
 	tr.OnICacheMiss(0x10000, 0)
 	reads := tr.Drain(1 << 20)
@@ -326,18 +316,22 @@ func TestWideRowGeometry(t *testing.T) {
 }
 
 func TestRowBytesValidation(t *testing.T) {
-	cfg := DefaultConfig
-	cfg.RowBytes = 48
-	if err := cfg.Validate(); err == nil {
-		t.Error("48-byte rows accepted")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("48-byte rows accepted")
+			}
+		}()
+		New(DefaultConfig, 48, seqOrder{})
+	}()
+	// 128-byte rows: a block is 32 rows, and a partial search reads one.
+	tr := New(DefaultConfig, 128, seqOrder{})
+	if cap(tr.rows) != 32 {
+		t.Errorf("rows per block = %d, want 32", cap(tr.rows))
 	}
-	cfg.RowBytes = 128
-	cfg.PartialRows = 1
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("128-byte rows rejected: %v", err)
-	}
-	if cfg.RowsPerBlock() != 32 {
-		t.Errorf("rows per block = %d, want 32", cfg.RowsPerBlock())
+	tr.OnBTB1Miss(0x10000, 0)
+	if reads := tr.Drain(1 << 20); len(reads) != 1 {
+		t.Errorf("128B-row partial search read %d rows, want 1", len(reads))
 	}
 }
 

@@ -17,9 +17,9 @@ func Example() {
 	src := workload.New(profile)
 	st := trace.Measure(src)
 	fmt.Printf("trace %s: %d instructions\n", st.Name, st.Instructions)
-	fmt.Printf("large footprint (>5000 unique taken): %v\n", st.LargeFootprint())
-	fmt.Printf("branch density plausible: %v\n",
-		st.BranchDensity() > 1.0/9 && st.BranchDensity() < 1.0/3)
+	fmt.Printf("large footprint (>5000 unique taken): %v\n", st.UniqueTaken > 5000)
+	density := float64(st.Branches) / float64(st.Instructions)
+	fmt.Printf("branch density plausible: %v\n", density > 1.0/9 && density < 1.0/3)
 	// Output:
 	// trace zos-daytrader-dbserv: 200000 instructions
 	// large footprint (>5000 unique taken): true
@@ -39,9 +39,8 @@ func ExampleProfile() {
 		CallsPerTransaction: 6,
 		Seed:                1,
 	}
-	src := workload.New(p)
-	fmt.Printf("compiled %d functions, valid: %v\n",
-		src.Functions(), p.Validate() == nil)
+	st := trace.Measure(workload.New(p))
+	fmt.Printf("%d instructions, valid: %v\n", st.Instructions, p.Validate() == nil)
 	// Output:
-	// compiled 571 functions, valid: true
+	// 50000 instructions, valid: true
 }

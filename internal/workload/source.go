@@ -86,21 +86,6 @@ func (s *Source) Len() int { return s.prog.profile.Instructions }
 // Profile returns the generating profile.
 func (s *Source) Profile() Profile { return s.prog.profile }
 
-// Functions returns the number of functions in the compiled program.
-func (s *Source) Functions() int { return len(s.prog.fns) }
-
-// StaticBranchSites returns the number of branch instruction sites in the
-// compiled program (the upper bound on unique executed branches).
-func (s *Source) StaticBranchSites() int {
-	n := 0
-	for i := range s.prog.ops {
-		if s.prog.ops[i].kind.IsBranch() {
-			n++
-		}
-	}
-	return n
-}
-
 // Reset implements trace.Source.
 func (s *Source) Reset() {
 	s.r.Seed(s.prog.profile.Seed + 1)

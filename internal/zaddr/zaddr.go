@@ -34,6 +34,8 @@ const (
 
 // Bits extracts big-endian bit range hi..lo (inclusive, hi <= lo, bit 0 =
 // MSB) from a. For example Bits(a, 49, 58) yields the 10-bit BTB1 index.
+// Production tables hold a Field instead; Bits is the building block of
+// the BTB's test reference model, which restates the geometry bit by bit.
 func Bits(a Addr, hi, lo uint) uint64 {
 	if hi > lo || lo > 63 {
 		panic(fmt.Sprintf("zaddr: invalid bit range %d:%d (want big-endian hi <= lo <= 63)", hi, lo))
@@ -67,8 +69,8 @@ func NewField(hi, lo uint) Field {
 func (f Field) Of(a Addr) uint64 { return uint64(a) >> f.shift & f.mask }
 
 // SetBits returns a with big-endian bit range hi..lo replaced by v's low
-// bits. It is the inverse of Bits and is used by trace generators to
-// compose addresses field-by-field.
+// bits. It is the inverse of Bits. The BTB tests compose addresses with
+// it field by field; no production path calls it.
 func SetBits(a Addr, hi, lo uint, v uint64) Addr {
 	if hi > lo || lo > 63 {
 		panic(fmt.Sprintf("zaddr: invalid bit range %d:%d (want big-endian hi <= lo <= 63)", hi, lo))
@@ -84,10 +86,6 @@ func SetBits(a Addr, hi, lo uint, v uint64) Addr {
 	return Addr((uint64(a) &^ mask) | ((v << shift) & mask))
 }
 
-// RowIndex returns the index of the 32-byte BTB row containing a, within
-// an unbounded address space (i.e. a / 32).
-func RowIndex(a Addr) uint64 { return uint64(a) / RowBytes }
-
 // RowBase returns the lowest address of the 32-byte row containing a.
 func RowBase(a Addr) Addr { return a &^ (RowBytes - 1) }
 
@@ -96,9 +94,6 @@ func RowOffset(a Addr) uint { return uint(a & (RowBytes - 1)) }
 
 // Block returns the 4 KB block number containing a (address bits 0:51).
 func Block(a Addr) uint64 { return uint64(a) / BlockBytes }
-
-// BlockBase returns the lowest address of the 4 KB block containing a.
-func BlockBase(a Addr) Addr { return a &^ (BlockBytes - 1) }
 
 // BlockOffset returns a's byte offset within its 4 KB block.
 func BlockOffset(a Addr) uint { return uint(a & (BlockBytes - 1)) }
@@ -116,16 +111,6 @@ func Quartile(a Addr) int { return int(BlockOffset(a) / QuartileSize) }
 // belongs to.
 func SectorQuartile(sector int) int { return sector / SectorsPerQuartile }
 
-// SectorBase returns the lowest address of sector s (0..31) within the
-// block containing a.
-func SectorBase(a Addr, s int) Addr {
-	return BlockBase(a) + Addr(s*SectorBytes)
-}
-
-// NextRow returns the first address of the row following the one
-// containing a. The search pipeline uses it for sequential re-indexing.
-func NextRow(a Addr) Addr { return RowBase(a) + RowBytes }
-
 // Align truncates a to a multiple of n (n must be a power of two).
 func Align(a Addr, n uint64) Addr {
 	if n == 0 || n&(n-1) != 0 {
@@ -141,7 +126,8 @@ func Halfword(a Addr) uint64 { return uint64(a) >> 1 }
 
 // OffsetWithin returns a's byte offset inside the aligned power-of-two
 // region of the given size that contains it. It generalizes RowOffset /
-// BlockOffset to configurable granules (cache lines, BTB row coverage).
+// BlockOffset to configurable granules; the BTB's test reference model
+// uses it for the offset within a BTB line.
 func OffsetWithin(a Addr, size uint64) uint64 {
 	if size == 0 || size&(size-1) != 0 {
 		panic(fmt.Sprintf("zaddr: OffsetWithin size %d must be a power of two", size))
@@ -151,7 +137,7 @@ func OffsetWithin(a Addr, size uint64) uint64 {
 
 // ChunkIndex returns the index of the size-byte aligned chunk holding a
 // within an unbounded address space (a / size, size a power of two). It
-// generalizes RowIndex / Block to configurable granules.
+// generalizes Block to configurable granules.
 func ChunkIndex(a Addr, size uint64) uint64 {
 	if size == 0 || size&(size-1) != 0 {
 		panic(fmt.Sprintf("zaddr: ChunkIndex size %d must be a power of two", size))
@@ -160,6 +146,6 @@ func ChunkIndex(a Addr, size uint64) uint64 {
 }
 
 // FlipBit returns a with little-endian bit b (0 = LSB, the convention
-// hardware fault models use for payload words) inverted. It is the
-// single-event-upset primitive for the fault injectors.
+// hardware fault models use for payload words) inverted. The BTB and
+// CTB tests use it to flip one bit of a target address.
 func FlipBit(a Addr, b uint) Addr { return a ^ Addr(uint64(1)<<(b&63)) }

@@ -84,12 +84,6 @@ func TestRowGeometry(t *testing.T) {
 	if got := RowOffset(a); got != uint(a-RowBase(a)) {
 		t.Errorf("RowOffset = %d, want %d", got, uint(a-RowBase(a)))
 	}
-	if NextRow(a) != RowBase(a)+RowBytes {
-		t.Errorf("NextRow = %#x", uint64(NextRow(a)))
-	}
-	if RowIndex(a) != uint64(a)/RowBytes {
-		t.Errorf("RowIndex = %d", RowIndex(a))
-	}
 }
 
 func TestBlockSectorQuartileGeometry(t *testing.T) {
@@ -103,9 +97,6 @@ func TestBlockSectorQuartileGeometry(t *testing.T) {
 	a := Addr(0x7F3C) // block 7, offset 0xF3C
 	if Block(a) != 7 {
 		t.Errorf("Block = %d, want 7", Block(a))
-	}
-	if BlockBase(a) != 0x7000 {
-		t.Errorf("BlockBase = %#x, want 0x7000", uint64(BlockBase(a)))
 	}
 	if BlockOffset(a) != 0xF3C {
 		t.Errorf("BlockOffset = %#x", BlockOffset(a))
@@ -133,19 +124,6 @@ func TestSectorQuartileConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSectorBase(t *testing.T) {
-	a := Addr(0x12345000)
-	for s := 0; s < SectorsPerBlock; s++ {
-		base := SectorBase(a, s)
-		if Sector(base) != s {
-			t.Errorf("SectorBase(%d) lands in sector %d", s, Sector(base))
-		}
-		if !SameBlock(base, a) {
-			t.Errorf("SectorBase(%d) left the block", s)
-		}
 	}
 }
 
